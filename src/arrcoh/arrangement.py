@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from arrcoh.covers import CoverDescription, E2Support, LocalDatum, e2_support
-from arrcoh.linalg import QQ, FieldTag, Matrix, _rational_rref, poly_div_exact, rank_kernel
+from arrcoh.linalg import QQ, FieldTag, Matrix, _rational_rref, parse_fraction, poly_div_exact, rank_kernel
 from arrcoh.poset import FinitePoset, from_leq, moebius_table
 from arrcoh.simplicial import SimplicialComplex
 
@@ -48,7 +48,7 @@ __all__ = [
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("refusing float input; pass int, Fraction or 'p/q' string")
-    return Fraction(x)
+    return parse_fraction(x)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ A complex is a finite family of based free modules C^k (k in a contiguous
 degree range) with differentials d^k : C^k -> C^{k+1}.  Over a field the
 report carries dimensions; over Z it carries free ranks and invariant
 factors (torsion) per degree.
+
+:func:`make_complex` keeps each differential both as a dense
+:class:`~arrcoh.linalg.Matrix` and as sparse rows, and checks d o d = 0
+with an exact product over the nonzero entries only (mod p over F_p).
+:func:`complex_cohomology` needs ranks alone, which it takes from one
+sparse elimination per differential (:func:`~arrcoh.linalg.sparse_rank`).
 """
 
 from __future__ import annotations
@@ -11,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
-from arrcoh.linalg import (
-    IntegerRing,
-    Matrix,
-    Ring,
-    ZZ,
-    rank_kernel,
-    smith_normal_form,
-)
+from arrcoh.linalg import FieldTag, Matrix, Ring, sparse_rank
 
 __all__ = ["CochainComplexData", "CohomologyReport", "complex_cohomology"]
 
@@ -28,13 +27,15 @@ class CochainComplexData:
     """Degrees, dimensions and differentials of a finite cochain complex.
 
     ``differentials[k]`` is the matrix of d^k with shape
-    (dims[k+1], dims[k]); missing keys mean zero maps.  d o d = 0 is
-    verified on construction via :func:`make_complex`.
+    (dims[k+1], dims[k]); missing keys mean zero maps.  ``rows[k]`` holds
+    the same map as one {column: entry} dict of nonzero entries per row.
+    d o d = 0 is verified on construction via :func:`make_complex`.
     """
 
     ring: Ring
     dims: Mapping[int, int]
     differentials: Mapping[int, Matrix]
+    rows: Mapping[int, list[dict]] = dc_field(compare=False, repr=False)
 
     @property
     def degrees(self) -> list[int]:
@@ -45,6 +46,22 @@ class CochainComplexData:
         if d is not None:
             return d
         return Matrix.zeros(self.ring, self.dims.get(k + 1, 0), self.dims.get(k, 0))
+
+
+def _composes_to_zero(outer: list[dict], inner: list[dict], p: int | None) -> bool:
+    """Is the product outer @ inner of two sparse-row matrices zero?
+
+    Exact: each entry is summed over integers or fractions and reduced
+    mod p only at the end when p is given.
+    """
+    for row in outer:
+        acc: dict = {}
+        for mid, a in row.items():
+            for j, b in inner[mid].items():
+                acc[j] = acc.get(j, 0) + a * b
+        if any(x % p for x in acc.values()) if p else any(acc.values()):
+            return False
+    return True
 
 
 def make_complex(ring: Ring, dims: Mapping[int, int], differentials: Mapping[int, Matrix]) -> CochainComplexData:
@@ -62,11 +79,13 @@ def make_complex(ring: Ring, dims: Mapping[int, int], differentials: Mapping[int
             )
         if mat.nrows and mat.ncols:
             diffs[k] = mat
-    for k in diffs:
-        nxt = diffs.get(k + 1)
-        if nxt is not None and not nxt.mul(diffs[k]).is_zero():
+    rows = {k: mat.sparse_rows() for k, mat in diffs.items()}
+    p = ring.p if isinstance(ring, FieldTag) and ring.kind == "prime" else None
+    for k in rows:
+        nxt = rows.get(k + 1)
+        if nxt is not None and not _composes_to_zero(nxt, rows[k], p):
             raise ValueError(f"d^{k + 1} o d^{k} != 0")
-    return CochainComplexData(ring=ring, dims=dims, differentials=diffs)
+    return CochainComplexData(ring=ring, dims=dims, differentials=diffs, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -107,33 +126,23 @@ class CohomologyReport:
 
 
 def complex_cohomology(cx: CochainComplexData) -> CohomologyReport:
-    """Exact cohomology of a finite complex.
+    """Exact cohomology of a finite complex, from ranks alone.
 
-    Field case: rank H^k = dim C^k - rank d^k - rank d^{k-1}.
-    Z case: free rank by the same formula with rational ranks, torsion in
-    degree k given by the invariant factors (>1) of d^{k-1}.
+    One sparse elimination per differential gives rank d^k and, over Z,
+    the invariant factors of d^k above 1.  Then
+    rank H^k = dim C^k - rank d^k - rank d^{k-1} (the free rank over Z),
+    and the torsion of H^{k+1} is the nontrivial invariant factors of d^k.
+    No kernel basis and no Smith witness of a full differential is formed.
     """
     ranks: dict[int, int] = {}
-    integral = isinstance(cx.ring, IntegerRing)
-    for k, mat in cx.differentials.items():
-        if integral:
-            from fractions import Fraction
-
-            from arrcoh.linalg import QQ
-
-            qmat = Matrix.from_rows(QQ, [[Fraction(x) for x in row] for row in mat.entries])
-            ranks[k] = rank_kernel(qmat)[0]
-        else:
-            ranks[k] = rank_kernel(mat)[0]
-    free = {}
     torsion: dict[int, tuple[int, ...]] = {}
+    for k, rows in cx.rows.items():
+        ranks[k], factors = sparse_rank(cx.ring, rows)
+        if factors:
+            torsion[k + 1] = factors
+    free = {}
     for k, dim in cx.dims.items():
         free[k] = dim - ranks.get(k, 0) - ranks.get(k - 1, 0)
         if free[k] < 0:
             raise ValueError(f"negative rank in degree {k}; complex is inconsistent")
-    if integral:
-        for k, mat in cx.differentials.items():
-            factors = smith_normal_form(mat).nontrivial
-            if factors:
-                torsion[k + 1] = factors
     return CohomologyReport(ring=cx.ring, free_ranks=free, torsion=torsion)

@@ -101,6 +101,29 @@ def test_wrong_schema_is_input_error(files, capsys):
     assert code == 2
 
 
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err
+
+
+def test_zero_denominator_normal_is_input_error(files, capsys):
+    bad = {"n": 2, "hyperplanes": [{"label": "a", "normal": ["1/0", "0"]}, {"label": "b", "normal": ["0", "1"]}]}
+    code, out, err = run(capsys, ["arr-lattice", files("a.json", bad)])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "zero denominator" in err
+
+
+def test_zero_denominator_rational_weight_is_input_error(files, capsys):
+    wq = {"field": {"kind": "rational"}, "q": {"a": "1/0", "b": 1, "c": 1}}
+    code, out, err = run(capsys, ["arr-vanish", files("a.json", LINES3), files("w.json", wq)])
+    assert code == 2 and out == ""
+    assert _one_error_line(err)
+    tq = {"field": {"kind": "rational"}, "q": {"1": "1/0", "2": 2, "3": 3}}
+    code, out, err = run(capsys, ["toric-cohomology", files("t.json", TORIC_TRI), files("tw.json", tq)])
+    assert code == 2 and out == ""
+    assert _one_error_line(err)
+
+
 def test_bad_seed_is_usage_error(files, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["toric-verify", files("t.json", TORIC_TRI), "--seed", "-1"])

@@ -1,9 +1,12 @@
 """Cochain complexes and their exact cohomology over Z, Q and F_p."""
 
+from fractions import Fraction
+
 import pytest
 
 from arrcoh.cochain import complex_cohomology, make_complex
-from arrcoh.linalg import GF, Matrix, QQ, ZZ
+from arrcoh.linalg import GF, Matrix, QQ, ZZ, sparse_rank
+from arrcoh.simplicial import SimplicialComplex, reduced_cochain_complex
 
 
 def test_circle_over_q():
@@ -53,6 +56,49 @@ def test_d_squared_nonzero_rejected():
     d1 = Matrix.from_rows(QQ, [[1]])
     with pytest.raises(ValueError, match="d.*o d"):
         make_complex(QQ, {0: 1, 1: 1, 2: 1}, {0: d0, 1: d1})
+
+
+def test_d_squared_zero_mod_p_accepted():
+    # d1 d0 = 1*1 + 1*1 = 2: zero over GF(2), not over Z
+    F2 = GF(2)
+    d0 = Matrix.from_rows(F2, [[1], [1]])
+    d1 = Matrix.from_rows(F2, [[1, 1]])
+    rep = complex_cohomology(make_complex(F2, {0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}))
+    assert [rep.betti(k) for k in (0, 1, 2)] == [0, 0, 0]
+    with pytest.raises(ValueError, match="d.*o d"):
+        make_complex(ZZ, {0: 1, 1: 2, 2: 1}, {0: Matrix.from_rows(ZZ, [[1], [1]]), 1: Matrix.from_rows(ZZ, [[1, 1]])})
+
+
+def test_d_squared_nonzero_mod_p_rejected():
+    # d1 d0 = 1*1 + 1*1 = 2, which is not 0 mod 3
+    F3 = GF(3)
+    d0 = Matrix.from_rows(F3, [[1], [1]])
+    d1 = Matrix.from_rows(F3, [[1, 1]])
+    with pytest.raises(ValueError, match="d.*o d"):
+        make_complex(F3, {0: 1, 1: 2, 2: 1}, {0: d0, 1: d1})
+
+
+def test_d_squared_check_is_exact_over_q():
+    # 2 * 1/2 - 3 * 1/3 = 0 exactly
+    d0 = Matrix.from_rows(QQ, [[Fraction(1, 2)], [Fraction(1, 3)]])
+    cx = make_complex(QQ, {0: 1, 1: 2, 2: 1}, {0: d0, 1: Matrix.from_rows(QQ, [[2, -3]])})
+    assert complex_cohomology(cx).betti(1) == 0
+    with pytest.raises(ValueError, match="d.*o d"):
+        make_complex(QQ, {0: 1, 1: 2, 2: 1}, {0: d0, 1: Matrix.from_rows(QQ, [[2, -2]])})
+
+
+def test_rp2_torsion_from_sparse_elimination():
+    # the 6-vertex real projective plane: reduced H^2(RP^2; Z) = Z/2
+    facets = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
+              (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)]
+    L = SimplicialComplex.from_facets(range(1, 7), facets)
+    cx = reduced_cochain_complex(L, ZZ)
+    rep = complex_cohomology(cx)
+    assert [rep.betti(k) for k in (-1, 0, 1, 2)] == [0, 0, 0, 0]
+    assert rep.torsion == {2: (2,)}
+    # d^1 (15 edges -> 10 triangles) has rank 10 over Q and Z, 9 over GF(2)
+    assert sparse_rank(ZZ, cx.rows[1]) == (10, (2,))
+    assert sparse_rank(GF(2), cx.rows[1])[0] == 9
 
 
 def test_shape_mismatch_rejected():

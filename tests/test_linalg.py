@@ -2,7 +2,8 @@
 
 The Smith-form tests freeze hand-computed divisors (gcd of entries, then
 gcd of 2x2 minors, and so on) and cross-check the compiled mod-p kernel
-against the pure-Python twin on random inputs.
+against the pure-Python twin on random inputs.  The sparse elimination is
+checked against the dense references on random small integer matrices.
 """
 
 import math
@@ -18,10 +19,13 @@ from arrcoh.linalg import (
     QQ,
     ZZ,
     Matrix,
+    _rational_rref,
     is_prime,
+    parse_fraction,
     poly_div_exact,
     rank_kernel,
     smith_normal_form,
+    sparse_rank,
 )
 
 try:
@@ -62,6 +66,14 @@ def test_float_rejected_everywhere():
         ZZ.normalize(2.0)
 
 
+def test_zero_denominator_is_value_error():
+    assert parse_fraction("-3/6") == Fraction(-1, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fraction("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        QQ.normalize("1/0")
+
+
 def test_zz_rejects_proper_fraction():
     assert ZZ.normalize(Fraction(4, 2)) == 2
     with pytest.raises(ValueError):
@@ -89,8 +101,8 @@ def test_matrix_basics():
     b = Matrix.identity(QQ, 2)
     assert a.mul(b).entries == a.entries
     assert a.transpose().entries == ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(4)))
-    assert not a.is_zero()
-    assert Matrix.zeros(QQ, 2, 3).is_zero()
+    assert a.sparse_rows() == [{0: 1, 1: 2}, {0: 3, 1: 4}]
+    assert Matrix.zeros(QQ, 2, 3).sparse_rows() == [{}, {}]
 
 
 def test_matrix_rejects_ragged():
@@ -212,6 +224,57 @@ def test_fp_backends_agree(rows, p):
 def test_fp_modulus_bounds():
     with pytest.raises(ValueError):
         _fp_py.fp_rank([[1]], 1)
+
+
+# --- sparse elimination against the dense references ---------------------
+
+
+def _sparse(rows):
+    """Raw {column: entry} rows, entries not reduced mod any prime."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _matrices(entries):
+    return st.integers(min_value=1, max_value=7).flatmap(
+        lambda ncols: st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=7)
+    )
+
+
+SMALL = st.integers(min_value=-4, max_value=4)
+NO_UNITS = st.sampled_from([-4, -3, -2, 0, 2, 3, 4])
+
+
+@given(_matrices(SMALL), st.sampled_from([2, 3, 5, 101]))
+@settings(max_examples=150, deadline=None)
+def test_sparse_rank_fp_matches_dense_kernel(rows, p):
+    # entries such as 2 and 4 vanish mod 2, 3 mod 3: the rows go in unreduced
+    assert sparse_rank(GF(p), _sparse(rows)) == (_fp_py.fp_rank(rows, p), ())
+
+
+@given(_matrices(SMALL))
+@settings(max_examples=150, deadline=None)
+def test_sparse_rank_qq_matches_rational_rref(rows):
+    qrows = [[Fraction(x) for x in row] for row in rows]
+    rank = len(_rational_rref(qrows)[1])
+    assert sparse_rank(QQ, Matrix.from_rows(QQ, qrows).sparse_rows()) == (rank, ())
+
+
+@given(_matrices(SMALL) | _matrices(NO_UNITS))
+@settings(max_examples=200, deadline=None)
+def test_sparse_rank_zz_matches_smith_form(rows):
+    # without unit entries the whole matrix is the remainder the Smith form sees
+    snf = smith_normal_form(Matrix.from_rows(ZZ, rows))
+    assert sparse_rank(ZZ, _sparse(rows)) == (snf.rank, snf.nontrivial)
+
+
+def test_sparse_rank_units_then_remainder():
+    # one unit pivot at (0, 0), then the remainder [[2, 4], [4, 6]] goes to the
+    # Smith form: invariant factors 1, 2, 2
+    rows = [[1, 0, 0], [0, 2, 4], [0, 4, 6]]
+    assert sparse_rank(ZZ, _sparse(rows)) == (3, (2, 2))
+    assert sparse_rank(ZZ, _sparse([[2, 0], [0, 0]])) == (1, (2,))
+    assert sparse_rank(QQ, []) == (0, ())
+    assert sparse_rank(GF(3), _sparse([[3, 6], [9, 0]])) == (0, ())
 
 
 # --- small utilities ------------------------------------------------------
