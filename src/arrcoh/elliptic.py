@@ -123,9 +123,8 @@ class EllipticArrangement:
         try:
             n = int(obj["n"])
             rows = [[int(x) for x in r] for r in obj["rows"]]
-            raw = obj.get("translations", [0] * len(rows))
-            translations = [None if t == 0 else (int(t[0]), int(t[1])) for t in raw]
-        except (KeyError, TypeError, IndexError) as exc:
+            translations = [_parse_translation(t) for t in obj.get("translations", [0] * len(rows))]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"bad elliptic JSON: {exc}") from exc
         labels = [str(x) for x in obj["labels"]] if "labels" in obj else None
         return cls.from_rows(n, rows, translations, labels)
@@ -137,6 +136,16 @@ class EllipticArrangement:
             "translations": [0 if t is None else [t[0], t[1]] for t in self.translations],
             "labels": list(self.labels),
         }
+
+
+def _parse_translation(t) -> tuple | None:
+    """JSON translation: ``0`` for the subgroup through the origin, or
+    ``[c, m]`` (integers) for the torsion point c/m; ``to_json`` writes the same."""
+    if type(t) is int and t == 0:
+        return None
+    if isinstance(t, list) and len(t) == 2 and all(type(x) is int for x in t):
+        return (t[0], t[1])
+    raise ValueError(f"translation must be 0 or [c, m], got {t!r}")
 
 
 @dataclass(frozen=True)

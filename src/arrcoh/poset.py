@@ -8,7 +8,6 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -172,23 +171,10 @@ def from_leq(elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], b
 
 
 def moebius(poset: FinitePoset, x, y) -> int:
-    """Moebius function mu(x, y), by the standard recursion."""
+    """Moebius function mu(x, y), read from ``moebius_table``."""
     if not poset.leq(x, y):
         return 0
-
-    @lru_cache(maxsize=None)
-    def mu(i: int, j: int) -> int:
-        if i == j:
-            return 1
-        ei, ej = poset.elements[i], poset.elements[j]
-        total = 0
-        for z in poset.closed_interval(ei, ej):
-            k = poset.index(z)
-            if k != j:
-                total += mu(i, k)
-        return -total
-
-    return mu(poset.index(x), poset.index(y))
+    return moebius_table(poset, x).get(y, 0)
 
 
 def moebius_table(poset: FinitePoset, x) -> dict:

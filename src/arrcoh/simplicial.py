@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology, make_complex
 from arrcoh.linalg import Matrix, Ring, ZZ
@@ -93,15 +93,13 @@ class SimplicialComplex:
         return sum((-1) ** (len(f) - 1) for f in self.faces)
 
     def canonical_key(self) -> tuple:
-        """Isomorphism invariant key: lexicographically minimal facet encoding."""
-        n = len(self.vertices)
+        """Isomorphism-invariant key: two complexes have equal keys exactly
+        when a bijection of their vertices carries faces onto faces.
+
+        See ``_canonical_key`` for the form of the key.
+        """
         facets = [frozenset(self._vindex[v] for v in f) for f in self.facets()]
-        best = None
-        for perm in itertools.permutations(range(n)):
-            enc = tuple(sorted(tuple(sorted(perm[i] for i in f)) for f in facets))
-            if best is None or enc < best:
-                best = enc
-        return best
+        return _canonical_key(len(self.vertices), facets)
 
     def to_json(self) -> dict:
         return {
@@ -241,16 +239,22 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
     """All isomorphism classes of complexes on at most ``max_vertices``
     vertices (every vertex used), including the irrelevant complex.
 
-    Vertices are 0..k-1; representatives are canonical under relabeling.
+    Vertices are 0..k-1.  Each class is represented by the first antichain
+    of facets, in a fixed enumeration order, that has its canonical key.
     """
     out: list[SimplicialComplex] = []
     for k in range(max_vertices + 1):
         subsets = [frozenset(s) for r in range(1, k + 1) for s in itertools.combinations(range(k), r)]
         subsets.sort(key=lambda s: (-len(s), tuple(sorted(s))))
-        antichains: list[list[frozenset]] = []
+        vertices = set(range(k))
+        first: dict[tuple, list[frozenset]] = {}  # canonical key -> first antichain with it
 
         def grow(chosen: list[frozenset], start: int) -> None:
-            antichains.append(list(chosen))
+            # antichains in preorder, each keyed as it is found
+            if not k or (chosen and set().union(*chosen) == vertices):
+                key = _canonical_key(k, chosen or [frozenset()])
+                if key not in first:
+                    first[key] = list(chosen)
             for idx in range(start, len(subsets)):
                 s = subsets[idx]
                 if all(not (s <= t or t <= s) for t in chosen):
@@ -259,14 +263,39 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
                     chosen.pop()
 
         grow([], 0)
-        seen = set()
-        for facets in antichains:
-            if k > 0:
-                if not facets or set().union(*facets) != set(range(k)):
-                    continue
-            cx = SimplicialComplex.from_facets(tuple(range(k)), facets or [()])
-            key = cx.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(cx)
+        # built after the search: interleaved with its short-lived objects, the
+        # complexes fragment the allocator's arenas and peak memory grows per call
+        out.extend(SimplicialComplex.from_facets(tuple(range(k)), f or [()]) for f in first.values())
     return out
+
+
+def _canonical_key(n: int, facets: Sequence[Collection[int]]) -> tuple:
+    """Canonical form of the complex on vertices 0..n-1 with these facets.
+
+    Each vertex gets an invariant, the sorted sizes of the facets that
+    contain it; the distinct invariants, in sorted order, split the vertices
+    into blocks.  A relabeling is admissible when it sends block i onto its
+    own range of labels (after the labels of blocks 0..i-1).  The key is
+    ``(invariants, block sizes, encoding)``, where the encoding is the least,
+    over admissible relabelings, of the sorted tuple of relabeled facets,
+    each facet written as the bitmask of its labels.
+
+    An isomorphism preserves the invariants, so it maps blocks onto blocks
+    and isomorphic complexes share their admissible encodings and hence the
+    key; equal keys encode the same relabeled complex, so complexes with
+    equal keys are isomorphic.  Only the product of the block factorials is
+    tried, not all n! relabelings (vertex-invariant refinement, as in
+    McKay-Piperno, Practical graph isomorphism II, J. Symb. Comput. 60, 2014).
+    """
+    inv = [tuple(sorted(len(f) for f in facets if v in f)) for v in range(n)]
+    invariants = tuple(sorted(set(inv)))
+    blocks = [[v for v in range(n) if inv[v] == x] for x in invariants]
+    bit = [0] * n
+    best = None
+    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        for label, v in enumerate(itertools.chain.from_iterable(parts)):
+            bit[v] = 1 << label
+        enc = sorted(sum(bit[v] for v in f) for f in facets)
+        if best is None or enc < best:
+            best = enc
+    return invariants, tuple(len(b) for b in blocks), tuple(best)

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +282,26 @@ def test_ell_certify(files, capsys):
     code, out, _ = run(capsys, ["ell-certify", files("es.json", spread)])
     assert code == 1
     assert json.loads(out)["concentration"] is None
+
+
+def test_readme_elliptic_example_runs(tmp_path, capsys):
+    # the README's elliptic JSON block, verbatim
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rest = readme[readme.index("Elliptic arrangement"):]
+    start = rest.index("```json\n") + len("```json\n")
+    path = tmp_path / "elliptic.json"
+    path.write_text(rest[start:rest.index("```", start)], encoding="utf-8")
+    for verb in ("ell-analyze", "ell-convenient", "ell-certify"):
+        code, _, err = run(capsys, [verb, str(path)])
+        assert (code, err) == (0, ""), verb
+
+
+@pytest.mark.parametrize("translation", ["1/2", "0", [1], [1, 2, 3], ["1", "2"], [1.0, 2], 0.5, True, None])
+def test_bad_translation_is_input_error(files, capsys, translation):
+    bad = dict(ELL_GOOD, translations=[translation])
+    code, out, err = run(capsys, ["ell-analyze", files("e.json", bad)])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "translation must be 0 or [c, m]" in err
 
 
 def test_covers_validate(files, capsys):

@@ -4,13 +4,17 @@ Sphere and projective-plane values are classical and easy to confirm by
 hand from the face counts; they are frozen here as regression anchors.
 """
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arrcoh.linalg import GF, QQ, ZZ
 from arrcoh.simplicial import (
     SimplicialComplex,
+    _canonical_key,
     enumerate_complexes,
     flag_complex,
     is_cohen_macaulay,
@@ -239,6 +243,128 @@ def test_canonical_key_isomorphism_invariance():
     assert a.canonical_key() == b.canonical_key()
     c = SimplicialComplex.from_facets([1, 2, 3], [(1, 2), (2, 3)])
     assert a.canonical_key() != c.canonical_key()
+
+
+# sha256 of repr([(cx.vertices, cx.facets()) for cx in enumerate_complexes(k)]),
+# taken from the n!-relabeling enumeration: the representatives and their
+# order must not depend on how canonical keys are computed.
+CORPUS_DIGESTS = {
+    4: "ec9186cbf278600dd1099a0601bbc4fcfd075d8382325d7e685cb4576d99d5bc",
+    5: "7ac464a80978dfc114fb7e7dffb2829c312abdbf215b758a2dbe8c53721725e3",
+}
+
+
+@pytest.mark.parametrize("k", sorted(CORPUS_DIGESTS))
+def test_corpus_digest_pinned(k):
+    data = [(cx.vertices, cx.facets()) for cx in enumerate_complexes(k)]
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == CORPUS_DIGESTS[k]
+
+
+def brute_force_key(n, facets):
+    """Reference key: the lex-min facet encoding over all n! relabelings."""
+    best = None
+    for perm in itertools.permutations(range(n)):
+        enc = tuple(sorted(tuple(sorted(perm[i] for i in f)) for f in facets))
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+def index_facets(cx):
+    return [frozenset(cx.vertices.index(v) for v in f) for f in cx.facets()]
+
+
+@st.composite
+def complexes(draw, n):
+    """A complex on vertices 0..n-1: distinct faces of one size, plus up to
+    two faces of any size.  Vertices in no face are kept, so the vertex count
+    is part of the complex."""
+    if not n:
+        return SimplicialComplex.from_faces((), [])
+    pool = [frozenset(c) for c in itertools.combinations(range(n), draw(st.integers(1, n)))]
+    faces = draw(st.lists(st.sampled_from(pool), unique=True, min_size=min(n - 1, len(pool)), max_size=n + 2))
+    faces += draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), max_size=2))
+    return SimplicialComplex.from_faces(range(n), faces)
+
+
+@st.composite
+def switched(draw, cx):
+    """``cx`` with a vertex swapped between two facets of equal size: no
+    vertex changes its facet sizes, yet the result is often not isomorphic."""
+    facets = [set(f) for f in cx.facets()]
+    pairs = [(f, g) for f, g in itertools.permutations(facets, 2) if len(f) == len(g) and f != g]
+    if not pairs:
+        return cx
+    f, g = draw(st.sampled_from(pairs))
+    x, y = draw(st.sampled_from(sorted(f - g))), draw(st.sampled_from(sorted(g - f)))
+    f ^= {x, y}
+    g ^= {x, y}
+    return SimplicialComplex.from_faces(cx.vertices, facets)
+
+
+@st.composite
+def groups(draw):
+    """Complexes on one vertex count: two random ones, then some switched
+    from earlier members."""
+    n = draw(st.integers(0, 6))
+    group = [draw(complexes(n)), draw(complexes(n))]
+    for _ in range(draw(st.integers(1, 3))):
+        group.append(draw(switched(draw(st.sampled_from(group)))))
+    return group
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(complexes(n), st.permutations(range(n)))), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_canonical_key_invariant_under_relabeling(case, rnd):
+    cx, perm = case
+    names = [f"v{p}" for p in perm]
+    relabeled = SimplicialComplex.from_faces(
+        sorted(names), [[names[v] for v in f] for f in cx.facets()]
+    )
+    assert relabeled.canonical_key() == cx.canonical_key()
+    facets = index_facets(relabeled)
+    rnd.shuffle(facets)  # the key must not depend on the order of the facets either
+    assert _canonical_key(len(relabeled.vertices), facets) == cx.canonical_key()
+
+
+# Non-isomorphic complexes whose vertices have the same facet sizes, so only
+# the encoding tells them apart: a triangle and an edge against a path of
+# four edges (with a relabeled copy of the first), and four triangles on
+# five vertices glued in two ways.
+SAME_INVARIANTS = [
+    [[(0, 1), (0, 2), (1, 2), (3, 4)], [(0, 1), (0, 2), (1, 3), (2, 4)], [(3, 4), (2, 4), (2, 3), (0, 1)]],
+    [[(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)], [(0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4)]],
+]
+
+
+@given(groups())
+@example([SimplicialComplex.from_facets(range(5), f) for f in SAME_INVARIANTS[0]])
+@example([SimplicialComplex.from_facets(range(5), f) for f in SAME_INVARIANTS[1]])
+@settings(max_examples=100, deadline=None)
+def test_canonical_key_agrees_with_brute_force(group):
+    n = len(group[0].vertices)
+    keys = [_canonical_key(n, index_facets(cx)) for cx in group]
+    oracle = [brute_force_key(n, index_facets(cx)) for cx in group]
+    for (a, ka), (b, kb) in itertools.combinations(zip(oracle, keys), 2):
+        assert (ka == kb) == (a == b)
+
+
+def test_canonical_key_classes_match_brute_force_up_to_four_vertices():
+    # every complex on the labelled vertices 0..n-1, n <= 4, unused vertices
+    # included: each key class is one oracle class, and there is one class per
+    # complex on at most n vertices
+    for n in range(5):
+        subsets = [frozenset(s) for r in range(1, n + 1) for s in itertools.combinations(range(n), r)]
+        classes = {}
+        for mask in range(1 << len(subsets)):
+            chosen = [s for i, s in enumerate(subsets) if mask >> i & 1]
+            if any(a < b for a in chosen for b in chosen):
+                continue
+            facets = chosen or [frozenset()]
+            classes.setdefault(_canonical_key(n, facets), set()).add(brute_force_key(n, facets))
+        assert all(len(c) == 1 for c in classes.values())
+        assert len(set().union(*classes.values())) == len(classes)
+        assert len(classes) == len(enumerate_complexes(n))
 
 
 def test_json_round_trip():
