@@ -217,9 +217,6 @@ class IntersectionLattice:
     def top(self) -> tuple[int, ...]:
         return tuple(range(self.arrangement.m))
 
-    def rank_of(self, closed_set: tuple[int, ...]) -> int:
-        return self.flats[closed_set].rank
-
     def flats_of_rank(self, k: int) -> list[tuple[int, ...]]:
         return [cs for cs in self.poset.elements if self.flats[cs].rank == k]
 

@@ -39,23 +39,17 @@ def build_nerve(sets: Mapping[Hashable, frozenset]) -> tuple[FinitePoset, dict]:
     inclusion; map from each nerve element to its intersection as a
     frozenset).  Label order follows the mapping's iteration order.
     """
-    labels = list(sets)
-    pools = {lab: frozenset(sets[lab]) for lab in labels}
-    elements: list[frozenset] = []
-    keys: dict[frozenset, frozenset] = {}
-    for r in range(1, len(labels) + 1):
-        for combo in itertools.combinations(labels, r):
-            inter = pools[combo[0]]
-            for lab in combo[1:]:
-                inter = inter & pools[lab]
-                if not inter:
-                    break
-            if inter:
-                s = frozenset(combo)
-                elements.append(s)
-                keys[s] = inter
-    relations = [(a, b) for a in elements for b in elements if a < b]
-    return FinitePoset(elements, relations), keys
+    pools = {lab: frozenset(s) for lab, s in sets.items()}
+
+    def intersection(subset: frozenset) -> frozenset | None:
+        inter = None
+        for lab in subset:
+            inter = pools[lab] if inter is None else inter & pools[lab]
+            if not inter:
+                return None
+        return inter
+
+    return build_nerve_from_key(list(pools), intersection)
 
 
 def build_nerve_from_key(labels: Sequence[Hashable], key) -> tuple[FinitePoset, dict]:

@@ -295,31 +295,24 @@ def _rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], li
 def rank_kernel(mat: Matrix) -> tuple[int, Matrix]:
     """Rank and a right-kernel basis (rows of the returned matrix).
 
-    Over Z the kernel basis is saturated (primitive integer vectors spanning
-    the full rational kernel lattice), obtained from Smith-form witnesses.
+    Each call runs one elimination.  Over F_p the rank is the number of
+    columns less the kernel's dimension.  Over Z rank and kernel both come
+    from the Smith form; the kernel basis is saturated (primitive integer
+    vectors spanning the full rational kernel lattice), read off the
+    Smith-form witness V.
     """
     ring = mat.ring
-    if isinstance(ring, IntegerRing):
-        if mat.nrows == 0 or mat.ncols == 0:
-            rank = 0
-        else:
-            _, pivots = _rational_rref([[Fraction(x) for x in row] for row in mat.entries])
-            rank = len(pivots)
-        if mat.ncols == 0:
-            return rank, Matrix.zeros(ZZ, 0, 0)
-        if mat.nrows == 0:
-            return 0, Matrix.identity(ZZ, mat.ncols)
-        sf = smith_normal_form(mat)
-        r = sum(1 for d in sf.divisors if d != 0)
-        basis = [tuple(sf.right.entries[i][j] for i in range(mat.ncols)) for j in range(r, mat.ncols)]
-        return r, Matrix(ZZ, tuple(basis), mat.ncols - r, mat.ncols)
     if mat.nrows == 0 or mat.ncols == 0:
         return 0, Matrix.identity(ring, mat.ncols)
+    if isinstance(ring, IntegerRing):
+        sf = smith_normal_form(mat)
+        r = sf.rank
+        basis = [tuple(sf.right.entries[i][j] for i in range(mat.ncols)) for j in range(r, mat.ncols)]
+        return r, Matrix(ZZ, tuple(basis), mat.ncols - r, mat.ncols)
     if ring.kind == "prime":
-        rows = [list(r) for r in mat.entries]
-        rank = fp.fp_rank(rows, ring.p)
-        basis = fp.fp_kernel(rows, ring.p)
-        return rank, Matrix.from_rows(ring, basis) if basis else Matrix.zeros(ring, 0, mat.ncols)
+        basis = fp.fp_kernel([list(r) for r in mat.entries], ring.p)
+        kern = Matrix.from_rows(ring, basis) if basis else Matrix.zeros(ring, 0, mat.ncols)
+        return mat.ncols - len(basis), kern
     rref, pivots = _rational_rref([list(r) for r in mat.entries])
     pivot_set = set(pivots)
     free_cols = [c for c in range(mat.ncols) if c not in pivot_set]

@@ -143,11 +143,6 @@ class FinitePoset:
         rels = [(x, y) for x in keep for y in keep if x != y and self.less(x, y)]
         return FinitePoset(keep, rels)
 
-    def dual(self) -> "FinitePoset":
-        rels = [(self.elements[j], self.elements[i])
-                for i in range(len(self.elements)) for j in self._above[i]]
-        return FinitePoset(self.elements, rels)
-
     # --- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:

@@ -1,9 +1,9 @@
 """Exact linear algebra: ranks, kernels, Smith form, prime-field kernels.
 
 The Smith-form tests freeze hand-computed divisors (gcd of entries, then
-gcd of 2x2 minors, and so on) and cross-check the compiled mod-p kernel
-against the pure-Python twin on random inputs.  The sparse elimination is
-checked against the dense references on random small integer matrices.
+gcd of 2x2 minors, and so on).  The sparse elimination is checked against
+the dense references (``arrcoh.fp`` over F_p, the rational RREF over Q,
+the Smith form over Z) on random small integer matrices.
 """
 
 import math
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcoh import _fp_py
+from arrcoh import fp
 from arrcoh.linalg import (
     GF,
     QQ,
@@ -27,11 +27,6 @@ from arrcoh.linalg import (
     smith_normal_form,
     sparse_rank,
 )
-
-try:
-    from arrcoh import _fp_c
-except ImportError:  # pragma: no cover - compiled backend optional
-    _fp_c = None
 
 
 # --- field tags -----------------------------------------------------------
@@ -173,57 +168,47 @@ def test_smith_properties(rows):
     nonzero = [d for d in divs if d != 0]
     assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
     assert list(divs) == nonzero + [0] * (len(divs) - len(nonzero))
-    # rank agrees with the rational rank
+    # rank agrees with the rational rank, with rank_kernel and with sparse_rank
     assert snf.rank == rank_kernel(Matrix.from_rows(QQ, rows))[0]
+    assert rank_kernel(a)[0] == snf.rank == sparse_rank(ZZ, a.sparse_rows())[0]
 
 
 # --- prime-field kernels --------------------------------------------------
 
 
-def _backends():
-    yield _fp_py
-    if _fp_c is not None:
-        yield _fp_c
+def test_fp_rank_small():
+    assert fp.fp_rank([[1, 2], [2, 4]], 5) == 1
+    assert fp.fp_rank([[1, 2], [2, 4]], 2) == 1
+    assert fp.fp_rank([[2, 0], [0, 3]], 3) == 1  # 3 == 0 mod 3
+    assert fp.fp_rank([], 7) == 0
 
 
-@pytest.mark.parametrize("impl", list(_backends()))
-def test_fp_rank_small(impl):
-    assert impl.fp_rank([[1, 2], [2, 4]], 5) == 1
-    assert impl.fp_rank([[1, 2], [2, 4]], 2) == 1
-    assert impl.fp_rank([[2, 0], [0, 3]], 3) == 1  # 3 == 0 mod 3
-    assert impl.fp_rank([], 7) == 0
-
-
-@pytest.mark.parametrize("impl", list(_backends()))
-def test_fp_kernel_annihilates(impl):
+def test_fp_kernel_annihilates():
     rows = [[1, 2, 3], [4, 5, 6]]
     p = 7
-    basis = impl.fp_kernel(rows, p)
-    assert len(basis) == 3 - impl.fp_rank(rows, p)
+    basis = fp.fp_kernel(rows, p)
+    assert len(basis) == 3 - fp.fp_rank(rows, p)
     for v in basis:
         for row in rows:
             assert sum(r * x for r, x in zip(row, v)) % p == 0
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=0, max_value=100), min_size=4, max_size=4),
-        min_size=1,
-        max_size=5,
-    ),
-    st.sampled_from([2, 3, 101]),
-)
-@settings(max_examples=60, deadline=None)
-def test_fp_backends_agree(rows, p):
-    if _fp_c is None:
-        pytest.skip("compiled kernel not built")
-    assert _fp_py.fp_rank(rows, p) == _fp_c.fp_rank(rows, p)
-    assert _fp_py.fp_kernel(rows, p) == _fp_c.fp_kernel(rows, p)
-
-
 def test_fp_modulus_bounds():
     with pytest.raises(ValueError):
-        _fp_py.fp_rank([[1]], 1)
+        fp.fp_rank([[1]], 1)
+
+
+# 2147483659 > 2**31: a modulus wider than 32 bits
+@pytest.mark.parametrize("p", [2, 101, 2147483659])
+def test_rank_kernel_prime_field(p):
+    # row 3 = row 1 + row 2 and row 4 = 2 * row 1, so the rank is 2 for every p
+    rows = [[1, 2, 0, 5], [0, 1, p - 1, 3], [1, 3, -1, 8], [2, 4, 0, 10]]
+    rank, kern = rank_kernel(Matrix.from_rows(GF(p), rows))
+    assert rank == 2 == fp.fp_rank(rows, p)
+    assert kern.nrows == 2 and kern.ncols == 4
+    for v in kern.entries:
+        for row in rows:
+            assert sum(r * x for r, x in zip(row, v)) % p == 0
 
 
 # --- sparse elimination against the dense references ---------------------
@@ -248,7 +233,7 @@ NO_UNITS = st.sampled_from([-4, -3, -2, 0, 2, 3, 4])
 @settings(max_examples=150, deadline=None)
 def test_sparse_rank_fp_matches_dense_kernel(rows, p):
     # entries such as 2 and 4 vanish mod 2, 3 mod 3: the rows go in unreduced
-    assert sparse_rank(GF(p), _sparse(rows)) == (_fp_py.fp_rank(rows, p), ())
+    assert sparse_rank(GF(p), _sparse(rows)) == (fp.fp_rank(rows, p), ())
 
 
 @given(_matrices(SMALL))
