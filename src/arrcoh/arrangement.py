@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from arrcoh.covers import CoverDescription, E2Support, LocalDatum, e2_support
-from arrcoh.linalg import QQ, FieldTag, Matrix, _rational_rref, parse_fraction, poly_div_exact, rank_kernel
+from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, _rational_rref, parse_fraction, poly_div_exact, rank_kernel
 from arrcoh.poset import FinitePoset, from_leq, moebius_table
 from arrcoh.simplicial import SimplicialComplex
 
@@ -64,6 +64,8 @@ class Arrangement:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"ambient dimension must be nonnegative, got {self.n}")
         if self.normals.ncols != self.n:
             raise ValueError(f"normals have {self.normals.ncols} columns, ambient dimension is {self.n}")
         if len(self.labels) != self.normals.nrows:
@@ -151,7 +153,7 @@ class Arrangement:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Arrangement":
         try:
-            n = int(obj["n"])
+            n = ZZ.normalize(obj["n"])
             hyps = obj["hyperplanes"]
             rows = [[_as_fraction(x) for x in h["normal"]] for h in hyps]
             labels = [str(h["label"]) for h in hyps]
@@ -384,6 +386,8 @@ def nested_complex(
     join (closure of the union) outside g.  For the maximal building set
     every join lies in g, so nested sets degenerate to chains.
     """
+    if a.m == 0:
+        raise ValueError("empty arrangement has no nested-set complex")
     if not a.is_essential:
         raise ValueError("nested complexes require an essential arrangement")
     lat = lat or intersection_lattice(a)

@@ -5,8 +5,9 @@ degree range) with differentials d^k : C^k -> C^{k+1}.  Over a field the
 report carries dimensions; over Z it carries free ranks and invariant
 factors (torsion) per degree.
 
-:func:`make_complex` keeps each differential both as a dense
-:class:`~arrcoh.linalg.Matrix` and as sparse rows, and checks d o d = 0
+Each differential is stored only as sparse rows, one {column: entry} dict
+of nonzero entries per row.  :func:`make_complex` is the one place where
+entries meet the ring: it normalizes each entry once and checks d o d = 0
 with an exact product over the nonzero entries only (mod p over F_p).
 :func:`complex_cohomology` needs ranks alone, which it takes from one
 sparse elimination per differential (:func:`~arrcoh.linalg.sparse_rank`).
@@ -15,7 +16,7 @@ sparse elimination per differential (:func:`~arrcoh.linalg.sparse_rank`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from arrcoh.linalg import FieldTag, Matrix, Ring, sparse_rank
 
@@ -26,26 +27,31 @@ __all__ = ["CochainComplexData", "CohomologyReport", "complex_cohomology"]
 class CochainComplexData:
     """Degrees, dimensions and differentials of a finite cochain complex.
 
-    ``differentials[k]`` is the matrix of d^k with shape
-    (dims[k+1], dims[k]); missing keys mean zero maps.  ``rows[k]`` holds
-    the same map as one {column: entry} dict of nonzero entries per row.
+    ``rows[k]`` holds d^k as dims[k+1] {column: entry} dicts of nonzero
+    entries, columns in range(dims[k]); missing keys mean zero maps.
     d o d = 0 is verified on construction via :func:`make_complex`.
     """
 
     ring: Ring
     dims: Mapping[int, int]
-    differentials: Mapping[int, Matrix]
-    rows: Mapping[int, list[dict]] = dc_field(compare=False, repr=False)
+    rows: Mapping[int, list[dict]]
 
     @property
     def degrees(self) -> list[int]:
         return sorted(self.dims)
 
+    @property
+    def differentials(self) -> dict[int, Matrix]:
+        """Dense view of every stored differential."""
+        return {k: self.differential(k) for k in self.rows}
+
     def differential(self, k: int) -> Matrix:
-        d = self.differentials.get(k)
-        if d is not None:
-            return d
-        return Matrix.zeros(self.ring, self.dims.get(k + 1, 0), self.dims.get(k, 0))
+        """The dense matrix of d^k, of shape (dims[k+1], dims[k])."""
+        zero = self.ring.normalize(0)
+        ncols = self.dims.get(k, 0)
+        rows = self.rows.get(k) or [{}] * self.dims.get(k + 1, 0)
+        entries = tuple(tuple(row.get(j, zero) for j in range(ncols)) for row in rows)
+        return Matrix(self.ring, entries, len(entries), ncols)
 
 
 def _composes_to_zero(outer: list[dict], inner: list[dict], p: int | None) -> bool:
@@ -64,28 +70,33 @@ def _composes_to_zero(outer: list[dict], inner: list[dict], p: int | None) -> bo
     return True
 
 
-def make_complex(ring: Ring, dims: Mapping[int, int], differentials: Mapping[int, Matrix]) -> CochainComplexData:
-    """Validate shapes and d^2 = 0, then freeze the complex."""
+def make_complex(
+    ring: Ring, dims: Mapping[int, int], differentials: Mapping[int, Sequence[Mapping[int, object]]]
+) -> CochainComplexData:
+    """Validate shapes, reduce the entries into ``ring`` and check d^2 = 0.
+
+    ``differentials[k]`` gives d^k as one {column: entry} mapping per row:
+    dims[k+1] rows, columns in range(dims[k]).  Each entry is normalized
+    once through ``ring.normalize``, and entries that become zero (a
+    multiple of p over F_p) are dropped.
+    """
     dims = dict(dims)
     for k, dim in dims.items():
         if dim < 0:
             raise ValueError(f"negative dimension in degree {k}")
-    diffs = {}
-    for k, mat in differentials.items():
-        if mat.nrows != dims.get(k + 1, 0) or mat.ncols != dims.get(k, 0):
-            raise ValueError(
-                f"differential d^{k} has shape {mat.nrows}x{mat.ncols}, "
-                f"expected {dims.get(k + 1, 0)}x{dims.get(k, 0)}"
-            )
-        if mat.nrows and mat.ncols:
-            diffs[k] = mat
-    rows = {k: mat.sparse_rows() for k, mat in diffs.items()}
+    rows = {}
+    for k, diff in differentials.items():
+        nrows, ncols = dims.get(k + 1, 0), dims.get(k, 0)
+        if len(diff) != nrows or any(not 0 <= j < ncols for row in diff for j in row):
+            raise ValueError(f"differential d^{k} does not fit the shape {nrows}x{ncols}")
+        normalized = [{j: ring.normalize(x) for j, x in row.items()} for row in diff]
+        rows[k] = [{j: x for j, x in row.items() if x} for row in normalized]
     p = ring.p if isinstance(ring, FieldTag) and ring.kind == "prime" else None
     for k in rows:
         nxt = rows.get(k + 1)
         if nxt is not None and not _composes_to_zero(nxt, rows[k], p):
             raise ValueError(f"d^{k + 1} o d^{k} != 0")
-    return CochainComplexData(ring=ring, dims=dims, differentials=diffs, rows=rows)
+    return CochainComplexData(ring=ring, dims=dims, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from arrcoh.arrangement import Arrangement, RankOneSystem, vanishing_check
+from arrcoh.arrangement import Arrangement, RankOneSystem, _in_span, vanishing_check
 from arrcoh.covers import E2Support, LocalDatum, e2_support
 from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, SmithForm, _rational_rref, rank_kernel, smith_normal_form
 from arrcoh.poset import from_leq
@@ -121,8 +121,8 @@ class EllipticArrangement:
     @classmethod
     def from_json(cls, obj: Mapping) -> "EllipticArrangement":
         try:
-            n = int(obj["n"])
-            rows = [[int(x) for x in r] for r in obj["rows"]]
+            n = ZZ.normalize(obj["n"])
+            rows = [[ZZ.normalize(x) for x in r] for r in obj["rows"]]
             translations = [_parse_translation(t) for t in obj.get("translations", [0] * len(rows))]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad elliptic JSON: {exc}") from exc
@@ -332,21 +332,8 @@ def _stratum_contained(a: EllipticArrangement, X: Stratum, Y: Stratum) -> bool:
 
 
 def _span_subset(small: tuple, big: tuple) -> bool:
-    if not small:
-        return True
-    if not big:
-        return False
-    basis = [list(r) for r in big]
-    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in basis]
-    for row in small:
-        resid = list(row)
-        for b, p in zip(basis, pivots):
-            f = resid[p]
-            if f != 0:
-                resid = [x - f * y for x, y in zip(resid, b)]
-        if any(x != 0 for x in resid):
-            return False
-    return True
+    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in big]
+    return all(_in_span(row, big, pivots) for row in small)
 
 
 def _row_vanishes_at(a: EllipticArrangement, h: int, point: tuple) -> bool:
@@ -383,7 +370,7 @@ def _tangent_data(a: EllipticArrangement, X: EllipticComponent) -> tuple[Arrange
     weights multiplicatively (a small loop around the common tangent
     hyperplane winds once around each merged hypersurface branch).
     """
-    span = _span_key(Matrix.from_rows(ZZ, [list(a.rows.row(i)) for i in X.rows]) if X.rows else Matrix.zeros(ZZ, 0, a.n))
+    span = _span_key(a.submatrix(X.rows))
     groups: dict[tuple, list[int]] = {}
     for h in range(a.m):
         row_q = tuple(Fraction(x) for x in a.rows.row(h))

@@ -60,8 +60,11 @@ def parse_fraction(x) -> Fraction:
     """Fraction from an int, a Fraction or a string such as ``"-3/4"``.
 
     A zero denominator is bad input, so it raises ValueError rather than
-    the ZeroDivisionError of :class:`fractions.Fraction`.
+    the ZeroDivisionError of :class:`fractions.Fraction`.  A bool is not
+    a number here, though Python counts it as an int.
     """
+    if isinstance(x, bool):
+        raise TypeError(f"boolean input rejected: {x!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -89,8 +92,8 @@ class FieldTag:
 
     def normalize(self, x) -> Fraction | int:
         """Coerce x into a canonical scalar of this field."""
-        if isinstance(x, float):
-            raise TypeError("floating point input rejected; use Fraction or str")
+        if isinstance(x, (float, bool)):
+            raise TypeError(f"{type(x).__name__} input rejected; use int, Fraction or str")
         if self.kind == "rational":
             return parse_fraction(x)
         if isinstance(x, str):
@@ -101,17 +104,8 @@ class FieldTag:
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "prime" else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "prime" else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "prime" else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "prime" else -a
 
     def inv(self, a):
         if self.is_zero(a):
@@ -122,10 +116,6 @@ class FieldTag:
 
     def is_zero(self, a) -> bool:
         return a == 0
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "rational" else 0
 
     @property
     def one(self):
@@ -174,8 +164,8 @@ class IntegerRing:
         return cls._instance
 
     def normalize(self, x) -> int:
-        if isinstance(x, float):
-            raise TypeError("floating point input rejected")
+        if isinstance(x, (float, bool)):
+            raise TypeError(f"{type(x).__name__} input rejected")
         if isinstance(x, str):
             return int(x)
         if isinstance(x, Fraction):
@@ -256,10 +246,6 @@ class Matrix:
                 row.append(s % modp if modp else s)
             out.append(tuple(row))
         return Matrix(self.ring, tuple(out), self.nrows, other.ncols)
-
-    def sparse_rows(self) -> list[dict]:
-        """Each row as a {column: entry} dict of its nonzero entries."""
-        return [{j: x for j, x in enumerate(row) if x} for row in self.entries]
 
     def to_lists(self) -> list[list]:
         return [list(r) for r in self.entries]

@@ -17,6 +17,7 @@ race dedicated solvers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -29,7 +30,6 @@ from arrcoh.arrangement import (
     poincare_and_beta,
 )
 from arrcoh.cochain import CochainComplexData, complex_cohomology, make_complex
-from arrcoh.linalg import QQ, Matrix
 from arrcoh.poset import FinitePoset, from_leq
 
 __all__ = [
@@ -278,24 +278,23 @@ def _negate(sign_vector: SignVector) -> SignVector:
 
 def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexData:
     """Cellular cochain complex with entries twisted by the weight
-    monomials; construction re-verifies d . d = 0 with the twist."""
-    field = sys.field
+    monomials; construction re-verifies d . d = 0 with the twist.
+
+    Each entry is a plain sum of eps * (product of crossed weights);
+    :func:`make_complex` reduces it into the field."""
     dims = {d: len(cells) for d, cells in enumerate(sal.cells_by_dim)}
-    index = [{cell: j for j, cell in enumerate(cells)} for cells in sal.cells_by_dim]
     diffs = {}
     for d in range(1, sal.dim + 1):
+        index = {cell: j for j, cell in enumerate(sal.cells_by_dim[d - 1])}
         rows = []
         for cell in sal.cells_by_dim[d]:
-            row = [field.zero] * dims[d - 1]
+            row = {}
             for facet, eps, crossed in sal.boundary[cell]:
-                entry = field.normalize(eps)
-                for i in crossed:
-                    entry = field.mul(entry, sys.weights[i])
-                j = index[d - 1][facet]
-                row[j] = field.add(row[j], entry)
+                j = index[facet]
+                row[j] = row.get(j, 0) + eps * math.prod(sys.weights[i] for i in crossed)
             rows.append(row)
-        diffs[d - 1] = Matrix.from_rows(field, rows)
-    return make_complex(field, dims, diffs)
+        diffs[d - 1] = rows
+    return make_complex(sys.field, dims, diffs)
 
 
 @dataclass(frozen=True)

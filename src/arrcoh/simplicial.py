@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Hashable, Iterable, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology, make_complex
-from arrcoh.linalg import Matrix, Ring, ZZ
+from arrcoh.linalg import Ring, ZZ
 
 __all__ = [
     "SimplicialComplex",
     "link",
+    "face_coboundaries",
     "reduced_cohomology",
     "is_cohen_macaulay",
     "CMVerdict",
@@ -135,29 +136,33 @@ def link(L: SimplicialComplex, sigma: Iterable) -> SimplicialComplex:
     return SimplicialComplex(verts, faces)
 
 
+def face_coboundaries(L: SimplicialComplex, weight: Callable) -> tuple[list[int], list[list[dict]]]:
+    """Face counts by cardinality and the weighted coboundaries between them.
+
+    ``counts[c]`` is the number of faces of cardinality c (c = 0 .. dim+1).
+    ``rows[c]`` maps the faces of cardinality c to those of cardinality
+    c+1, both in :meth:`SimplicialComplex.faces_of_card` order: one
+    {column: entry} dict per face g, whose column for each facet g - {v}
+    holds (-1)^pos * weight(v), with pos the number of vertices of g
+    before v.  Weight 1 gives the augmented simplicial coboundary.
+    """
+    faces = [L.faces_of_card(c) for c in range(L.dim + 2)]
+    rows = []
+    for source, target in zip(faces, faces[1:]):
+        index = {f: j for j, f in enumerate(source)}
+        rows.append([
+            {index[g - {v}]: (-1) ** pos * weight(v) for pos, v in enumerate(L.sort_face(g))}
+            for g in target
+        ])
+    return [len(f) for f in faces], rows
+
+
 def reduced_cochain_complex(L: SimplicialComplex, ring: Ring) -> CochainComplexData:
     """Augmented simplicial cochain complex; degree k has basis the k-faces
     (cardinality k+1), with the empty face in degree -1."""
-    dims = {k: len(L.faces_of_card(k + 1)) for k in range(-1, L.dim + 1)}
-    diffs = {}
-    for k in range(-1, L.dim):
-        source = L.faces_of_card(k + 1)
-        target = L.faces_of_card(k + 2)
-        tindex = {f: i for i, f in enumerate(target)}
-        rows = [[0] * len(source) for _ in target]
-        for j, f in enumerate(source):
-            fidx = sorted(L._vindex[v] for v in f)
-            for v in L.vertices:
-                if v in f:
-                    continue
-                g = f | {v}
-                ti = tindex.get(g)
-                if ti is None:
-                    continue
-                pos = sum(1 for u in fidx if u < L._vindex[v])
-                rows[ti][j] = (-1) ** pos
-        diffs[k] = Matrix.from_rows(ring, rows)
-    return make_complex(ring, dims, diffs)
+    counts, rows = face_coboundaries(L, lambda v: 1)
+    dims = {c - 1: n for c, n in enumerate(counts)}
+    return make_complex(ring, dims, {c - 1: r for c, r in enumerate(rows)})
 
 
 def reduced_cohomology(L: SimplicialComplex, ring: Ring = ZZ) -> CohomologyReport:

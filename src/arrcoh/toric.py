@@ -22,9 +22,16 @@ from typing import Iterable, Mapping
 
 from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology, make_complex
 from arrcoh.covers import CoverDescription, E2Support, build_nerve, support_certificate
-from arrcoh.linalg import GF, FieldTag, Matrix, is_prime
+from arrcoh.linalg import GF, FieldTag, is_prime
 from arrcoh.poset import from_leq
-from arrcoh.simplicial import CMVerdict, SimplicialComplex, is_cohen_macaulay, link, reduced_cohomology
+from arrcoh.simplicial import (
+    CMVerdict,
+    SimplicialComplex,
+    face_coboundaries,
+    is_cohen_macaulay,
+    link,
+    reduced_cohomology,
+)
 
 __all__ = [
     "ToricComplex",
@@ -113,34 +120,13 @@ def twisted_cochain(tc: ToricComplex, sys: ToricRankOneSystem) -> CochainComplex
 
     Degree k has basis the faces of cardinality k (the empty face sits in
     degree 0); extending a face by a vertex contributes the usual
-    alternating sign times (q_v - 1).  At trivial weights the coboundary
-    is identically zero, so every Betti number is a face count.
+    alternating sign times (q_v - 1).  This is the augmented simplicial
+    complex shifted up one degree, with q_v - 1 in place of 1.  At trivial
+    weights the coboundary is identically zero, so every Betti number is a
+    face count.
     """
-    L = tc.base
-    field = sys.field
-    dims = {k: len(L.faces_of_card(k)) for k in range(0, L.dim + 2)}
-    order = {v: i for i, v in enumerate(L.vertices)}
-    diffs = {}
-    for k in range(0, L.dim + 1):
-        source = L.faces_of_card(k)
-        target = L.faces_of_card(k + 1)
-        tindex = {f: i for i, f in enumerate(target)}
-        rows = [[field.zero] * len(source) for _ in target]
-        for j, f in enumerate(source):
-            for v in L.vertices:
-                if v in f:
-                    continue
-                bigger = f | {v}
-                ti = tindex.get(bigger)
-                if ti is None:
-                    continue
-                pos = sum(1 for u in f if order[u] < order[v])
-                coeff = field.sub(sys.weights[v], field.one)
-                if pos % 2:
-                    coeff = field.neg(coeff)
-                rows[ti][j] = coeff
-        diffs[k] = Matrix.from_rows(field, rows)
-    return make_complex(field, dims, diffs)
+    counts, rows = face_coboundaries(tc.base, lambda v: sys.weights[v] - 1)
+    return make_complex(sys.field, dict(enumerate(counts)), dict(enumerate(rows)))
 
 
 def toric_cohomology(tc: ToricComplex, sys: ToricRankOneSystem) -> CohomologyReport:

@@ -304,6 +304,52 @@ def test_bad_translation_is_input_error(files, capsys, translation):
     assert _one_error_line(err) and "translation must be 0 or [c, m]" in err
 
 
+EMPTY = {"n": 0, "hyperplanes": []}
+W_EMPTY = {"field": {"kind": "rational"}, "q": {}}
+LINE1 = {"n": 1, "hyperplanes": [{"label": "a", "normal": ["1"]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["arr-nested", "a.json"], "no nested-set complex"),
+        (["arr-vanish", "a.json", "w.json", "--include-top", "--certificate"], "no nested-set complex"),
+        (["arr-salvetti", "neg.json"], "ambient dimension must be nonnegative"),
+    ],
+)
+def test_empty_or_negative_arrangement_is_input_error(files, capsys, argv, message):
+    paths = {
+        "a.json": files("a.json", EMPTY),
+        "w.json": files("w.json", W_EMPTY),
+        "neg.json": files("neg.json", dict(EMPTY, n=-1)),
+    }
+    code, out, err = run(capsys, [paths.get(x, x) for x in argv])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and message in err
+
+
+@pytest.mark.parametrize(
+    "verb, inputs",
+    [
+        ("ell-analyze", [dict(ELL_GOOD, rows=[[1.5]])]),
+        ("ell-analyze", [dict(ELL_GOOD, rows=[[True]])]),
+        ("ell-analyze", [dict(ELL_GOOD, n=1.9)]),
+        ("arr-lattice", [dict(LINE1, n=1.9)]),
+        ("arr-lattice", [dict(LINE1, n=True)]),
+        ("arr-lattice", [dict(LINE1, hyperplanes=[{"label": "a", "normal": [True]}])]),
+        ("arr-vanish", [LINES3, dict(W3_GOOD, q={"a": True, "b": 2, "c": 2})]),
+        ("toric-cohomology", [TORIC_TRI, dict(WT_TRI, q={"1": True, "2": 7, "3": 11})]),
+        ("ell-certify", [dict(ELL_GOOD, weights={"field": {"kind": "prime", "p": 7}, "q": {"f": True}})]),
+        ("ell-convenient", [dict(ELL_GOOD, character=[True, 1])]),
+    ],
+)
+def test_float_or_bool_number_is_input_error(files, capsys, verb, inputs):
+    paths = [files(f"in{i}.json", obj) for i, obj in enumerate(inputs)]
+    code, out, err = run(capsys, [verb, *paths])
+    assert code == 2 and out == ""
+    assert _one_error_line(err)
+
+
 def test_covers_validate(files, capsys):
     code, out, _ = run(capsys, ["covers-validate", files("c.json", COVER)])
     assert code == 0

@@ -6,10 +6,12 @@ cross-checked on a corpus where the collapse theorem applies.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcoh.covers import validate_cover
 from arrcoh.linalg import GF, QQ
-from arrcoh.simplicial import SimplicialComplex, enumerate_complexes, is_cohen_macaulay
+from arrcoh.simplicial import SimplicialComplex, enumerate_complexes, is_cohen_macaulay, reduced_cohomology
 from arrcoh.toric import (
     ToricComplex,
     ToricRankOneSystem,
@@ -90,6 +92,29 @@ def test_euler_characteristic_is_weight_independent():
     for q in ({1: 2, 2: 3, 3: 5, 4: 7}, {1: 1, 2: 1, 3: 1, 4: 1}, {1: 1, 2: 2, 3: 1, 4: 2}):
         rep = toric_cohomology(tc, weights(tc, GF(101), q))
         assert rep.euler_characteristic() == expected
+
+
+@st.composite
+def _complex_and_weights(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    facets = draw(st.lists(st.sets(vertex, min_size=1), max_size=6)) if n else []
+    q = {v: draw(st.integers(min_value=2, max_value=100)) for v in range(n)}
+    return SimplicialComplex.from_facets(range(n), facets), q
+
+
+@given(_complex_and_weights())
+@settings(max_examples=80, deadline=None)
+def test_nontrivial_weights_shift_reduced_cohomology(case):
+    # rescaling each face by the product of its q_v - 1 carries the toric
+    # complex onto the augmented simplicial one, shifted up one degree
+    L, q = case
+    tc = ToricComplex(L)
+    field = GF(101)
+    toric = toric_cohomology(tc, weights(tc, field, q))
+    reduced = reduced_cohomology(L, field)
+    for k in range(0, L.dim + 2):
+        assert toric.betti(k) == reduced.betti(k - 1)
 
 
 # --- weight validation --------------------------------------------------------
