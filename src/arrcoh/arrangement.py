@@ -27,8 +27,6 @@ __all__ = [
     "Flat",
     "IntersectionLattice",
     "intersection_lattice",
-    "localization",
-    "restriction_poset",
     "poincare_and_beta",
     "connected_flats",
     "BuildingSetChoice",
@@ -100,12 +98,6 @@ class Arrangement:
     def is_essential(self) -> bool:
         return self.rank == self.n
 
-    def normal(self, i: int) -> tuple:
-        return self.normals.row(i)
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
     def essentialize(self) -> "Arrangement":
         """The same lattice in coordinates spanned by the normals.
 
@@ -133,13 +125,6 @@ class Arrangement:
             if h in idx or _in_span(self.normals.row(h), basis, pivots):
                 out.append(h)
         return tuple(sorted(out))
-
-    def subset_rank(self, subset: Iterable[int]) -> int:
-        idx = sorted(set(subset))
-        if not idx:
-            return 0
-        _, pivots = _rational_rref([list(self.normals.row(i)) for i in idx])
-        return len(pivots)
 
     def to_json(self) -> dict:
         return {
@@ -219,20 +204,6 @@ class IntersectionLattice:
     def top(self) -> tuple[int, ...]:
         return tuple(range(self.arrangement.m))
 
-    def flats_of_rank(self, k: int) -> list[tuple[int, ...]]:
-        return [cs for cs in self.poset.elements if self.flats[cs].rank == k]
-
-    @property
-    def atoms(self) -> list[tuple[int, ...]]:
-        return self.flats_of_rank(1)
-
-    def join(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return self.arrangement.closure(set(a) | set(b))
-
-    def meet(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        # an intersection of closed sets is closed
-        return tuple(sorted(set(a) & set(b)))
-
     def to_json(self) -> dict:
         labels = self.arrangement.labels
         return {
@@ -284,26 +255,6 @@ def _make_flat(a: Arrangement, closed_set: tuple[int, ...]) -> Flat:
     sub = Matrix.from_rows(QQ, [list(a.normals.row(i)) for i in closed_set])
     rk, kern = rank_kernel(sub)
     return Flat(closed_set, rk, tuple(tuple(row) for row in kern.entries))
-
-
-def localization(a: Arrangement, X: Flat | tuple[int, ...]) -> Arrangement:
-    """The sub-arrangement of hyperplanes containing the flat X."""
-    cs = X.closed_set if isinstance(X, Flat) else tuple(X)
-    if a.closure(cs) != tuple(sorted(cs)):
-        raise ValueError(f"{cs} is not a closed set of this arrangement")
-    rows = [list(a.normals.row(i)) for i in cs]
-    return Arrangement.from_rows(a.n, rows, [a.labels[i] for i in cs])
-
-
-def restriction_poset(a: Arrangement, X: Flat | tuple[int, ...], lat: IntersectionLattice | None = None) -> FinitePoset:
-    """The interval [X, top] of the lattice: combinatorially, the lattice of
-    the restriction of the arrangement to the subspace X (no new normals
-    are computed)."""
-    cs = X.closed_set if isinstance(X, Flat) else tuple(X)
-    lat = lat or intersection_lattice(a)
-    if cs not in lat.flats:
-        raise ValueError(f"{cs} is not a flat")
-    return lat.poset.restrict(lat.poset.up_set(cs))
 
 
 def _poly_eval(coeffs: Sequence[int], t: int) -> int:
@@ -411,7 +362,7 @@ def nested_complex(
                     faces.add(frozenset(cand))
                     new.append(frozenset(cand))
         frontier = new
-    out = SimplicialComplex.from_faces(vertices, [tuple(f) for f in faces])
+    out = SimplicialComplex.from_facets(vertices, [tuple(f) for f in faces])
     if out.dim > a.n - 2:
         raise AssertionError("nested complex exceeds its dimension bound")
     return out
@@ -438,7 +389,8 @@ def _is_antichain(lat: IntersectionLattice, combo: Sequence[tuple[int, ...]]) ->
 @dataclass(frozen=True)
 class RankOneSystem:
     """One unit weight per hyperplane: the monodromy of a rank-one system
-    around each meridian, in arrangement row order."""
+    around each meridian, in arrangement row order.  The readers take the
+    row labels from ``a.labels``, so an elliptic arrangement serves too."""
 
     field: FieldTag
     weights: tuple
@@ -503,11 +455,8 @@ class VanishingVerdict:
     predicted_degree: int
     predicted_dim: int | None
 
-    def to_json(self, a: Arrangement | None = None) -> dict:
-        if a is None:
-            failing = [list(cs) for cs in self.failing_flats]
-        else:
-            failing = [[a.labels[i] for i in cs] for cs in self.failing_flats]
+    def to_json(self, a: Arrangement) -> dict:
+        failing = [[a.labels[i] for i in cs] for cs in self.failing_flats]
         return {
             "holds": self.holds,
             "failing_flats": failing,

@@ -48,7 +48,6 @@ from arrcoh.simplicial import is_cohen_macaulay
 from arrcoh.toric import (
     ToricComplex,
     ToricRankOneSystem,
-    cover_nerve,
     toric_cohomology,
     toric_e2_page,
     verify_cm_theorem,
@@ -365,13 +364,7 @@ def _run_ell_certify(args):
     ea = EllipticArrangement.from_json(obj)
     if "weights" not in obj:
         raise ValueError("input needs weights: {field, q: {row-label: scalar}}")
-    wobj = obj["weights"]
-    field = FieldTag.from_json(wobj["field"])
-    q = wobj["q"]
-    missing = [lab for lab in ea.labels if lab not in q]
-    if missing:
-        raise ValueError(f"missing weights for {missing}")
-    sys_ = RankOneSystem(field, tuple(q[lab] for lab in ea.labels))
+    sys_ = RankOneSystem.from_json(ea, obj["weights"])
     cert = elliptic_vanishing_certificate(ea, sys_)
     report = cert.to_json()
     ok = cert.concentration is not None or cert.total_vanishing

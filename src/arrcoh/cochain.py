@@ -37,10 +37,6 @@ class CochainComplexData:
     rows: Mapping[int, list[dict]]
 
     @property
-    def degrees(self) -> list[int]:
-        return sorted(self.dims)
-
-    @property
     def differentials(self) -> dict[int, Matrix]:
         """Dense view of every stored differential."""
         return {k: self.differential(k) for k in self.rows}

@@ -16,7 +16,7 @@ one.  It never claims nonvanishing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from arrcoh.poset import FinitePoset, validate_ranked

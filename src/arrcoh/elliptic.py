@@ -109,9 +109,6 @@ class EllipticArrangement:
     def is_translated(self) -> bool:
         return any(t is not None for t in self.translations)
 
-    def row(self, i: int) -> tuple:
-        return self.rows.row(i)
-
     def submatrix(self, I: Iterable[int]) -> Matrix:
         idx = sorted(set(I))
         if not idx:

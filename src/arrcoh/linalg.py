@@ -186,12 +186,6 @@ ZZ = IntegerRing()
 Ring = Union[FieldTag, IntegerRing]
 
 
-def coeff_ring_from_json(obj: dict) -> Ring:
-    if obj.get("kind") == "integer":
-        return ZZ
-    return FieldTag.from_json(obj)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable exact matrix with an explicit coefficient ring."""
@@ -225,14 +219,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i]
-
-    def __getitem__(self, ij: tuple[int, int]):
-        i, j = ij
-        return self.entries[i][j]
-
-    def transpose(self) -> "Matrix":
-        t = tuple(tuple(self.entries[i][j] for i in range(self.nrows)) for j in range(self.ncols))
-        return Matrix(self.ring, t, self.ncols, self.nrows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:

@@ -1,4 +1,5 @@
-"""Finite posets: closure from relations, Moebius function, order complexes.
+"""Finite posets: closure from relations, cover pairs, chains, the Moebius
+function and rank validation.
 
 Elements are arbitrary hashable labels; all iteration orders are the
 insertion order of the element list, so every derived object is
@@ -14,9 +15,7 @@ __all__ = [
     "FinitePoset",
     "from_relations",
     "from_leq",
-    "moebius",
     "moebius_table",
-    "order_complex",
     "validate_ranked",
     "RankVerdict",
 ]
@@ -67,9 +66,6 @@ class FinitePoset:
     def __contains__(self, x) -> bool:
         return x in self._index
 
-    def index(self, x) -> int:
-        return self._index[x]
-
     def leq(self, x, y) -> bool:
         i, j = self._index[x], self._index[y]
         return i == j or j in self._above[i]
@@ -77,24 +73,8 @@ class FinitePoset:
     def less(self, x, y) -> bool:
         return self._index[y] in self._above[self._index[x]]
 
-    def comparable(self, x, y) -> bool:
-        return self.leq(x, y) or self.leq(y, x)
-
-    def up_set(self, x, strict: bool = False) -> list:
-        i = self._index[x]
-        out = [self.elements[j] for j in sorted(self._above[i])]
-        return out if strict else sorted({x, *out}, key=self._index.get)
-
-    def down_set(self, x, strict: bool = False) -> list:
-        i = self._index[x]
-        out = [e for j, e in enumerate(self.elements) if i in self._above[j]]
-        return out if strict else [e for e in self.elements if self.leq(e, x)]
-
-    def closed_interval(self, x, y) -> list:
-        return [z for z in self.elements if self.leq(x, z) and self.leq(z, y)]
-
-    def open_interval(self, x, y) -> list:
-        return [z for z in self.elements if self.less(x, z) and self.less(z, y)]
+    def down_set(self, x) -> list:
+        return [e for e in self.elements if self.leq(e, x)]
 
     def covers(self) -> list[tuple, ]:
         """Cover pairs (x, y) with x < y and nothing in between."""
@@ -107,22 +87,9 @@ class FinitePoset:
             self._covers = sorted(out)
         return [(self.elements[i], self.elements[j]) for i, j in self._covers]
 
-    def minimal_elements(self) -> list:
-        return [e for i, e in enumerate(self.elements)
-                if not any(i in self._above[j] for j in range(len(self.elements)))]
-
-    def maximal_elements(self) -> list:
-        return [e for i, e in enumerate(self.elements) if not self._above[i]]
-
-    def minimum(self):
-        mins = self.minimal_elements()
-        if len(mins) != 1:
-            raise ValueError(f"poset has {len(mins)} minimal elements, no minimum")
-        return mins[0]
-
-    def chains(self, within: Sequence | None = None) -> list[tuple]:
-        """All nonempty chains (as increasing tuples), optionally restricted."""
-        pool = list(self.elements if within is None else within)
+    def chains(self) -> list[tuple]:
+        """All nonempty chains, as increasing tuples."""
+        pool = list(self.elements)
         # sort by a linear extension: x < y forces |above(x)| > |above(y)|
         pool.sort(key=lambda e: (-len(self._above[self._index[e]]), self._index[e]))
         out: list[tuple] = []
@@ -137,11 +104,6 @@ class FinitePoset:
 
         extend((), 0)
         return out
-
-    def restrict(self, subset: Iterable) -> "FinitePoset":
-        keep = [e for e in self.elements if e in set(subset)]
-        rels = [(x, y) for x in keep for y in keep if x != y and self.less(x, y)]
-        return FinitePoset(keep, rels)
 
     # --- serialization ----------------------------------------------------
 
@@ -163,13 +125,6 @@ def from_relations(elements: Sequence[Hashable], relations: Iterable[tuple[Hasha
 def from_leq(elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]) -> FinitePoset:
     rels = [(x, y) for x in elements for y in elements if x != y and leq(x, y)]
     return FinitePoset(elements, rels)
-
-
-def moebius(poset: FinitePoset, x, y) -> int:
-    """Moebius function mu(x, y), read from ``moebius_table``."""
-    if not poset.leq(x, y):
-        return 0
-    return moebius_table(poset, x).get(y, 0)
 
 
 def moebius_table(poset: FinitePoset, x) -> dict:
@@ -211,27 +166,3 @@ def validate_ranked(poset: FinitePoset, rho: Mapping) -> RankVerdict:
                 if rho[x] == rho[y]:
                     return RankVerdict(False, "comparable pair shares a rank (fiber not an antichain)", (x, y))
     return RankVerdict(True)
-
-
-def order_complex(poset: FinitePoset, restrict: Sequence | None = None):
-    """Order complex: vertices are elements, faces are chains.
-
-    ``restrict`` must be order-convex (x <= y <= z with x, z in the subset
-    forces y in); that keeps the restricted complex a full subcomplex.
-    """
-    from arrcoh.simplicial import SimplicialComplex
-
-    if restrict is not None:
-        sub = set(restrict)
-        for x in sub:
-            for z in sub:
-                if poset.less(x, z):
-                    for y in poset.open_interval(x, z):
-                        if y not in sub:
-                            raise ValueError(f"restriction not order-convex: {y!r} missing")
-        pool = [e for e in poset.elements if e in sub]
-    else:
-        pool = list(poset.elements)
-    chains = poset.chains(within=pool)
-    maximal = [c for c in chains if not any(set(c) < set(d) for d in chains)]
-    return SimplicialComplex.from_faces(pool, maximal or [()])

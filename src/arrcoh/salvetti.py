@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from arrcoh.arrangement import (
     Arrangement,
@@ -30,7 +30,6 @@ from arrcoh.arrangement import (
     poincare_and_beta,
 )
 from arrcoh.cochain import CochainComplexData, complex_cohomology, make_complex
-from arrcoh.poset import FinitePoset, from_leq
 
 __all__ = [
     "MAX_HYPERPLANES",
@@ -94,13 +93,13 @@ def _compose(f: SignVector, g: SignVector) -> SignVector:
 
 @dataclass(frozen=True)
 class FaceSystem:
-    """All faces of the real arrangement, as sign vectors ordered by
-    specialization (f <= g when f lies in the closure of g)."""
+    """All faces of the real arrangement, as sign vectors, with their
+    codimensions.  Faces are ordered by specialization: f <= g when f lies
+    in the closure of g (``_face_leq``)."""
 
     arrangement: Arrangement
     faces: tuple[SignVector, ...]
     codim: Mapping[SignVector, int]
-    poset: FinitePoset
 
     @property
     def chambers(self) -> tuple[SignVector, ...]:
@@ -151,7 +150,7 @@ def enumerate_faces(a: Arrangement, lat: IntersectionLattice | None = None) -> F
                 faces.append(tuple(vec))
                 codim[tuple(vec)] = flat.rank
     faces.sort()
-    fs = FaceSystem(a, tuple(faces), codim, from_leq(faces, _face_leq))
+    fs = FaceSystem(a, tuple(faces), codim)
     if a.m >= 1:
         pi, _ = poincare_and_beta(a, lat)
         if len(fs.chambers) != sum(pi):

@@ -20,7 +20,6 @@ __all__ = [
     "reduced_cohomology",
     "is_cohen_macaulay",
     "CMVerdict",
-    "flag_complex",
     "enumerate_complexes",
 ]
 
@@ -48,11 +47,8 @@ class SimplicialComplex:
         self.faces: frozenset = frozenset(closed)
 
     @classmethod
-    def from_faces(cls, vertices: Sequence, faces: Iterable[Iterable]) -> "SimplicialComplex":
-        return cls(vertices, [frozenset(f) for f in faces])
-
-    @classmethod
     def from_facets(cls, vertices: Sequence, facets: Iterable[Iterable]) -> "SimplicialComplex":
+        """The complex generated by ``facets``; any faces may be listed."""
         return cls(vertices, [frozenset(f) for f in facets])
 
     # --- structure ----------------------------------------------------------
@@ -84,15 +80,6 @@ class SimplicialComplex:
             out[len(f)] += 1
         return out
 
-    def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets()}) <= 1
-
-    def has_face(self, face: Iterable) -> bool:
-        return frozenset(face) in self.faces
-
-    def euler_characteristic_reduced(self) -> int:
-        return sum((-1) ** (len(f) - 1) for f in self.faces)
-
     def canonical_key(self) -> tuple:
         """Isomorphism-invariant key: two complexes have equal keys exactly
         when a bijection of their vertices carries faces onto faces.
@@ -107,10 +94,6 @@ class SimplicialComplex:
             "vertices": list(self.vertices),
             "facets": [list(f) for f in self.facets()],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SimplicialComplex":
-        return SimplicialComplex.from_facets(obj["vertices"], obj["facets"])
 
     def __eq__(self, other) -> bool:
         return (
@@ -216,28 +199,6 @@ def is_cohen_macaulay(L: SimplicialComplex, ring: Ring = ZZ) -> CMVerdict:
             elif k == expected and tors:
                 failures.append((L.sort_face(f), k, rank_k, tors))
     return CMVerdict(ok=not failures, dim=d, ring=ring, failures=tuple(failures))
-
-
-def flag_complex(vertices: Sequence, edges: Iterable[tuple]) -> SimplicialComplex:
-    """Clique complex of a graph: faces are the vertex sets of cliques."""
-    vset = list(vertices)
-    adj = {v: set() for v in vset}
-    for a, b in edges:
-        if a == b:
-            raise ValueError("loops not allowed")
-        adj[a].add(b)
-        adj[b].add(a)
-    cliques: list[frozenset] = [frozenset()]
-    current = [frozenset([v]) for v in vset]
-    while current:
-        cliques.extend(current)
-        nxt = set()
-        for c in current:
-            for v in vset:
-                if v not in c and all(v in adj[u] for u in c):
-                    nxt.add(c | {v})
-        current = sorted(nxt, key=lambda f: tuple(sorted(map(vset.index, f))))
-    return SimplicialComplex(vset, cliques)
 
 
 def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:

@@ -74,9 +74,6 @@ class ToricRankOneSystem:
     field: FieldTag
     weights: Mapping
 
-    def weight(self, v):
-        return self.weights[v]
-
     def is_trivial_on(self, face: Iterable) -> bool:
         one = self.field.one
         return all(self.weights[v] == one for v in face)
@@ -207,10 +204,13 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
     support page concentrated on the top antidiagonal and the direct
     cohomology must be concentrated there too, with equal total dimension.
     If it is not Cohen-Macaulay, samples are only recorded.  Any violation
-    of the concentration or agreement checks makes ``ok`` false.
+    of the concentration or agreement checks makes ``ok`` false.  At least
+    one trial is required: a verdict needs a sample.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if p - 1 < trials + 1:
         raise ValueError(f"field F_{p} too small: need at least {trials + 1} units")
     field = GF(p)

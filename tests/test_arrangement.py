@@ -15,13 +15,11 @@ from arrcoh.arrangement import (
     depth_bound,
     e2_certificate,
     intersection_lattice,
-    localization,
     maximal_building_set,
     minimal_building_set,
     nested_complex,
     nested_cover,
     poincare_and_beta,
-    restriction_poset,
     vanishing_check,
 )
 from arrcoh.covers import POSSIBLE, validate_cover
@@ -96,17 +94,13 @@ def test_rejects_ragged_rows():
 def test_labels_and_lookup():
     a = three_generic_lines()
     assert a.labels == ("a", "b", "c")
-    assert a.index_of("c") == 2
-    assert a.normal(2) == (1, 1)
-    with pytest.raises(ValueError):
-        a.index_of("zz")
+    assert a.normals.row(2) == (1, 1)
 
 
 def test_closure_and_rank():
     a = three_generic_lines()
     assert a.closure([0]) == (0,)
     assert a.closure([0, 1]) == (0, 1, 2)  # any two span the plane
-    assert a.subset_rank([0, 1]) == 2
     assert a.rank == 2 and a.is_essential
 
 
@@ -134,9 +128,6 @@ def test_lattice_three_lines_frozen():
     flats = {cs: lat.flats[cs].rank for cs in lat.poset.elements}
     assert flats == {(): 0, (0,): 1, (1,): 1, (2,): 1, (0, 1, 2): 2}
     assert lat.bottom == () and lat.top == (0, 1, 2)
-    assert lat.atoms == [(0,), (1,), (2,)]
-    assert lat.join((0,), (1,)) == (0, 1, 2)
-    assert lat.meet((0, 1, 2), (1,)) == (1,)
 
 
 def test_poincare_three_lines():
@@ -163,19 +154,10 @@ def test_poincare_boolean_b3():
 
 
 def test_poincare_empty_rejected():
-    empty = localization(Arrangement.from_rows(1, [[1]]), ())
+    empty = Arrangement.from_rows(1, [])
     assert empty.m == 0
     with pytest.raises(ValueError):
         poincare_and_beta(empty)
-
-
-def test_localization_and_restriction():
-    a = three_generic_lines()
-    lat = intersection_lattice(a)
-    loc = localization(a, (0,))
-    assert loc.m == 1 and loc.labels == ("a",)
-    up = restriction_poset(a, (0,), lat)
-    assert set(up.elements) == {(0,), (0, 1, 2)}
 
 
 def test_lattice_json_shape():
@@ -366,4 +348,4 @@ def test_arrangement_json_round_trip():
 def test_rational_normals_survive_json():
     a = Arrangement.from_rows(2, [["1/2", 1], [1, 0]])
     again = Arrangement.from_json(a.to_json())
-    assert again.normal(0) == a.normal(0)
+    assert again.normals.row(0) == a.normals.row(0)

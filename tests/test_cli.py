@@ -253,6 +253,15 @@ def test_toric_verify(files, capsys):
     assert code == 1  # not Cohen-Macaulay: negative verdict
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_toric_verify_without_trials_is_input_error(files, capsys, trials):
+    two_points = {"vertices": [1, 2], "facets": [[1], [2]]}
+    argv = ["toric-verify", files("t.json", two_points), "--trials", trials, "--format", "table"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "trials must be at least 1" in err
+
+
 def test_ell_analyze(files, capsys):
     code, out, _ = run(capsys, ["ell-analyze", files("e.json", ELL_GOOD)])
     assert code == 0

@@ -90,7 +90,7 @@ def test_basic_accessors():
     a = EllipticArrangement.from_rows(2, [[1, 0], [0, 1]])
     assert a.m == 2 and a.rank == 2 and a.corank == 0
     assert a.is_essential and not a.is_translated
-    assert a.row(1) == (0, 1)
+    assert a.rows.row(1) == (0, 1)
     assert a.labels == ("f1", "f2")
 
 

@@ -1,4 +1,4 @@
-"""Golden CLI outputs: every verb on the README inputs, byte for byte.
+"""Golden CLI outputs: every verb on the README inputs, in both formats, byte for byte.
 
 The files under ``tests/golden/`` hold the exact stdout of each call below.
 They pin the printed numbers and their formatting, so a change to the
@@ -68,6 +68,22 @@ CASES = {  # golden file stem -> (argv with {input} placeholders, exit code)
     "ell-convenient": (["ell-convenient", "{elliptic}"], 0),
     "ell-certify": (["ell-certify", "--format", "table", "{elliptic}"], 0),
     "covers-validate": (["covers-validate", "{cover}"], 0),
+    # the other output format of each verb
+    "arr-lattice-table": (["arr-lattice", "--format", "table", "{lines}"], 0),
+    "arr-beta-json": (["arr-beta", "{lines}"], 0),
+    "arr-nested-table": (["arr-nested", "--format", "table", "{lines}"], 0),
+    "arr-vanish-table": (["arr-vanish", "--format", "table", "{lines}", "{weights}", "--certificate"], 0),
+    "arr-salvetti-table": (["arr-salvetti", "--format", "table", "{lines}", "--weights", "{weights}"], 0),
+    "toric-cohomology-table": (["toric-cohomology", "--format", "table", "{torus}", "{tweights}", "--page"], 0),
+    "toric-cm-rp2-f3-json": (["toric-cm", "{rp2}", "--ring", "F3"], 0),
+    "toric-verify-table": (
+        ["toric-verify", "--format", "table", "{torus}", "--prime", "101", "--trials", "25", "--seed", "7"],
+        0,
+    ),
+    "ell-analyze-table": (["ell-analyze", "--format", "table", "{elliptic}"], 0),
+    "ell-convenient-table": (["ell-convenient", "--format", "table", "{elliptic}"], 0),
+    "ell-certify-json": (["ell-certify", "{elliptic}"], 0),
+    "covers-validate-table": (["covers-validate", "--format", "table", "{cover}"], 0),
 }
 
 
@@ -81,9 +97,14 @@ def run_case(name: str, workdir: Path) -> int:
     return cli.main([a.format_map(paths) for a in argv])
 
 
+def _format(argv: list[str]) -> str:
+    """The output format of a case: ``--format`` if given, else the json default."""
+    return argv[argv.index("--format") + 1] if "--format" in argv else "json"
+
+
 def test_every_verb_has_a_golden_case():
-    verbs = {argv[0] for argv, _ in CASES.values()}
-    assert verbs == set(cli._HANDLERS)
+    covered = {(argv[0], _format(argv)) for argv, _ in CASES.values()}
+    assert covered == {(verb, fmt) for verb in cli._HANDLERS for fmt in ("json", "table")}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -16,11 +16,11 @@ from arrcoh.simplicial import (
     SimplicialComplex,
     _canonical_key,
     enumerate_complexes,
-    flag_complex,
     is_cohen_macaulay,
     link,
     reduced_cohomology,
 )
+from arrcoh.toric import ToricComplex
 
 # Minimal 6-vertex triangulation of the real projective plane.
 RP2_FACETS = [
@@ -46,12 +46,12 @@ def full_simplex(n):
 
 def test_faces_closed_downward():
     L = SimplicialComplex.from_facets([1, 2, 3], [(1, 2, 3)])
-    assert L.has_face((1, 2))
-    assert L.has_face((3,))
-    assert L.has_face(())
+    assert frozenset((1, 2)) in L.faces
+    assert frozenset((3,)) in L.faces
+    assert frozenset() in L.faces
     assert L.f_vector() == [1, 3, 3, 1]
     assert L.dim == 2
-    assert L.is_pure()
+    assert L.facets() == [(1, 2, 3)]
 
 
 def test_unknown_vertex_rejected():
@@ -75,13 +75,12 @@ def test_irrelevant_and_empty_distinction():
 def test_f_vector_rp2():
     L = SimplicialComplex.from_facets(range(1, 7), RP2_FACETS)
     assert L.f_vector() == [1, 6, 15, 10]
-    assert L.euler_characteristic_reduced() == 0  # chi(RP^2) - 1 = 0
 
 
 def test_facets_recovered():
-    L = SimplicialComplex.from_faces([1, 2, 3], [(1, 2), (2, 3), (1,), (2,), (3,), ()])
+    L = SimplicialComplex.from_facets([1, 2, 3], [(1, 2), (2, 3), (1,), (2,), (3,), ()])
     assert sorted(L.facets()) == [(1, 2), (2, 3)]
-    assert not L.is_pure() or L.dim == 1
+    assert L.dim == 1
 
 
 # --- links --------------------------------------------------------------
@@ -205,21 +204,6 @@ def test_cm_verdict_json():
     assert any(f["face"] == [] and f["degree"] == 0 for f in obj["failures"])
 
 
-# --- flag complexes -------------------------------------------------------
-
-
-def test_flag_complex_fills_triangles():
-    L = flag_complex([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    assert L.has_face((1, 2, 3))
-
-
-def test_flag_complex_square_stays_hollow():
-    L = flag_complex([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert L.dim == 1
-    rep = reduced_cohomology(L, ZZ)
-    assert rep.betti(1) == 1  # a 4-cycle is a circle
-
-
 # --- enumeration ----------------------------------------------------------
 
 
@@ -280,11 +264,11 @@ def complexes(draw, n):
     two faces of any size.  Vertices in no face are kept, so the vertex count
     is part of the complex."""
     if not n:
-        return SimplicialComplex.from_faces((), [])
+        return SimplicialComplex.from_facets((), [])
     pool = [frozenset(c) for c in itertools.combinations(range(n), draw(st.integers(1, n)))]
     faces = draw(st.lists(st.sampled_from(pool), unique=True, min_size=min(n - 1, len(pool)), max_size=n + 2))
     faces += draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), max_size=2))
-    return SimplicialComplex.from_faces(range(n), faces)
+    return SimplicialComplex.from_facets(range(n), faces)
 
 
 @st.composite
@@ -299,7 +283,7 @@ def switched(draw, cx):
     x, y = draw(st.sampled_from(sorted(f - g))), draw(st.sampled_from(sorted(g - f)))
     f ^= {x, y}
     g ^= {x, y}
-    return SimplicialComplex.from_faces(cx.vertices, facets)
+    return SimplicialComplex.from_facets(cx.vertices, facets)
 
 
 @st.composite
@@ -318,7 +302,7 @@ def groups(draw):
 def test_canonical_key_invariant_under_relabeling(case, rnd):
     cx, perm = case
     names = [f"v{p}" for p in perm]
-    relabeled = SimplicialComplex.from_faces(
+    relabeled = SimplicialComplex.from_facets(
         sorted(names), [[names[v] for v in f] for f in cx.facets()]
     )
     assert relabeled.canonical_key() == cx.canonical_key()
@@ -369,5 +353,5 @@ def test_canonical_key_classes_match_brute_force_up_to_four_vertices():
 
 def test_json_round_trip():
     L = SimplicialComplex.from_facets(range(1, 7), RP2_FACETS)
-    again = SimplicialComplex.from_json(L.to_json())
+    again = ToricComplex.from_json(L.to_json()).base  # the reader of the toric verbs
     assert again == L

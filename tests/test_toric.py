@@ -253,6 +253,14 @@ def test_verify_cm_rejects_non_prime():
         verify_cm_theorem(tc, 10)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_cm_rejects_no_trials(trials):
+    # a verdict from no sample would report the theorem verified on nothing
+    tc = tc_from_facets([1, 2], [(1,), (2,)])
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify_cm_theorem(tc, 101, trials=trials)
+
+
 def test_verify_cm_rejects_small_field():
     tc = tc_from_facets([1], [(1,)])
     with pytest.raises(ValueError, match="too small"):
