@@ -12,14 +12,15 @@ certificates in :mod:`arrcoh.covers`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from arrcoh.covers import CoverDescription, E2Support, LocalDatum, e2_support
-from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, _rational_rref, parse_fraction, poly_div_exact, rank_kernel
-from arrcoh.poset import FinitePoset, from_leq, moebius_table
+from arrcoh.linalg import QQ, ZZ, FieldTag, InternalError, Matrix, _rational_rref, parse_fraction, poly_div_exact, rank_kernel
+from arrcoh.poset import FinitePoset, from_leq, from_relations, moebius_table
 from arrcoh.simplicial import SimplicialComplex
 
 __all__ = [
@@ -94,6 +95,12 @@ class Arrangement:
     def rank(self) -> int:
         return rank_kernel(self.normals)[0]
 
+    @cached_property
+    def integral_normals(self) -> tuple[tuple[int, ...], ...]:
+        """Each normal scaled by a positive integer to integer entries: the
+        same hyperplanes, with the same positive sides."""
+        return tuple(_integral(row) for row in self.normals.entries)
+
     @property
     def is_essential(self) -> bool:
         return self.rank == self.n
@@ -165,6 +172,11 @@ def _proportional(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
     return True
 
 
+def _integral(row: Sequence[Fraction]) -> tuple[int, ...]:
+    den = math.lcm(*(x.denominator for x in row))
+    return tuple(int(x * den) for x in row)
+
+
 def _in_span(row: Sequence[Fraction], basis: list[list[Fraction]], pivots: list[int]) -> bool:
     resid = list(row)
     for b, p in zip(basis, pivots):
@@ -180,7 +192,7 @@ class Flat:
 
     closed_set: tuple[int, ...]
     rank: int  # codimension of the subspace
-    kernel_basis: tuple[tuple[Fraction, ...], ...]  # rows spanning the subspace
+    kernel_basis: tuple[tuple[int, ...], ...]  # integer rows spanning the subspace
 
     def __repr__(self) -> str:
         return f"Flat({list(self.closed_set)}, rank={self.rank})"
@@ -220,41 +232,50 @@ class IntersectionLattice:
         }
 
 
-def intersection_lattice(a: Arrangement) -> IntersectionLattice:
-    """Enumerate all flats by iterated closure, bottom-up.
+def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> IntersectionLattice:
+    """Enumerate all flats bottom-up, with their cover relations; raise a
+    ValueError past ``max_flats`` flats when a limit is given.
 
-    Starting from the closure of the empty set, each flat is extended by
-    one hyperplane at a time; the closures so reached are exactly the
-    fixed points of the closure operator.
+    The flats covering X are the subspaces X cut by one more hyperplane.
+    Restricted to X (dotted with the rows of X's kernel basis), each
+    hyperplane not in X gives a nonzero functional, and two hyperplanes
+    cut X in the same subspace exactly when their functionals are
+    proportional; so each projective class of restrictions adds one
+    cover, already closed.
     """
-    bottom = a.closure(())
-    seen: dict[tuple[int, ...], Flat] = {}
-    frontier = [bottom]
-    seen[bottom] = _make_flat(a, bottom)
+    seen: dict[tuple[int, ...], Flat] = {(): _make_flat(a, ())}
+    relations: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    frontier = [()]
     while frontier:
-        nxt: list[tuple[int, ...]] = []
+        nxt: set[tuple[int, ...]] = set()
         for cs in frontier:
+            classes: dict[tuple[int, ...], list[int]] = {}
             have = set(cs)
             for h in range(a.m):
-                if h in have:
-                    continue
-                bigger = a.closure(have | {h})
+                if h not in have:
+                    row = a.integral_normals[h]
+                    r = [sum(x * y for x, y in zip(row, b)) for b in seen[cs].kernel_basis]
+                    g = math.gcd(*r) if next(x for x in r if x) > 0 else -math.gcd(*r)
+                    classes.setdefault(tuple(x // g for x in r), []).append(h)
+            for group in classes.values():
+                bigger = tuple(sorted(cs + tuple(group)))
+                relations.append((cs, bigger))
                 if bigger not in seen:
+                    if len(seen) == max_flats:
+                        raise ValueError(f"the lattice stops at {max_flats} flats; this arrangement has more")
                     seen[bigger] = _make_flat(a, bigger)
-                    nxt.append(bigger)
-        frontier = sorted(set(nxt))
+                    nxt.add(bigger)
+        frontier = sorted(nxt)
     elements = sorted(seen, key=lambda cs: (seen[cs].rank, cs))
-    poset = from_leq(elements, lambda x, y: set(x) <= set(y))
-    return IntersectionLattice(a, poset, seen)
+    return IntersectionLattice(a, from_relations(elements, relations), seen)
 
 
 def _make_flat(a: Arrangement, closed_set: tuple[int, ...]) -> Flat:
     if not closed_set:
-        basis = tuple(tuple(Fraction(int(i == j)) for j in range(a.n)) for i in range(a.n))
-        return Flat((), 0, basis)
+        return Flat((), 0, tuple(tuple(int(i == j) for j in range(a.n)) for i in range(a.n)))
     sub = Matrix.from_rows(QQ, [list(a.normals.row(i)) for i in closed_set])
     rk, kern = rank_kernel(sub)
-    return Flat(closed_set, rk, tuple(tuple(row) for row in kern.entries))
+    return Flat(closed_set, rk, tuple(_integral(row) for row in kern.entries))
 
 
 def _poly_eval(coeffs: Sequence[int], t: int) -> int:
@@ -364,7 +385,7 @@ def nested_complex(
         frontier = new
     out = SimplicialComplex.from_facets(vertices, [tuple(f) for f in faces])
     if out.dim > a.n - 2:
-        raise AssertionError("nested complex exceeds its dimension bound")
+        raise InternalError("nested complex exceeds its dimension bound")
     return out
 
 

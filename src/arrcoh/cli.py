@@ -7,9 +7,11 @@ the elliptic analyses, and standalone cover validation.
 
 Exit codes partition outcomes: 0 on success, 1 when the requested
 predicate returns a negative verdict, 2 on input errors (malformed JSON,
-schema violations, missing files).  JSON output is canonical — sorted
-keys, rationals as lowest-term "p/q" strings, prime-field scalars as
-residues in [0, p) — so identical inputs produce byte-identical output.
+schema violations, missing files, inputs past a size limit), 3 when an
+internal invariant fails (a bug in arrcoh, reported in one line).  JSON
+output is canonical — sorted keys, rationals as lowest-term "p/q"
+strings, prime-field scalars as residues in [0, p) — so identical inputs
+produce byte-identical output.
 Table output is for humans.  The ARRCOH_FORMAT environment variable sets
 the default format ("json" or "table"); --format overrides it.
 """
@@ -41,7 +43,7 @@ from arrcoh.elliptic import (
     convenient_check,
     elliptic_vanishing_certificate,
 )
-from arrcoh.linalg import GF, QQ, ZZ, FieldTag, is_prime
+from arrcoh.linalg import GF, QQ, ZZ, FieldTag, InternalError, is_prime
 from arrcoh.poset import from_relations
 from arrcoh.salvetti import build_salvetti, twisted_cohomology
 from arrcoh.simplicial import is_cohen_macaulay
@@ -497,6 +499,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     fmt = args.format or os.environ.get(FORMAT_ENV, "json")
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))

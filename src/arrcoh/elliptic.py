@@ -196,14 +196,6 @@ class EllipticComponent:
     dim: int
     point: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
-    def to_json(self) -> dict:
-        return {
-            "rows": list(self.rows),
-            "torsion_label": [list(self.torsion_label[0]), list(self.torsion_label[1])],
-            "dim": self.dim,
-            "point": [[str(x) for x in self.point[0]], [str(x) for x in self.point[1]]],
-        }
-
 
 def _label_point(snf: SmithForm, label: Sequence[int], n: int) -> tuple[Fraction, ...]:
     """V . (c_1/d_1, ..., c_r/d_r, 0, ...) reduced into [0,1)^n: a solution

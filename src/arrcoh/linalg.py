@@ -29,7 +29,13 @@ __all__ = [
     "smith_normal_form",
     "poly_div_exact",
     "is_prime",
+    "InternalError",
 ]
+
+
+class InternalError(Exception):
+    """A failed internal invariant: a bug in arrcoh, never bad input, and
+    so not a ValueError (the CLI exits 3 on it, 2 on bad input)."""
 
 
 def is_prime(n: int) -> bool:
@@ -408,8 +414,7 @@ def smith_normal_form(mat: Matrix) -> SmithForm:
     """Exact Smith normal form over Z with verified unimodular witnesses.
 
     Pivots are chosen by minimal absolute value to tame coefficient growth.
-    Raises ValueError if the witness check U A V == D fails (which would
-    indicate an internal bug, not bad input).
+    Raises InternalError if the witness check U A V == D fails.
     """
     if not isinstance(mat.ring, IntegerRing):
         raise TypeError("smith_normal_form expects a matrix over ZZ")
@@ -500,18 +505,18 @@ def smith_normal_form(mat: Matrix) -> SmithForm:
 
     divisors = tuple(a[i][i] for i in range(limit))
     if abs(det_u) != 1 or abs(det_v) != 1:
-        raise ValueError("unimodularity lost")  # pragma: no cover - defensive
+        raise InternalError("unimodularity lost")  # pragma: no cover - defensive
     left = Matrix.from_rows(ZZ, u)
     right = Matrix.from_rows(ZZ, v)
     sf = SmithForm(left=left, right=right, divisors=divisors, nrows=m, ncols=n)
     check = left.mul(mat).mul(right)
     if check.entries != sf.diagonal_matrix().entries:
-        raise ValueError("smith form witness check failed")  # pragma: no cover
+        raise InternalError("smith form witness check failed")  # pragma: no cover
     for i in range(len(divisors) - 1):
         if divisors[i] and divisors[i + 1] % (divisors[i] or 1) != 0:
-            raise ValueError("divisibility chain broken")  # pragma: no cover
+            raise InternalError("divisibility chain broken")  # pragma: no cover
         if divisors[i] == 0 and divisors[i + 1] != 0:
-            raise ValueError("zero divisor out of order")  # pragma: no cover
+            raise InternalError("zero divisor out of order")  # pragma: no cover
     return sf
 
 

@@ -105,14 +105,6 @@ class FinitePoset:
         extend((), 0)
         return out
 
-    # --- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "elements": [str(e) for e in self.elements],
-            "covers": [[str(x), str(y)] for x, y in self.covers()],
-        }
-
     def __repr__(self) -> str:
         return f"FinitePoset({len(self.elements)} elements)"
 

@@ -1,26 +1,31 @@
 """Combinatorial model of the complexified complement of a real arrangement.
 
-Faces of the real arrangement are sign vectors, enumerated flat by flat
-with an exact Fourier-Motzkin feasibility test.  The complement of the
+The faces of the real arrangement are the covectors of its oriented
+matroid: sign vectors with one entry per hyperplane.  Every covector is a
+composition of cocircuits, and the cocircuits are the two sign vectors of
+each line of the arrangement, so the faces come from a breadth-first
+closure with no linear programming (Bjorner, Las Vergnas, Sturmfels, White
+and Ziegler, *Oriented Matroids*, 1999).  The complement of the
 complexified arrangement deformation-retracts onto a regular cell complex
-whose cells are pairs (face, adjacent chamber); its cellular cochain
-complex, twisted by one unit weight per hyperplane, computes the
-cohomology of the complement with rank-one coefficients.  All boundary
-matrices are exact and the d^2 = 0 identity is checked on construction.
+whose cells are pairs (face, adjacent chamber) (Salvetti, Invent. Math.
+88, 1987); its cellular cochain complex, twisted by one unit weight per
+hyperplane, computes the cohomology of the complement with rank-one
+coefficients.  All boundary matrices are exact and the d^2 = 0 identity
+is checked on construction.
 
-Face enumeration is intentionally capped at 8 hyperplanes in ambient
-dimension 4: the cell complex grows with the chamber count and this
-module exists to ground the support certificates on small inputs, not to
-race dedicated solvers.
+Two output limits, each a ValueError that states it, keep inputs small:
+``MAX_FACES`` faces, and ``MAX_INCIDENCES`` (cell, facet) pairs counted
+before any boundary is built.  The second matters in low rank: m lines in
+the plane have 4m + 1 faces, but 2m facets on each 2-cell.  This module
+grounds the support certificates on small inputs; it does not race
+dedicated solvers.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from arrcoh.arrangement import (
     Arrangement,
@@ -30,10 +35,11 @@ from arrcoh.arrangement import (
     poincare_and_beta,
 )
 from arrcoh.cochain import CochainComplexData, complex_cohomology, make_complex
+from arrcoh.linalg import InternalError
 
 __all__ = [
-    "MAX_HYPERPLANES",
-    "MAX_DIMENSION",
+    "MAX_FACES",
+    "MAX_INCIDENCES",
     "FaceSystem",
     "enumerate_faces",
     "SalvettiComplex",
@@ -43,120 +49,98 @@ __all__ = [
     "SalvettiReport",
 ]
 
-MAX_HYPERPLANES = 8
-MAX_DIMENSION = 4
+MAX_FACES = 1000
+MAX_INCIDENCES = 30_000
 
 SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
 Cell = tuple  # (face, chamber) pair of sign vectors
 
 
-def _fm_feasible(rows: list[list[Fraction]]) -> bool:
-    """Is there a point with row . t > 0 for every row?
-
-    Homogeneous strict inequalities only.  Fourier-Motzkin elimination
-    preserves feasibility of strict systems exactly; the system is
-    infeasible precisely when some elimination stage produces an
-    all-zero row (the contradiction 0 > 0).
-    """
-    if not rows:
-        return True
-    width = len(rows[0])
-    live = {_normalize_row(r) for r in rows}
-    for col in range(width):
-        if any(all(x == 0 for x in r) for r in live):
-            return False
-        pos = [r for r in live if r[col] > 0]
-        neg = [r for r in live if r[col] < 0]
-        nxt = {r for r in live if r[col] == 0}
-        for p in pos:
-            for q in neg:
-                comb = tuple(p[j] * (-q[col]) + q[j] * p[col] for j in range(width))
-                nxt.add(_normalize_row(comb))
-        live = nxt
-    return not any(all(x == 0 for x in r) for r in live)
-
-
-def _normalize_row(row: Sequence[Fraction]) -> tuple:
-    for x in row:
-        if x != 0:
-            return tuple(y / abs(x) for y in row)
-    return tuple(row)
-
-
-def _face_leq(f: SignVector, g: SignVector) -> bool:
-    return all(a == 0 or a == b for a, b in zip(f, g))
-
-
 def _compose(f: SignVector, g: SignVector) -> SignVector:
-    return tuple(a if a != 0 else b for a, b in zip(f, g))
+    return tuple(a or b for a, b in zip(f, g))
 
 
 @dataclass(frozen=True)
 class FaceSystem:
     """All faces of the real arrangement, as sign vectors, with their
     codimensions.  Faces are ordered by specialization: f <= g when f lies
-    in the closure of g (``_face_leq``)."""
+    in the closure of g, that is when g agrees with every nonzero sign of
+    f; ``covers[f]`` lists, in sorted order, the faces one codimension more
+    generic with f in their closure."""
 
     arrangement: Arrangement
     faces: tuple[SignVector, ...]
     codim: Mapping[SignVector, int]
+    covers: Mapping[SignVector, tuple[SignVector, ...]]
 
     @property
     def chambers(self) -> tuple[SignVector, ...]:
         return tuple(f for f in self.faces if self.codim[f] == 0)
 
-    @property
-    def base_chamber(self) -> SignVector:
-        return min(self.chambers)
 
-    def covers_of(self, f: SignVector) -> list[SignVector]:
-        """Faces one codimension more generic, with f in their closure."""
-        k = self.codim[f]
-        return [g for g in self.faces if self.codim[g] == k - 1 and _face_leq(f, g)]
+def _cocircuits(a: Arrangement, lat: IntersectionLattice) -> list[SignVector]:
+    """Both sign vectors of each line of the arrangement.
+
+    A flat of rank ``a.rank - 1`` is a line modulo the common kernel of the
+    normals; any vector of the flat outside that kernel spans it, and the
+    signs of the normals on it form a cocircuit."""
+    rows = a.integral_normals
+    out = []
+    for cs in lat.poset.elements:
+        if lat.flats[cs].rank != a.rank - 1:
+            continue
+        for v in lat.flats[cs].kernel_basis:
+            y = tuple((d > 0) - (d < 0) for d in (sum(x * t for x, t in zip(row, v)) for row in rows))
+            if any(y):
+                out += [y, tuple(-s for s in y)]
+                break
+    return out
 
 
 def enumerate_faces(a: Arrangement, lat: IntersectionLattice | None = None) -> FaceSystem:
-    """Enumerate every face of the real arrangement, one flat at a time.
+    """Every face of the real arrangement: the closure of the zero vector
+    under composition with the cocircuits.
 
-    On the flat cut out by a closed set Z, a candidate assigns a strict
-    sign to each remaining hyperplane; the candidate is a face exactly
-    when the induced homogeneous strict system on the flat is feasible.
-    The chamber count is cross-checked against the Poincare polynomial
-    at 1.
+    The closure yields only covectors, and every covector is a composition
+    of cocircuits, so it yields all of them.  A face's codimension is the
+    rank of its zero set.  If g covers f then g = f o y for a cocircuit
+    y <= g, so the covers of f are the faces f o y one codimension lower;
+    f o y depends only on y restricted to f's zero set, so each distinct
+    restriction is tried once.  The chamber count is cross-checked against
+    the Poincare polynomial at 1.  Every flat is the zero set of a face, so
+    a lattice built here stops at ``MAX_FACES`` flats too.
     """
-    if a.m > MAX_HYPERPLANES or a.n > MAX_DIMENSION:
-        raise ValueError(
-            f"face enumeration is capped at {MAX_HYPERPLANES} hyperplanes "
-            f"in dimension {MAX_DIMENSION} (got m={a.m}, n={a.n})"
-        )
-    lat = lat or intersection_lattice(a)
-    faces: list[SignVector] = []
-    codim: dict[SignVector, int] = {}
-    for cs in lat.poset.elements:
-        flat = lat.flats[cs]
-        basis = flat.kernel_basis  # rows spanning the flat subspace
-        others = [i for i in range(a.m) if i not in cs]
-        # restrict each remaining functional to flat coordinates
-        restricted = {
-            i: [sum(b[j] * a.normals.row(i)[j] for j in range(a.n)) for b in basis]
-            for i in others
-        }
-        for signs in itertools.product((-1, 1), repeat=len(others)):
-            rows = [[s * x for x in restricted[i]] for s, i in zip(signs, others)]
-            if _fm_feasible(rows):
-                vec = [0] * a.m
-                for s, i in zip(signs, others):
-                    vec[i] = s
-                faces.append(tuple(vec))
-                codim[tuple(vec)] = flat.rank
-    faces.sort()
-    fs = FaceSystem(a, tuple(faces), codim)
+    lat = lat or intersection_lattice(a, max_flats=MAX_FACES)
+    cocircuits = _cocircuits(a, lat)
+    zero = (0,) * a.m
+    codim: dict[SignVector, int] = {zero: lat.flats[lat.top].rank}
+    covers: dict[SignVector, tuple[SignVector, ...]] = {}
+    fillings: dict[tuple[int, ...], set[SignVector]] = {}
+    queue = [zero]
+    for f in queue:
+        z = tuple(i for i, s in enumerate(f) if s == 0)
+        fill = fillings.get(z)
+        if fill is None:
+            fill = fillings[z] = {tuple(y[i] for i in z) for y in cocircuits} - {(0,) * len(z)}
+        up = []
+        for p in fill:
+            g = list(f)
+            for i, s in zip(z, p):
+                g[i] = s
+            g = tuple(g)
+            if g not in codim:
+                if len(codim) == MAX_FACES:
+                    raise ValueError(f"face enumeration stops at {MAX_FACES} faces; this arrangement has more")
+                codim[g] = lat.flats[tuple(i for i, s in zip(z, p) if s == 0)].rank
+                queue.append(g)
+            if codim[g] == codim[f] - 1:
+                up.append(g)
+        covers[f] = tuple(sorted(up))
+    fs = FaceSystem(a, tuple(sorted(codim)), codim, covers)
     if a.m >= 1:
         pi, _ = poincare_and_beta(a, lat)
         if len(fs.chambers) != sum(pi):
-            raise AssertionError(
-                f"chamber count {len(fs.chambers)} disagrees with the lattice prediction {sum(pi)}"
-            )
+            raise InternalError(f"chamber count {len(fs.chambers)} disagrees with the lattice prediction {sum(pi)}")
     return fs
 
 
@@ -197,77 +181,70 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
     reported as an error.
     """
     fs = fs or enumerate_faces(a)
-    base = fs.base_chamber if fs.chambers else None
-    cells_by_dim: list[list[Cell]] = []
-    for d in range(max(fs.codim.values(), default=0) + 1):
-        layer = []
-        for f in fs.faces:
-            if fs.codim[f] != d:
-                continue
-            for c in fs.chambers:
-                if _face_leq(f, c):
-                    layer.append((f, c))
-        layer.sort()
-        cells_by_dim.append(layer)
+    chambers = fs.chambers
+    base = min(chambers)
+    # the chambers above a face are the chambers above its covers
+    above = {c: frozenset((c,)) for c in chambers}
+    for f in sorted(fs.faces, key=fs.codim.__getitem__):
+        if f not in above:
+            above[f] = frozenset().union(*(above[g] for g in fs.covers[f]))
+    incidences = sum(len(fs.covers[f]) * len(above[f]) for f in fs.faces)
+    if incidences > MAX_INCIDENCES:
+        raise ValueError(f"the cell complex stops at {MAX_INCIDENCES} boundary incidences; this one needs {incidences}")
+    cells_by_dim = [
+        sorted((f, c) for f in fs.faces if fs.codim[f] == d for c in above[f])
+        for d in range(max(fs.codim.values(), default=0) + 1)
+    ]
 
-    covers_cache = {f: fs.covers_of(f) for f in fs.faces}
+    # a facet's chamber lies across the hyperplanes it separates the cell's
+    # chamber from; those on the base chamber's side are the ones crossed
+    away = {c: frozenset(i for i, (x, y) in enumerate(zip(c, base)) if x != y) for c in chambers}
     boundary: dict[Cell, tuple[tuple[Cell, int, frozenset], ...]] = {}
-    signs: dict[tuple[Cell, Cell], int] = {}
-
     for d in range(1, len(cells_by_dim)):
         for cell in cells_by_dim[d]:
             f, c = cell
-            facets = [(g, _compose(g, c)) for g in covers_cache[f]]
-            facets.sort()
-            eps = _propagate_signs(cell, facets, covers_cache, signs)
-            out = []
-            for facet in facets:
-                signs[(cell, facet)] = eps[facet]
-                crossed = frozenset(
-                    i for i in range(a.m) if c[i] != facet[1][i] and facet[1][i] == base[i]
-                )
-                out.append((facet, eps[facet], crossed))
-            boundary[cell] = tuple(out)
+            facets = sorted((g, _compose(g, c)) for g in fs.covers[f])
+            eps = _propagate_signs(cell, facets, boundary)
+            boundary[cell] = tuple((facet, eps[facet], away[c] - away[facet[1]]) for facet in facets)
     return SalvettiComplex(fs, tuple(tuple(layer) for layer in cells_by_dim), boundary)
 
 
 def _propagate_signs(
     cell: Cell,
     facets: list[Cell],
-    covers_cache: Mapping[SignVector, list[SignVector]],
-    signs: Mapping[tuple[Cell, Cell], int],
+    boundary: Mapping[Cell, tuple[tuple[Cell, int, frozenset], ...]],
 ) -> dict[Cell, int]:
-    if len(facets) == 2 and not covers_cache[facets[0][0]]:
-        # an edge: oriented away from its own chamber
+    if facets[0] not in boundary:
+        # an edge: its facets are vertices, oriented away from its own chamber
         f, c = cell
         opposite = _compose(f, _negate(c))
         return {(c, c): -1, (opposite, opposite): 1}
-    # ridges: codim-two cells shared by exactly two facets
-    ridge_owners: dict[Cell, list[Cell]] = {}
+    # ridges: codim-two cells shared by exactly two facets, each of which
+    # already carries its incidence sign in its own boundary
+    ridge_owners: dict[Cell, list[tuple[Cell, int]]] = {}
     for facet in facets:
-        g, dch = facet
-        for h in covers_cache[g]:
-            ridge_owners.setdefault((h, _compose(h, dch)), []).append(facet)
-    adjacency: dict[Cell, list[tuple[Cell, Cell]]] = {facet: [] for facet in facets}
+        for ridge, sign, _ in boundary[facet]:
+            ridge_owners.setdefault(ridge, []).append((facet, sign))
+    adjacency: dict[Cell, list[tuple[Cell, int]]] = {facet: [] for facet in facets}
     for ridge, owners in ridge_owners.items():
         if len(owners) != 2:
-            raise AssertionError(f"cell {cell} is not regular: ridge {ridge} has {len(owners)} facets")
-        u, v = owners
-        adjacency[u].append((v, ridge))
-        adjacency[v].append((u, ridge))
+            raise InternalError(f"cell {cell} is not regular: ridge {ridge} has {len(owners)} facets")
+        (u, su), (v, sv) = owners
+        adjacency[u].append((v, su * sv))
+        adjacency[v].append((u, su * sv))
     eps: dict[Cell, int] = {facets[0]: 1}
     queue = [facets[0]]
     while queue:
         u = queue.pop()
-        for v, ridge in adjacency[u]:
-            forced = -eps[u] * signs[(u, ridge)] * signs[(v, ridge)]
+        for v, product in adjacency[u]:
+            forced = -eps[u] * product
             if v not in eps:
                 eps[v] = forced
                 queue.append(v)
             elif eps[v] != forced:
-                raise AssertionError(f"inconsistent incidence signs around {cell}")
+                raise InternalError(f"inconsistent incidence signs around {cell}")
     if len(eps) != len(facets):
-        raise AssertionError(f"boundary of {cell} is not connected")
+        raise InternalError(f"boundary of {cell} is not connected")
     return eps
 
 
@@ -338,6 +315,6 @@ def twisted_cohomology(
         for p in range(1, top):
             u.append(full[p] - u[p - 1])
         if any(x < 0 for x in u) or full[top] != u[top - 1]:
-            raise AssertionError(f"product split failed on betti numbers {full}")
+            raise InternalError(f"product split failed on betti numbers {full}")
         projective = tuple(u)
     return SalvettiReport(sys.field.to_json(), tuple(sal.cell_counts()), full, projective)

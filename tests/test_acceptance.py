@@ -35,7 +35,7 @@ from arrcoh.elliptic import (
     elliptic_vanishing_certificate,
 )
 from arrcoh.linalg import GF, QQ, ZZ
-from arrcoh.salvetti import build_salvetti, twisted_cohomology
+from arrcoh.salvetti import build_salvetti, enumerate_faces, twisted_cohomology
 from arrcoh.simplicial import SimplicialComplex, enumerate_complexes, is_cohen_macaulay
 from arrcoh.toric import (
     ToricComplex,
@@ -88,14 +88,19 @@ def three_generic_lines():
     return Arrangement.from_rows(2, [[1, 0], [0, 1], [1, 1]], ("a", "b", "c"))
 
 
-def braid_a3():
+def braid(n):
+    """The braid arrangement x_i = x_j in C^n (rank n - 1)."""
     rows, labels = [], []
-    for i, j in itertools.combinations(range(4), 2):
-        r = [0] * 4
+    for i, j in itertools.combinations(range(n), 2):
+        r = [0] * n
         r[i], r[j] = 1, -1
         rows.append(r)
         labels.append(f"h{i}{j}")
-    return Arrangement.from_rows(4, rows, labels)
+    return Arrangement.from_rows(n, rows, labels)
+
+
+def braid_a3():
+    return braid(4)
 
 
 def boolean_b3():
@@ -513,3 +518,32 @@ def test_c10_scope_statement():
         elliptic_vanishing_certificate,
     ):
         assert callable(fn)
+
+
+# --- criterion 11: braid A4 past the old face-enumeration cap -----------------
+
+
+@_criterion(11, "essential braid A4: faces, cells, untwisted Betti = pi, twisted concentration", budget=10.0)
+def test_c11_braid_a4():
+    a = braid(5).essentialize()
+    assert (a.m, a.n) == (10, 4)
+    lat = intersection_lattice(a)
+    fs = enumerate_faces(a, lat)
+    assert len(fs.faces) == 541
+    assert len(fs.chambers) == 120  # |S_5|
+    sal = build_salvetti(a, fs)
+    assert sal.cell_counts() == [120, 480, 720, 480, 120]
+
+    pi, beta = poincare_and_beta(a, lat)
+    assert pi == [1, 10, 35, 50, 24] and abs(beta) == 6
+    untwisted = twisted_cohomology(a, RankOneSystem(QQ, [1] * 10), sal)
+    assert untwisted.full_betti == tuple(pi)
+
+    rng = random.Random(SEED + 11)
+    while True:
+        sys_ = RankOneSystem(F101, projective_weights(rng, 10))
+        if vanishing_check(a, sys_, lat=lat).holds:
+            break
+    rep = twisted_cohomology(a, sys_, sal)
+    assert rep.projective_betti == (0, 0, 0, 6)
+    assert rep.full_betti == (0, 0, 0, 6, 6)

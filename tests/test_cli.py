@@ -223,6 +223,23 @@ def test_arr_salvetti_untwisted_and_twisted(files, capsys):
     assert obj["projective_betti"] == [0, 1]
 
 
+def test_internal_error_exits_3_in_one_line(files, capsys, monkeypatch):
+    # a lattice that predicts the wrong chamber count trips the Salvetti check
+    monkeypatch.setattr("arrcoh.salvetti.poincare_and_beta", lambda a, lat=None: ([1, 1], 0))
+    code, out, err = run(capsys, ["arr-salvetti", files("a.json", LINES3)])
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: chamber count 6")
+    assert "Traceback" not in err
+
+
+def test_face_limit_is_input_error(files, capsys, monkeypatch):
+    monkeypatch.setattr("arrcoh.salvetti.MAX_FACES", 12)
+    code, out, err = run(capsys, ["arr-salvetti", files("a.json", LINES3)])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "12 faces" in err
+
+
 def test_toric_cohomology(files, capsys):
     code, out, _ = run(capsys, ["toric-cohomology", files("t.json", TORIC_TRI), files("w.json", WT_TRI)])
     assert code == 0

@@ -218,13 +218,6 @@ def test_components_reject_translations_and_bad_index():
         components(a, [3])
 
 
-def test_component_json():
-    a = EllipticArrangement.from_rows(1, [[2]])
-    objs = [c.to_json() for c in components(a, [0])]
-    assert {tuple(o["point"][0]) for o in objs} == {("0",), ("1/2",)}
-    assert all(o["dim"] == 0 for o in objs)
-
-
 # --- strata ----------------------------------------------------------------------
 
 

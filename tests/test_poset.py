@@ -124,11 +124,3 @@ def test_validate_ranked():
     assert not backwards.ok
     missing = validate_ranked(p, {"x": 0, "y": 1})
     assert not missing.ok
-
-
-def test_json_shape():
-    p = boolean_lattice(2)
-    obj = p.to_json()
-    assert len(obj["elements"]) == 4
-    assert len(obj["covers"]) == 4  # 2 atoms in, 2 atoms out
-    assert all(len(pair) == 2 for pair in obj["covers"])

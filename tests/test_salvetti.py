@@ -7,15 +7,18 @@ every pinned arrangement here.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from arrcoh.arrangement import Arrangement, RankOneSystem, poincare_and_beta
-from arrcoh.linalg import GF, QQ
+import arrcoh.salvetti as salvetti
+from arrcoh.arrangement import Arrangement, RankOneSystem, intersection_lattice, poincare_and_beta
+from arrcoh.linalg import GF, QQ, Matrix, rank_kernel
 from arrcoh.salvetti import (
-    MAX_DIMENSION,
-    MAX_HYPERPLANES,
-    SalvettiComplex,
+    MAX_FACES,
+    MAX_INCIDENCES,
     build_salvetti,
     enumerate_faces,
     twisted_cohomology,
@@ -86,14 +89,139 @@ def test_cells_b2():
     assert rep.full_betti == tuple(pi)
 
 
-def test_caps_enforced():
-    too_many = Arrangement.from_rows(2, [[1, k] for k in range(MAX_HYPERPLANES + 1)])
-    with pytest.raises(ValueError, match="hyperplanes"):
-        enumerate_faces(too_many)
-    rows = [[1 if i == j else 0 for j in range(MAX_DIMENSION + 1)] for i in range(MAX_DIMENSION + 1)]
-    too_deep = Arrangement.from_rows(MAX_DIMENSION + 1, rows)
-    with pytest.raises(ValueError, match="dimension"):
-        enumerate_faces(too_deep)
+def lines(m):
+    """m lines through the origin of C^2: 2m chambers, 4m + 1 faces."""
+    return Arrangement.from_rows(2, [[1, k] for k in range(m)])
+
+
+def test_caps_enforced(monkeypatch):
+    # nine lines were refused by the old 8-hyperplane cap; the limits count
+    # output only
+    assert len(enumerate_faces(lines(9)).faces) == 37
+    assert twisted_cohomology(lines(9), untwisted(QQ, 9)).full_betti == (1, 9, 8)
+    # 86 lines have only 345 faces, but 4 * 86^2 + 8 * 86 incidences
+    with pytest.raises(ValueError, match=f"stops at {MAX_INCIDENCES} boundary incidences; this one needs 30272"):
+        build_salvetti(lines(86))
+    # each limit admits exactly its value; m lines have 2m two-cells with
+    # 2m facets each and 4m edges with 2 each
+    monkeypatch.setattr(salvetti, "MAX_INCIDENCES", 4 * 9 * 9 + 8 * 9)
+    build_salvetti(lines(9))
+    with pytest.raises(ValueError, match="stops at 396 boundary incidences; this one needs 480"):
+        build_salvetti(lines(10))
+    monkeypatch.setattr(salvetti, "MAX_FACES", 37)
+    assert len(enumerate_faces(lines(9)).faces) == 37
+    with pytest.raises(ValueError, match="stops at 37 faces"):
+        enumerate_faces(lines(10))
+    # every flat carries a face, so the lattice built for the faces stops too
+    # (generic 6 planes in C^3: 23 flats, 123 faces)
+    generic = Arrangement.from_rows(3, [[1, k, k * k] for k in range(6)])
+    monkeypatch.setattr(salvetti, "MAX_FACES", 22)
+    with pytest.raises(ValueError, match="lattice stops at 22 flats"):
+        enumerate_faces(generic)
+
+
+def test_default_limits_admit_generic_8_planes_in_c4():
+    # the largest input of the old cap: every 4 of the 8 normals independent
+    a = Arrangement.from_rows(4, [[1, k, k * k, k**3] for k in range(-4, 4)])
+    fs = enumerate_faces(a)
+    assert len(fs.faces) == 929 <= MAX_FACES
+    sal = build_salvetti(a, fs)
+    assert sum(sal.cell_counts()) == 3200
+    assert sum(len(facets) for facets in sal.boundary.values()) == 26496 <= MAX_INCIDENCES
+
+
+# --- covector faces against a Fourier-Motzkin oracle --------------------------
+
+
+def _fm_feasible(rows):
+    """Is there a point with row . t > 0 for every row?  Fourier-Motzkin
+    elimination keeps a homogeneous strict system feasible exactly until
+    some stage produces an all-zero row (0 > 0)."""
+    if not rows:
+        return True
+    live = {_normalize(r) for r in rows}
+    for col in range(len(rows[0])):
+        if any(not any(r) for r in live):
+            return False
+        pos = [r for r in live if r[col] > 0]
+        neg = [r for r in live if r[col] < 0]
+        nxt = {r for r in live if r[col] == 0}
+        for p in pos:
+            for q in neg:
+                nxt.add(_normalize(tuple(x * (-q[col]) + y * p[col] for x, y in zip(p, q))))
+        live = nxt
+    return not any(not any(r) for r in live)
+
+
+def _normalize(row):
+    lead = next((abs(x) for x in row if x != 0), 1)
+    return tuple(Fraction(x) / lead for x in row)
+
+
+def oracle_faces(a):
+    """Faces by brute force: on each flat, every strict sign assignment to
+    the other hyperplanes whose strict system on the flat is feasible;
+    covers by the all-pairs closure test."""
+    lat = intersection_lattice(a)
+    codim = {}
+    for cs in lat.poset.elements:
+        others = [i for i in range(a.m) if i not in cs]
+        sub = Matrix.from_rows(QQ, [list(a.normals.row(i)) for i in cs]) if cs else None
+        basis = rank_kernel(sub)[1].entries if cs else [[int(i == j) for j in range(a.n)] for i in range(a.n)]
+        restricted = [[sum(x * y for x, y in zip(a.normals.row(i), b)) for b in basis] for i in others]
+        for signs in itertools.product((-1, 1), repeat=len(others)):
+            if _fm_feasible([[s * x for x in r] for s, r in zip(signs, restricted)]):
+                vec = [0] * a.m
+                for s, i in zip(signs, others):
+                    vec[i] = s
+                codim[tuple(vec)] = lat.flats[cs].rank
+
+    def leq(f, g):
+        return all(x == 0 or x == y for x, y in zip(f, g))
+
+    covers = {f: tuple(sorted(g for g in codim if codim[g] == codim[f] - 1 and leq(f, g))) for f in codim}
+    return codim, covers
+
+
+@st.composite
+def small_arrangements(draw):
+    """At most 6 distinct hyperplanes in 2 to 4 dimensions, entries in
+    [-3, 3]; often non-generic and non-essential."""
+    n = draw(st.integers(2, 4))
+    count = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=count, max_size=count))
+    rows = []
+    for r in raw:
+        if any(r) and not any(rank_kernel(Matrix.from_rows(QQ, [r, q]))[0] == 1 for q in rows):
+            rows.append(r)
+    if not rows:
+        rows = [[1] + [0] * (n - 1)]
+    return Arrangement.from_rows(n, rows)
+
+
+BRAID_A3_ROWS = [[int(k == i) - int(k == j) for k in range(4)] for i, j in itertools.combinations(range(4), 2)]
+PENCIL_IN_C3 = [[1, 1, 0], [1, -1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1]]  # rank 3, three planes share a line
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_arrangements())
+@example(Arrangement.from_rows(4, BRAID_A3_ROWS))
+@example(Arrangement.from_rows(3, PENCIL_IN_C3))
+def test_covector_faces_match_fourier_motzkin(a):
+    fs = enumerate_faces(a)
+    codim, covers = oracle_faces(a)
+    assert fs.faces == tuple(sorted(codim))
+    assert dict(fs.codim) == codim
+    assert dict(fs.covers) == covers
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_arrangements())
+@example(Arrangement.from_rows(4, BRAID_A3_ROWS))
+@example(Arrangement.from_rows(3, PENCIL_IN_C3))
+def test_untwisted_betti_is_poincare_on_random_arrangements(a):
+    pi, _ = poincare_and_beta(a)
+    assert twisted_cohomology(a, untwisted(QQ, a.m)).full_betti == tuple(pi)
 
 
 # --- untwisted cohomology = Poincare coefficients ----------------------------
