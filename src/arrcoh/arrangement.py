@@ -11,7 +11,6 @@ certificates in :mod:`arrcoh.covers`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,13 +70,17 @@ class Arrangement:
             raise ValueError("one label per hyperplane required")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate hyperplane labels")
-        rows = self.normals.entries
-        for i, row in enumerate(rows):
+        for i, row in enumerate(self.normals.entries):
             if all(x == 0 for x in row):
                 raise ValueError(f"hyperplane {self.labels[i]!r} has zero normal")
-        for i, j in itertools.combinations(range(len(rows)), 2):
-            if _proportional(rows[i], rows[j]):
-                raise ValueError(f"hyperplanes {self.labels[i]!r} and {self.labels[j]!r} coincide")
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for i, row in enumerate(self.integral_normals):
+            classes.setdefault(_primitive(row), []).append(i)
+        # classes are listed by first index, so the pair named is the first
+        # (i, j) in lexicographic order with proportional normals
+        for group in classes.values():
+            if len(group) > 1:
+                raise ValueError(f"hyperplanes {self.labels[group[0]]!r} and {self.labels[group[1]]!r} coincide")
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[Sequence], labels: Sequence[str] | None = None) -> "Arrangement":
@@ -120,19 +123,6 @@ class Arrangement:
         new_rows = [[row[p] for p in pivots] for row in self.normals.entries]
         return Arrangement(len(pivots), Matrix.from_rows(QQ, new_rows), self.labels)
 
-    def closure(self, subset: Iterable[int]) -> tuple[int, ...]:
-        """All hyperplane indices whose normal lies in the span of ``subset``."""
-        idx = sorted(set(subset))
-        if not idx:
-            return ()
-        rref, pivots = _rational_rref([list(self.normals.row(i)) for i in idx])
-        basis = rref[: len(pivots)]
-        out = []
-        for h in range(self.m):
-            if h in idx or _in_span(self.normals.row(h), basis, pivots):
-                out.append(h)
-        return tuple(sorted(out))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -157,33 +147,18 @@ class Arrangement:
         return f"Arrangement(n={self.n}, m={self.m})"
 
 
-def _proportional(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    # both rows are nonzero here
-    ratio = None
-    for a, b in zip(u, v):
-        if (a == 0) != (b == 0):
-            return False
-        if a != 0:
-            r = b / a
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return True
-
-
 def _integral(row: Sequence[Fraction]) -> tuple[int, ...]:
     den = math.lcm(*(x.denominator for x in row))
     return tuple(int(x * den) for x in row)
 
 
-def _in_span(row: Sequence[Fraction], basis: list[list[Fraction]], pivots: list[int]) -> bool:
-    resid = list(row)
-    for b, p in zip(basis, pivots):
-        f = resid[p]
-        if f != 0:
-            resid = [x - f * y for x, y in zip(resid, b)]
-    return all(x == 0 for x in resid)
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    """The projective class of a nonzero integer row: divided by the gcd of
+    its entries, first nonzero entry positive."""
+    g = math.gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
 
 
 @dataclass(frozen=True)
@@ -255,8 +230,7 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
                 if h not in have:
                     row = a.integral_normals[h]
                     r = [sum(x * y for x, y in zip(row, b)) for b in seen[cs].kernel_basis]
-                    g = math.gcd(*r) if next(x for x in r if x) > 0 else -math.gcd(*r)
-                    classes.setdefault(tuple(x // g for x in r), []).append(h)
+                    classes.setdefault(_primitive(r), []).append(h)
             for group in classes.values():
                 bigger = tuple(sorted(cs + tuple(group)))
                 relations.append((cs, bigger))
@@ -355,8 +329,11 @@ def nested_complex(
     """The nested-set complex on vertex set g minus the top flat.
 
     A subset S is nested when every antichain in S of size >= 2 has its
-    join (closure of the union) outside g.  For the maximal building set
-    every join lies in g, so nested sets degenerate to chains.
+    join (the smallest flat containing the union) outside g.  For the
+    maximal building set every join lies in g, so nested sets degenerate
+    to chains.  A candidate is tested only once all its proper subsets
+    are faces; their antichains have passed already, so the one antichain
+    left to check is the candidate itself.
     """
     if a.m == 0:
         raise ValueError("empty arrangement has no nested-set complex")
@@ -390,21 +367,12 @@ def nested_complex(
 
 
 def _is_nested(lat: IntersectionLattice, members: set, S: frozenset) -> bool:
-    elems = sorted(S)
-    for r in range(2, len(elems) + 1):
-        for combo in itertools.combinations(elems, r):
-            if _is_antichain(lat, combo):
-                join = lat.arrangement.closure(set().union(*combo))
-                if join in members:
-                    return False
-    return True
-
-
-def _is_antichain(lat: IntersectionLattice, combo: Sequence[tuple[int, ...]]) -> bool:
-    for x, y in itertools.combinations(combo, 2):
-        if set(x) <= set(y) or set(y) <= set(x):
-            return False
-    return True
+    """Is S nested, given that all its proper subsets are?"""
+    if len(S) < 2 or any(set(x) < set(y) for x in S for y in S):
+        return True
+    union = set().union(*S)
+    join = min((cs for cs in lat.flats if union.issubset(cs)), key=len)
+    return join not in members
 
 
 @dataclass(frozen=True)
@@ -444,6 +412,9 @@ class RankOneSystem:
         missing = [lab for lab in a.labels if lab not in by_label]
         if missing:
             raise ValueError(f"missing weights for {missing}")
+        for lab in by_label:
+            if lab not in a.labels:
+                raise ValueError(f"weight for unknown hyperplane {lab!r}")
         return cls(field, tuple(by_label[lab] for lab in a.labels))
 
     @classmethod

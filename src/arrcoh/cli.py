@@ -503,10 +503,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     fmt = args.format or os.environ.get(FORMAT_ENV, "json")
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print("\n".join(table))
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2) if fmt == "json" else "\n".join(table))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: point fd 1 at devnull so that the flush at
+        # interpreter shutdown stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if ok else 1
 
 

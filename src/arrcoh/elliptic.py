@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from arrcoh.arrangement import Arrangement, RankOneSystem, _in_span, vanishing_check
+from arrcoh.arrangement import Arrangement, RankOneSystem, _primitive, vanishing_check
 from arrcoh.covers import E2Support, LocalDatum, e2_support
 from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, SmithForm, _rational_rref, rank_kernel, smith_normal_form
 from arrcoh.poset import from_leq
@@ -325,6 +324,15 @@ def _span_subset(small: tuple, big: tuple) -> bool:
     return all(_in_span(row, big, pivots) for row in small)
 
 
+def _in_span(row: Sequence[Fraction], basis: Sequence[Sequence[Fraction]], pivots: list[int]) -> bool:
+    resid = list(row)
+    for b, p in zip(basis, pivots):
+        f = resid[p]
+        if f != 0:
+            resid = [x - f * y for x, y in zip(resid, b)]
+    return all(x == 0 for x in resid)
+
+
 def _row_vanishes_at(a: EllipticArrangement, h: int, point: tuple) -> bool:
     """Does the hypersurface of row h pass through the doubled point?  A
     translation (c, m) is read as the diagonal torsion point (c/m, c/m)."""
@@ -337,15 +345,6 @@ def _row_vanishes_at(a: EllipticArrangement, h: int, point: tuple) -> bool:
         if val.denominator != 1:
             return False
     return True
-
-
-def _primitive(row: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-    out = tuple(x // g for x in row)
-    lead = next(x for x in out if x != 0)
-    return out if lead > 0 else tuple(-x for x in out)
 
 
 def _tangent_data(a: EllipticArrangement, X: EllipticComponent) -> tuple[Arrangement, list[list[int]]]:

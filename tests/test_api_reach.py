@@ -4,6 +4,9 @@ A name listed in a module's ``__all__`` must be exported from
 ``arrcoh/__init__.py``, referenced in another place under ``src/arrcoh``,
 named in README.md, or used by the benchmark under ``perfbench/``.  A name
 that only tests reach is code no user can rely on: delete it instead.
+A module-level private function or class (``_name``) must be referenced
+under ``src/arrcoh`` outside its own definition, so an oracle that only
+tests use lives in ``tests/``.
 """
 
 import ast
@@ -44,8 +47,17 @@ def _references(tree: ast.Module, skip: ast.AST | None) -> set[str]:
     return out
 
 
+def _trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _reached_in_src(trees: dict[Path, ast.Module], path: Path, name: str) -> bool:
+    own = _definition(trees[path], name)
+    return any(name in _references(t, own if p == path else None) for p, t in trees.items())
+
+
 def unreached_public_names() -> list[str]:
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     exported = set(_all_names(trees[PACKAGE / "__init__.py"]))
     outside_src = (ROOT / "README.md").read_text(encoding="utf-8") + "".join(
         path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))
@@ -57,11 +69,25 @@ def unreached_public_names() -> list[str]:
         for name in _all_names(tree):
             if name in exported or re.search(rf"\b{re.escape(name)}\b", outside_src):
                 continue
-            own = _definition(tree, name)
-            if not any(name in _references(t, own if p == path else None) for p, t in trees.items()):
+            if not _reached_in_src(trees, path, name):
                 offenders.append(f"{path.name}: {name}")
+    return offenders
+
+
+def unreached_private_helpers() -> list[str]:
+    trees = _trees()
+    offenders = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                if not _reached_in_src(trees, path, node.name):
+                    offenders.append(f"{path.name}: {node.name}")
     return offenders
 
 
 def test_every_public_name_is_reached():
     assert unreached_public_names() == []
+
+
+def test_every_private_helper_is_reached_from_src():
+    assert unreached_private_helpers() == []

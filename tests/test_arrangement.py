@@ -6,8 +6,11 @@ cannot share an error.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from arrcoh.arrangement import (
     Arrangement,
@@ -81,6 +84,12 @@ def test_rejects_duplicate_hyperplane():
         Arrangement.from_rows(2, [[1, 0], [2, 0]])  # proportional rows
 
 
+def test_duplicate_hyperplane_names_first_pair():
+    # a scan that stops at the first repeated class would name H2 and H3
+    with pytest.raises(ValueError, match="hyperplanes 'H1' and 'H4' coincide"):
+        Arrangement.from_rows(2, [[1, 0], [0, 1], [0, 2], [2, 0]])
+
+
 def test_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         Arrangement.from_rows(2, [[1, 0], [0, 1]], ("a", "a"))
@@ -99,8 +108,6 @@ def test_labels_and_lookup():
 
 def test_closure_and_rank():
     a = three_generic_lines()
-    assert a.closure([0]) == (0,)
-    assert a.closure([0, 1]) == (0, 1, 2)  # any two span the plane
     assert a.rank == 2 and a.is_essential
 
 
@@ -209,6 +216,82 @@ def test_boolean_nested_complex_is_hollow_triangle():
     # joins are reducible), but the full triple joins to the top flat
     assert nc.f_vector() == [1, 3, 3]
     assert nc.dim == b.rank - 2
+
+
+def _rational_rank(rows):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[col] != 0), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1 :]:
+            f = r[col] / pivot[col]
+            r[:] = [x - f * y for x, y in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def oracle_nested_faces(a, g):
+    """Nested sets by the definition: grow sets one vertex at a time and
+    test every antichain of size >= 2, with each join taken as the span
+    closure of the union over Q."""
+    rows = [list(a.normals.row(h)) for h in range(a.m)]
+    joins = {}
+
+    def join(hyperplanes):
+        key = frozenset(hyperplanes)
+        if key not in joins:
+            base = [rows[h] for h in key]
+            r = _rational_rank(base)
+            joins[key] = tuple(h for h in range(a.m) if _rational_rank(base + [rows[h]]) == r)
+        return joins[key]
+
+    top = tuple(range(a.m))
+    members = set(g.members) | {top}
+
+    def nested(S):
+        for k in range(2, len(S) + 1):
+            for combo in itertools.combinations(sorted(S), k):
+                antichain = all(not set(x) <= set(y) and not set(y) <= set(x) for x, y in itertools.combinations(combo, 2))
+                if antichain and join(set().union(*combo)) in members:
+                    return False
+        return True
+
+    vertices = [cs for cs in g.members if cs != top]
+    faces = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        grown = {f | {v} for f in frontier for v in vertices if v not in f}
+        frontier = [S for S in grown if S not in faces and nested(S)]
+        faces.update(frontier)
+    return faces
+
+
+@st.composite
+def essential_arrangements(draw):
+    """At most 6 distinct hyperplanes spanning C^n, n <= 4, entries in [-2, 2]."""
+    n = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=6))
+    rows = []
+    for r in raw:
+        if any(r) and all(_rational_rank([r, q]) == 2 for q in rows):
+            rows.append(r)
+    assume(rows and _rational_rank(rows) == n)
+    return Arrangement.from_rows(n, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(essential_arrangements())
+@example(braid_a3().essentialize())
+@example(boolean_b3())
+@example(Arrangement.from_rows(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]))
+def test_nested_complex_matches_antichain_oracle(a):
+    lat = intersection_lattice(a)
+    for g in (minimal_building_set(a, lat), maximal_building_set(a, lat)):
+        assert nested_complex(a, g, lat).faces == oracle_nested_faces(a, g)
 
 
 # --- rank-one systems -------------------------------------------------------

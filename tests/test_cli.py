@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +126,52 @@ def test_zero_denominator_rational_weight_is_input_error(files, capsys):
     code, out, err = run(capsys, ["toric-cohomology", files("t.json", TORIC_TRI), files("tw.json", tq)])
     assert code == 2 and out == ""
     assert _one_error_line(err)
+
+
+@pytest.mark.parametrize("normals", [[[1, 2], [-2, -4]], [["1/2", "1"], [1, 2]], [[0, "-1/3"], [0, 5]]])
+def test_proportional_normals_are_input_error(files, capsys, normals):
+    obj = {"n": 2, "hyperplanes": [{"label": f"h{i}", "normal": r} for i, r in enumerate(normals)]}
+    code, out, err = run(capsys, ["arr-lattice", files("a.json", obj)])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "hyperplanes 'h0' and 'h1' coincide" in err
+
+
+@pytest.mark.parametrize(
+    "verb, inputs",
+    [
+        ("arr-vanish", [LINES3, dict(W3_GOOD, q={"a": 2, "b": 2, "c": 2, "zz": 5})]),
+        ("arr-salvetti", [LINES3, "--weights", dict(W3_GOOD, q={"a": 2, "b": 2, "c": 2, "zz": 5})]),
+        ("ell-certify", [dict(ELL_GOOD, weights={"field": {"kind": "prime", "p": 7}, "q": {"f": 3, "zz": 5}})]),
+    ],
+)
+def test_unknown_weight_label_is_input_error(files, capsys, verb, inputs):
+    args = [x if isinstance(x, str) else files(f"in{i}.json", x) for i, x in enumerate(inputs)]
+    code, out, err = run(capsys, [verb, *args])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "weight for unknown hyperplane 'zz'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["arr-lattice", "a.json"], 0),
+        (["arr-vanish", "a.json", "w.json", "--format", "table"], 1),
+    ],
+)
+def test_closed_stdout_exits_quietly(files, argv, expected):
+    paths = {"a.json": files("a.json", LINES3), "w.json": files("w.json", W3_BAD)}
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arrcoh.cli", *[paths.get(x, x) for x in argv]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # before the verb has written anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (expected, b"")
 
 
 def test_bad_seed_is_usage_error(files, capsys):

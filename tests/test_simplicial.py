@@ -297,6 +297,20 @@ def groups(draw):
     return group
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(complexes))
+@example(SimplicialComplex.from_facets(range(1, 7), RP2_FACETS))
+def test_universal_coefficients(L):
+    # dim H^k(L; F_p) = rank H^k(L; Z) + #{factors of H^k divisible by p}
+    #                   + #{factors of H^{k+1} divisible by p}
+    over_z = reduced_cohomology(L, ZZ)
+    for p in (2, 3):
+        over_fp = reduced_cohomology(L, GF(p))
+        for k in range(-1, L.dim + 2):
+            divisible = sum(t % p == 0 for t in over_z.torsion_at(k) + over_z.torsion_at(k + 1))
+            assert over_fp.betti(k) == over_z.betti(k) + divisible, (p, k)
+
+
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(complexes(n), st.permutations(range(n)))), st.randoms())
 @settings(max_examples=150, deadline=None)
 def test_canonical_key_invariant_under_relabeling(case, rnd):
