@@ -23,6 +23,7 @@ from arrcoh.poset import FinitePoset, from_leq, from_relations, moebius_table
 from arrcoh.simplicial import SimplicialComplex
 
 __all__ = [
+    "MAX_AMBIENT_DIM",
     "Arrangement",
     "Flat",
     "IntersectionLattice",
@@ -41,6 +42,9 @@ __all__ = [
     "depth_bound",
     "e2_certificate",
 ]
+
+# flats carry n x n kernel bases, so the work grows with n even at rank 1
+MAX_AMBIENT_DIM = 64
 
 
 def _as_fraction(x) -> Fraction:
@@ -136,6 +140,8 @@ class Arrangement:
     def from_json(cls, obj: Mapping) -> "Arrangement":
         try:
             n = ZZ.normalize(obj["n"])
+            if n > MAX_AMBIENT_DIM:
+                raise ValueError(f"ambient dimension is capped at {MAX_AMBIENT_DIM}, got {n}")
             hyps = obj["hyperplanes"]
             rows = [[_as_fraction(x) for x in h["normal"]] for h in hyps]
             labels = [str(h["label"]) for h in hyps]

@@ -15,13 +15,13 @@ one.  It never claims nonvanishing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from arrcoh.poset import FinitePoset, validate_ranked
 
 __all__ = [
+    "MAX_NERVE_ELEMENTS",
     "build_nerve",
     "CoverDescription",
     "CoverVerdict",
@@ -30,6 +30,9 @@ __all__ = [
     "E2Support",
     "e2_support",
 ]
+
+# k sets that share a point have 2^k - 1 nerve elements; 11 such sets fit
+MAX_NERVE_ELEMENTS = 2048
 
 
 def build_nerve(sets: Mapping[Hashable, frozenset]) -> tuple[FinitePoset, dict]:
@@ -54,17 +57,34 @@ def build_nerve(sets: Mapping[Hashable, frozenset]) -> tuple[FinitePoset, dict]:
 
 def build_nerve_from_key(labels: Sequence[Hashable], key) -> tuple[FinitePoset, dict]:
     """Nerve via a delegated intersection key: ``key(subset)`` returns a
-    hashable key for nonempty intersections and None for empty ones."""
+    hashable key for nonempty intersections and None for empty ones.
+
+    A nerve is closed under subsets, so it is found level by level: an
+    element of size r extends one of size r - 1 by a later label, and only
+    those extensions are tried, not all 2^k label subsets.  Elements are
+    listed by size, then in ``itertools.combinations`` order over
+    ``labels``.  Past ``MAX_NERVE_ELEMENTS`` elements a ValueError states
+    the limit.
+    """
     elements: list[frozenset] = []
     keys: dict[frozenset, Hashable] = {}
-    for r in range(1, len(labels) + 1):
-        for combo in itertools.combinations(labels, r):
-            k = key(frozenset(combo))
-            if k is not None:
-                s = frozenset(combo)
+    level: list[tuple[int, ...]] = [()]
+    while level:
+        found = []
+        for combo in level:
+            for j in range(combo[-1] + 1 if combo else 0, len(labels)):
+                s = frozenset(labels[i] for i in combo + (j,))
+                k = key(s)
+                if k is None:
+                    continue
+                if len(elements) == MAX_NERVE_ELEMENTS:
+                    raise ValueError(f"the nerve stops at {MAX_NERVE_ELEMENTS} elements; this cover has more")
                 elements.append(s)
                 keys[s] = k
-    relations = [(a, b) for a in elements for b in elements if a < b]
+                found.append(combo + (j,))
+        level = found
+    # the order is the transitive closure of removing one label
+    relations = [(s - {lab}, s) for s in elements if len(s) > 1 for lab in s]
     return FinitePoset(elements, relations), keys
 
 

@@ -16,6 +16,7 @@ from arrcoh.linalg import Ring, ZZ
 __all__ = [
     "SimplicialComplex",
     "link",
+    "link_cohomology",
     "face_coboundaries",
     "reduced_cohomology",
     "is_cohen_macaulay",
@@ -45,6 +46,16 @@ class SimplicialComplex:
             for r in range(len(fs) + 1):
                 closed.update(frozenset(c) for c in itertools.combinations(fs, r))
         self.faces: frozenset = frozenset(closed)
+
+    @classmethod
+    def _closed(cls, order: Sequence[Hashable], faces: frozenset) -> "SimplicialComplex":
+        """The complex of a face set already closed under subsets, unchecked,
+        on the vertices its faces use, in the order of ``order``."""
+        L = cls.__new__(cls)
+        L.vertices = tuple(v for v in order if frozenset((v,)) in faces)
+        L._vindex = {v: i for i, v in enumerate(L.vertices)}
+        L.faces = faces
+        return L
 
     @classmethod
     def from_facets(cls, vertices: Sequence, facets: Iterable[Iterable]) -> "SimplicialComplex":
@@ -114,9 +125,28 @@ def link(L: SimplicialComplex, sigma: Iterable) -> SimplicialComplex:
     s = frozenset(sigma)
     if s not in L.faces:
         raise ValueError(f"{sorted(map(repr, s))} is not a face")
-    faces = [f for f in L.faces if not (f & s) and (f | s) in L.faces]
-    verts = [v for v in L.vertices if frozenset([v]) in faces or any(v in f for f in faces)]
-    return SimplicialComplex(verts, faces)
+    # the link of a face of a closed complex is closed
+    return SimplicialComplex._closed(L.vertices, frozenset(f for f in L.faces if not (f & s) and (f | s) in L.faces))
+
+
+def link_cohomology(L: SimplicialComplex, ring: Ring) -> dict[frozenset, CohomologyReport]:
+    """Reduced cohomology of the link of every face of L, over ``ring``.
+
+    Keyed by face in :meth:`SimplicialComplex.faces_of_card` order, the
+    empty face (whose link is L) first.  One sweep over the faces builds
+    every link: a face g lies in the link of each s contained in it, as
+    g - s, and every face of the link of s arises so from g = s | tau.
+    """
+    links: dict[frozenset, list[frozenset]] = {s: [] for s in sorted(L.faces, key=L._face_key)}
+    for g in L.faces:
+        for r in range(len(g) + 1):
+            for s in itertools.combinations(g, r):
+                s = frozenset(s)
+                links[s].append(g - s)
+    return {
+        s: reduced_cohomology(SimplicialComplex._closed(L.vertices, frozenset(faces)), ring)
+        for s, faces in links.items()
+    }
 
 
 def face_coboundaries(L: SimplicialComplex, weight: Callable) -> tuple[list[int], list[list[dict]]]:
@@ -183,20 +213,23 @@ def is_cohen_macaulay(L: SimplicialComplex, ring: Ring = ZZ) -> CMVerdict:
     and over Z is torsion-free there.
 
     Purity is a consequence, not a hypothesis: a too-small facet has a link
-    whose cohomology sits in degree -1 < dim L - |facet|.
+    whose cohomology sits in degree -1 < dim L - |facet|.  The links'
+    cohomology comes from one :func:`link_cohomology` table.
     """
+    return _cm_verdict(L, ring, link_cohomology(L, ring))
+
+
+def _cm_verdict(L: SimplicialComplex, ring: Ring, table: dict[frozenset, CohomologyReport]) -> CMVerdict:
+    """The Cohen-Macaulay verdict read from a :func:`link_cohomology` table."""
     d = L.dim
     failures = []
-    for f in sorted(L.faces, key=L._face_key):
-        lk = link(L, f)
+    for f, report in table.items():
         expected = d - len(f)
-        report = reduced_cohomology(lk, ring)
-        for k in range(-1, lk.dim + 1):
+        # a reduced complex reports every degree from -1 to the link's dimension
+        for k in report.free_ranks:
             rank_k = report.betti(k)
             tors = report.torsion_at(k)
-            if k != expected and (rank_k or tors):
-                failures.append((L.sort_face(f), k, rank_k, tors))
-            elif k == expected and tors:
+            if (k != expected and (rank_k or tors)) or (k == expected and tors):
                 failures.append((L.sort_face(f), k, rank_k, tors))
     return CMVerdict(ok=not failures, dim=d, ring=ring, failures=tuple(failures))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology, make_complex
 from arrcoh.covers import CoverDescription, E2Support, build_nerve, support_certificate
@@ -27,9 +27,10 @@ from arrcoh.poset import from_leq
 from arrcoh.simplicial import (
     CMVerdict,
     SimplicialComplex,
+    _cm_verdict,
     face_coboundaries,
-    is_cohen_macaulay,
     link,
+    link_cohomology,
     reduced_cohomology,
 )
 
@@ -74,9 +75,11 @@ class ToricRankOneSystem:
     field: FieldTag
     weights: Mapping
 
-    def is_trivial_on(self, face: Iterable) -> bool:
+    def trivial_vertices(self) -> frozenset:
+        """Vertices of weight 1: a face has all weights trivial exactly
+        when it lies inside this set."""
         one = self.field.one
-        return all(self.weights[v] == one for v in face)
+        return frozenset(v for v, w in self.weights.items() if w == one)
 
     @classmethod
     def from_mapping(cls, field: FieldTag, tc: ToricComplex, by_vertex: Mapping) -> "ToricRankOneSystem":
@@ -154,21 +157,35 @@ def toric_e2_page(tc: ToricComplex, sys: ToricRankOneSystem) -> E2Support:
     unit on a rank-one module has no invariants); a face with all weights
     trivial contributes the reduced cohomology of its link, reindexed so
     its column is twice the face cardinality.  Everything above the space
-    dimension is cut.
+    dimension is cut.  Only the links of the trivial faces are computed,
+    one :func:`~arrcoh.simplicial.link` each; ``verify_cm_theorem`` reads
+    the same page from its :func:`~arrcoh.simplicial.link_cohomology` table.
     """
     L = tc.base
-    field = sys.field
+    trivial = sys.trivial_vertices()
+    table = {
+        tau: reduced_cohomology(link(L, tau), sys.field)
+        for tau in sorted(L.faces, key=L._face_key)
+        if tau <= trivial
+    }
+    return _support_page(tc, sys, table)
+
+
+def _support_page(tc: ToricComplex, sys: ToricRankOneSystem, table: Mapping) -> E2Support:
+    """The support page read from link cohomology over ``sys.field``.
+
+    ``table`` maps faces, in face order, to the reduced cohomology of
+    their links; it holds at least every face whose weights are trivial.
+    """
+    trivial = sys.trivial_vertices()
     entries: dict[tuple[int, int], int] = {}
-    for tau in L.all_faces():
-        if not sys.is_trivial_on(tau):
+    for tau, report in table.items():
+        if not tau <= trivial:
             continue
-        lk = link(L, tau)
-        report = reduced_cohomology(lk, field)
-        for i in range(-1, lk.dim + 1):
-            h = report.betti(i)
+        q = 2 * len(tau)
+        for i, h in report.free_ranks.items():
             if h:
                 p = i + 1 - len(tau)
-                q = 2 * len(tau)
                 entries[(p, q)] = entries.get((p, q), 0) + h
     notes = (f"ambient bound {tc.space_dim}: the space is a union of {tc.space_dim}-tori and smaller",)
     return support_certificate(entries, ambient_bound=tc.space_dim, notes=notes)
@@ -206,6 +223,10 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
     If it is not Cohen-Macaulay, samples are only recorded.  Any violation
     of the concentration or agreement checks makes ``ok`` false.  At least
     one trial is required: a verdict needs a sample.
+
+    The reduced cohomology of every face link over F_p is computed once,
+    in one :func:`~arrcoh.simplicial.link_cohomology` table; the
+    Cohen-Macaulay verdict and every trial's support page are read from it.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -215,7 +236,8 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
         raise ValueError(f"field F_{p} too small: need at least {trials + 1} units")
     field = GF(p)
     L = tc.base
-    cm = is_cohen_macaulay(L, field)
+    table = link_cohomology(L, field)
+    cm = _cm_verdict(L, field, table)
     top = tc.space_dim
     rng = random.Random(seed)
     out = []
@@ -224,7 +246,7 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
         q = {v: rng.randrange(2, p) for v in L.vertices}
         sys = ToricRankOneSystem.from_mapping(field, tc, q)
         report = toric_cohomology(tc, sys)
-        page = toric_e2_page(tc, sys)
+        page = _support_page(tc, sys, table)
         betti = {k: report.betti(k) for k in range(0, top + 1) if report.betti(k)}
         trial = {
             "q": {str(v): q[v] for v in L.vertices},

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from arrcoh import cli
+from arrcoh.arrangement import MAX_AMBIENT_DIM
+from arrcoh.covers import MAX_NERVE_ELEMENTS
 
 
 LINES3 = {
@@ -437,6 +439,35 @@ def test_covers_validate(files, capsys):
     nonsense = dict(COVER, phi=[[["U1", "ZZ"], "x"]])
     code, _, err = run(capsys, ["covers-validate", files("cn.json", nonsense)])
     assert code == 2
+
+
+def _cover_of(sets):
+    labels = list(sets)
+    return {"sets": sets, "poset": {"elements": ["x"], "relations": []}, "rho": {"x": 0}, "phi": [[labels, "x"]]}
+
+
+def test_nerve_of_disjoint_sets_is_found_without_scanning_subsets(files, capsys):
+    # 2^30 label subsets, but only the 30 singletons meet
+    sets = {f"U{i}": [i] for i in range(30)}
+    obj = dict(_cover_of(sets), phi=[[[lab], "x"] for lab in sets])
+    code, out, _ = run(capsys, ["covers-validate", files("c.json", obj)])
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
+def test_nerve_limit_is_input_error(files, capsys):
+    # sets sharing a point: every one of the 2^25 - 1 label subsets meets
+    sets = {f"U{i}": [0, i + 1] for i in range(25)}
+    code, out, err = run(capsys, ["covers-validate", files("c.json", _cover_of(sets))])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and f"{MAX_NERVE_ELEMENTS} elements" in err
+
+
+def test_ambient_dimension_limit_is_input_error(files, capsys):
+    n = MAX_AMBIENT_DIM + 1
+    obj = {"n": n, "hyperplanes": [{"label": "a", "normal": ["1"] + ["0"] * (n - 1)}]}
+    code, out, err = run(capsys, ["arr-lattice", files("a.json", obj)])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and f"capped at {MAX_AMBIENT_DIM}" in err
 
 
 # --- module JSON round trips through the CLI ---------------------------------------

@@ -1,6 +1,10 @@
 """Nerves of set covers, cover validation, and sparse E2 support bookkeeping."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcoh.covers import (
     POSSIBLE,
@@ -48,6 +52,25 @@ def test_nerve_from_key_matches_sets():
     nerve_b, keys_b = build_nerve_from_key(list(sets), key)
     assert set(nerve_a.elements) == set(nerve_b.elements)
     assert keys_a == keys_b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 4), min_size=1), max_size=7))
+def test_nerve_matches_all_subsets_in_order(pools):
+    # oracle: every label subset in combinations order, kept when it meets
+    sets = {f"U{i}": s for i, s in enumerate(pools)}
+    expected = [
+        frozenset(c)
+        for r in range(1, len(sets) + 1)
+        for c in itertools.combinations(sets, r)
+        if frozenset.intersection(*(sets[lab] for lab in c))
+    ]
+    nerve, keys = build_nerve(sets)
+    assert list(nerve.elements) == expected
+    assert all(keys[s] == frozenset.intersection(*(sets[lab] for lab in s)) for s in expected)
+    for a in expected:
+        for b in expected:
+            assert nerve.less(a, b) == (a < b)
 
 
 def _two_set_cover():

@@ -18,6 +18,7 @@ from arrcoh.simplicial import (
     enumerate_complexes,
     is_cohen_macaulay,
     link,
+    link_cohomology,
     reduced_cohomology,
 )
 from arrcoh.toric import ToricComplex
@@ -309,6 +310,28 @@ def test_universal_coefficients(L):
         for k in range(-1, L.dim + 2):
             divisible = sum(t % p == 0 for t in over_z.torsion_at(k) + over_z.torsion_at(k + 1))
             assert over_fp.betti(k) == over_z.betti(k) + divisible, (p, k)
+
+
+@st.composite
+def named_complexes(draw):
+    """A complex from ``complexes`` with its vertices renamed to strings in
+    a shuffled order, so the vertex order is not the order of the names."""
+    n = draw(st.integers(0, 6))
+    cx = draw(complexes(n))
+    names = [f"v{p}" for p in draw(st.permutations(range(n)))]
+    return SimplicialComplex.from_facets(names, [[names[v] for v in f] for f in cx.facets()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(named_complexes())
+@example(SimplicialComplex.from_facets(range(1, 7), RP2_FACETS))
+@example(SimplicialComplex.from_facets(["a", "b", "c", "d"], [("a", "b", "c"), ("c", "d"), ("b", "d")]))
+def test_link_cohomology_matches_each_link(L):
+    for ring in (ZZ, GF(2)):
+        table = link_cohomology(L, ring)
+        assert list(table) == [frozenset(f) for f in L.all_faces()]
+        for f, report in table.items():
+            assert report == reduced_cohomology(link(L, f), ring), (L.facets(), ring, f)
 
 
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(complexes(n), st.permutations(range(n)))), st.randoms())

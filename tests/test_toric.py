@@ -5,12 +5,15 @@ computations (direct cochain complex, link-based support page) are also
 cross-checked on a corpus where the collapse theorem applies.
 """
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrcoh.covers import validate_cover
-from arrcoh.linalg import GF, QQ
+from arrcoh.linalg import GF, QQ, ZZ
 from arrcoh.simplicial import SimplicialComplex, enumerate_complexes, is_cohen_macaulay, reduced_cohomology
 from arrcoh.toric import (
     ToricComplex,
@@ -274,3 +277,20 @@ def test_cm_report_json():
     assert obj["cohen_macaulay"]["ok"] is True
     assert obj["prime"] == 101 and obj["seed"] == 1
     assert len(obj["trials"]) == 2
+
+
+# sha256 over enumerate_complexes(5) of the JSON of is_cohen_macaulay(cx, ZZ)
+# and of verify_cm_theorem(cx, 101, trials=5, seed=s) for s = 0, 1, each
+# json.dumps'd in turn; taken from the version that computed every link
+# separately for the verdict and for each trial's support page.
+TORIC_CORPUS_DIGEST = "88bce5731cda2df678a55ca44e577d4d5b3b62346f0aca87d47ed130a866128b"
+
+
+def test_toric_corpus_digest_pinned():
+    h = hashlib.sha256()
+    for cx in enumerate_complexes(5):
+        h.update(json.dumps(is_cohen_macaulay(cx, ZZ).to_json()).encode())
+        for seed in (0, 1):
+            report = verify_cm_theorem(ToricComplex(cx), 101, trials=5, seed=seed)
+            h.update(json.dumps(report.to_json()).encode())
+    assert h.hexdigest() == TORIC_CORPUS_DIGEST
