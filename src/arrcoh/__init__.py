@@ -9,42 +9,73 @@ subtorus unions over simplicial complexes with the Cohen-Macaulay
 criterion, and subgroup arrangements in powers of an elliptic curve.
 """
 
-from arrcoh.arrangement import (
-    Arrangement,
-    IntersectionLattice,
-    RankOneSystem,
-    VanishingVerdict,
-    e2_certificate,
-    intersection_lattice,
-    maximal_building_set,
-    minimal_building_set,
-    nested_complex,
-    nested_cover,
-    poincare_and_beta,
-    vanishing_check,
-)
-from arrcoh.cochain import CohomologyReport, complex_cohomology, make_complex
-from arrcoh.covers import CoverDescription, E2Support, build_nerve, validate_cover
-from arrcoh.elliptic import (
-    EllipticArrangement,
-    analyze,
-    components,
-    convenient_check,
-    elliptic_vanishing_certificate,
-    enumerate_strata,
-    tangent_arrangement,
-)
-from arrcoh.linalg import GF, QQ, ZZ, Matrix, smith_normal_form
-from arrcoh.salvetti import SalvettiComplex, build_salvetti, twisted_cohomology
-from arrcoh.simplicial import SimplicialComplex, is_cohen_macaulay, link, reduced_cohomology
-from arrcoh.toric import (
-    ToricComplex,
-    ToricRankOneSystem,
-    cover_nerve,
-    toric_cohomology,
-    toric_e2_page,
-    verify_cm_theorem,
-)
+import importlib
+
+_EXPORTS = {  # exported name -> the module that defines it
+    "Arrangement": "arrangement",
+    "IntersectionLattice": "arrangement",
+    "RankOneSystem": "arrangement",
+    "VanishingVerdict": "arrangement",
+    "e2_certificate": "arrangement",
+    "intersection_lattice": "arrangement",
+    "maximal_building_set": "arrangement",
+    "minimal_building_set": "arrangement",
+    "nested_complex": "arrangement",
+    "nested_cover": "arrangement",
+    "poincare_and_beta": "arrangement",
+    "vanishing_check": "arrangement",
+    "CohomologyReport": "cochain",
+    "complex_cohomology": "cochain",
+    "make_complex": "cochain",
+    "CoverDescription": "covers",
+    "E2Support": "covers",
+    "build_nerve": "covers",
+    "validate_cover": "covers",
+    "EllipticArrangement": "elliptic",
+    "analyze": "elliptic",
+    "components": "elliptic",
+    "convenient_check": "elliptic",
+    "elliptic_vanishing_certificate": "elliptic",
+    "enumerate_strata": "elliptic",
+    "tangent_arrangement": "elliptic",
+    "GF": "linalg",
+    "QQ": "linalg",
+    "ZZ": "linalg",
+    "Matrix": "linalg",
+    "smith_normal_form": "linalg",
+    "SalvettiComplex": "salvetti",
+    "build_salvetti": "salvetti",
+    "twisted_cohomology": "salvetti",
+    "SimplicialComplex": "simplicial",
+    "is_cohen_macaulay": "simplicial",
+    "link": "simplicial",
+    "reduced_cohomology": "simplicial",
+    "ToricComplex": "toric",
+    "ToricRankOneSystem": "toric",
+    "cover_nerve": "toric",
+    "toric_cohomology": "toric",
+    "toric_e2_page": "toric",
+    "verify_cm_theorem": "toric",
+}
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` on first access (PEP 562).
+
+    ``import arrcoh`` loads no submodule, so a command that needs one family
+    of spaces compiles only the modules that family imports.
+    """
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "0.1.0"
 

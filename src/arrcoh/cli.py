@@ -22,38 +22,13 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from arrcoh.arrangement import (
-    Arrangement,
-    RankOneSystem,
-    depth_bound,
-    e2_certificate,
-    intersection_lattice,
-    maximal_building_set,
-    minimal_building_set,
-    nested_complex,
-    poincare_and_beta,
-    vanishing_check,
-)
-from arrcoh.covers import CoverDescription, E2Support, build_nerve, validate_cover
-from arrcoh.elliptic import (
-    EllipticArrangement,
-    analyze,
-    convenient_check,
-    elliptic_vanishing_certificate,
-)
 from arrcoh.linalg import GF, QQ, ZZ, FieldTag, InternalError, is_prime
-from arrcoh.poset import from_relations
-from arrcoh.salvetti import build_salvetti, twisted_cohomology
-from arrcoh.simplicial import is_cohen_macaulay
-from arrcoh.toric import (
-    ToricComplex,
-    ToricRankOneSystem,
-    toric_cohomology,
-    toric_e2_page,
-    verify_cm_theorem,
-)
+
+if TYPE_CHECKING:
+    from arrcoh.arrangement import Arrangement
+    from arrcoh.covers import E2Support
 
 __all__ = ["main"]
 
@@ -136,16 +111,10 @@ def _betti_table(label: str, by_degree: Mapping[int, int]) -> list[str]:
 # verb handlers: each returns (json-report, ok, table-lines)
 
 
-def _arr_and_weights(args, need_weights: bool = True):
-    a = Arrangement.from_json(_load(args.arrangement))
-    sys_ = None
-    if need_weights:
-        sys_ = RankOneSystem.from_json(a, _load(args.weights))
-    return a, sys_
-
-
 def _run_arr_lattice(args):
-    a, _ = _arr_and_weights(args, need_weights=False)
+    from arrcoh.arrangement import Arrangement, intersection_lattice, poincare_and_beta
+
+    a = Arrangement.from_json(_load(args.arrangement))
     lat = intersection_lattice(a)
     pi, beta = poincare_and_beta(a, lat)
     report = lat.to_json()
@@ -162,7 +131,9 @@ def _run_arr_lattice(args):
 
 
 def _run_arr_beta(args):
-    a, _ = _arr_and_weights(args, need_weights=False)
+    from arrcoh.arrangement import Arrangement, poincare_and_beta
+
+    a = Arrangement.from_json(_load(args.arrangement))
     pi, beta = poincare_and_beta(a)
     report = {"pi": pi, "beta": beta}
     table = [f"π(t) = {_poly(pi)}", f"β = {beta}"]
@@ -176,12 +147,16 @@ def _essentialized(a: Arrangement) -> tuple[Arrangement, bool]:
 
 
 def _building(a, lat, kind: str):
+    from arrcoh.arrangement import maximal_building_set, minimal_building_set
+
     if kind == "maximal":
         return maximal_building_set(a, lat)
     return minimal_building_set(a, lat)
 
 
 def _run_arr_nested(args):
+    from arrcoh.arrangement import Arrangement, intersection_lattice, nested_complex
+
     a = Arrangement.from_json(_load(args.arrangement))
     a, reduced = _essentialized(a)
     lat = intersection_lattice(a)
@@ -207,6 +182,15 @@ def _run_arr_nested(args):
 
 
 def _run_arr_vanish(args):
+    from arrcoh.arrangement import (
+        Arrangement,
+        RankOneSystem,
+        depth_bound,
+        e2_certificate,
+        intersection_lattice,
+        vanishing_check,
+    )
+
     a = Arrangement.from_json(_load(args.arrangement))
     a, reduced = _essentialized(a)
     sys_ = RankOneSystem.from_json(a, _load(args.weights))
@@ -233,6 +217,9 @@ def _run_arr_vanish(args):
 
 
 def _run_arr_salvetti(args):
+    from arrcoh.arrangement import Arrangement, RankOneSystem
+    from arrcoh.salvetti import build_salvetti, twisted_cohomology
+
     a = Arrangement.from_json(_load(args.arrangement))
     a, reduced = _essentialized(a)
     if args.weights:
@@ -251,6 +238,8 @@ def _run_arr_salvetti(args):
 
 
 def _run_toric_cohomology(args):
+    from arrcoh.toric import ToricComplex, ToricRankOneSystem, toric_cohomology, toric_e2_page
+
     tc = ToricComplex.from_json(_load(args.complex))
     sys_ = ToricRankOneSystem.from_json(tc, _load(args.weights))
     rep = toric_cohomology(tc, sys_)
@@ -281,6 +270,9 @@ def _ring_spec(text: str):
 
 
 def _run_toric_cm(args):
+    from arrcoh.simplicial import is_cohen_macaulay
+    from arrcoh.toric import ToricComplex
+
     tc = ToricComplex.from_json(_load(args.complex))
     ring = _ring_spec(args.ring)
     verdict = is_cohen_macaulay(tc.base, ring)
@@ -296,6 +288,8 @@ def _run_toric_cm(args):
 
 
 def _run_toric_verify(args):
+    from arrcoh.toric import ToricComplex, verify_cm_theorem
+
     tc = ToricComplex.from_json(_load(args.complex))
     rep = verify_cm_theorem(tc, args.prime, trials=args.trials, seed=args.seed)
     report = rep.to_json()
@@ -322,6 +316,8 @@ def _run_toric_verify(args):
 
 
 def _run_ell_analyze(args):
+    from arrcoh.elliptic import EllipticArrangement, analyze
+
     ea = EllipticArrangement.from_json(_load(args.arrangement))
     rep = analyze(ea)
     report = rep.to_json()
@@ -344,6 +340,8 @@ def _elliptic_field(obj: Mapping) -> FieldTag:
 
 
 def _run_ell_convenient(args):
+    from arrcoh.elliptic import EllipticArrangement, convenient_check
+
     obj = _load(args.arrangement)
     ea = EllipticArrangement.from_json(obj)
     if "character" not in obj:
@@ -362,6 +360,9 @@ def _run_ell_convenient(args):
 
 
 def _run_ell_certify(args):
+    from arrcoh.arrangement import RankOneSystem
+    from arrcoh.elliptic import EllipticArrangement, elliptic_vanishing_certificate
+
     obj = _load(args.arrangement)
     ea = EllipticArrangement.from_json(obj)
     if "weights" not in obj:
@@ -374,6 +375,9 @@ def _run_ell_certify(args):
 
 
 def _run_covers_validate(args):
+    from arrcoh.covers import CoverDescription, build_nerve, validate_cover
+    from arrcoh.poset import from_relations
+
     obj = _load(args.cover)
     try:
         sets = {str(k): frozenset(v) for k, v in obj["sets"].items()}

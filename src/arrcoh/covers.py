@@ -137,10 +137,11 @@ def validate_cover(cover: CoverDescription) -> CoverVerdict:
             failures.append(("phi-range", (s, cover.phi[s])))
     if failures:
         return CoverVerdict(False, tuple(failures))
-    for s in nerve.elements:
-        for t in nerve.elements:
-            if s != t and nerve.less(s, t) and not P.leq(cover.phi[s], cover.phi[t]):
-                failures.append(("phi-not-order-preserving", (s, t)))
+    # only a comparable pair can fail a check below: walk each element's up-set
+    comparable = [(s, t) for s in nerve.elements for t in nerve.strictly_above(s)]
+    for s, t in comparable:
+        if not P.leq(cover.phi[s], cover.phi[t]):
+            failures.append(("phi-not-order-preserving", (s, t)))
     image = {cover.phi[s] for s in nerve.elements}
     for x in P.elements:
         if x not in image:
@@ -150,11 +151,9 @@ def validate_cover(cover: CoverDescription) -> CoverVerdict:
         failures.append(("rho-not-ranked", rk.witness or ()))
     if cover.keys is not None:
         key_failures: list[tuple[str, tuple]] = []
-        for s in nerve.elements:
-            for t in nerve.elements:
-                if s != t and nerve.less(s, t) and cover.keys[s] == cover.keys[t]:
-                    if cover.phi[s] != cover.phi[t]:
-                        key_failures.append(("condition3", (s, t)))
+        for s, t in comparable:
+            if cover.keys[s] == cover.keys[t] and cover.phi[s] != cover.phi[t]:
+                key_failures.append(("condition3", (s, t)))
         failures.extend(key_failures)
         fibers_constant = True
         fiber_key: dict = {}

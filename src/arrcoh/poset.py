@@ -73,6 +73,10 @@ class FinitePoset:
     def less(self, x, y) -> bool:
         return self._index[y] in self._above[self._index[x]]
 
+    def strictly_above(self, x) -> list:
+        """The elements y with x < y, in element order."""
+        return [self.elements[j] for j in sorted(self._above[self._index[x]])]
+
     def down_set(self, x) -> list:
         return [e for e in self.elements if self.leq(e, x)]
 
@@ -151,10 +155,9 @@ def validate_ranked(poset: FinitePoset, rho: Mapping) -> RankVerdict:
         if e not in rho:
             return RankVerdict(False, f"missing rank for {e!r}", (e,))
     for x in poset.elements:
-        for y in poset.elements:
-            if x != y and poset.less(x, y):
-                if rho[x] > rho[y]:
-                    return RankVerdict(False, "rank decreases along order", (x, y))
-                if rho[x] == rho[y]:
-                    return RankVerdict(False, "comparable pair shares a rank (fiber not an antichain)", (x, y))
+        for y in poset.strictly_above(x):
+            if rho[x] > rho[y]:
+                return RankVerdict(False, "rank decreases along order", (x, y))
+            if rho[x] == rho[y]:
+                return RankVerdict(False, "comparable pair shares a rank (fiber not an antichain)", (x, y))
     return RankVerdict(True)

@@ -136,6 +136,8 @@ def link_cohomology(L: SimplicialComplex, ring: Ring) -> dict[frozenset, Cohomol
     empty face (whose link is L) first.  One sweep over the faces builds
     every link: a face g lies in the link of each s contained in it, as
     g - s, and every face of the link of s arises so from g = s | tau.
+    Faces with equal links (every facet's link is {emptyset}) share one
+    computation.
     """
     links: dict[frozenset, list[frozenset]] = {s: [] for s in sorted(L.faces, key=L._face_key)}
     for g in L.faces:
@@ -143,10 +145,14 @@ def link_cohomology(L: SimplicialComplex, ring: Ring) -> dict[frozenset, Cohomol
             for s in itertools.combinations(g, r):
                 s = frozenset(s)
                 links[s].append(g - s)
-    return {
-        s: reduced_cohomology(SimplicialComplex._closed(L.vertices, frozenset(faces)), ring)
-        for s, faces in links.items()
-    }
+    by_link: dict[frozenset, CohomologyReport] = {}
+    table = {}
+    for s, faces in links.items():
+        faces = frozenset(faces)
+        if faces not in by_link:
+            by_link[faces] = reduced_cohomology(SimplicialComplex._closed(L.vertices, faces), ring)
+        table[s] = by_link[faces]
+    return table
 
 
 def face_coboundaries(L: SimplicialComplex, weight: Callable) -> tuple[list[int], list[list[dict]]]:

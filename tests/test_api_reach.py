@@ -6,7 +6,8 @@ named in README.md, or used by the benchmark under ``perfbench/``.  A name
 that only tests reach is code no user can rely on: delete it instead.
 A module-level private function or class (``_name``) must be referenced
 under ``src/arrcoh`` outside its own definition, so an oracle that only
-tests use lives in ``tests/``.
+tests use lives in ``tests/``.  Dunder names (``__getattr__``) are exempt:
+the interpreter calls them.
 """
 
 import ast
@@ -47,8 +48,8 @@ def _references(tree: ast.Module, skip: ast.AST | None) -> set[str]:
     return out
 
 
-def _trees() -> dict[Path, ast.Module]:
-    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+def _trees(package: Path = PACKAGE) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
 
 
 def _reached_in_src(trees: dict[Path, ast.Module], path: Path, name: str) -> bool:
@@ -74,14 +75,19 @@ def unreached_public_names() -> list[str]:
     return offenders
 
 
-def unreached_private_helpers() -> list[str]:
-    trees = _trees()
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreached_private_helpers(package: Path = PACKAGE) -> list[str]:
+    trees = _trees(package)
     offenders = []
     for path, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
-                if not _reached_in_src(trees, path, node.name):
-                    offenders.append(f"{path.name}: {node.name}")
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _is_dunder(node.name):
+                continue
+            if node.name.startswith("_") and not _reached_in_src(trees, path, node.name):
+                offenders.append(f"{path.name}: {node.name}")
     return offenders
 
 
@@ -91,3 +97,14 @@ def test_every_public_name_is_reached():
 
 def test_every_private_helper_is_reached_from_src():
     assert unreached_private_helpers() == []
+
+
+def test_private_rule_names_orphans_and_skips_dunders(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "def __getattr__(name):\n    raise AttributeError(name)\n", encoding="utf-8"
+    )
+    (tmp_path / "mod.py").write_text(
+        "def _orphan():\n    return 1\n\n\ndef _used():\n    return 2\n\n\nVALUE = _used()\n",
+        encoding="utf-8",
+    )
+    assert unreached_private_helpers(tmp_path) == ["mod.py: _orphan"]

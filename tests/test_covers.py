@@ -161,6 +161,35 @@ def test_validate_cover_bad_rank():
     assert any(code == "rho-not-ranked" for code, _ in v.failures)
 
 
+def _all_pairs_failures(cover):
+    # oracle: the pair checks of validate_cover over all N^2 nerve pairs
+    nerve, P, phi = cover.nerve, cover.poset, cover.phi
+    pairs = [(s, t) for s in nerve.elements for t in nerve.elements if s != t and nerve.less(s, t)]
+    out = [("phi-not-order-preserving", (s, t)) for s, t in pairs if not P.leq(phi[s], phi[t])]
+    if cover.keys is not None:
+        out += [("condition3", (s, t)) for s, t in pairs if cover.keys[s] == cover.keys[t] and phi[s] != phi[t]]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(0, 3), min_size=1), min_size=1, max_size=5),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_validate_cover_pair_checks_match_all_pairs(pools, k, data):
+    nerve, keys = build_nerve({f"U{i}": s for i, s in enumerate(pools)})
+    elements = [f"p{i}" for i in range(k)]
+    below = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
+    poset = from_relations(elements, [(elements[i], elements[j]) for i, j in below if i < j])
+    rho = {x: data.draw(st.integers(0, 3)) for x in elements}
+    phi = {s: data.draw(st.sampled_from(elements)) for s in nerve.elements}
+    cover = CoverDescription(nerve, poset, rho, phi, keys if data.draw(st.booleans()) else None)
+    pair_codes = ("phi-not-order-preserving", "condition3")
+    got = [f for f in validate_cover(cover).failures if f[0] in pair_codes]
+    assert got == _all_pairs_failures(cover)
+
+
 def test_cover_verdict_json():
     nerve, keys, poset, phi, rho = _two_set_cover()
     obj = validate_cover(CoverDescription(nerve, poset, rho, phi)).to_json()

@@ -8,6 +8,9 @@ together with a note in CHANGES.md saying why the output changed.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from arrcoh import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 INPUTS = {  # the input examples of the README
     "lines": {
@@ -87,14 +91,19 @@ CASES = {  # golden file stem -> (argv with {input} placeholders, exit code)
 }
 
 
-def run_case(name: str, workdir: Path) -> int:
-    """Write the inputs and run one case through ``cli.main``; return its exit code."""
+def case_argv(name: str, workdir: Path) -> list[str]:
+    """Write the inputs into ``workdir`` and return the argv of one case."""
     paths = {}
     for key, obj in INPUTS.items():
         paths[key] = workdir / f"{key}.json"
         paths[key].write_text(json.dumps(obj), encoding="utf-8")
     argv, _ = CASES[name]
-    return cli.main([a.format_map(paths) for a in argv])
+    return [a.format_map(paths) for a in argv]
+
+
+def run_case(name: str, workdir: Path) -> int:
+    """Run one case through ``cli.main``; return its exit code."""
+    return cli.main(case_argv(name, workdir))
 
 
 def _format(argv: list[str]) -> str:
@@ -114,3 +123,30 @@ def test_golden_output(name, tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == CASES[name][1]
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports arrcoh from this checkout."""
+    env = {k: v for k, v in os.environ.items() if k != cli.FORMAT_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+# the first case of each verb, run the way a shell user runs it
+COLD_CASES = {argv[0]: name for name, (argv, _) in reversed(CASES.items())}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_CASES.values()))
+def test_golden_output_cold_process(name, tmp_path):
+    """A fresh ``python -m arrcoh.cli`` that compiles every module from source prints the golden bytes."""
+    env = fresh_env()
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path / "no-bytecode")  # an empty cache: nothing is read from __pycache__
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrcoh.cli", *case_argv(name, tmp_path)],
+        env=env,
+        capture_output=True,
+        check=False,
+    )
+    assert proc.returncode == CASES[name][1], proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()

@@ -8,8 +8,11 @@ a bug.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcoh.poset import (
+    RankVerdict,
     from_leq,
     from_relations,
     moebius_table,
@@ -124,3 +127,26 @@ def test_validate_ranked():
     assert not backwards.ok
     missing = validate_ranked(p, {"x": 0, "y": 1})
     assert not missing.ok
+
+
+def _all_pairs_rank_verdict(poset, rho):
+    # oracle: validate_ranked over all N^2 pairs, for a rho defined everywhere
+    for x in poset.elements:
+        for y in poset.elements:
+            if x != y and poset.less(x, y):
+                if rho[x] > rho[y]:
+                    return RankVerdict(False, "rank decreases along order", (x, y))
+                if rho[x] == rho[y]:
+                    return RankVerdict(False, "comparable pair shares a rank (fiber not an antichain)", (x, y))
+    return RankVerdict(True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_validate_ranked_matches_all_pairs(n, data):
+    # elements listed in a shuffled order, so element order need not extend the order
+    elements = data.draw(st.permutations([f"e{i}" for i in range(n)]))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    poset = from_relations(elements, [(f"e{i}", f"e{j}") for i, j in pairs if i < j])
+    rho = {f"e{i}": data.draw(st.integers(0, 3)) for i in range(n)}
+    assert validate_ranked(poset, rho) == _all_pairs_rank_verdict(poset, rho)
