@@ -375,7 +375,7 @@ def _run_ell_certify(args):
 
 
 def _run_covers_validate(args):
-    from arrcoh.covers import CoverDescription, build_nerve, validate_cover
+    from arrcoh.covers import MAX_WITNESSES, CoverDescription, build_nerve, validate_cover
     from arrcoh.poset import from_relations
 
     obj = _load(args.cover)
@@ -400,6 +400,9 @@ def _run_covers_validate(args):
     table = [f"valid: {'yes' if verdict.valid else 'no'}", f"homotopy condition: {verdict.condition2}"]
     for code, wit in verdict.failures:
         table.append(f"  failure {code}: {', '.join(str(w) for w in wit)}")
+    for code, n in verdict.counts.items():
+        if n > MAX_WITNESSES:
+            table.append(f"  failure {code}: {n - MAX_WITNESSES} more not listed")
     for note in verdict.assumptions:
         table.append(f"  assumption: {note}")
     return report, verdict.valid, table

@@ -15,13 +15,14 @@ one.  It never claims nonvanishing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from arrcoh.poset import FinitePoset, validate_ranked
 
 __all__ = [
     "MAX_NERVE_ELEMENTS",
+    "MAX_WITNESSES",
     "build_nerve",
     "CoverDescription",
     "CoverVerdict",
@@ -33,6 +34,9 @@ __all__ = [
 
 # k sets that share a point have 2^k - 1 nerve elements; 11 such sets fit
 MAX_NERVE_ELEMENTS = 2048
+# a verdict lists this many failures of each code and counts the rest: sets
+# that share a point can fail condition 3 on almost every comparable pair
+MAX_WITNESSES = 10
 
 
 def build_nerve(sets: Mapping[Hashable, frozenset]) -> tuple[FinitePoset, dict]:
@@ -103,16 +107,22 @@ class CoverDescription:
 class CoverVerdict:
     valid: bool
     failures: tuple = ()
+    """(code, witness) pairs: the first ``MAX_WITNESSES`` found of each code."""
     condition2: str = "assumed"  # "certified" when keys witness the surrogate
     assumptions: tuple = ()
+    counts: Mapping[str, int] = field(default_factory=dict)
+    """How many failures of each code were found, listed or not."""
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "valid": self.valid,
             "failures": [[code, [str(w) for w in wit]] for code, wit in self.failures],
             "condition2": self.condition2,
             "assumptions": list(self.assumptions),
         }
+        if self.counts:
+            out["failure_counts"] = dict(self.counts)
+        return out
 
 
 def validate_cover(cover: CoverDescription) -> CoverVerdict:
@@ -124,37 +134,45 @@ def validate_cover(cover: CoverDescription) -> CoverVerdict:
     homotopy condition itself is undecidable from set data; it is reported
     as "certified" only when every phi fiber carries a constant intersection
     key (so collapsing the fiber loses nothing), and "assumed" otherwise.
+
+    Every failure is counted; the verdict lists the first
+    ``MAX_WITNESSES`` of each code, in the order they are found.
     """
     failures: list[tuple[str, tuple]] = []
+    counts: dict[str, int] = {}
+
+    def fail(code: str, witness: tuple) -> None:
+        counts[code] = counts.get(code, 0) + 1
+        if counts[code] <= MAX_WITNESSES:
+            failures.append((code, witness))
+
     nerve, P = cover.nerve, cover.poset
     for s in nerve.elements:
         if s not in cover.phi:
-            failures.append(("phi-missing", (s,)))
+            fail("phi-missing", (s,))
     if failures:
-        return CoverVerdict(False, tuple(failures))
+        return CoverVerdict(False, tuple(failures), counts=counts)
     for s in nerve.elements:
         if cover.phi[s] not in P:
-            failures.append(("phi-range", (s, cover.phi[s])))
+            fail("phi-range", (s, cover.phi[s]))
     if failures:
-        return CoverVerdict(False, tuple(failures))
+        return CoverVerdict(False, tuple(failures), counts=counts)
     # only a comparable pair can fail a check below: walk each element's up-set
     comparable = [(s, t) for s in nerve.elements for t in nerve.strictly_above(s)]
     for s, t in comparable:
         if not P.leq(cover.phi[s], cover.phi[t]):
-            failures.append(("phi-not-order-preserving", (s, t)))
+            fail("phi-not-order-preserving", (s, t))
     image = {cover.phi[s] for s in nerve.elements}
     for x in P.elements:
         if x not in image:
-            failures.append(("phi-not-surjective", (x,)))
+            fail("phi-not-surjective", (x,))
     rk = validate_ranked(P, cover.rho)
     if not rk.ok:
-        failures.append(("rho-not-ranked", rk.witness or ()))
+        fail("rho-not-ranked", rk.witness or ())
     if cover.keys is not None:
-        key_failures: list[tuple[str, tuple]] = []
         for s, t in comparable:
             if cover.keys[s] == cover.keys[t] and cover.phi[s] != cover.phi[t]:
-                key_failures.append(("condition3", (s, t)))
-        failures.extend(key_failures)
+                fail("condition3", (s, t))
         fibers_constant = True
         fiber_key: dict = {}
         for s in nerve.elements:
@@ -163,7 +181,7 @@ def validate_cover(cover: CoverDescription) -> CoverVerdict:
                 fibers_constant = False
             else:
                 fiber_key.setdefault(x, cover.keys[s])
-        if key_failures:
+        if "condition3" in counts:
             condition2 = "failed"
             assumptions: tuple = ()
         elif fibers_constant:
@@ -175,7 +193,7 @@ def validate_cover(cover: CoverDescription) -> CoverVerdict:
     else:
         condition2 = "assumed"
         assumptions = ("homotopy condition on up-set unions assumed (no intersection keys)",)
-    return CoverVerdict(not failures, tuple(failures), condition2, assumptions)
+    return CoverVerdict(not failures, tuple(failures), condition2, assumptions, counts)
 
 
 @dataclass(frozen=True)

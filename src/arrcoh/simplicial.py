@@ -14,6 +14,7 @@ from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomol
 from arrcoh.linalg import Ring, ZZ
 
 __all__ = [
+    "MAX_FACES",
     "SimplicialComplex",
     "link",
     "link_cohomology",
@@ -23,6 +24,10 @@ __all__ = [
     "CMVerdict",
     "enumerate_complexes",
 ]
+
+# every face of the simplex on 12 vertices, the empty face included; the link
+# table of a complex with F faces sweeps up to F^log2(3) (face, subface) pairs
+MAX_FACES = 4096
 
 
 class SimplicialComplex:
@@ -35,16 +40,21 @@ class SimplicialComplex:
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         faces = set(faces)
         faces.add(frozenset())
+        too_many = f"a simplicial complex stops at {MAX_FACES} faces; this one has more"
         for f in faces:
             for v in f:
                 if v not in self._vindex:
                     raise ValueError(f"face {sorted(map(repr, f))} uses unknown vertex {v!r}")
-        # downward closure
+            if 1 << len(f) > MAX_FACES:
+                raise ValueError(too_many)
+        # downward closure, stopped as soon as it passes the limit
         closed: set[frozenset] = set()
         for f in faces:
             fs = sorted(f, key=self._vindex.get)
             for r in range(len(fs) + 1):
                 closed.update(frozenset(c) for c in itertools.combinations(fs, r))
+            if len(closed) > MAX_FACES:
+                raise ValueError(too_many)
         self.faces: frozenset = frozenset(closed)
 
     @classmethod
@@ -129,29 +139,63 @@ def link(L: SimplicialComplex, sigma: Iterable) -> SimplicialComplex:
     return SimplicialComplex._closed(L.vertices, frozenset(f for f in L.faces if not (f & s) and (f | s) in L.faces))
 
 
+def _face_index(L: SimplicialComplex) -> tuple[list[list[int]], dict[int, frozenset]]:
+    """The faces of L as bitmasks over ``L.vertices`` (bit i for vertex i).
+
+    Returns the masks grouped by cardinality, each group in
+    :meth:`SimplicialComplex.faces_of_card` order, and the face of each
+    mask.  A face of cardinality c + 1 is a face of cardinality c extended
+    by a vertex after its last one, so extending each group in order lists
+    the next group in order too.
+    """
+    bit = {v: 1 << i for i, v in enumerate(L.vertices)}
+    face_of = {sum(map(bit.__getitem__, f)): f for f in L.faces}
+    n = len(L.vertices)
+    levels = [[0]]
+    while True:
+        nxt = [g | 1 << v for g in levels[-1] for v in range(g.bit_length(), n) if g | 1 << v in face_of]
+        if not nxt:
+            return levels, face_of
+        levels.append(nxt)
+
+
 def link_cohomology(L: SimplicialComplex, ring: Ring) -> dict[frozenset, CohomologyReport]:
     """Reduced cohomology of the link of every face of L, over ``ring``.
 
     Keyed by face in :meth:`SimplicialComplex.faces_of_card` order, the
-    empty face (whose link is L) first.  One sweep over the faces builds
-    every link: a face g lies in the link of each s contained in it, as
-    g - s, and every face of the link of s arises so from g = s | tau.
-    Faces with equal links (every facet's link is {emptyset}) share one
-    computation.
+    empty face (whose link is L) first.  One sweep over the faces, as
+    bitmasks, builds every link: a face g lies in the link of each
+    submask s of g, as g - s, and every face of the link of s arises so
+    from g = s | tau.
+
+    Links are shared by shape: each link is relabeled onto 0..m-1, its m
+    vertices taken in the vertex order of L, and the cohomology is
+    computed once per distinct relabeled face set.  Links that differ only
+    in their vertex labels (every facet's link is {emptyset}; the link of
+    each vertex of a cycle is two points) share one report.
     """
-    links: dict[frozenset, list[frozenset]] = {s: [] for s in sorted(L.faces, key=L._face_key)}
-    for g in L.faces:
-        for r in range(len(g) + 1):
-            for s in itertools.combinations(g, r):
-                s = frozenset(s)
-                links[s].append(g - s)
-    by_link: dict[frozenset, CohomologyReport] = {}
+    levels, face_of = _face_index(L)
+    links: dict[int, list[int]] = {s: [] for level in levels for s in level}
+    for g in face_of:
+        s = g
+        while True:
+            links[s].append(g ^ s)
+            if not s:
+                break
+            s = (s - 1) & g
+    by_shape: dict[frozenset, CohomologyReport] = {}
     table = {}
     for s, faces in links.items():
-        faces = frozenset(faces)
-        if faces not in by_link:
-            by_link[faces] = reduced_cohomology(SimplicialComplex._closed(L.vertices, faces), ring)
-        table[s] = by_link[faces]
+        used = 0
+        for f in faces:
+            used |= f
+        positions = [1 << i for i in range(used.bit_length()) if used >> i & 1]
+        shape = frozenset(sum(1 << j for j, b in enumerate(positions) if f & b) for f in faces)
+        if shape not in by_shape:
+            m = len(positions)
+            shape_faces = frozenset(frozenset(j for j in range(m) if f >> j & 1) for f in shape)
+            by_shape[shape] = reduced_cohomology(SimplicialComplex._closed(range(m), shape_faces), ring)
+        table[face_of[s]] = by_shape[shape]
     return table
 
 
@@ -165,15 +209,22 @@ def face_coboundaries(L: SimplicialComplex, weight: Callable) -> tuple[list[int]
     holds (-1)^pos * weight(v), with pos the number of vertices of g
     before v.  Weight 1 gives the augmented simplicial coboundary.
     """
-    faces = [L.faces_of_card(c) for c in range(L.dim + 2)]
+    levels, _ = _face_index(L)
+    w = [weight(v) for v in L.vertices]
     rows = []
-    for source, target in zip(faces, faces[1:]):
+    for source, target in zip(levels, levels[1:]):
         index = {f: j for j, f in enumerate(source)}
-        rows.append([
-            {index[g - {v}]: (-1) ** pos * weight(v) for pos, v in enumerate(L.sort_face(g))}
-            for g in target
-        ])
-    return [len(f) for f in faces], rows
+        block = []
+        for g in target:
+            row = {}
+            sign, rest = 1, g
+            while rest:
+                low = rest & -rest
+                row[index[g ^ low]] = sign * w[low.bit_length() - 1]
+                sign, rest = -sign, rest ^ low
+            block.append(row)
+        rows.append(block)
+    return [len(level) for level in levels], rows
 
 
 def reduced_cochain_complex(L: SimplicialComplex, ring: Ring) -> CochainComplexData:
@@ -244,33 +295,52 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
     """All isomorphism classes of complexes on at most ``max_vertices``
     vertices (every vertex used), including the irrelevant complex.
 
-    Vertices are 0..k-1.  Each class is represented by the first antichain
-    of facets, in a fixed enumeration order, that has its canonical key.
+    Vertices are 0..k-1.  The nonempty subsets of range(k) are listed by
+    size, largest first, then lexicographically; an antichain of facets is
+    the increasing sequence of its subsets' indices in that list.  Each
+    class is represented by its lexicographically least sequence over all
+    k! relabelings, and the classes come in the order of their
+    representatives.
+
+    The search is orderly (R. C. Read, Every one a winner, Ann. Discrete
+    Math. 2, 1978): it extends only sequences that are least among their
+    own relabelings.  That loses nothing, because every prefix of a least
+    sequence is least too: if some relabeling sorts a prefix below itself,
+    the same relabeling sorts the whole sequence below it, as merging more
+    indices into a sorted sequence can only lower each of its positions.
+    So no canonical key is computed and no class is met twice.
     """
     out: list[SimplicialComplex] = []
     for k in range(max_vertices + 1):
-        subsets = [frozenset(s) for r in range(1, k + 1) for s in itertools.combinations(range(k), r)]
-        subsets.sort(key=lambda s: (-len(s), tuple(sorted(s))))
-        vertices = set(range(k))
-        first: dict[tuple, list[frozenset]] = {}  # canonical key -> first antichain with it
+        subsets = [s for r in range(k, 0, -1) for s in itertools.combinations(range(k), r)]
+        masks = [sum(1 << v for v in s) for s in subsets]
+        index = {m: i for i, m in enumerate(masks)}
+        # each relabeling but the identity, as its action on subset indices
+        actions = [
+            [index[sum(1 << perm[v] for v in s)] for s in subsets]
+            for perm in itertools.islice(itertools.permutations(range(k)), 1, None)
+        ]
+        full = (1 << k) - 1
+        found: list[list[int]] = []
 
-        def grow(chosen: list[frozenset], start: int) -> None:
-            # antichains in preorder, each keyed as it is found
-            if not k or (chosen and set().union(*chosen) == vertices):
-                key = _canonical_key(k, chosen or [frozenset()])
-                if key not in first:
-                    first[key] = list(chosen)
-            for idx in range(start, len(subsets)):
-                s = subsets[idx]
-                if all(not (s <= t or t <= s) for t in chosen):
-                    chosen.append(s)
-                    grow(chosen, idx + 1)
-                    chosen.pop()
+        def grow(chosen: list[int], covered: int) -> None:
+            # least sequences in preorder, which is lexicographic order
+            if covered == full:
+                found.append(list(chosen))
+            for idx in range(chosen[-1] + 1 if chosen else 0, len(masks)):
+                s = masks[idx]
+                # an earlier subset is no smaller, so only s <= t can fail
+                if any(s & masks[t] == s for t in chosen):
+                    continue
+                chosen.append(idx)
+                if all(sorted(map(act.__getitem__, chosen)) >= chosen for act in actions):
+                    grow(chosen, covered | s)
+                chosen.pop()
 
         grow([], 0)
         # built after the search: interleaved with its short-lived objects, the
         # complexes fragment the allocator's arenas and peak memory grows per call
-        out.extend(SimplicialComplex.from_facets(tuple(range(k)), f or [()]) for f in first.values())
+        out.extend(SimplicialComplex.from_facets(tuple(range(k)), [subsets[i] for i in f] or [()]) for f in found)
     return out
 
 

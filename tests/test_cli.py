@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ import pytest
 
 from arrcoh import cli
 from arrcoh.arrangement import MAX_AMBIENT_DIM
-from arrcoh.covers import MAX_NERVE_ELEMENTS
+from arrcoh.covers import MAX_NERVE_ELEMENTS, MAX_WITNESSES
+from arrcoh.simplicial import MAX_FACES
 
 
 LINES3 = {
@@ -321,6 +323,35 @@ def test_toric_verify(files, capsys):
     assert code == 1  # not Cohen-Macaulay: negative verdict
 
 
+@pytest.mark.parametrize("verb", ["toric-cm", "toric-verify"])
+def test_simplex_past_face_limit_is_input_error(files, capsys, verb):
+    # the simplex on 13 vertices has 8,192 faces; the one on 12 has 4,096 and fits
+    simplex = {"vertices": list(range(13)), "facets": [list(range(13))]}
+    code, out, err = run(capsys, [verb, files("s.json", simplex)])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and f"{MAX_FACES} faces" in err
+
+
+def test_large_facet_is_refused_before_its_faces_are_built(files):
+    # one facet on 22 vertices has 2^22 faces: under a 2 GB address space
+    # the closure ran out of memory before the limit existed
+    resource = pytest.importorskip("resource")
+    path = files("s.json", {"vertices": list(range(22)), "facets": [list(range(22))]})
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cap = 2 * 1024**3
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrcoh.cli", "toric-cm", path],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert _one_error_line(proc.stderr) and f"{MAX_FACES} faces" in proc.stderr
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_toric_verify_without_trials_is_input_error(files, capsys, trials):
     two_points = {"vertices": [1, 2], "facets": [[1], [2]]}
@@ -460,6 +491,36 @@ def test_nerve_limit_is_input_error(files, capsys):
     code, out, err = run(capsys, ["covers-validate", files("c.json", _cover_of(sets))])
     assert code == 2 and out == ""
     assert _one_error_line(err) and f"{MAX_NERVE_ELEMENTS} elements" in err
+
+
+def test_covers_validate_lists_a_few_witnesses_per_code(files, capsys):
+    # 11 sets sharing a point, with the nerve itself as the target poset and
+    # phi the identity: every comparable pair of elements with two or more
+    # labels has equal intersection keys, so condition 3 fails 161,799 times
+    labels = [f"U{i}" for i in range(11)]
+    sets = {lab: [0, i + 1] for i, lab in enumerate(labels)}
+    elements = [c for r in range(1, 12) for c in itertools.combinations(labels, r)]
+    name = {c: "+".join(c) for c in elements}
+    obj = {
+        "sets": sets,
+        "poset": {
+            "elements": [name[c] for c in elements],
+            "relations": [[name[c[:i] + c[i + 1:]], name[c]] for c in elements if len(c) > 1 for i in range(len(c))],
+        },
+        "rho": {name[c]: len(c) for c in elements},
+        "phi": [[list(c), name[c]] for c in elements],
+    }
+    path = files("c.json", obj)
+    code, out, _ = run(capsys, ["covers-validate", path])
+    assert code == 1
+    report = json.loads(out)
+    assert report["failure_counts"] == {"condition3": 161_799}
+    assert len(report["failures"]) == MAX_WITNESSES
+    assert {code for code, _ in report["failures"]} == {"condition3"}
+    assert len(out) < 10_000
+    code, out, _ = run(capsys, ["covers-validate", "--format", "table", path])
+    assert code == 1
+    assert out.splitlines()[2 + MAX_WITNESSES] == f"  failure condition3: {161_799 - MAX_WITNESSES} more not listed"
 
 
 def test_ambient_dimension_limit_is_input_error(files, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from arrcoh.linalg import GF, QQ, ZZ
 from arrcoh.simplicial import (
+    MAX_FACES,
     SimplicialComplex,
     _canonical_key,
     enumerate_complexes,
@@ -53,6 +54,15 @@ def test_faces_closed_downward():
     assert L.f_vector() == [1, 3, 3, 1]
     assert L.dim == 2
     assert L.facets() == [(1, 2, 3)]
+
+
+def test_face_limit():
+    assert len(full_simplex(11).faces) == MAX_FACES  # the simplex on 12 vertices fits
+    with pytest.raises(ValueError, match=f"{MAX_FACES} faces"):
+        full_simplex(12)
+    # many small facets pass the limit only as their closure grows
+    with pytest.raises(ValueError, match=f"{MAX_FACES} faces"):
+        SimplicialComplex.from_facets(range(30), itertools.combinations(range(30), 3))
 
 
 def test_unknown_vertex_rejected():
@@ -245,6 +255,37 @@ def test_corpus_digest_pinned(k):
     assert hashlib.sha256(repr(data).encode()).hexdigest() == CORPUS_DIGESTS[k]
 
 
+def key_dict_enumeration(max_vertices):
+    """Reference enumeration: every antichain of facets in the search's
+    preorder, keyed by ``_canonical_key``; each class is represented by the
+    first antichain with its key."""
+    out = []
+    for k in range(max_vertices + 1):
+        subsets = [frozenset(s) for r in range(1, k + 1) for s in itertools.combinations(range(k), r)]
+        subsets.sort(key=lambda s: (-len(s), tuple(sorted(s))))
+        first = {}
+
+        def grow(chosen, start):
+            if not k or (chosen and set().union(*chosen) == set(range(k))):
+                first.setdefault(_canonical_key(k, chosen or [frozenset()]), list(chosen))
+            for idx in range(start, len(subsets)):
+                s = subsets[idx]
+                if all(not (s <= t or t <= s) for t in chosen):
+                    chosen.append(s)
+                    grow(chosen, idx + 1)
+                    chosen.pop()
+
+        grow([], 0)
+        out.extend(SimplicialComplex.from_facets(tuple(range(k)), f or [()]) for f in first.values())
+    return out
+
+
+def test_enumeration_matches_key_dict_oracle():
+    # the same representatives in the same order
+    got = [(cx.vertices, cx.facets()) for cx in enumerate_complexes(5)]
+    assert got == [(cx.vertices, cx.facets()) for cx in key_dict_enumeration(5)]
+
+
 def brute_force_key(n, facets):
     """Reference key: the lex-min facet encoding over all n! relabelings."""
     best = None
@@ -322,12 +363,30 @@ def named_complexes(draw):
     return SimplicialComplex.from_facets(names, [[names[v] for v in f] for f in cx.facets()])
 
 
+# Links shared by shape, on string labels whose vertex order is not their
+# sorted order.  A cone over a path of three edges and a cone over a triangle
+# plus a point: the two apexes have links with equal face counts but not equal
+# cohomology, while the edges {x, b} and {y, e} both have two points as links.
+# The boundary of the octahedron: every vertex link is a 4-cycle, every edge
+# link two points, on different labels each time.
+CONES = SimplicialComplex.from_facets(
+    ["g", "x", "c", "h", "a", "y", "e", "d", "b", "f"],
+    [("x", "a", "b"), ("x", "b", "c"), ("x", "c", "d"), ("y", "e", "f"), ("y", "f", "g"), ("y", "e", "g"), ("y", "h")],
+)
+OCTAHEDRON = SimplicialComplex.from_facets(
+    ["p3", "m1", "p1", "m2", "p2", "m3"],
+    [(f"{a}1", f"{b}2", f"{c}3") for a in "pm" for b in "pm" for c in "pm"],
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(named_complexes())
 @example(SimplicialComplex.from_facets(range(1, 7), RP2_FACETS))
 @example(SimplicialComplex.from_facets(["a", "b", "c", "d"], [("a", "b", "c"), ("c", "d"), ("b", "d")]))
+@example(CONES)
+@example(OCTAHEDRON)
 def test_link_cohomology_matches_each_link(L):
-    for ring in (ZZ, GF(2)):
+    for ring in (ZZ, GF(2), GF(101)):
         table = link_cohomology(L, ring)
         assert list(table) == [frozenset(f) for f in L.all_faces()]
         for f, report in table.items():
@@ -386,6 +445,11 @@ def test_canonical_key_classes_match_brute_force_up_to_four_vertices():
         assert all(len(c) == 1 for c in classes.values())
         assert len(set().union(*classes.values())) == len(classes)
         assert len(classes) == len(enumerate_complexes(n))
+
+
+def test_representatives_pairwise_non_isomorphic():
+    keys = [(len(cx.vertices), brute_force_key(len(cx.vertices), index_facets(cx))) for cx in enumerate_complexes(4)]
+    assert len(set(keys)) == len(keys)
 
 
 def test_json_round_trip():
