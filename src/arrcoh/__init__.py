@@ -21,7 +21,6 @@ _EXPORTS = {  # exported name -> the module that defines it
     "maximal_building_set": "arrangement",
     "minimal_building_set": "arrangement",
     "nested_complex": "arrangement",
-    "nested_cover": "arrangement",
     "poincare_and_beta": "arrangement",
     "vanishing_check": "arrangement",
     "CohomologyReport": "cochain",
@@ -79,50 +78,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arrangement",
-    "IntersectionLattice",
-    "RankOneSystem",
-    "VanishingVerdict",
-    "e2_certificate",
-    "intersection_lattice",
-    "maximal_building_set",
-    "minimal_building_set",
-    "nested_complex",
-    "nested_cover",
-    "poincare_and_beta",
-    "vanishing_check",
-    "CohomologyReport",
-    "complex_cohomology",
-    "make_complex",
-    "CoverDescription",
-    "E2Support",
-    "build_nerve",
-    "validate_cover",
-    "EllipticArrangement",
-    "analyze",
-    "components",
-    "convenient_check",
-    "elliptic_vanishing_certificate",
-    "enumerate_strata",
-    "tangent_arrangement",
-    "GF",
-    "QQ",
-    "ZZ",
-    "Matrix",
-    "smith_normal_form",
-    "SalvettiComplex",
-    "build_salvetti",
-    "twisted_cohomology",
-    "SimplicialComplex",
-    "is_cohen_macaulay",
-    "link",
-    "reduced_cohomology",
-    "ToricComplex",
-    "ToricRankOneSystem",
-    "cover_nerve",
-    "toric_cohomology",
-    "toric_e2_page",
-    "verify_cm_theorem",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from arrcoh.covers import CoverDescription, E2Support, LocalDatum, e2_support
-from arrcoh.linalg import QQ, ZZ, FieldTag, InternalError, Matrix, _rational_rref, parse_fraction, poly_div_exact, rank_kernel
-from arrcoh.poset import FinitePoset, from_leq, from_relations, moebius_table
+from arrcoh.covers import E2Support, LocalDatum, e2_support
+from arrcoh.linalg import QQ, ZZ, FieldTag, InternalError, Matrix, _rational_rref, parse_fraction, rank_kernel
+from arrcoh.poset import FinitePoset, from_relations, moebius_table
 from arrcoh.simplicial import SimplicialComplex
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "minimal_building_set",
     "maximal_building_set",
     "nested_complex",
-    "nested_cover",
     "RankOneSystem",
     "flat_monodromy",
     "VanishingVerdict",
@@ -268,6 +267,9 @@ def poincare_and_beta(a: Arrangement, lat: IntersectionLattice | None = None) ->
     pi(t) sums |mu(bottom, X)| t^rank(X) over all flats; beta is pi/(1+t)
     evaluated at -1, reported with the sign as computed.  beta != 0 exactly
     when the arrangement is irreducible.
+
+    >>> poincare_and_beta(Arrangement.from_rows(2, [[1, 0], [0, 1], [1, 1]]))
+    ([1, 3, 2], -1)
     """
     if a.m == 0:
         raise ValueError("empty arrangement has no Poincare polynomial")
@@ -281,8 +283,10 @@ def _pi_beta_from_mu(lat: IntersectionLattice, mu: Mapping, flats: Iterable[tupl
     pi = [0] * (top_rank + 1)
     for cs in flats:
         pi[lat.flats[cs].rank] += abs(mu[cs])
-    quotient = poly_div_exact(pi, [1, 1])
-    return pi, _poly_eval(quotient, -1)
+    if _poly_eval(pi, -1) != 0:
+        raise InternalError(f"Poincare polynomial {pi} does not vanish at -1")
+    # pi = (1 + t) q gives pi'(-1) = q(-1)
+    return pi, -sum(k * c * (-1) ** k for k, c in enumerate(pi))
 
 
 def connected_flats(a: Arrangement, lat: IntersectionLattice | None = None) -> list[Flat]:
@@ -528,7 +532,9 @@ def _nested_poset(nc: SimplicialComplex) -> tuple[list[tuple], FinitePoset, dict
     reverse inclusion, ranked by minus cardinality."""
     faces = [tuple(sorted(f)) for f in nc.all_faces()]
     faces.sort(key=lambda f: (len(f), f))
-    poset = from_leq(faces, lambda s, t: set(s) >= set(t))
+    # the complex is closed under subsets: dropping one flat gives a cover
+    covers = [(S, S[:i] + S[i + 1 :]) for S in faces for i in range(len(S))]
+    poset = from_relations(faces, covers)
     rho = {f: -len(f) for f in faces}
     return faces, poset, rho
 
@@ -573,26 +579,3 @@ def e2_certificate(
         "vanishes below its complex dimension and above its real dimension",
     )
     return e2_support(poset, rho, data, ambient_bound=n - 1, notes=notes)
-
-
-def nested_cover(
-    a: Arrangement,
-    g: BuildingSetChoice,
-    lat: IntersectionLattice | None = None,
-) -> CoverDescription:
-    """The cover description behind :func:`e2_certificate`.
-
-    Cover sets are indexed by nested sets; two of them meet exactly when
-    the nested sets are comparable, so the nerve consists of chains in the
-    face poset, mapped by phi to their poset maximum.  No intersection
-    keys are available (the sets are tubular neighborhoods, all distinct),
-    so validation reports the homotopy condition as assumed.
-    """
-    lat = lat or intersection_lattice(a)
-    nc = nested_complex(a, g, lat)
-    faces, poset, rho = _nested_poset(nc)
-    chains = [frozenset(c) for c in poset.chains()]
-    nerve = from_leq(chains, lambda s, t: s <= t)
-    # a chain's poset maximum is its inclusion-smallest nested set
-    phi = {chain: max(chain, key=rho.get) for chain in chains}
-    return CoverDescription(nerve, poset, rho, phi, keys=None)

@@ -398,8 +398,9 @@ def _run_covers_validate(args):
     verdict = validate_cover(CoverDescription(nerve, poset, rho, phi, keys))
     report = verdict.to_json()
     table = [f"valid: {'yes' if verdict.valid else 'no'}", f"homotopy condition: {verdict.condition2}"]
-    for code, wit in verdict.failures:
-        table.append(f"  failure {code}: {', '.join(str(w) for w in wit)}")
+    for code, wit in report["failures"]:
+        shown = (w if isinstance(w, str) else "{" + ",".join(w) + "}" for w in wit)
+        table.append(f"  failure {code}: {', '.join(shown)}")
     for code, n in verdict.counts.items():
         if n > MAX_WITNESSES:
             table.append(f"  failure {code}: {n - MAX_WITNESSES} more not listed")

@@ -116,13 +116,19 @@ class CoverVerdict:
     def to_json(self) -> dict:
         out = {
             "valid": self.valid,
-            "failures": [[code, [str(w) for w in wit]] for code, wit in self.failures],
+            "failures": [[code, [_witness_json(w) for w in wit]] for code, wit in self.failures],
             "condition2": self.condition2,
             "assumptions": list(self.assumptions),
         }
         if self.counts:
             out["failure_counts"] = dict(self.counts)
         return out
+
+
+def _witness_json(w) -> list[str] | str:
+    """A nerve element as the sorted list of its labels, so the output does
+    not depend on set iteration order; a poset element as its string."""
+    return sorted(map(str, w)) if isinstance(w, frozenset) else str(w)
 
 
 def validate_cover(cover: CoverDescription) -> CoverVerdict:

@@ -27,7 +27,6 @@ __all__ = [
     "parse_fraction",
     "SmithForm",
     "smith_normal_form",
-    "poly_div_exact",
     "is_prime",
     "InternalError",
 ]
@@ -518,36 +517,3 @@ def smith_normal_form(mat: Matrix) -> SmithForm:
         if divisors[i] == 0 and divisors[i + 1] != 0:
             raise InternalError("zero divisor out of order")  # pragma: no cover
     return sf
-
-
-def poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Exact division in Z[t], coefficients ascending; raises if inexact.
-
-    >>> poly_div_exact([1, 3, 2], [1, 1])   # (1 + 3t + 2t^2) / (1 + t)
-    [1, 2]
-    """
-    num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return [0]
-    if len(num) < len(den):
-        raise ValueError("inexact polynomial division")
-    q = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for k in range(len(q) - 1, -1, -1):
-        lead = rem[k + len(den) - 1]
-        if lead % den[-1] != 0:
-            raise ValueError("inexact polynomial division")
-        c = lead // den[-1]
-        q[k] = c
-        for i, d in enumerate(den):
-            rem[k + i] -= c * d
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    return q

@@ -1,5 +1,5 @@
-"""Finite posets: closure from relations, cover pairs, chains, the Moebius
-function and rank validation.
+"""Finite posets: closure from relations, cover pairs, the Moebius function
+and rank validation.
 
 Elements are arbitrary hashable labels; all iteration orders are the
 insertion order of the element list, so every derived object is
@@ -90,24 +90,6 @@ class FinitePoset:
                         out.append((i, j))
             self._covers = sorted(out)
         return [(self.elements[i], self.elements[j]) for i, j in self._covers]
-
-    def chains(self) -> list[tuple]:
-        """All nonempty chains, as increasing tuples."""
-        pool = list(self.elements)
-        # sort by a linear extension: x < y forces |above(x)| > |above(y)|
-        pool.sort(key=lambda e: (-len(self._above[self._index[e]]), self._index[e]))
-        out: list[tuple] = []
-
-        def extend(chain: tuple, start: int) -> None:
-            for k in range(start, len(pool)):
-                e = pool[k]
-                if not chain or self.less(chain[-1], e):
-                    new = chain + (e,)
-                    out.append(new)
-                    extend(new, k + 1)
-
-        extend((), 0)
-        return out
 
     def __repr__(self) -> str:
         return f"FinitePoset({len(self.elements)} elements)"

@@ -23,15 +23,13 @@ from typing import Mapping
 from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology, make_complex
 from arrcoh.covers import CoverDescription, E2Support, build_nerve, support_certificate
 from arrcoh.linalg import GF, FieldTag, is_prime
-from arrcoh.poset import from_leq
+from arrcoh.poset import from_relations
 from arrcoh.simplicial import (
     CMVerdict,
     SimplicialComplex,
     _cm_verdict,
     face_coboundaries,
-    link,
     link_cohomology,
-    reduced_cohomology,
 )
 
 __all__ = [
@@ -144,7 +142,10 @@ def cover_nerve(tc: ToricComplex) -> CoverDescription:
     facets = tc.base.facets()
     nerve, keys = build_nerve({f: frozenset(f) for f in facets})
     images = sorted(set(keys.values()), key=lambda s: (-len(s), tuple(sorted(map(str, s)))))
-    poset = from_leq(images, lambda x, y: x >= y)
+    # an image is the intersection of the facets that contain it, so adding
+    # those facets one at a time links it to every image inside it
+    covers = [(keys[s - {f}], keys[s]) for s in nerve.elements if len(s) > 1 for f in s]
+    poset = from_relations(images, covers)
     rho = {x: -len(x) for x in images}
     phi = dict(keys)
     return CoverDescription(nerve, poset, rho, phi, keys=keys)
@@ -157,18 +158,11 @@ def toric_e2_page(tc: ToricComplex, sys: ToricRankOneSystem) -> E2Support:
     unit on a rank-one module has no invariants); a face with all weights
     trivial contributes the reduced cohomology of its link, reindexed so
     its column is twice the face cardinality.  Everything above the space
-    dimension is cut.  Only the links of the trivial faces are computed,
-    one :func:`~arrcoh.simplicial.link` each; ``verify_cm_theorem`` reads
-    the same page from its :func:`~arrcoh.simplicial.link_cohomology` table.
+    dimension is cut.  The links are read from one
+    :func:`~arrcoh.simplicial.link_cohomology` table, as in
+    ``verify_cm_theorem``.
     """
-    L = tc.base
-    trivial = sys.trivial_vertices()
-    table = {
-        tau: reduced_cohomology(link(L, tau), sys.field)
-        for tau in sorted(L.faces, key=L._face_key)
-        if tau <= trivial
-    }
-    return _support_page(tc, sys, table)
+    return _support_page(tc, sys, link_cohomology(tc.base, sys.field))
 
 
 def _support_page(tc: ToricComplex, sys: ToricRankOneSystem, table: Mapping) -> E2Support:

@@ -13,6 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrcoh.arrangement import (
+    _nested_poset,
+    _pi_beta_from_mu,
     Arrangement,
     RankOneSystem,
     depth_bound,
@@ -21,12 +23,11 @@ from arrcoh.arrangement import (
     maximal_building_set,
     minimal_building_set,
     nested_complex,
-    nested_cover,
     poincare_and_beta,
     vanishing_check,
 )
-from arrcoh.covers import POSSIBLE, validate_cover
-from arrcoh.linalg import GF, QQ
+from arrcoh.covers import POSSIBLE
+from arrcoh.linalg import GF, QQ, InternalError
 
 
 def three_generic_lines():
@@ -160,6 +161,13 @@ def test_poincare_boolean_b3():
     assert pi == oracle_poincare(boolean_b3())
 
 
+def test_beta_needs_poincare_divisible_by_1_plus_t():
+    lat = intersection_lattice(three_generic_lines())
+    mu = {cs: 1 for cs in lat.poset.elements}  # pi = 1 + 3t + t^2, pi(-1) = -1
+    with pytest.raises(InternalError):
+        _pi_beta_from_mu(lat, mu, lat.poset.elements)
+
+
 def test_poincare_empty_rejected():
     empty = Arrangement.from_rows(1, [])
     assert empty.m == 0
@@ -271,10 +279,11 @@ def oracle_nested_faces(a, g):
 
 
 @st.composite
-def essential_arrangements(draw):
-    """At most 6 distinct hyperplanes spanning C^n, n <= 4, entries in [-2, 2]."""
-    n = draw(st.integers(1, 4))
-    raw = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=6))
+def essential_arrangements(draw, max_n=4, max_rows=6):
+    """At most ``max_rows`` distinct hyperplanes spanning C^n, n <= ``max_n``,
+    entries in [-2, 2]."""
+    n = draw(st.integers(1, max_n))
+    raw = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=max_rows))
     rows = []
     for r in raw:
         if any(r) and all(_rational_rank([r, q]) == 2 for q in rows):
@@ -292,6 +301,18 @@ def test_nested_complex_matches_antichain_oracle(a):
     lat = intersection_lattice(a)
     for g in (minimal_building_set(a, lat), maximal_building_set(a, lat)):
         assert nested_complex(a, g, lat).faces == oracle_nested_faces(a, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(essential_arrangements(max_n=3, max_rows=5))
+def test_nested_poset_is_reverse_inclusion(a):
+    # the poset is built from its covers; compare it with every pair
+    lat = intersection_lattice(a)
+    for g in (minimal_building_set(a, lat), maximal_building_set(a, lat)):
+        faces, poset, _ = _nested_poset(nested_complex(a, g, lat))
+        for s in faces:
+            for t in faces:
+                assert poset.leq(s, t) == (set(s) >= set(t)), (s, t)
 
 
 # --- rank-one systems -------------------------------------------------------
@@ -408,14 +429,6 @@ def test_depth_bound():
     g = minimal_building_set(a)
     assert depth_bound(a, g, RankOneSystem(GF(7), (1, 1, 1))) == 1
     assert depth_bound(a, g, RankOneSystem(GF(7), (2, 2, 2))) == 0
-
-
-def test_nested_cover_validates():
-    a = three_generic_lines()
-    cov = nested_cover(a, minimal_building_set(a))
-    v = validate_cover(cov)
-    assert v.valid
-    assert v.condition2 == "assumed"
 
 
 # --- serialization -------------------------------------------------------------

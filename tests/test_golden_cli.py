@@ -47,6 +47,17 @@ INPUTS = {  # the input examples of the README
         "rho": {"x": 0, "y": 1},
         "phi": [[["U1"], "x"], [["U2"], "x"], [["U1", "U2"], "y"]],
     },
+    # not a README input: the nerve element {U3} and its cofaces share the
+    # intersection {2} but not their phi value, so condition 3 fails
+    "cover_fail": {
+        "sets": {"U1": [1, 2], "U2": [2, 3], "U3": [2]},
+        "poset": {"elements": ["x", "y"], "relations": [["x", "y"]]},
+        "rho": {"x": 0, "y": 1},
+        "phi": [
+            [["U1"], "x"], [["U2"], "x"], [["U3"], "x"],
+            [["U1", "U2"], "y"], [["U1", "U3"], "y"], [["U2", "U3"], "y"], [["U1", "U2", "U3"], "y"],
+        ],
+    },
     # not a README input: the 6-vertex real projective plane, whose links
     # carry Z/2 torsion, so the Z path of toric-cm prints a torsion witness
     "rp2": {
@@ -88,6 +99,9 @@ CASES = {  # golden file stem -> (argv with {input} placeholders, exit code)
     "ell-convenient-table": (["ell-convenient", "--format", "table", "{elliptic}"], 0),
     "ell-certify-json": (["ell-certify", "{elliptic}"], 0),
     "covers-validate-table": (["covers-validate", "--format", "table", "{cover}"], 0),
+    # failure witnesses, whose nerve elements print as sorted label lists
+    "covers-validate-fail": (["covers-validate", "{cover_fail}"], 1),
+    "covers-validate-fail-table": (["covers-validate", "--format", "table", "{cover_fail}"], 1),
 }
 
 

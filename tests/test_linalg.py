@@ -22,7 +22,6 @@ from arrcoh.linalg import (
     _rational_rref,
     is_prime,
     parse_fraction,
-    poly_div_exact,
     rank_kernel,
     smith_normal_form,
     sparse_rank,
@@ -257,13 +256,6 @@ def test_sparse_rank_units_then_remainder():
 
 
 # --- small utilities ------------------------------------------------------
-
-
-def test_poly_div_exact():
-    # (1 + t)(1 + 2t) = 1 + 3t + 2t^2
-    assert poly_div_exact([1, 3, 2], [1, 1]) == [1, 2]
-    with pytest.raises(ValueError):
-        poly_div_exact([1, 1, 1], [1, 1])
 
 
 def test_is_prime():

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from arrcoh.covers import validate_cover
 from arrcoh.linalg import GF, QQ, ZZ
-from arrcoh.simplicial import SimplicialComplex, enumerate_complexes, is_cohen_macaulay, reduced_cohomology
+from arrcoh.simplicial import SimplicialComplex, enumerate_complexes, is_cohen_macaulay, link, reduced_cohomology
 from arrcoh.toric import (
     ToricComplex,
     ToricRankOneSystem,
+    _support_page,
     cover_nerve,
     toric_cohomology,
     toric_e2_page,
@@ -207,6 +208,18 @@ def test_page_agrees_with_direct_computation_on_cm_corpus():
         assert (page.dim_on_line(top) or 0) == rep.betti(top), L.facets()
 
 
+@given(_complex_and_weights())
+@settings(max_examples=60, deadline=None)
+def test_page_matches_link_of_each_trivial_face(case):
+    # oracle: one link and one reduced cohomology per face of trivial weight
+    L, q = case
+    tc = ToricComplex(L)
+    sys = weights(tc, GF(101), {v: 1 if w % 2 else w for v, w in q.items()})
+    trivial = sys.trivial_vertices()
+    table = {tau: reduced_cohomology(link(L, tau), sys.field) for tau in L.faces if tau <= trivial}
+    assert toric_e2_page(tc, sys) == _support_page(tc, sys, table)
+
+
 # --- covers ----------------------------------------------------------------------
 
 
@@ -221,6 +234,16 @@ def test_cover_nerve_disconnected_complex():
     tc = tc_from_facets([1, 2, 3, 4], [(1, 2), (3, 4)])
     v = validate_cover(cover_nerve(tc))
     assert v.valid
+
+
+@given(_complex_and_weights())
+@settings(max_examples=60, deadline=None)
+def test_cover_nerve_poset_is_reverse_inclusion(case):
+    # the poset is built from the nerve's covers; compare it with every pair
+    poset = cover_nerve(ToricComplex(case[0])).poset
+    for x in poset.elements:
+        for y in poset.elements:
+            assert poset.leq(x, y) == (x >= y), (x, y)
 
 
 # --- randomized theorem check ------------------------------------------------------
