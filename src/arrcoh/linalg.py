@@ -97,6 +97,8 @@ class FieldTag:
 
     def normalize(self, x) -> Fraction | int:
         """Coerce x into a canonical scalar of this field."""
+        if type(x) is int:
+            return x % self.p if self.kind == "prime" else Fraction(x)
         if isinstance(x, (float, bool)):
             raise TypeError(f"{type(x).__name__} input rejected; use int, Fraction or str")
         if self.kind == "rational":
@@ -169,6 +171,8 @@ class IntegerRing:
         return cls._instance
 
     def normalize(self, x) -> int:
+        if type(x) is int:
+            return x
         if isinstance(x, (float, bool)):
             raise TypeError(f"{type(x).__name__} input rejected")
         if isinstance(x, str):

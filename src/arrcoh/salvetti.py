@@ -13,6 +13,13 @@ hyperplane, computes the cohomology of the complement with rank-one
 coefficients.  All boundary matrices are exact and the d^2 = 0 identity
 is checked on construction.
 
+Incidence signs come from the regularity of the complex: two facets of a
+cell that share a ridge force each other's sign.  Which facets of a cell
+(f, c) share a ridge depends on the face f alone, so each face gets one
+ridge plan, checked once per face (every ridge on exactly two facets, the
+facets connected through their ridges); each of its cells walks the plan
+and checks that its forced signs agree.
+
 Two output limits, each a ValueError that states it, keep inputs small:
 ``MAX_FACES`` faces, and ``MAX_INCIDENCES`` (cell, facet) pairs counted
 before any boundary is built.  The second matters in low rank: m lines in
@@ -54,10 +61,6 @@ MAX_INCIDENCES = 30_000
 
 SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
 Cell = tuple  # (face, chamber) pair of sign vectors
-
-
-def _compose(f: SignVector, g: SignVector) -> SignVector:
-    return tuple(a or b for a, b in zip(f, g))
 
 
 @dataclass(frozen=True)
@@ -172,13 +175,27 @@ class SalvettiComplex:
 def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComplex:
     """Assemble the cell complex and a consistent incidence sign function.
 
-    Signs are propagated dimension by dimension: inside the boundary of
-    each cell, any two facets sharing a codimension-two cell are linked by
-    the regularity diamond (exactly two cells between), which forces their
-    relative signs.  A breadth-first pass over the facet adjacency graph
-    fixes all signs up to the choice on one facet; inconsistency or a
-    disconnected boundary would mean the complex is not regular and is
-    reported as an error.
+    The facets of a cell (f, c) are the cells (g, g o c) for the covers g
+    of f.  An edge is oriented away from its own chamber: sign -1 on the
+    vertex c, +1 on the opposite chamber.  In higher dimension, any two
+    facets sharing a ridge (a codimension-two cell) are linked by the
+    regularity diamond (exactly two cells between), which forces their
+    relative signs; a walk over the facet adjacency graph fixes every sign
+    from the choice +1 on the first facet.
+
+    The ridges of the facet (g, g o c) are the cells (h, h o c) for the
+    covers h of g, so which facets share a ridge, and at which positions
+    in their boundaries, depends on the face f alone.  That ridge plan is
+    built once per face, and with it the two checks that depend on f
+    alone: every ridge lies on exactly two facets, and the facets are
+    connected through their ridges.  Each cell of f then only walks the
+    plan, and checks per cell that the signs its ridges force agree.  A
+    failed check means the complex is not regular and raises
+    InternalError, naming the face's first cell for the per-face checks.
+
+    >>> three_lines = Arrangement.from_rows(2, [[1, 0], [0, 1], [1, 1]])
+    >>> build_salvetti(three_lines).cell_counts()
+    [6, 12, 6]
     """
     fs = fs or enumerate_faces(a)
     chambers = fs.chambers
@@ -191,65 +208,89 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
     incidences = sum(len(fs.covers[f]) * len(above[f]) for f in fs.faces)
     if incidences > MAX_INCIDENCES:
         raise ValueError(f"the cell complex stops at {MAX_INCIDENCES} boundary incidences; this one needs {incidences}")
-    cells_by_dim = [
-        sorted((f, c) for f in fs.faces if fs.codim[f] == d for c in above[f])
-        for d in range(max(fs.codim.values(), default=0) + 1)
-    ]
+    faces_by_dim = [[f for f in fs.faces if fs.codim[f] == d] for d in range(max(fs.codim.values(), default=0) + 1)]
+    cells_of = {f: [(f, c) for c in sorted(above[f])] for f in fs.faces}
+    cells_by_dim = tuple(tuple(cell for f in faces for cell in cells_of[f]) for faces in faces_by_dim)
 
     # a facet's chamber lies across the hyperplanes it separates the cell's
     # chamber from; those on the base chamber's side are the ones crossed
     away = {c: frozenset(i for i, (x, y) in enumerate(zip(c, base)) if x != y) for c in chambers}
+    chamber = {c: c for c in chambers}  # one tuple per chamber, shared by its cells
+    crossings: dict[frozenset, frozenset] = {}
     boundary: dict[Cell, tuple[tuple[Cell, int, frozenset], ...]] = {}
     for d in range(1, len(cells_by_dim)):
-        for cell in cells_by_dim[d]:
-            f, c = cell
-            facets = sorted((g, _compose(g, c)) for g in fs.covers[f])
-            eps = _propagate_signs(cell, facets, boundary)
-            boundary[cell] = tuple((facet, eps[facet], away[c] - away[facet[1]]) for facet in facets)
-    return SalvettiComplex(fs, tuple(tuple(layer) for layer in cells_by_dim), boundary)
+        for f in faces_by_dim[d]:
+            covers = fs.covers[f]
+            # g o c overwrites c where g is nonzero and f is zero
+            flips = [[(i, s) for i, (x, s) in enumerate(zip(f, g)) if s != x] for g in covers]
+            plan = _ridge_plan(cells_of[f][0], covers, fs.covers) if d > 1 else None
+            for cell in cells_of[f]:
+                c = cell[1]
+                facets = []
+                for flip, g in zip(flips, covers):
+                    x = list(c)
+                    for i, s in flip:
+                        x[i] = s
+                    facets.append((g, chamber[tuple(x)]))
+                if plan is None:
+                    eps = [-1 if g == c else 1 for g, _ in facets]
+                else:
+                    eps = _walk_plan(cell, plan, [boundary[facet] for facet in facets])
+                entries = []
+                for facet, e in zip(facets, eps):
+                    crossed = away[c] - away[facet[1]]
+                    entries.append((facet, e, crossings.setdefault(crossed, crossed)))
+                boundary[cell] = tuple(entries)
+    return SalvettiComplex(fs, cells_by_dim, boundary)
 
 
-def _propagate_signs(
-    cell: Cell,
-    facets: list[Cell],
-    boundary: Mapping[Cell, tuple[tuple[Cell, int, frozenset], ...]],
-) -> dict[Cell, int]:
-    if facets[0] not in boundary:
-        # an edge: its facets are vertices, oriented away from its own chamber
-        f, c = cell
-        opposite = _compose(f, _negate(c))
-        return {(c, c): -1, (opposite, opposite): 1}
-    # ridges: codim-two cells shared by exactly two facets, each of which
-    # already carries its incidence sign in its own boundary
-    ridge_owners: dict[Cell, list[tuple[Cell, int]]] = {}
-    for facet in facets:
-        for ridge, sign, _ in boundary[facet]:
-            ridge_owners.setdefault(ridge, []).append((facet, sign))
-    adjacency: dict[Cell, list[tuple[Cell, int]]] = {facet: [] for facet in facets}
-    for ridge, owners in ridge_owners.items():
-        if len(owners) != 2:
-            raise InternalError(f"cell {cell} is not regular: ridge {ridge} has {len(owners)} facets")
-        (u, su), (v, sv) = owners
-        adjacency[u].append((v, su * sv))
-        adjacency[v].append((u, su * sv))
-    eps: dict[Cell, int] = {facets[0]: 1}
-    queue = [facets[0]]
-    while queue:
-        u = queue.pop()
-        for v, product in adjacency[u]:
-            forced = -eps[u] * product
-            if v not in eps:
-                eps[v] = forced
-                queue.append(v)
-            elif eps[v] != forced:
-                raise InternalError(f"inconsistent incidence signs around {cell}")
-    if len(eps) != len(facets):
-        raise InternalError(f"boundary of {cell} is not connected")
+def _ridge_plan(first: Cell, covers: tuple, covers_of: Mapping) -> list[tuple[int, int, int, int]]:
+    """The ridge plan of a face f of codimension at least two, from its
+    covers and theirs: one (a, ka, b, kb) per ridge, where facets a and b
+    hold the ridge at positions ka and kb of their boundaries, ordered so
+    that facet a is reached, from facet 0, before the ridge is listed.
+
+    ``first`` is the first cell of f, which the errors name."""
+    owners: dict[SignVector, list[tuple[int, int]]] = {}
+    for a, g in enumerate(covers):
+        for k, h in enumerate(covers_of[g]):
+            owners.setdefault(h, []).append((a, k))
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in covers]
+    for h, pair in owners.items():
+        if len(pair) != 2:
+            ridge = (h, tuple(x or y for x, y in zip(h, first[1])))
+            raise InternalError(f"cell {first} is not regular: ridge {ridge} has {len(pair)} facets")
+        (a, ka), (b, kb) = pair
+        adjacency[a].append((ka, b, kb))
+        adjacency[b].append((kb, a, ka))
+    # breadth-first from facet 0; a ridge is listed from the facet met first
+    walk = [0]
+    order = {0: 0}
+    plan = []
+    for a in walk:
+        for ka, b, kb in adjacency[a]:
+            if b not in order:
+                order[b] = len(walk)
+                walk.append(b)
+            if order[b] > order[a]:
+                plan.append((a, ka, b, kb))
+    if len(walk) != len(covers):
+        raise InternalError(f"boundary of {first} is not connected")
+    return plan
+
+
+def _walk_plan(cell: Cell, plan: list[tuple[int, int, int, int]], facet_boundaries: list) -> list[int]:
+    """Incidence signs of the facets of ``cell`` from its face's ridge plan
+    and the boundaries of its facets, in the order of ``facet_boundaries``."""
+    eps = [0] * len(facet_boundaries)
+    eps[0] = 1
+    for a, ka, b, kb in plan:
+        forced = -eps[a] * facet_boundaries[a][ka][1] * facet_boundaries[b][kb][1]
+        if not eps[b]:
+            eps[b] = forced
+        elif eps[b] != forced:
+            raise InternalError(f"inconsistent incidence signs around {cell}")
     return eps
-
-
-def _negate(sign_vector: SignVector) -> SignVector:
-    return tuple(-x for x in sign_vector)
 
 
 def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexData:
@@ -257,8 +298,10 @@ def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexD
     monomials; construction re-verifies d . d = 0 with the twist.
 
     Each entry is a plain sum of eps * (product of crossed weights);
-    :func:`make_complex` reduces it into the field."""
+    :func:`make_complex` reduces it into the field.  Each distinct
+    crossing set's product is taken once."""
     dims = {d: len(cells) for d, cells in enumerate(sal.cells_by_dim)}
+    monomials: dict[frozenset, object] = {}
     diffs = {}
     for d in range(1, sal.dim + 1):
         index = {cell: j for j, cell in enumerate(sal.cells_by_dim[d - 1])}
@@ -266,8 +309,11 @@ def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexD
         for cell in sal.cells_by_dim[d]:
             row = {}
             for facet, eps, crossed in sal.boundary[cell]:
+                w = monomials.get(crossed)
+                if w is None:
+                    w = monomials[crossed] = math.prod(sys.weights[i] for i in crossed)
                 j = index[facet]
-                row[j] = row.get(j, 0) + eps * math.prod(sys.weights[i] for i in crossed)
+                row[j] = row.get(j, 0) + eps * w
             rows.append(row)
         diffs[d - 1] = rows
     return make_complex(sys.field, dims, diffs)

@@ -159,14 +159,16 @@ def _face_index(L: SimplicialComplex) -> tuple[list[list[int]], dict[int, frozen
         levels.append(nxt)
 
 
-def link_cohomology(L: SimplicialComplex, ring: Ring) -> dict[frozenset, CohomologyReport]:
-    """Reduced cohomology of the link of every face of L, over ``ring``.
+def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[frozenset, CohomologyReport]:
+    """Reduced cohomology of the link of every face of L inside the vertex
+    set ``within``, over ``ring``.
 
     Keyed by face in :meth:`SimplicialComplex.faces_of_card` order, the
     empty face (whose link is L) first.  One sweep over the faces, as
     bitmasks, builds every link: a face g lies in the link of each
     submask s of g, as g - s, and every face of the link of s arises so
-    from g = s | tau.
+    from g = s | tau.  Only the submasks of g inside ``within`` are
+    visited, so no link outside it is built.
 
     Links are shared by shape: each link is relabeled onto 0..m-1, its m
     vertices taken in the vertex order of L, and the cohomology is
@@ -175,14 +177,17 @@ def link_cohomology(L: SimplicialComplex, ring: Ring) -> dict[frozenset, Cohomol
     each vertex of a cycle is two points) share one report.
     """
     levels, face_of = _face_index(L)
-    links: dict[int, list[int]] = {s: [] for level in levels for s in level}
+    keep = set(within)
+    mask = sum(1 << i for i, v in enumerate(L.vertices) if v in keep)
+    links: dict[int, list[int]] = {s: [] for level in levels for s in level if not s & ~mask}
     for g in face_of:
-        s = g
+        s = g & mask
+        top = s
         while True:
             links[s].append(g ^ s)
             if not s:
                 break
-            s = (s - 1) & g
+            s = (s - 1) & top
     by_shape: dict[frozenset, CohomologyReport] = {}
     table = {}
     for s, faces in links.items():
@@ -273,7 +278,7 @@ def is_cohen_macaulay(L: SimplicialComplex, ring: Ring = ZZ) -> CMVerdict:
     whose cohomology sits in degree -1 < dim L - |facet|.  The links'
     cohomology comes from one :func:`link_cohomology` table.
     """
-    return _cm_verdict(L, ring, link_cohomology(L, ring))
+    return _cm_verdict(L, ring, link_cohomology(L, ring, L.vertices))
 
 
 def _cm_verdict(L: SimplicialComplex, ring: Ring, table: dict[frozenset, CohomologyReport]) -> CMVerdict:

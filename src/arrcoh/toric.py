@@ -160,9 +160,9 @@ def toric_e2_page(tc: ToricComplex, sys: ToricRankOneSystem) -> E2Support:
     its column is twice the face cardinality.  Everything above the space
     dimension is cut.  The links are read from one
     :func:`~arrcoh.simplicial.link_cohomology` table, as in
-    ``verify_cm_theorem``.
+    ``verify_cm_theorem``, built only for the faces of trivial weight.
     """
-    return _support_page(tc, sys, link_cohomology(tc.base, sys.field))
+    return _support_page(tc, sys, link_cohomology(tc.base, sys.field, sys.trivial_vertices()))
 
 
 def _support_page(tc: ToricComplex, sys: ToricRankOneSystem, table: Mapping) -> E2Support:
@@ -230,7 +230,7 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
         raise ValueError(f"field F_{p} too small: need at least {trials + 1} units")
     field = GF(p)
     L = tc.base
-    table = link_cohomology(L, field)
+    table = link_cohomology(L, field, L.vertices)
     cm = _cm_verdict(L, field, table)
     top = tc.space_dim
     rng = random.Random(seed)

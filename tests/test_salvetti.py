@@ -6,6 +6,7 @@ enumeration, sign propagation, boundary matrices), so it is exercised on
 every pinned arrangement here.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -15,10 +16,11 @@ from hypothesis import strategies as st
 
 import arrcoh.salvetti as salvetti
 from arrcoh.arrangement import Arrangement, RankOneSystem, intersection_lattice, poincare_and_beta
-from arrcoh.linalg import GF, QQ, Matrix, rank_kernel
+from arrcoh.linalg import GF, QQ, InternalError, Matrix, rank_kernel
 from arrcoh.salvetti import (
     MAX_FACES,
     MAX_INCIDENCES,
+    FaceSystem,
     build_salvetti,
     enumerate_faces,
     twisted_cohomology,
@@ -222,6 +224,122 @@ def test_covector_faces_match_fourier_motzkin(a):
 def test_untwisted_betti_is_poincare_on_random_arrangements(a):
     pi, _ = poincare_and_beta(a)
     assert twisted_cohomology(a, untwisted(QQ, a.m)).full_betti == tuple(pi)
+
+
+# --- incidence signs against a per-cell oracle ---------------------------------
+
+
+def _compose(f, g):
+    return tuple(a or b for a, b in zip(f, g))
+
+
+def _propagate_signs(cell, facets, boundary):
+    """Signs of one cell's facets from that cell alone: collect the ridges
+    of its facets, link the two facets of each ridge and walk the links
+    from the first facet."""
+    if facets[0] not in boundary:
+        # an edge: its facets are vertices, oriented away from its own chamber
+        f, c = cell
+        opposite = _compose(f, tuple(-x for x in c))
+        return {(c, c): -1, (opposite, opposite): 1}
+    ridge_owners = {}
+    for facet in facets:
+        for ridge, sign, _ in boundary[facet]:
+            ridge_owners.setdefault(ridge, []).append((facet, sign))
+    adjacency = {facet: [] for facet in facets}
+    for ridge, owners in ridge_owners.items():
+        assert len(owners) == 2, (cell, ridge)
+        (u, su), (v, sv) = owners
+        adjacency[u].append((v, su * sv))
+        adjacency[v].append((u, su * sv))
+    eps = {facets[0]: 1}
+    queue = [facets[0]]
+    while queue:
+        u = queue.pop()
+        for v, product in adjacency[u]:
+            forced = -eps[u] * product
+            if v not in eps:
+                eps[v] = forced
+                queue.append(v)
+            assert eps[v] == forced, cell
+    assert len(eps) == len(facets), cell
+    return eps
+
+
+def oracle_salvetti(fs):
+    """Cells and boundaries with every cell's signs propagated on its own."""
+    chambers = fs.chambers
+    base = min(chambers)
+    above = {f: frozenset(c for c in chambers if all(x == 0 or x == y for x, y in zip(f, c))) for f in fs.faces}
+    top = max(fs.codim.values(), default=0)
+    cells_by_dim = tuple(
+        tuple(sorted((f, c) for f in fs.faces if fs.codim[f] == d for c in above[f])) for d in range(top + 1)
+    )
+    away = {c: frozenset(i for i, (x, y) in enumerate(zip(c, base)) if x != y) for c in chambers}
+    boundary = {}
+    for cells in cells_by_dim[1:]:
+        for cell in cells:
+            f, c = cell
+            facets = sorted((g, _compose(g, c)) for g in fs.covers[f])
+            eps = _propagate_signs(cell, facets, boundary)
+            boundary[cell] = tuple((facet, eps[facet], away[c] - away[facet[1]]) for facet in facets)
+    return cells_by_dim, boundary
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_arrangements())
+@example(Arrangement.from_rows(4, BRAID_A3_ROWS))
+@example(Arrangement.from_rows(3, PENCIL_IN_C3))
+def test_ridge_plans_match_per_cell_oracle(a):
+    fs = enumerate_faces(a)
+    sal = build_salvetti(a, fs)
+    cells_by_dim, boundary = oracle_salvetti(fs)
+    assert sal.cells_by_dim == cells_by_dim
+    assert dict(sal.boundary) == boundary
+
+
+def test_corrupted_face_system_is_an_internal_error():
+    a = three_generic_lines()
+    fs = enumerate_faces(a)
+    # drop one chamber from one ray's covers: that chamber is now a ridge
+    # of the 2-cells on one facet only
+    ray = next(f for f in fs.faces if fs.codim[f] == 1)
+    covers = dict(fs.covers)
+    covers[ray] = covers[ray][1:]
+    with pytest.raises(InternalError, match="is not regular: ridge .* has 1 facets") as info:
+        build_salvetti(a, dataclasses.replace(fs, covers=covers))
+    assert not isinstance(info.value, ValueError)  # the CLI exits 3, not 2
+
+
+def one_face_system(ray_covers):
+    """A face system of one face of codimension two, the zero vector, whose
+    covers are the given rays, each over the given chambers.  Its
+    arrangement is a placeholder: build_salvetti reads only the faces."""
+    chambers = {c for cs in ray_covers.values() for c in cs}
+    zero = (0,) * len(next(iter(chambers)))
+    codim = {zero: 2, **{r: 1 for r in ray_covers}, **{c: 0 for c in chambers}}
+    covers = {zero: tuple(sorted(ray_covers)), **ray_covers, **{c: () for c in chambers}}
+    return FaceSystem(three_generic_lines(), tuple(sorted(codim)), codim, covers)
+
+
+def test_disconnected_facets_are_an_internal_error():
+    # two pairs of rays, each pair under the same two chambers: every
+    # chamber is a ridge of exactly two rays, but no ridge links the pairs
+    low = ((1, -1, -1), (1, -1, 1))
+    high = ((1, 1, -1), (1, 1, 1))
+    fs = one_face_system({(1, 0, 0): low, (1, -1, 0): low, (0, 1, 0): high, (1, 1, 0): high})
+    with pytest.raises(InternalError, match=r"boundary of \(\(0, 0, 0\), \(1, -1, -1\)\) is not connected"):
+        build_salvetti(fs.arrangement, fs)
+
+
+def test_inconsistent_signs_are_an_internal_error():
+    # the ray (0, 1, 0) lies under four chambers, the rays beside it under
+    # two each: every chamber is a ridge of exactly two rays, connected,
+    # but the ridges around the first 2-cell force opposite signs
+    middle = ((-1, 1, -1), (-1, 1, 1), (1, 1, -1), (1, 1, 1))
+    fs = one_face_system({(0, 1, 0): middle, (1, 1, 0): middle[2:], (-1, 1, 0): middle[:2]})
+    with pytest.raises(InternalError, match=r"inconsistent incidence signs around \(\(0, 0, 0\), \(-1, 1, -1\)\)"):
+        build_salvetti(fs.arrangement, fs)
 
 
 # --- untwisted cohomology = Poincare coefficients ----------------------------

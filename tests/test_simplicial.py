@@ -386,11 +386,15 @@ OCTAHEDRON = SimplicialComplex.from_facets(
 @example(CONES)
 @example(OCTAHEDRON)
 def test_link_cohomology_matches_each_link(L):
+    inside = frozenset(L.vertices[::2])
     for ring in (ZZ, GF(2), GF(101)):
-        table = link_cohomology(L, ring)
+        table = link_cohomology(L, ring, L.vertices)
         assert list(table) == [frozenset(f) for f in L.all_faces()]
         for f, report in table.items():
             assert report == reduced_cohomology(link(L, f), ring), (L.facets(), ring, f)
+        # within a vertex set: the same reports, in order, for the faces inside it
+        within = link_cohomology(L, ring, inside)
+        assert list(within.items()) == [(f, report) for f, report in table.items() if f <= inside]
 
 
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(complexes(n), st.permutations(range(n)))), st.randoms())

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from arrcoh.covers import validate_cover
 from arrcoh.linalg import GF, QQ, ZZ
-from arrcoh.simplicial import SimplicialComplex, enumerate_complexes, is_cohen_macaulay, link, reduced_cohomology
+from arrcoh.simplicial import (
+    SimplicialComplex,
+    enumerate_complexes,
+    is_cohen_macaulay,
+    link,
+    link_cohomology,
+    reduced_cohomology,
+)
 from arrcoh.toric import (
     ToricComplex,
     ToricRankOneSystem,
@@ -217,7 +224,9 @@ def test_page_matches_link_of_each_trivial_face(case):
     sys = weights(tc, GF(101), {v: 1 if w % 2 else w for v, w in q.items()})
     trivial = sys.trivial_vertices()
     table = {tau: reduced_cohomology(link(L, tau), sys.field) for tau in L.faces if tau <= trivial}
-    assert toric_e2_page(tc, sys) == _support_page(tc, sys, table)
+    page = toric_e2_page(tc, sys)
+    assert page == _support_page(tc, sys, table)
+    assert page == _support_page(tc, sys, link_cohomology(L, sys.field, L.vertices))
 
 
 # --- covers ----------------------------------------------------------------------
