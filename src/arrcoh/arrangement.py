@@ -2,7 +2,8 @@
 
 Everything is driven by the lattice of flats: a flat is stored as the
 closed set of hyperplane indices whose normals lie in a common row span,
-so lattice construction is exact and runs identically on every machine.
+with an integer kernel basis cut from the flat below it, so lattice
+construction is exact, fraction-free and runs identically on every machine.
 On top of the lattice sit the Poincare polynomial and beta invariant,
 connected (dense) flats, minimal/maximal building sets with their nested
 complexes, and the rank-one weight predicates that feed the support
@@ -172,7 +173,10 @@ class Flat:
 
     closed_set: tuple[int, ...]
     rank: int  # codimension of the subspace
-    kernel_basis: tuple[tuple[int, ...], ...]  # integer rows spanning the subspace
+    # integer rows spanning the subspace over Q, each with gcd 1: the unit
+    # vectors for the bottom flat, cut by one integer restriction per cover
+    # above it (see intersection_lattice)
+    kernel_basis: tuple[tuple[int, ...], ...]
 
     def __repr__(self) -> str:
         return f"Flat({list(self.closed_set)}, rank={self.rank})"
@@ -218,43 +222,59 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
 
     The flats covering X are the subspaces X cut by one more hyperplane.
     Restricted to X (dotted with the rows of X's kernel basis), each
-    hyperplane not in X gives a nonzero functional, and two hyperplanes
-    cut X in the same subspace exactly when their functionals are
-    proportional; so each projective class of restrictions adds one
-    cover, already closed.
+    hyperplane not in X gives a nonzero integer functional r, and two
+    hyperplanes cut X in the same subspace exactly when their functionals
+    are proportional; so each projective class of restrictions adds one
+    cover, already closed.  The cover's rank is X's rank + 1, and its
+    kernel basis is cut from X's by r in integers (:func:`_restrict`), so
+    no flat is eliminated from scratch and no fraction is formed.
     """
-    seen: dict[tuple[int, ...], Flat] = {(): _make_flat(a, ())}
+    identity = tuple(tuple(int(i == j) for j in range(a.n)) for i in range(a.n))
+    seen: dict[tuple[int, ...], Flat] = {(): Flat((), 0, identity)}
     relations: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     frontier = [()]
     while frontier:
         nxt: set[tuple[int, ...]] = set()
         for cs in frontier:
+            flat = seen[cs]
             classes: dict[tuple[int, ...], list[int]] = {}
             have = set(cs)
             for h in range(a.m):
                 if h not in have:
                     row = a.integral_normals[h]
-                    r = [sum(x * y for x, y in zip(row, b)) for b in seen[cs].kernel_basis]
+                    r = [sum(x * y for x, y in zip(row, b)) for b in flat.kernel_basis]
                     classes.setdefault(_primitive(r), []).append(h)
-            for group in classes.values():
+            for r, group in classes.items():
                 bigger = tuple(sorted(cs + tuple(group)))
                 relations.append((cs, bigger))
                 if bigger not in seen:
                     if len(seen) == max_flats:
                         raise ValueError(f"the lattice stops at {max_flats} flats; this arrangement has more")
-                    seen[bigger] = _make_flat(a, bigger)
+                    seen[bigger] = Flat(bigger, flat.rank + 1, _restrict(flat.kernel_basis, r))
                     nxt.add(bigger)
         frontier = sorted(nxt)
     elements = sorted(seen, key=lambda cs: (seen[cs].rank, cs))
     return IntersectionLattice(a, from_relations(elements, relations), seen)
 
 
-def _make_flat(a: Arrangement, closed_set: tuple[int, ...]) -> Flat:
-    if not closed_set:
-        return Flat((), 0, tuple(tuple(int(i == j) for j in range(a.n)) for i in range(a.n)))
-    sub = Matrix.from_rows(QQ, [list(a.normals.row(i)) for i in closed_set])
-    rk, kern = rank_kernel(sub)
-    return Flat(closed_set, rk, tuple(_integral(row) for row in kern.entries))
+def _restrict(basis: tuple[tuple[int, ...], ...], r: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A basis of the vectors in the span of ``basis`` on which the
+    functional taking the values r on it vanishes: with p the first index
+    where r_p != 0, the vectors r_p b_i - r_i b_p for i != p, each divided
+    by the gcd of its entries.
+
+    >>> _restrict(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 2, -3))
+    ((1, 0, 0), (0, 3, 2))
+    """
+    p = next(i for i, x in enumerate(r) if x)
+    rp, bp = r[p], basis[p]
+    out = []
+    for i, (b, ri) in enumerate(zip(basis, r)):
+        if i != p:
+            v = [rp * x - ri * y for x, y in zip(b, bp)]
+            g = math.gcd(*v)
+            out.append(tuple(x // g for x in v))
+    return tuple(out)
 
 
 def _poly_eval(coeffs: Sequence[int], t: int) -> int:

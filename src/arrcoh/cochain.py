@@ -8,13 +8,15 @@ factors (torsion) per degree.
 Each differential is stored only as sparse rows, one {column: entry} dict
 of nonzero entries per row.  :func:`make_complex` is the one place where
 entries meet the ring: it normalizes each entry once and checks d o d = 0
-with an exact product over the nonzero entries only (mod p over F_p).
+with an exact product over the nonzero entries only, in integers on every
+ring (mod p over F_p; over Q on each differential scaled to integers).
 :func:`complex_cohomology` needs ranks alone, which it takes from one
 sparse elimination per differential (:func:`~arrcoh.linalg.sparse_rank`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
@@ -51,10 +53,10 @@ class CochainComplexData:
 
 
 def _composes_to_zero(outer: list[dict], inner: list[dict], p: int | None) -> bool:
-    """Is the product outer @ inner of two sparse-row matrices zero?
+    """Is the product outer @ inner of two sparse-row integer matrices zero?
 
-    Exact: each entry is summed over integers or fractions and reduced
-    mod p only at the end when p is given.
+    Exact: each entry is summed over the integers and reduced mod p only at
+    the end when p is given.
     """
     for row in outer:
         acc: dict = {}
@@ -66,6 +68,14 @@ def _composes_to_zero(outer: list[dict], inner: list[dict], p: int | None) -> bo
     return True
 
 
+def _scaled_to_integers(rows: list[dict]) -> list[dict]:
+    """Rational sparse rows times the lcm of their entries' denominators:
+    integer rows with the same kernel, and a zero product with another
+    matrix exactly when the unscaled rows have one."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row.values()))
+    return [{j: x.numerator * (scale // x.denominator) for j, x in row.items()} for row in rows]
+
+
 def make_complex(
     ring: Ring, dims: Mapping[int, int], differentials: Mapping[int, Sequence[Mapping[int, object]]]
 ) -> CochainComplexData:
@@ -75,6 +85,11 @@ def make_complex(
     dims[k+1] rows, columns in range(dims[k]).  Each entry is normalized
     once through ``ring.normalize``, and entries that become zero (a
     multiple of p over F_p) are dropped.
+
+    The d o d = 0 check multiplies integers only.  Over Q each
+    differential is first scaled by the lcm of its entries' denominators;
+    a nonzero scalar per matrix keeps the check exact, and the stored rows
+    keep their :class:`~fractions.Fraction` entries.
     """
     dims = dict(dims)
     for k, dim in dims.items():
@@ -88,9 +103,11 @@ def make_complex(
         normalized = [{j: ring.normalize(x) for j, x in row.items()} for row in diff]
         rows[k] = [{j: x for j, x in row.items() if x} for row in normalized]
     p = ring.p if isinstance(ring, FieldTag) and ring.kind == "prime" else None
+    rational = isinstance(ring, FieldTag) and ring.kind == "rational"
+    integral = {k: _scaled_to_integers(diff) for k, diff in rows.items()} if rational else rows
     for k in rows:
-        nxt = rows.get(k + 1)
-        if nxt is not None and not _composes_to_zero(nxt, rows[k], p):
+        nxt = integral.get(k + 1)
+        if nxt is not None and not _composes_to_zero(nxt, integral[k], p):
             raise ValueError(f"d^{k + 1} o d^{k} != 0")
     return CochainComplexData(ring=ring, dims=dims, rows=rows)
 

@@ -4,7 +4,9 @@ Everything here is exact: rationals are :class:`fractions.Fraction`, prime
 field elements are ints in ``[0, p)``, integers are ints.  No floats are
 ever produced or accepted.  Dense matrices carry kernels and Smith
 witnesses; :func:`sparse_rank` is the rank-only elimination that cochain
-complexes use.
+complexes use, one routine for all three rings, which over Q keeps
+integral values as ints and forms a Fraction only where a pivot is not
++-1.
 """
 
 from __future__ import annotations
@@ -318,8 +320,13 @@ def sparse_rank(ring: Ring, rows: Iterable[Mapping[int, object]]) -> tuple[int, 
     short rows first, each in its column with the fewest rows, to keep
     fill-in low.
 
-    Over F_p (arithmetic mod p) and Q (:class:`fractions.Fraction`) any
-    nonzero entry may pivot, and the rank is the number of pivots.  Over Z
+    Over F_p (arithmetic mod p) and Q any nonzero entry may pivot, and the
+    rank is the number of pivots.  Over Q an integral entry goes in as an
+    ``int``, a pivot of +-1 is its own inverse and any other pivot is
+    inverted as ``1 / Fraction(pivot)``: a matrix of integers with unit
+    pivots, such as an untwisted Salvetti complex, is eliminated in ints,
+    and every value is the same exact number as in Fraction arithmetic.
+    Over Z
     only an entry of +-1 may: those steps are unimodular and keep the
     invariant factors, so what no unit pivot reaches goes to
     :func:`smith_normal_form`, and the rank is the unit pivots plus the rank
@@ -332,7 +339,10 @@ def sparse_rank(ring: Ring, rows: Iterable[Mapping[int, object]]) -> tuple[int, 
     active: dict[int, dict] = {}
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
-        row = {j: x % p for j, x in row.items() if x % p} if p else {j: x for j, x in row.items() if x}
+        if p:
+            row = {j: x % p for j, x in row.items() if x % p}
+        else:  # an integral Fraction goes in as an int
+            row = {j: x.numerator if x.denominator == 1 else x for j, x in row.items() if x}
         if row:
             active[i] = row
             for j in row:
@@ -355,10 +365,10 @@ def sparse_rank(ring: Ring, rows: Iterable[Mapping[int, object]]) -> tuple[int, 
             pivot = row[c]
             if p:
                 inverse = pow(pivot, -1, p)
-            elif integral:
-                inverse = pivot  # +-1 is its own inverse
+            elif pivot == 1 or pivot == -1:
+                inverse = pivot  # its own inverse, and every unit pivot over Z
             else:
-                inverse = 1 / pivot
+                inverse = 1 / Fraction(pivot)
             rest = [(j, x) for j, x in row.items() if j != c]
             for t in cols.pop(c):
                 target = active[t]

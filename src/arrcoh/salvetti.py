@@ -17,8 +17,9 @@ Incidence signs come from the regularity of the complex: two facets of a
 cell that share a ridge force each other's sign.  Which facets of a cell
 (f, c) share a ridge depends on the face f alone, so each face gets one
 ridge plan, checked once per face (every ridge on exactly two facets, the
-facets connected through their ridges); each of its cells walks the plan
-and checks that its forced signs agree.
+facets connected through their ridges, and every edge on exactly two
+vertices); each of its cells walks the plan and checks that its forced
+signs agree.
 
 Two output limits, each a ValueError that states it, keep inputs small:
 ``MAX_FACES`` faces, and ``MAX_INCIDENCES`` (cell, facet) pairs counted
@@ -177,7 +178,8 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
 
     The facets of a cell (f, c) are the cells (g, g o c) for the covers g
     of f.  An edge is oriented away from its own chamber: sign -1 on the
-    vertex c, +1 on the opposite chamber.  In higher dimension, any two
+    vertex c, +1 on the opposite chamber; its face must have exactly these
+    two covers, checked once per face.  In higher dimension, any two
     facets sharing a ridge (a codimension-two cell) are linked by the
     regularity diamond (exactly two cells between), which forces their
     relative signs; a walk over the facet adjacency graph fixes every sign
@@ -189,7 +191,8 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
     built once per face, and with it the two checks that depend on f
     alone: every ridge lies on exactly two facets, and the facets are
     connected through their ridges.  Each cell of f then only walks the
-    plan, and checks per cell that the signs its ridges force agree.  A
+    plan, and checks per cell that the signs its ridges force agree (with
+    two vertices per edge, the signs around a 2-cell always do).  A
     failed check means the complex is not regular and raises
     InternalError, naming the face's first cell for the per-face checks.
 
@@ -223,7 +226,14 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
             covers = fs.covers[f]
             # g o c overwrites c where g is nonzero and f is zero
             flips = [[(i, s) for i, (x, s) in enumerate(zip(f, g)) if s != x] for g in covers]
-            plan = _ridge_plan(cells_of[f][0], covers, fs.covers) if d > 1 else None
+            if d > 1:
+                plan = _ridge_plan(cells_of[f][0], covers, fs.covers)
+            elif len(covers) == 2:
+                plan = None
+            else:
+                # with no covers there is no chamber above, so no cell to name
+                edge = cells_of[f][0] if covers else f
+                raise InternalError(f"edge {edge} is not regular: it has {len(covers)} vertices")
             for cell in cells_of[f]:
                 c = cell[1]
                 facets = []

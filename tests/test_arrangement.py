@@ -6,6 +6,7 @@ cannot share an error.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrcoh.arrangement import (
+    _integral,
     _nested_poset,
     _pi_beta_from_mu,
     Arrangement,
+    Flat,
     RankOneSystem,
     depth_bound,
     e2_certificate,
@@ -27,7 +30,8 @@ from arrcoh.arrangement import (
     vanishing_check,
 )
 from arrcoh.covers import POSSIBLE
-from arrcoh.linalg import GF, QQ, InternalError
+from arrcoh.linalg import GF, QQ, InternalError, Matrix, rank_kernel
+from arrcoh.salvetti import twisted_cohomology
 
 
 def three_generic_lines():
@@ -279,17 +283,22 @@ def oracle_nested_faces(a, g):
 
 
 @st.composite
-def essential_arrangements(draw, max_n=4, max_rows=6):
-    """At most ``max_rows`` distinct hyperplanes spanning C^n, n <= ``max_n``,
-    entries in [-2, 2]."""
-    n = draw(st.integers(1, max_n))
+def arrangements(draw, min_n=1, max_n=4, max_rows=6):
+    """At most ``max_rows`` distinct hyperplanes in C^n, ``min_n`` <= n <=
+    ``max_n``, entries in [-2, 2]; often not essential."""
+    n = draw(st.integers(min_n, max_n))
     raw = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=max_rows))
     rows = []
     for r in raw:
         if any(r) and all(_rational_rank([r, q]) == 2 for q in rows):
             rows.append(r)
-    assume(rows and _rational_rank(rows) == n)
+    assume(rows)
     return Arrangement.from_rows(n, rows)
+
+
+def essential_arrangements(min_n=1, max_n=4, max_rows=6):
+    """As :func:`arrangements`, with normals spanning C^n."""
+    return arrangements(min_n, max_n, max_rows).filter(lambda a: _rational_rank(a.normals.entries) == a.n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -313,6 +322,37 @@ def test_nested_poset_is_reverse_inclusion(a):
         for s in faces:
             for t in faces:
                 assert poset.leq(s, t) == (set(s) >= set(t)), (s, t)
+
+
+def fraction_flat(a, closed_set):
+    """The flat of ``closed_set`` from scratch: rank and kernel of its
+    normals by a Fraction elimination, kernel rows scaled to integers."""
+    if not closed_set:
+        return Flat((), 0, tuple(tuple(int(i == j) for j in range(a.n)) for i in range(a.n)))
+    sub = Matrix.from_rows(QQ, [list(a.normals.row(i)) for i in closed_set])
+    rk, kern = rank_kernel(sub)
+    return Flat(closed_set, rk, tuple(_integral(row) for row in kern.entries))
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrangements())
+@example(braid_a3())
+@example(Arrangement.from_rows(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]))
+@example(Arrangement.from_rows(3, [["1/2", "1/3", 0], [1, 0, 0], [0, "3/4", 0]]))
+def test_flats_match_fraction_elimination(a):
+    # each flat is cut from the one below it in integers; check it against
+    # an elimination of its own normals
+    for cs, flat in intersection_lattice(a).flats.items():
+        oracle = fraction_flat(a, cs)
+        basis = list(flat.kernel_basis)
+        assert flat.rank == oracle.rank, cs
+        for h in range(a.m):
+            # the closed set is exactly the normals vanishing on the flat
+            vanishes = all(sum(x * y for x, y in zip(a.normals.row(h), v)) == 0 for v in basis)
+            assert vanishes == (h in cs), (cs, h)
+        k = a.n - flat.rank
+        assert len(basis) == len(oracle.kernel_basis) == _rational_rank(basis) == k, cs
+        assert _rational_rank(basis + list(oracle.kernel_basis)) == k, cs
 
 
 # --- rank-one systems -------------------------------------------------------
@@ -422,6 +462,38 @@ def test_certificate_spreads_on_failure():
     assert set(cert.entries) == {(1, 0), (-1, 1), (0, 1), (-1, 2)}
     assert cert.concentration is None
     assert cert.lines() == [0, 1]
+
+
+@st.composite
+def projective_systems(draw):
+    """An essential arrangement in C^n, n <= 3, of at most n + 3 rows, with
+    random projective weights over F_p, p in {2, 3, 5, 101}."""
+    n = draw(st.integers(1, 3))
+    a = draw(essential_arrangements(min_n=n, max_n=n, max_rows=n + 3))
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    weights = draw(st.lists(st.integers(1, p - 1), min_size=a.m - 1, max_size=a.m - 1))
+    last = pow(math.prod(weights), -1, p)
+    return a, RankOneSystem(GF(p), (*weights, last))
+
+
+@settings(max_examples=60, deadline=None)
+@given(projective_systems())
+@example((three_generic_lines(), RankOneSystem(GF(7), (2, 2, 2))))
+@example((braid_a3().essentialize(), RankOneSystem(GF(101), (2, 2, 2, 2, 2, pow(2, -5, 101)))))
+def test_certificate_bounds_salvetti_cohomology(case):
+    # the certificate only excludes degrees: every degree of the exact
+    # projective cohomology lies on one of its lines, and a concentration
+    # with a passing vanishing check is the exact answer
+    a, sys_ = case
+    lat = intersection_lattice(a)
+    betti = twisted_cohomology(a, sys_).projective_betti
+    verdict = vanishing_check(a, sys_, lat=lat)
+    for g in (minimal_building_set(a, lat), maximal_building_set(a, lat)):
+        cert = e2_certificate(a, g, sys_, lat)
+        assert {k for k, b in enumerate(betti) if b} <= set(cert.lines()), (g.kind, betti, cert.lines())
+        if cert.concentration is not None and verdict.holds:
+            assert cert.concentration == verdict.predicted_degree == len(betti) - 1
+            assert betti == (0,) * cert.concentration + (verdict.predicted_dim,), g.kind
 
 
 def test_depth_bound():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcoh.cochain import complex_cohomology, make_complex
 from arrcoh.linalg import GF, QQ, ZZ, sparse_rank
@@ -85,6 +87,27 @@ def test_d_squared_check_is_exact_over_q():
     assert complex_cohomology(cx).betti(1) == 0
     with pytest.raises(ValueError, match="d.*o d"):
         make_complex(QQ, {0: 1, 1: 2, 2: 1}, {0: d0, 1: [{0: 2, 1: -2}]})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 9)), min_size=2, max_size=5),
+    st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), min_size=4, max_size=4),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+)
+def test_d_squared_check_over_q_scales_each_differential(d0, w, shift):
+    # d0 is a column, d1 a row whose last entry cancels d1 . d0 exactly;
+    # each is scaled by its own denominators, and any shift of that entry
+    # leaves a nonzero product
+    k = len(d0)
+    d1 = w[: k - 1]
+    d1.append(-sum(x * y for x, y in zip(d1, d0)) / d0[-1])
+    dims = {0: 1, 1: k, 2: 1}
+    rows0 = [{0: x} for x in d0]
+    make_complex(QQ, dims, {0: rows0, 1: [dict(enumerate(d1))]})
+    d1[-1] += shift
+    with pytest.raises(ValueError, match="d.*o d"):
+        make_complex(QQ, dims, {0: rows0, 1: [dict(enumerate(d1))]})
 
 
 def test_rp2_torsion_from_sparse_elimination():

@@ -229,12 +229,23 @@ def test_sparse_rank_fp_matches_dense_kernel(rows, p):
     assert sparse_rank(GF(p), _sparse(rows)) == (fp.fp_rank(rows, p), ())
 
 
-@given(_matrices(SMALL))
-@settings(max_examples=150, deadline=None)
+FRACTIONS = st.builds(Fraction, SMALL, st.integers(min_value=1, max_value=6))
+NO_UNIT_FRACTIONS = st.builds(Fraction, NO_UNITS, st.sampled_from([1, 5, 7]))
+
+
+@given(_matrices(SMALL.map(Fraction)) | _matrices(FRACTIONS) | _matrices(NO_UNIT_FRACTIONS))
+@settings(max_examples=200, deadline=None)
 def test_sparse_rank_qq_matches_rational_rref(rows):
-    qrows = [[Fraction(x) for x in row] for row in rows]
-    rank = len(_rational_rref(qrows)[1])
-    assert sparse_rank(QQ, _sparse(qrows)) == (rank, ())
+    # integral entries go in as ints; real denominators and pivots other
+    # than +-1 take the Fraction inverse
+    rank = len(_rational_rref(rows)[1])
+    assert sparse_rank(QQ, _sparse(rows)) == (rank, ())
+
+
+def test_sparse_rank_qq_is_exact_on_int_entries():
+    # rank 1; in floats, 15 - (5 * (1/3)) * 9 is 1.8e-15, not 0
+    assert sparse_rank(QQ, _sparse([[3, 9], [5, 15]])) == (1, ())
+    assert sparse_rank(QQ, _sparse([[3, 9], [5, Fraction(46, 3)]])) == (2, ())
 
 
 @given(_matrices(SMALL) | _matrices(NO_UNITS))

@@ -301,14 +301,18 @@ def test_ridge_plans_match_per_cell_oracle(a):
 def test_corrupted_face_system_is_an_internal_error():
     a = three_generic_lines()
     fs = enumerate_faces(a)
-    # drop one chamber from one ray's covers: that chamber is now a ridge
-    # of the 2-cells on one facet only
+    # drop one chamber from one ray's covers: the ray's edges now have one
+    # vertex, and the error names the first of them
     ray = next(f for f in fs.faces if fs.codim[f] == 1)
     covers = dict(fs.covers)
     covers[ray] = covers[ray][1:]
-    with pytest.raises(InternalError, match="is not regular: ridge .* has 1 facets") as info:
+    with pytest.raises(InternalError, match=r"edge \(\(-1, 0, -1\), \(-1, 1, -1\)\) is not regular: it has 1 vertices") as info:
         build_salvetti(a, dataclasses.replace(fs, covers=covers))
     assert not isinstance(info.value, ValueError)  # the CLI exits 3, not 2
+    # with no covers at all, no chamber lies above the ray: its face is named
+    covers[ray] = ()
+    with pytest.raises(InternalError, match=r"edge \(-1, 0, -1\) is not regular: it has 0 vertices"):
+        build_salvetti(a, dataclasses.replace(fs, covers=covers))
 
 
 def one_face_system(ray_covers):
@@ -332,13 +336,22 @@ def test_disconnected_facets_are_an_internal_error():
         build_salvetti(fs.arrangement, fs)
 
 
-def test_inconsistent_signs_are_an_internal_error():
+def test_ridge_on_one_facet_is_an_internal_error():
+    # every ray lies under two chambers, but the outer chambers of the
+    # chain lie under one ray each: a ridge of the 2-cells on one facet
+    fs = one_face_system({(1, 0, 0): ((1, -1, 1), (1, 1, 1)), (0, 1, 0): ((1, 1, 1), (-1, 1, 1))})
+    with pytest.raises(InternalError, match=r"cell \(\(0, 0, 0\), \(-1, 1, 1\)\) is not regular: ridge .* has 1 facets"):
+        build_salvetti(fs.arrangement, fs)
+
+
+def test_edge_with_four_vertices_is_an_internal_error():
     # the ray (0, 1, 0) lies under four chambers, the rays beside it under
     # two each: every chamber is a ridge of exactly two rays, connected,
-    # but the ridges around the first 2-cell force opposite signs
+    # and the 2-cells' ridges would force opposite signs; the edge is
+    # named first, where the fault is
     middle = ((-1, 1, -1), (-1, 1, 1), (1, 1, -1), (1, 1, 1))
     fs = one_face_system({(0, 1, 0): middle, (1, 1, 0): middle[2:], (-1, 1, 0): middle[:2]})
-    with pytest.raises(InternalError, match=r"inconsistent incidence signs around \(\(0, 0, 0\), \(-1, 1, -1\)\)"):
+    with pytest.raises(InternalError, match=r"edge \(\(0, 1, 0\), \(-1, 1, -1\)\) is not regular: it has 4 vertices"):
         build_salvetti(fs.arrangement, fs)
 
 
