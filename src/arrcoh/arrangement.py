@@ -422,10 +422,7 @@ class RankOneSystem:
                 raise ValueError("weights must be nonzero")
 
     def product(self):
-        acc = self.field.one
-        for w in self.weights:
-            acc = self.field.mul(acc, w)
-        return acc
+        return self.weight_product(range(len(self.weights)))
 
     @property
     def is_projective(self) -> bool:

@@ -8,12 +8,18 @@ vectors and the first homology of the product is Z^(2n).
 
 Intersections of these hypersurfaces are finite disjoint unions of
 subtorus cosets; components are counted and labeled through the Smith
-normal form of the defining rows, deduplicated across defining subsets
-by exact coset membership tests.  On top of the strata sit the tangent
-arrangements (rational hyperplane arrangements in C^n), the convenient
-predicate for characters of the ambient product, and the spectral
-support certificate assembling tangent-level vanishing checks into a
-concentration statement for the arrangement complement.
+normal form of the defining rows.  One walk over the row subsets takes
+each subset's Smith form once.  Its witness V also gives the subset's
+closure: the rows whose normals lie in the rational span of the subset's
+rows.  Closures decide every question of linear dependence here: two
+subsets span the same space exactly when their closures are equal, and
+one span lies inside another exactly when the closures do.  Components
+are deduplicated within a closure by exact coset membership tests.  On
+top of the strata sit the tangent arrangements (rational hyperplane
+arrangements in C^n), the convenient predicate for characters of the
+ambient product, and the spectral support certificate assembling
+tangent-level vanishing checks into a concentration statement for the
+arrangement complement.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from arrcoh.arrangement import Arrangement, RankOneSystem, _primitive, vanishing_check
 from arrcoh.covers import E2Support, LocalDatum, e2_support
-from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, SmithForm, _rational_rref, rank_kernel, smith_normal_form
+from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, SmithForm, smith_normal_form
 from arrcoh.poset import from_leq
 
 __all__ = [
@@ -94,7 +100,7 @@ class EllipticArrangement:
 
     @property
     def rank(self) -> int:
-        return rank_kernel(self.rows)[0]
+        return smith_normal_form(self.rows).rank
 
     @property
     def corank(self) -> int:
@@ -144,6 +150,39 @@ def _parse_translation(t) -> tuple | None:
     raise ValueError(f"translation must be 0 or [c, m], got {t!r}")
 
 
+def _subsets(a: EllipticArrangement) -> Iterator[tuple[tuple[int, ...], Matrix, SmithForm]]:
+    """Every row subset I with its submatrix and Smith form, by size and
+    then in ``itertools.combinations`` order: the one walk over all 2^m
+    subsets."""
+    if a.m > MAX_ROWS:
+        raise ValueError(f"subset analysis capped at {MAX_ROWS} rows")
+    for r in range(a.m + 1):
+        for I in itertools.combinations(range(a.m), r):
+            sub = a.submatrix(I)
+            yield I, sub, smith_normal_form(sub)
+
+
+def _kernel(snf: SmithForm) -> list[tuple[int, ...]]:
+    """Columns rank.. of the witness V: a saturated basis of the integer
+    kernel of the rows behind the Smith form, which spans their kernel over Q."""
+    return [tuple(row[j] for row in snf.right.entries) for j in range(snf.rank, snf.ncols)]
+
+
+def _closure(a: EllipticArrangement, snf: SmithForm) -> frozenset[int]:
+    """The closure of a row subset, given its Smith form: the rows h of
+    ``a`` whose normal lies in the subset's rational span, that is, that
+    vanish on the subset's kernel.
+
+    >>> a = EllipticArrangement.from_rows(2, [[1, 0], [2, 0], [0, 1]])
+    >>> sorted(_closure(a, smith_normal_form(a.submatrix([0]))))
+    [0, 1]
+    """
+    kernel = _kernel(snf)
+    return frozenset(
+        h for h, row in enumerate(a.rows.entries) if all(sum(x * y for x, y in zip(row, v)) == 0 for v in kernel)
+    )
+
+
 @dataclass(frozen=True)
 class EllipticAnalysis:
     corank: int
@@ -167,16 +206,7 @@ def analyze(a: EllipticArrangement) -> EllipticAnalysis:
     Unimodular means every subset of rows spans a saturated sublattice
     (all elementary divisors 1), which makes every intersection connected.
     """
-    if a.m > MAX_ROWS:
-        raise ValueError(f"subset analysis capped at {MAX_ROWS} rows")
-    unimodular = True
-    for r in range(1, a.m + 1):
-        for I in itertools.combinations(range(a.m), r):
-            if smith_normal_form(a.submatrix(I)).nontrivial:
-                unimodular = False
-                break
-        if not unimodular:
-            break
+    unimodular = not any(snf.nontrivial for _, _, snf in _subsets(a))
     corank = a.corank
     return EllipticAnalysis(corank, corank == 0, unimodular, a.n + corank)
 
@@ -260,13 +290,14 @@ def _point_on_component(a: EllipticArrangement, X: "Stratum", point: tuple) -> b
 @dataclass(frozen=True)
 class Stratum:
     """A deduplicated intersection component together with its defining
-    data: the first row subset that produced it and the Smith form used
-    for membership tests."""
+    data: the first row subset that produced it, the Smith form used for
+    membership tests, and the subset's closure (the rows whose normals lie
+    in the rational span of the defining rows)."""
 
     component: EllipticComponent
     defining: Matrix
     snf: SmithForm
-    span_key: tuple  # canonical reduced basis of the row span over Q
+    closure: frozenset[int]
 
     @property
     def dim(self) -> int:
@@ -277,60 +308,33 @@ class Stratum:
         return (self.component.rows, self.component.torsion_label)
 
 
-def _span_key(sub: Matrix) -> tuple:
-    if sub.nrows == 0:
-        return ()
-    rref, pivots = _rational_rref([[Fraction(x) for x in row] for row in sub.entries])
-    return tuple(tuple(r) for r in rref[: len(pivots)])
-
-
 def enumerate_strata(a: EllipticArrangement) -> list[Stratum]:
     """Every component of every row-subset intersection, each listed once.
 
     Subsets are scanned by increasing size; a candidate component is new
-    unless an already-seen stratum has the same rational row span and
-    contains the candidate's representative point.
+    unless an already-seen stratum has the same closure (so the same
+    rational row span) and contains the candidate's representative point.
     """
     if a.is_translated:
         raise ValueError("strata enumeration requires all translations zero")
-    if a.m > MAX_ROWS:
-        raise ValueError(f"strata enumeration capped at {MAX_ROWS} rows")
-    by_span: dict[tuple, list[Stratum]] = {}
+    by_closure: dict[frozenset[int], list[Stratum]] = {}
     out: list[Stratum] = []
-    for r in range(0, a.m + 1):
-        for I in itertools.combinations(range(a.m), r):
-            sub = a.submatrix(I)
-            snf = smith_normal_form(sub)
-            span = _span_key(sub)
-            bucket = by_span.setdefault(span, [])
-            for comp in components(a, I):
-                if any(_point_on_component(a, seen, comp.point) for seen in bucket):
-                    continue
-                stratum = Stratum(comp, sub, snf, span)
-                bucket.append(stratum)
-                out.append(stratum)
+    for I, sub, snf in _subsets(a):
+        closure = _closure(a, snf)
+        bucket = by_closure.setdefault(closure, [])
+        for comp in components(a, I):
+            if any(_point_on_component(a, seen, comp.point) for seen in bucket):
+                continue
+            stratum = Stratum(comp, sub, snf, closure)
+            bucket.append(stratum)
+            out.append(stratum)
     return out
 
 
 def _stratum_contained(a: EllipticArrangement, X: Stratum, Y: Stratum) -> bool:
-    """X subset of Y: Y's span inside X's span and X's point on Y."""
-    if not _span_subset(Y.span_key, X.span_key):
-        return False
-    return _point_on_component(a, Y, X.component.point)
-
-
-def _span_subset(small: tuple, big: tuple) -> bool:
-    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in big]
-    return all(_in_span(row, big, pivots) for row in small)
-
-
-def _in_span(row: Sequence[Fraction], basis: Sequence[Sequence[Fraction]], pivots: list[int]) -> bool:
-    resid = list(row)
-    for b, p in zip(basis, pivots):
-        f = resid[p]
-        if f != 0:
-            resid = [x - f * y for x, y in zip(resid, b)]
-    return all(x == 0 for x in resid)
+    """X subset of Y: Y's closure inside X's (Y's row span inside X's)
+    and X's point on Y."""
+    return Y.closure <= X.closure and _point_on_component(a, Y, X.component.point)
 
 
 def _row_vanishes_at(a: EllipticArrangement, h: int, point: tuple) -> bool:
@@ -347,26 +351,23 @@ def _row_vanishes_at(a: EllipticArrangement, h: int, point: tuple) -> bool:
     return True
 
 
-def _tangent_data(a: EllipticArrangement, X: EllipticComponent) -> tuple[Arrangement, list[list[int]]]:
+def _tangent_data(
+    a: EllipticArrangement, X: EllipticComponent, closure: frozenset[int]
+) -> tuple[Arrangement, list[list[int]]]:
     """Tangent directions at the component, with the row indices merged
     into each direction.
 
-    A row is tangent-relevant when it lies in the rational span of the
+    A row is tangent-relevant when it lies in the closure of the
     component's defining rows and its hypersurface passes through the
     representative point.  Rows with proportional directions define the
     same tangent hyperplane, so they are merged; callers combine their
     weights multiplicatively (a small loop around the common tangent
     hyperplane winds once around each merged hypersurface branch).
     """
-    span = _span_key(a.submatrix(X.rows))
     groups: dict[tuple, list[int]] = {}
-    for h in range(a.m):
-        row_q = tuple(Fraction(x) for x in a.rows.row(h))
-        if not _span_subset((row_q,), span):
-            continue
-        if not _row_vanishes_at(a, h, X.point):
-            continue
-        groups.setdefault(_primitive(a.rows.row(h)), []).append(h)
+    for h in sorted(closure):
+        if _row_vanishes_at(a, h, X.point):
+            groups.setdefault(_primitive(a.rows.row(h)), []).append(h)
     directions = sorted(groups)
     if directions:
         arr = Arrangement.from_rows(a.n, [list(d) for d in directions], [f"t{k}" for k in range(len(directions))])
@@ -379,7 +380,7 @@ def tangent_arrangement(a: EllipticArrangement, X: EllipticComponent) -> Arrange
     """The rational hyperplane arrangement tangent to the elliptic one
     at the component: one linear hyperplane in C^n per tangent direction
     of a hypersurface containing the component."""
-    return _tangent_data(a, X)[0]
+    return _tangent_data(a, X, _closure(a, smith_normal_form(a.submatrix(X.rows))))[0]
 
 
 @dataclass(frozen=True)
@@ -415,15 +416,14 @@ def convenient_check(a: EllipticArrangement, field: FieldTag, values: Sequence) 
 
     The character assigns a nonzero scalar to each of the 2n basis loops
     of the ambient product (two per curve factor, interleaved).  Each
-    stratum lattice is the saturated integer kernel of a row subset,
-    doubled across the two coordinate copies; the test passes when some
-    lattice basis vector has character value different from 1.  A passing
-    verdict reports cohomology vanishing in all degrees up to n-1.
+    stratum lattice is the saturated integer kernel of a row subset (the
+    first subset of each closure, read off its Smith witness), doubled
+    across the two coordinate copies; the test passes when some lattice
+    basis vector has character value different from 1.  A passing verdict
+    reports cohomology vanishing in all degrees up to n-1.
     """
     if a.is_translated:
         raise ValueError("the convenient test requires all translations zero")
-    if a.m > MAX_ROWS:
-        raise ValueError(f"subset analysis capped at {MAX_ROWS} rows")
     vals = [field.normalize(v) for v in values]
     if len(vals) != 2 * a.n:
         raise ValueError(f"need {2 * a.n} character values, got {len(vals)}")
@@ -440,24 +440,14 @@ def convenient_check(a: EllipticArrangement, field: FieldTag, values: Sequence) 
                 acc = field.mul(acc, base)
         return acc
 
-    seen_spans: dict[tuple, tuple[int, ...]] = {}
-    for r in range(0, a.m + 1):
-        for I in itertools.combinations(range(a.m), r):
-            sub = a.submatrix(I)
-            span = _span_key(sub)
-            if span not in seen_spans:
-                seen_spans[span] = I
+    first: dict[frozenset[int], tuple[int, tuple[int, ...], SmithForm]] = {}
+    for I, _, snf in _subsets(a):
+        first.setdefault(_closure(a, snf), (snf.rank, I, snf))
     failures = []
-    for span, I in sorted(seen_spans.items(), key=lambda kv: (len(kv[0]), kv[1])):
-        sub = a.submatrix(I)
-        rank, kern = rank_kernel(sub)
+    for rank, I, snf in sorted(first.values(), key=lambda t: t[:2]):
         if rank >= a.n:
             continue  # only finitely many points on these strata
-        basis = [
-            _interleave([int(x) for x in row], copy)
-            for row in kern.entries
-            for copy in (0, 1)
-        ]
+        basis = [_interleave(v, copy) for v in _kernel(snf) for copy in (0, 1)]
         if all(value_on(v) == field.one for v in basis):
             failures.append((I, tuple(basis)))
     holds = not failures
@@ -498,13 +488,8 @@ def elliptic_vanishing_certificate(a: EllipticArrangement, weights: RankOneSyste
     all_pass = True
     for k in sorted(keyed):
         X = keyed[k]
-        arr, groups = _tangent_data(a, X.component)
-        merged = []
-        for rows_here in groups:
-            acc = field.one
-            for h in rows_here:
-                acc = field.mul(acc, weights.weights[h])
-            merged.append(acc)
+        arr, groups = _tangent_data(a, X.component, X.closure)
+        merged = [weights.weight_product(rows_here) for rows_here in groups]
         ess = arr.essentialize()
         try:
             verdict = vanishing_check(ess, RankOneSystem(field, tuple(merged)), include_top=True)

@@ -192,9 +192,11 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
     alone: every ridge lies on exactly two facets, and the facets are
     connected through their ridges.  Each cell of f then only walks the
     plan, and checks per cell that the signs its ridges force agree (with
-    two vertices per edge, the signs around a 2-cell always do).  A
-    failed check means the complex is not regular and raises
-    InternalError, naming the face's first cell for the per-face checks.
+    two vertices per edge, the signs around a 2-cell always do).  Every
+    cover of a face must be one codimension more generic, and every
+    composition g o c a chamber.  A failed check means the complex is not
+    regular and raises InternalError, naming the face's first cell for the
+    per-face checks.
 
     >>> three_lines = Arrangement.from_rows(2, [[1, 0], [0, 1], [1, 1]])
     >>> build_salvetti(three_lines).cell_counts()
@@ -207,6 +209,9 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
     above = {c: frozenset((c,)) for c in chambers}
     for f in sorted(fs.faces, key=fs.codim.__getitem__):
         if f not in above:
+            for g in fs.covers[f]:
+                if fs.codim.get(g) != fs.codim[f] - 1:
+                    raise InternalError(f"face {f} is not regular: its cover {g} is not one codimension more generic")
             above[f] = frozenset().union(*(above[g] for g in fs.covers[f]))
     incidences = sum(len(fs.covers[f]) * len(above[f]) for f in fs.faces)
     if incidences > MAX_INCIDENCES:
@@ -241,7 +246,10 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
                     x = list(c)
                     for i, s in flip:
                         x[i] = s
-                    facets.append((g, chamber[tuple(x)]))
+                    y = chamber.get(tuple(x))
+                    if y is None:
+                        raise InternalError(f"cell {cell} is not regular: its facet face {g} o c is {tuple(x)}, no chamber")
+                    facets.append((g, y))
                 if plan is None:
                     eps = [-1 if g == c else 1 for g, _ in facets]
                 else:

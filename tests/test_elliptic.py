@@ -8,18 +8,26 @@ The oracle below computes M from scratch (minor determinants), never
 touching the packaged Smith form code.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from arrcoh.covers import POSSIBLE
 from arrcoh.arrangement import RankOneSystem
 from arrcoh.elliptic import (
     MAX_ROWS,
     EllipticArrangement,
+    _closure,
+    _point_on_component,
+    _stratum_contained,
     analyze,
     components,
     convenient_check,
@@ -27,7 +35,8 @@ from arrcoh.elliptic import (
     enumerate_strata,
     tangent_arrangement,
 )
-from arrcoh.linalg import GF, QQ
+from arrcoh.linalg import GF, QQ, smith_normal_form
+from arrcoh.poset import from_leq
 
 
 def _det(mat):
@@ -272,6 +281,133 @@ def test_strata_reject_translated():
     t = EllipticArrangement.from_rows(1, [[1]], translations=[(1, 2)])
     with pytest.raises(ValueError, match="translations"):
         enumerate_strata(t)
+
+
+# --- closures against Fraction row reduction ---------------------------------------
+
+
+def span_key(rows):
+    """The reduced row echelon basis of the rows' span over Q."""
+    basis = []  # (pivot, row) pairs, each row reduced against the others
+    for row in rows:
+        resid = [Fraction(x) for x in row]
+        for p, b in basis:
+            resid = [x - resid[p] * y for x, y in zip(resid, b)]
+        p = next((j for j, x in enumerate(resid) if x), None)
+        if p is None:
+            continue
+        resid = [x / resid[p] for x in resid]
+        basis = [(q, [x - b[p] * y for x, y in zip(b, resid)]) for q, b in basis] + [(p, resid)]
+    return tuple(tuple(b) for _, b in sorted(basis))
+
+
+def span_subset(small, big):
+    """Does every row of ``small`` reduce to zero against ``big``?"""
+    pivots = [next(j for j, x in enumerate(r) if x) for r in big]
+    for row in small:
+        resid = list(row)
+        for b, p in zip(big, pivots):
+            resid = [x - resid[p] * y for x, y in zip(resid, b)]
+        if any(resid):
+            return False
+    return True
+
+
+def span_strata(a):
+    """Strata as enumerated when spans were Fraction echelon keys: buckets
+    by span key, then the same point tests."""
+    by_span, out = {}, []
+    for r in range(a.m + 1):
+        for I in itertools.combinations(range(a.m), r):
+            sub = a.submatrix(I)
+            span = span_key(sub.entries)
+            bucket = by_span.setdefault(span, [])
+            for comp in components(a, I):
+                if any(_point_on_component(a, seen, comp.point) for seen in bucket):
+                    continue
+                stratum = SimpleNamespace(component=comp, defining=sub, snf=smith_normal_form(sub), span=span)
+                bucket.append(stratum)
+                out.append(stratum)
+    return out
+
+
+@st.composite
+def elliptic_arrangements(draw):
+    """At most 4 rows in E^n, n <= 3, entries in [-2, 2]; a row may repeat
+    an earlier one or be proportional to it."""
+    n = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if rows and draw(st.booleans()):
+            base = draw(st.sampled_from(rows))
+            multiples = [[k * x for x in base] for k in (1, -1, 2, -2) if all(abs(k * x) <= 2 for x in base)]
+            rows.append(draw(st.sampled_from(multiples)))
+        else:
+            rows.append(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)))
+    return EllipticArrangement.from_rows(n, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elliptic_arrangements())
+@example(EllipticArrangement.from_rows(2, [[1, 0], [2, 0], [0, 1]]))
+@example(EllipticArrangement.from_rows(2, [[1, 2], [2, 1], [1, 2], [-1, -1]]))
+def test_closures_decide_spans_as_fraction_keys(a):
+    subsets = [I for r in range(a.m + 1) for I in itertools.combinations(range(a.m), r)]
+    closure = {I: _closure(a, smith_normal_form(a.submatrix(I))) for I in subsets}
+    span = {I: span_key(a.submatrix(I).entries) for I in subsets}
+    for I in subsets:
+        assert set(I) <= closure[I]
+        for J in subsets:
+            assert (closure[I] == closure[J]) == (span[I] == span[J])
+            assert (closure[I] <= closure[J]) == span_subset(span[I], span[J])
+
+
+@settings(max_examples=100, deadline=None)
+@given(elliptic_arrangements())
+@example(EllipticArrangement.from_rows(2, [[1, 2], [2, 1], [1, 2], [-1, -1]]))
+def test_strata_match_fraction_span_strata(a):
+    # each candidate component is tested against the strata of its span:
+    # keep the candidates (prod d_i^2 summed over the subsets) few, or one
+    # example takes seconds
+    candidates = 0
+    for r in range(a.m + 1):
+        for I in itertools.combinations(range(a.m), r):
+            candidates += prod(d * d for d in smith_normal_form(a.submatrix(I)).divisors if d)
+    assume(candidates <= 64)
+    new, old = enumerate_strata(a), span_strata(a)
+    assert [s.key for s in new] == [(s.component.rows, s.component.torsion_label) for s in old]
+    for x, x_old in zip(new, old):
+        for y, y_old in zip(new, old):
+            was = span_subset(y_old.span, x_old.span) and _point_on_component(a, y_old, x_old.component.point)
+            assert _stratum_contained(a, x, y) == was
+
+
+# sha256 over the five certificate arrangements of the elliptic-strata
+# benchmark workload (rows unsigned) of json.dumps of, in turn, the strata
+# keys in enumeration order, the covers of the containment poset and the
+# certificate at GF(101) weights 2, 3, ...; taken from the version that
+# decided spans by Fraction row reduction.
+ELLIPTIC_DIGEST = "5e822a91ecec528cfd3c9d1f246be6fc8a9bc2f7671051f2a13e014b3d327c20"
+
+DIGEST_ARRANGEMENTS = (
+    (2, ((2, 2), (-1, 1), (1, 2), (0, 2))),
+    (2, ((2, 1), (-1, 2), (-1, 2), (2, 0), (-1, -1))),
+    (3, ((0, 2, 1), (0, -1, 2), (1, 0, 2))),
+    (3, ((0, 2, -1), (-1, 0, 1), (-1, -1, -1), (1, 2, -1))),
+    (3, ((1, -1, 2), (0, -1, 0), (-1, 1, 2), (0, 2, -1), (0, -1, 0))),
+)
+
+
+def test_elliptic_digest_pinned():
+    h = hashlib.sha256()
+    for n, rows in DIGEST_ARRANGEMENTS:
+        a = EllipticArrangement.from_rows(n, rows)
+        keyed = {s.key: s for s in enumerate_strata(a)}
+        poset = from_leq(sorted(keyed), lambda x, y: _stratum_contained(a, keyed[x], keyed[y]))
+        cert = elliptic_vanishing_certificate(a, RankOneSystem(GF(101), tuple(range(2, 2 + a.m))))
+        for part in (list(keyed), poset.covers(), cert.to_json()):
+            h.update(json.dumps(part).encode())
+    assert h.hexdigest() == ELLIPTIC_DIGEST
 
 
 # --- convenient position test -------------------------------------------------------

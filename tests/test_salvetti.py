@@ -315,6 +315,29 @@ def test_corrupted_face_system_is_an_internal_error():
         build_salvetti(a, dataclasses.replace(fs, covers=covers))
 
 
+def test_cover_of_wrong_codimension_is_an_internal_error():
+    a = three_generic_lines()
+    fs = enumerate_faces(a)
+    # a ray covered by the origin, which is less generic than the ray
+    covers = {**fs.covers, (-1, 0, -1): ((0, 0, 0),)}
+    with pytest.raises(InternalError, match=r"face \(-1, 0, -1\) is not regular: its cover \(0, 0, 0\) is not one codimension more generic"):
+        build_salvetti(a, dataclasses.replace(fs, covers=covers))
+
+
+def test_composition_that_is_no_chamber_is_an_internal_error():
+    a = three_generic_lines()
+    fs = enumerate_faces(a)
+    # the ray (-1, 0, -1) lies under (-1, -1, -1) and, falsely, under
+    # (-1, 1, 1): composing the first with the second gives (-1, -1, 1),
+    # which no chamber carries
+    covers = {**fs.covers, (-1, 0, -1): ((-1, -1, -1), (-1, 1, 1))}
+    with pytest.raises(
+        InternalError,
+        match=r"cell \(\(-1, 0, -1\), \(-1, 1, 1\)\) is not regular: its facet face \(-1, -1, -1\) o c is \(-1, -1, 1\), no chamber",
+    ):
+        build_salvetti(a, dataclasses.replace(fs, covers=covers))
+
+
 def one_face_system(ray_covers):
     """A face system of one face of codimension two, the zero vector, whose
     covers are the given rays, each over the given chambers.  Its
