@@ -6,10 +6,13 @@ report carries dimensions; over Z it carries free ranks and invariant
 factors (torsion) per degree.
 
 Each differential is stored only as sparse rows, one {column: entry} dict
-of nonzero entries per row.  :func:`make_complex` is the one place where
-entries meet the ring: it normalizes each entry once and checks d o d = 0
-with an exact product over the nonzero entries only, in integers on every
-ring (mod p over F_p; over Q on each differential scaled to integers).
+of nonzero entries per row.  :func:`make_complex` (Salvetti complexes and
+hand-built ones) normalizes each entry once and checks d o d = 0 with an
+exact product over the nonzero entries only, in integers on every ring
+(mod p over F_p; over Q on each differential scaled to integers).  Face
+complexes of simplicial complexes come from
+:class:`~arrcoh.simplicial.FaceCoboundaries`, checked once per simplicial
+complex as an identity in vertex symbols, whatever the values and ring.
 :func:`complex_cohomology` needs ranks alone, which it takes from one
 sparse elimination per differential (:func:`~arrcoh.linalg.sparse_rank`).
 """
@@ -31,7 +34,8 @@ class CochainComplexData:
 
     ``rows[k]`` holds d^k as dims[k+1] {column: entry} dicts of nonzero
     entries, columns in range(dims[k]); missing keys mean zero maps.
-    d o d = 0 is verified on construction via :func:`make_complex`.
+    d o d = 0 is checked by the maker: :func:`make_complex`, or
+    :class:`~arrcoh.simplicial.FaceCoboundaries` once for all values.
     """
 
     ring: Ring

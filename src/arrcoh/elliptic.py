@@ -226,18 +226,6 @@ class EllipticComponent:
     point: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
 
-def _label_point(snf: SmithForm, label: Sequence[int], n: int) -> tuple[Fraction, ...]:
-    """V . (c_1/d_1, ..., c_r/d_r, 0, ...) reduced into [0,1)^n: a solution
-    of the defining congruences in the torsion component named by label."""
-    divisors = [d for d in snf.divisors if d != 0]
-    z = [Fraction(c, d) for c, d in zip(label, divisors)] + [Fraction(0)] * (n - len(divisors))
-    out = []
-    for i in range(n):
-        acc = sum(snf.right.entries[i][j] * z[j] for j in range(n))
-        out.append(acc - (acc // 1))
-    return tuple(out)
-
-
 def components(a: EllipticArrangement, I: Iterable[int]) -> list[EllipticComponent]:
     """All components of the intersection of the chosen rows, with exact
     representative points; the count is the squared product of the
@@ -248,20 +236,28 @@ def components(a: EllipticArrangement, I: Iterable[int]) -> list[EllipticCompone
     for i in idx:
         if not 0 <= i < a.m:
             raise ValueError(f"row index {i} out of range")
-    sub = a.submatrix(idx)
+    return _components(a, idx, smith_normal_form(a.submatrix(idx)))
+
+
+def _components(a: EllipticArrangement, idx: tuple[int, ...], snf: SmithForm) -> list[EllipticComponent]:
+    """The components of the rows ``idx``, given their Smith form.  Label
+    c names V . (c_1/d_1, ..., c_r/d_r, 0, ...) reduced into [0,1)^n, a
+    solution in that torsion component, taken once in integers over d_r."""
     if not idx:
         zero = tuple(Fraction(0) for _ in range(a.n))
         return [EllipticComponent((), ((), ()), a.n, (zero, zero))]
-    snf = smith_normal_form(sub)
     divisors = [d for d in snf.divisors if d != 0]
+    top = divisors[-1]
+    scale = [top // d for d in divisors]
+    labels = list(itertools.product(*(range(d) for d in divisors)))
+    points = [
+        tuple(Fraction(sum(x * c * s for x, c, s in zip(row, label, scale)) % top, top) for row in snf.right.entries)
+        for label in labels
+    ]
     dim = a.n - snf.rank
-    out = []
-    for c1 in itertools.product(*(range(d) for d in divisors)):
-        u = _label_point(snf, c1, a.n)
-        for c2 in itertools.product(*(range(d) for d in divisors)):
-            w = _label_point(snf, c2, a.n)
-            out.append(EllipticComponent(idx, (c1, c2), dim, (u, w)))
-    return out
+    return [
+        EllipticComponent(idx, (c1, c2), dim, (u, w)) for c1, u in zip(labels, points) for c2, w in zip(labels, points)
+    ]
 
 
 def _in_kernel_plus_lattice(sub: Matrix, snf: SmithForm, z: Sequence[Fraction]) -> bool:
@@ -322,7 +318,7 @@ def enumerate_strata(a: EllipticArrangement) -> list[Stratum]:
     for I, sub, snf in _subsets(a):
         closure = _closure(a, snf)
         bucket = by_closure.setdefault(closure, [])
-        for comp in components(a, I):
+        for comp in _components(a, I, snf):
             if any(_point_on_component(a, seen, comp.point) for seen in bucket):
                 continue
             stratum = Stratum(comp, sub, snf, closure)

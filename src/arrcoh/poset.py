@@ -110,8 +110,8 @@ def moebius_table(poset: FinitePoset, x) -> dict:
     table: dict = {}
     ups = [y for y in poset.elements if poset.leq(x, y)]
     # iterate in a linear extension: element order may not extend the order,
-    # so sort by the size of the lower set within ups
-    ups.sort(key=lambda y: sum(1 for z in ups if poset.leq(z, y)))
+    # and z < y leaves fewer elements strictly above y than above z
+    ups.sort(key=lambda y: -len(poset._above[poset._index[y]]))
     for y in ups:
         if y == x:
             table[y] = 1

@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Collection, Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
-from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology, make_complex
-from arrcoh.linalg import Ring, ZZ
+from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology
+from arrcoh.linalg import InternalError, Ring, ZZ
 
 __all__ = [
     "MAX_FACES",
     "SimplicialComplex",
     "link",
     "link_cohomology",
-    "face_coboundaries",
+    "FaceCoboundaries",
     "reduced_cohomology",
     "is_cohen_macaulay",
     "CMVerdict",
@@ -204,40 +204,72 @@ def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[
     return table
 
 
-def face_coboundaries(L: SimplicialComplex, weight: Callable) -> tuple[list[int], list[list[dict]]]:
-    """Face counts by cardinality and the weighted coboundaries between them.
+@dataclass(frozen=True)
+class FaceCoboundaries:
+    """Coboundaries between the faces of a simplicial complex, with a
+    symbol x_v per vertex v in place of a weight.
 
-    ``counts[c]`` is the number of faces of cardinality c (c = 0 .. dim+1).
-    ``rows[c]`` maps the faces of cardinality c to those of cardinality
-    c+1, both in :meth:`SimplicialComplex.faces_of_card` order: one
-    {column: entry} dict per face g, whose column for each facet g - {v}
-    holds (-1)^pos * weight(v), with pos the number of vertices of g
-    before v.  Weight 1 gives the augmented simplicial coboundary.
+    ``counts[c]`` counts the faces of cardinality c; ``rows[c]`` maps them
+    to those of cardinality c+1, both in :meth:`SimplicialComplex.faces_of_card`
+    order: one {column: (sign, position)} dict per face g, for (-1)^pos * x_v
+    at g - {v}, v at ``position`` in the vertex order, pos the number of
+    vertices of g before v.  d o d = 0 is checked once, on construction, as
+    an identity in the symbols: for each face g, the signs of the paths to
+    g - {v, w} cancel per (g - {v, w}, {v, w}).  So it holds at any values
+    in any commutative ring, and :meth:`specialize` checks nothing.
     """
-    levels, _ = _face_index(L)
-    w = [weight(v) for v in L.vertices]
-    rows = []
-    for source, target in zip(levels, levels[1:]):
-        index = {f: j for j, f in enumerate(source)}
-        block = []
-        for g in target:
-            row = {}
-            sign, rest = 1, g
-            while rest:
-                low = rest & -rest
-                row[index[g ^ low]] = sign * w[low.bit_length() - 1]
-                sign, rest = -sign, rest ^ low
-            block.append(row)
-        rows.append(block)
-    return [len(level) for level in levels], rows
+
+    counts: tuple[int, ...]
+    rows: tuple[list[dict], ...]
+
+    def __post_init__(self) -> None:
+        for k, (outer, inner) in enumerate(zip(self.rows[1:], self.rows)):
+            for row in outer:
+                acc: dict = {}
+                for mid, (s, v) in row.items():
+                    for j, (t, w) in inner[mid].items():
+                        key = (j, v, w) if v < w else (j, w, v)
+                        acc[key] = acc.get(key, 0) + s * t
+                if any(acc.values()):
+                    raise InternalError(f"face coboundaries: d^{k + 1} o d^{k} != 0")
+
+    @classmethod
+    def of(cls, L: SimplicialComplex) -> "FaceCoboundaries":
+        levels, _ = _face_index(L)
+        rows = []
+        for source, target in zip(levels, levels[1:]):
+            index = {f: j for j, f in enumerate(source)}
+            block = []
+            for g in target:
+                row = {}
+                sign, rest = 1, g
+                while rest:
+                    low = rest & -rest
+                    row[index[g ^ low]] = (sign, low.bit_length() - 1)
+                    sign, rest = -sign, rest ^ low
+                block.append(row)
+            rows.append(block)
+        return cls(tuple(len(level) for level in levels), tuple(rows))
+
+    def specialize(self, ring: Ring, values: Sequence, shift: int = 0) -> CochainComplexData:
+        """The complex over ``ring`` at x_v = values[position of v], with the
+        faces of cardinality c in degree c + shift.  Each value and its
+        negative are normalized once; entries that vanish are dropped."""
+        entry = {}
+        for i, x in enumerate(values):
+            x = ring.normalize(x)
+            entry[1, i], entry[-1, i] = x, ring.normalize(-x)
+        rows = {
+            c + shift: [{j: y for j, e in row.items() if (y := entry[e])} for row in block]
+            for c, block in enumerate(self.rows)
+        }
+        return CochainComplexData(ring, {c + shift: n for c, n in enumerate(self.counts)}, rows)
 
 
 def reduced_cochain_complex(L: SimplicialComplex, ring: Ring) -> CochainComplexData:
     """Augmented simplicial cochain complex; degree k has basis the k-faces
     (cardinality k+1), with the empty face in degree -1."""
-    counts, rows = face_coboundaries(L, lambda v: 1)
-    dims = {c - 1: n for c, n in enumerate(counts)}
-    return make_complex(ring, dims, {c - 1: r for c, r in enumerate(rows)})
+    return FaceCoboundaries.of(L).specialize(ring, [1] * len(L.vertices), shift=-1)
 
 
 def reduced_cohomology(L: SimplicialComplex, ring: Ring = ZZ) -> CohomologyReport:

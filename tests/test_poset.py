@@ -67,6 +67,22 @@ def test_moebius_table_matches_pointwise():
         assert v == oracle_moebius(p, bottom, e)
 
 
+@pytest.mark.parametrize(
+    "poset, x",
+    [
+        (from_relations(["top", "mid", "bot"], [("bot", "mid"), ("mid", "top")]), "bot"),
+        # the boolean lattice on three atoms listed top first
+        (from_leq([frozenset(s) for r in range(3, -1, -1) for s in itertools.combinations(range(3), r)],
+                  lambda a, b: a <= b), frozenset()),
+    ],
+)
+def test_moebius_table_when_element_order_lists_the_top_first(poset, x):
+    table = moebius_table(poset, x)
+    assert set(table) == {y for y in poset.elements if poset.leq(x, y)}
+    for y, v in table.items():
+        assert v == oracle_moebius(poset, x, y)
+
+
 def test_moebius_sum_property():
     # sum_{x <= z <= y} mu(x, z) = 0 for x < y
     p = divisor_lattice(30)

@@ -6,14 +6,17 @@ hand from the face counts; they are frozen here as regression anchors.
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrcoh.linalg import GF, QQ, ZZ
+from arrcoh.cochain import make_complex
+from arrcoh.linalg import GF, QQ, ZZ, InternalError
 from arrcoh.simplicial import (
     MAX_FACES,
+    FaceCoboundaries,
     SimplicialComplex,
     _canonical_key,
     enumerate_complexes,
@@ -395,6 +398,75 @@ def test_link_cohomology_matches_each_link(L):
         # within a vertex set: the same reports, in order, for the faces inside it
         within = link_cohomology(L, ring, inside)
         assert list(within.items()) == [(f, report) for f, report in table.items() if f <= inside]
+
+
+def face_coboundaries(L, weight):
+    """Oracle: face counts by cardinality and the weighted coboundaries
+    between them, in faces_of_card order, the column of g - {v} in the row
+    of g holding (-1)^pos * weight(v), pos the number of vertices of g
+    before v."""
+    levels = [L.faces_of_card(c) for c in range(L.dim + 2)]
+    rows = []
+    for source, target in zip(levels, levels[1:]):
+        index = {f: j for j, f in enumerate(source)}
+        rows.append([{index[g - {v}]: (-1) ** pos * weight(v) for pos, v in enumerate(L.sort_face(g))} for g in target])
+    return [len(level) for level in levels], rows
+
+
+def oracle_complex(L, ring, weight, shift=0):
+    """The oracle's coboundaries through make_complex, which normalizes every
+    entry and checks d o d = 0 numerically."""
+    counts, rows = face_coboundaries(L, weight)
+    return make_complex(ring, {c + shift: n for c, n in enumerate(counts)}, {c + shift: r for c, r in enumerate(rows)})
+
+
+@st.composite
+def ring_and_weights(draw, vertices):
+    """A ring and a weight q_v per vertex, 1 among the choices; q_v - 1
+    vanishes at q_v = 1 and at q_v = 1 mod p."""
+    ring = draw(st.sampled_from([ZZ, QQ, GF(2), GF(3), GF(101)]))
+    q = st.just(1) | st.integers(-4, 6)
+    if ring is QQ:
+        q |= st.builds(Fraction, st.integers(-4, 6), st.integers(1, 4))
+    return ring, {v: draw(q) for v in vertices}
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_complexes().flatmap(lambda L: st.tuples(st.just(L), ring_and_weights(L.vertices))))
+@example((SimplicialComplex.from_facets(range(1, 7), RP2_FACETS), (GF(2), {v: 3 for v in range(1, 7)})))
+def test_face_coboundaries_specialize_like_the_oracle(case):
+    L, (ring, q) = case
+    faces = FaceCoboundaries.of(L)
+    twisted = faces.specialize(ring, [q[v] - 1 for v in L.vertices])
+    expected = oracle_complex(L, ring, lambda v: q[v] - 1)
+    assert (twisted.dims, twisted.rows) == (expected.dims, expected.rows)
+    reduced = faces.specialize(ring, [1] * len(L.vertices), shift=-1)
+    expected = oracle_complex(L, ring, lambda v: 1, shift=-1)
+    assert (reduced.dims, reduced.rows) == (expected.dims, expected.rows)
+
+
+def _one_entry_changed(L):
+    """Copies of the rows of L's face coboundaries, each with one entry
+    changed: its sign flipped, or its vertex symbol swapped for another."""
+    faces = FaceCoboundaries.of(L)
+    n = len(L.vertices)
+    for c, block in enumerate(faces.rows):
+        for i, row in enumerate(block):
+            for j, (s, v) in row.items():
+                for changed in [(-s, v)] + [(s, u) for u in range(n) if u != v]:
+                    rows = [[dict(r) for r in b] for b in faces.rows]
+                    rows[c][i][j] = changed
+                    yield faces.counts, tuple(rows)
+
+
+@pytest.mark.parametrize("L", [sphere_boundary(3), SimplicialComplex.from_facets(range(4), [range(4)])])
+def test_face_coboundaries_reject_one_changed_entry(L):
+    # every entry lies on a path of length two, so each change breaks d o d
+    cases = list(_one_entry_changed(L))
+    assert len(cases) == 4 * sum(len(row) for block in FaceCoboundaries.of(L).rows for row in block)
+    for counts, rows in cases:
+        with pytest.raises(InternalError, match=r"d\^\d o d\^\d != 0"):
+            FaceCoboundaries(counts, rows)
 
 
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(complexes(n), st.permutations(range(n)))), st.randoms())
