@@ -39,18 +39,28 @@ class InternalError(Exception):
     so not a ValueError (the CLI exits 3 on it, 2 on bad input)."""
 
 
+# Miller-Rabin to the prime bases 2..41 decides every n below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017); the bases 2..37 alone pass
+# composites past 3.2e23.  Above the bound no base set here is proven.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 2**31."""
+    """Deterministic Miller-Rabin below ``_MR_BOUND`` (about 3.3e24);
+    raises ValueError for any larger n rather than guess."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: primality is decided only below {_MR_BOUND}")
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

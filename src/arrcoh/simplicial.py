@@ -139,29 +139,34 @@ def link(L: SimplicialComplex, sigma: Iterable) -> SimplicialComplex:
     return SimplicialComplex._closed(L.vertices, frozenset(f for f in L.faces if not (f & s) and (f | s) in L.faces))
 
 
-def _face_index(L: SimplicialComplex) -> tuple[list[list[int]], dict[int, frozenset]]:
-    """The faces of L as bitmasks over ``L.vertices`` (bit i for vertex i).
-
-    Returns the masks grouped by cardinality, each group in
-    :meth:`SimplicialComplex.faces_of_card` order, and the face of each
-    mask.  A face of cardinality c + 1 is a face of cardinality c extended
-    by a vertex after its last one, so extending each group in order lists
-    the next group in order too.
+def _levels(faces: Collection[int], n: int) -> list[list[int]]:
+    """The masks of a face set closed under subsets, over n vertices,
+    grouped by cardinality, each group in increasing order of its faces'
+    sorted vertex tuples (the order of :meth:`SimplicialComplex.faces_of_card`
+    when bit i is vertex i).  A face of cardinality c + 1 is a face of
+    cardinality c extended by a vertex after its last one, so extending
+    each group in order lists the next group in order too.
     """
-    bit = {v: 1 << i for i, v in enumerate(L.vertices)}
-    face_of = {sum(map(bit.__getitem__, f)): f for f in L.faces}
-    n = len(L.vertices)
     levels = [[0]]
     while True:
-        nxt = [g | 1 << v for g in levels[-1] for v in range(g.bit_length(), n) if g | 1 << v in face_of]
+        nxt = [g | 1 << v for g in levels[-1] for v in range(g.bit_length(), n) if g | 1 << v in faces]
         if not nxt:
-            return levels, face_of
+            return levels
         levels.append(nxt)
+
+
+def _face_index(L: SimplicialComplex) -> tuple[list[list[int]], dict[int, frozenset]]:
+    """The faces of L as bitmasks over ``L.vertices`` (bit i for vertex i):
+    the :func:`_levels` of the masks, and the face of each mask."""
+    bit = {v: 1 << i for i, v in enumerate(L.vertices)}
+    face_of = {sum(map(bit.__getitem__, f)): f for f in L.faces}
+    return _levels(face_of, len(L.vertices)), face_of
 
 
 def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[frozenset, CohomologyReport]:
     """Reduced cohomology of the link of every face of L inside the vertex
-    set ``within``, over ``ring``.
+    set ``within``, over ``ring``; each report equals what
+    :func:`reduced_cohomology` gives for :func:`link` of the face.
 
     Keyed by face in :meth:`SimplicialComplex.faces_of_card` order, the
     empty face (whose link is L) first.  One sweep over the faces, as
@@ -170,11 +175,14 @@ def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[
     from g = s | tau.  Only the submasks of g inside ``within`` are
     visited, so no link outside it is built.
 
-    Links are shared by shape: each link is relabeled onto 0..m-1, its m
-    vertices taken in the vertex order of L, and the cohomology is
-    computed once per distinct relabeled face set.  Links that differ only
-    in their vertex labels (every facet's link is {emptyset}; the link of
-    each vertex of a cycle is two points) share one report.
+    Links are shared by shape: each link is relabeled onto bits 0..m-1, its
+    m vertices taken in the vertex order of L, and the cohomology is
+    computed once per distinct relabeled mask set (every facet's link is
+    {emptyset}; the link of each vertex of a cycle is two points).  A shape
+    with a face of three vertices gets its coboundaries straight from its
+    masks (:meth:`FaceCoboundaries.from_levels`, with its d o d check) and
+    is eliminated.  Any other shape is {emptyset}, a set of points or a
+    graph, and its cohomology is read off counts (:func:`_graph_cohomology`).
     """
     levels, face_of = _face_index(L)
     keep = set(within)
@@ -198,10 +206,46 @@ def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[
         shape = frozenset(sum(1 << j for j, b in enumerate(positions) if f & b) for f in faces)
         if shape not in by_shape:
             m = len(positions)
-            shape_faces = frozenset(frozenset(j for j in range(m) if f >> j & 1) for f in shape)
-            by_shape[shape] = reduced_cohomology(SimplicialComplex._closed(range(m), shape_faces), ring)
+            if any(f.bit_count() > 2 for f in shape):
+                cx = FaceCoboundaries.from_levels(_levels(shape, m)).specialize(ring, [1] * m, shift=-1)
+                by_shape[shape] = complex_cohomology(cx)
+            else:
+                by_shape[shape] = _graph_cohomology(ring, shape, m)
         table[face_of[s]] = by_shape[shape]
     return table
+
+
+def _graph_cohomology(ring: Ring, faces: Collection[int], m: int) -> CohomologyReport:
+    """Reduced cohomology of a complex with no face of three vertices, on
+    vertices 0..m-1 (each one a face), from its masks ``faces``.
+
+    With E edges and c components (by union-find): H^0 has rank c - 1 and
+    H^1 rank E - m + c, as the signed incidence matrix of a graph has rank
+    m - c and is totally unimodular, so there is no torsion over any ring.
+    {emptyset} (m = 0) has rank 1 in degree -1.  Every degree from -1 to
+    the dimension is reported, zeros included, as :func:`reduced_cohomology`
+    does.
+    """
+    if not m:
+        return CohomologyReport(ring, {-1: 1})
+    root = list(range(m))
+    edges = merges = 0
+    for f in faces:
+        if f.bit_count() == 2:
+            edges += 1
+            a, b = (f & -f).bit_length() - 1, f.bit_length() - 1
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            if a != b:
+                root[a] = b
+                merges += 1
+    c = m - merges
+    free = {-1: 0, 0: c - 1}
+    if edges:
+        free[1] = edges - m + c
+    return CohomologyReport(ring, free)
 
 
 @dataclass(frozen=True)
@@ -235,7 +279,12 @@ class FaceCoboundaries:
 
     @classmethod
     def of(cls, L: SimplicialComplex) -> "FaceCoboundaries":
-        levels, _ = _face_index(L)
+        return cls.from_levels(_face_index(L)[0])
+
+    @classmethod
+    def from_levels(cls, levels: Sequence[Sequence[int]]) -> "FaceCoboundaries":
+        """The coboundaries between the face masks of each cardinality, as
+        :func:`_levels` groups them; the position of a vertex is its bit."""
         rows = []
         for source, target in zip(levels, levels[1:]):
             index = {f: j for j, f in enumerate(source)}

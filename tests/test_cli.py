@@ -312,6 +312,11 @@ def test_toric_cm_verdicts(files, capsys):
     assert code == 0
     code, _, err = run(capsys, ["toric-cm", files("t3.json", TORIC_TRI), "--ring", "F4"])
     assert code == 2
+    # a product of two primes that fools Miller-Rabin to the bases 2..37
+    code, out, err = run(capsys, ["toric-cm", files("t4.json", TORIC_TRI), "--ring", "F318665857834031151167461"])
+    assert code == 2 and out == "" and "not prime" in err
+    code, out, err = run(capsys, ["toric-cm", files("t5.json", TORIC_TRI), "--ring", "F3317044064679887385961981"])
+    assert code == 2 and out == "" and "3317044064679887385961981" in err
 
 
 def test_toric_verify(files, capsys):

@@ -273,3 +273,29 @@ def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
     assert is_prime(101)
+
+
+# 399165290221 * 798330580441: a strong pseudoprime to every prime base up to
+# 37, caught by base 41
+PSEUDOPRIME_37 = 318665857834031151167461
+# the bound below which bases 2..41 decide primality (Sorenson-Webster 2017);
+# itself a strong pseudoprime to all of them
+PRIME_BOUND = 3317044064679887385961981
+
+
+def test_is_prime_past_base_37():
+    assert 399165290221 * 798330580441 == PSEUDOPRIME_37
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(PSEUDOPRIME_37)
+    with pytest.raises(ValueError, match="must be prime"):
+        GF(PSEUDOPRIME_37)
+    assert is_prime(2**61 - 1) and not is_prime(41 * 43)
+    assert not is_prime(PRIME_BOUND - 1)  # even
+
+
+def test_is_prime_refuses_at_the_bound():
+    for n in (PRIME_BOUND, PRIME_BOUND + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            is_prime(n)
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            GF(n)

@@ -19,6 +19,8 @@ from arrcoh.simplicial import (
     FaceCoboundaries,
     SimplicialComplex,
     _canonical_key,
+    _face_index,
+    _graph_cohomology,
     enumerate_complexes,
     is_cohen_macaulay,
     link,
@@ -380,6 +382,19 @@ OCTAHEDRON = SimplicialComplex.from_facets(
     ["p3", "m1", "p1", "m2", "p2", "m3"],
     [(f"{a}1", f"{b}2", f"{c}3") for a in "pm" for b in "pm" for c in "pm"],
 )
+# Graph links with several components and cycles.  The cone over two disjoint
+# hollow triangles: the apex's link is two 3-cycles (H^0 of rank 1, H^1 of rank 2).
+# The cone over a 4-cycle with a chord, a pendant edge and an isolated point:
+# the apex's link has two components and two independent cycles, and the
+# links of the pendant edge and of the isolated point are one point each.
+TWO_TRIANGLES = SimplicialComplex.from_facets(
+    ["a", "b", "c", "o", "d", "e", "f"],
+    [("o", x, y) for x, y in [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")]],
+)
+CHORDED = SimplicialComplex.from_facets(
+    ["w", "k", "z", "i", "j", "l", "m"],
+    [("z", x, y) for x, y in [("i", "j"), ("j", "k"), ("k", "l"), ("i", "l"), ("i", "k"), ("l", "w")]] + [("z", "m")],
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,9 +403,12 @@ OCTAHEDRON = SimplicialComplex.from_facets(
 @example(SimplicialComplex.from_facets(["a", "b", "c", "d"], [("a", "b", "c"), ("c", "d"), ("b", "d")]))
 @example(CONES)
 @example(OCTAHEDRON)
+@example(TWO_TRIANGLES)
+@example(CHORDED)
+@example(SimplicialComplex.from_facets(["u", "s"], [("u", "s")]))
 def test_link_cohomology_matches_each_link(L):
     inside = frozenset(L.vertices[::2])
-    for ring in (ZZ, GF(2), GF(101)):
+    for ring in (ZZ, QQ, GF(2), GF(101)):
         table = link_cohomology(L, ring, L.vertices)
         assert list(table) == [frozenset(f) for f in L.all_faces()]
         for f, report in table.items():
@@ -398,6 +416,31 @@ def test_link_cohomology_matches_each_link(L):
         # within a vertex set: the same reports, in order, for the faces inside it
         within = link_cohomology(L, ring, inside)
         assert list(within.items()) == [(f, report) for f, report in table.items() if f <= inside]
+
+
+@st.composite
+def graphs(draw):
+    """A complex of dimension at most 1 on vertices 0..n-1, n <= 8, every
+    vertex a face, with any set of edges (none for n = 0: {emptyset})."""
+    n = draw(st.integers(0, 8))
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2)) or [()]), unique=True))
+    return SimplicialComplex.from_facets(range(n), [(v,) for v in range(n)] + [e for e in edges if e])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+@example(SimplicialComplex.from_facets((), []))
+@example(SimplicialComplex.from_facets(range(1), [(0,)]))
+@example(SimplicialComplex.from_facets(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+def test_graph_closed_form_matches_elimination(L):
+    masks = _face_index(L)[1]
+    for ring in (ZZ, QQ, GF(2)):
+        expected = reduced_cohomology(L, ring)
+        assert _graph_cohomology(ring, masks, len(L.vertices)) == expected
+        # the link of the empty face is L: the table reads the closed form
+        assert link_cohomology(L, ring, ()) == {frozenset(): expected}
+        assert not expected.torsion
+        assert list(expected.free_ranks) == list(range(-1, L.dim + 1))
 
 
 def face_coboundaries(L, weight):
