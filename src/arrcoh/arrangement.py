@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from arrcoh.covers import E2Support, LocalDatum, e2_support
-from arrcoh.linalg import QQ, ZZ, FieldTag, InternalError, Matrix, _rational_rref, parse_fraction, rank_kernel
+from arrcoh.linalg import QQ, ZZ, FieldTag, InternalError, Matrix, parse_fraction, sparse_rank
 from arrcoh.poset import FinitePoset, from_relations, moebius_table
 from arrcoh.simplicial import SimplicialComplex
 
@@ -100,7 +100,7 @@ class Arrangement:
 
     @cached_property
     def rank(self) -> int:
-        return rank_kernel(self.normals)[0]
+        return _rank(self.integral_normals)
 
     @cached_property
     def integral_normals(self) -> tuple[tuple[int, ...], ...]:
@@ -121,9 +121,15 @@ class Arrangement:
         """
         if self.m == 0:
             return Arrangement(0, Matrix.zeros(QQ, 0, 0), ())
-        rref, pivots = _rational_rref([list(r) for r in self.normals.entries])
-        # in reduced form, the coordinate of a row along basis vector j is
-        # just its entry at the j-th pivot column
+        # the pivots of the reduced form are the columns that raise the rank
+        # of the columns before them; in reduced form, the coordinate of a
+        # row along basis vector j is just its entry at the j-th pivot column
+        pivots: list[int] = []
+        for c in range(self.n):
+            if len(pivots) == self.rank:
+                break
+            if _rank([[row[j] for j in pivots + [c]] for row in self.integral_normals]) > len(pivots):
+                pivots.append(c)
         new_rows = [[row[p] for p in pivots] for row in self.normals.entries]
         return Arrangement(len(pivots), Matrix.from_rows(QQ, new_rows), self.labels)
 
@@ -151,6 +157,10 @@ class Arrangement:
 
     def __repr__(self) -> str:
         return f"Arrangement(n={self.n}, m={self.m})"
+
+
+def _rank(rows: Iterable[Sequence[int]]) -> int:
+    return sparse_rank(QQ, ({j: x for j, x in enumerate(row) if x} for row in rows))[0]
 
 
 def _integral(row: Sequence[Fraction]) -> tuple[int, ...]:
@@ -200,6 +210,11 @@ class IntersectionLattice:
     def top(self) -> tuple[int, ...]:
         return tuple(range(self.arrangement.m))
 
+    @cached_property
+    def moebius(self) -> dict:
+        """mu(bottom, X) for every flat X."""
+        return moebius_table(self.poset, self.bottom)
+
     def to_json(self) -> dict:
         labels = self.arrangement.labels
         return {
@@ -220,6 +235,10 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
     """Enumerate all flats bottom-up, with their cover relations; raise a
     ValueError past ``max_flats`` flats when a limit is given.
 
+    The lattice is built once per arrangement and kept on it; a later call
+    returns the kept lattice, or raises the same ValueError when it has
+    more than that call's ``max_flats`` flats.
+
     The flats covering X are the subspaces X cut by one more hyperplane.
     Restricted to X (dotted with the rows of X's kernel basis), each
     hyperplane not in X gives a nonzero integer functional r, and two
@@ -229,6 +248,11 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
     kernel basis is cut from X's by r in integers (:func:`_restrict`), so
     no flat is eliminated from scratch and no fraction is formed.
     """
+    lat = getattr(a, "_lattice", None)
+    if lat is not None:
+        if max_flats is not None and len(lat.flats) > max_flats:
+            raise ValueError(_past_limit(max_flats))
+        return lat
     identity = tuple(tuple(int(i == j) for j in range(a.n)) for i in range(a.n))
     seen: dict[tuple[int, ...], Flat] = {(): Flat((), 0, identity)}
     relations: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -249,12 +273,18 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
                 relations.append((cs, bigger))
                 if bigger not in seen:
                     if len(seen) == max_flats:
-                        raise ValueError(f"the lattice stops at {max_flats} flats; this arrangement has more")
+                        raise ValueError(_past_limit(max_flats))
                     seen[bigger] = Flat(bigger, flat.rank + 1, _restrict(flat.kernel_basis, r))
                     nxt.add(bigger)
         frontier = sorted(nxt)
     elements = sorted(seen, key=lambda cs: (seen[cs].rank, cs))
-    return IntersectionLattice(a, from_relations(elements, relations), seen)
+    lat = IntersectionLattice(a, from_relations(elements, relations), seen)
+    object.__setattr__(a, "_lattice", lat)  # frozen, but the lattice is derived
+    return lat
+
+
+def _past_limit(max_flats: int) -> str:
+    return f"the lattice stops at {max_flats} flats; this arrangement has more"
 
 
 def _restrict(basis: tuple[tuple[int, ...], ...], r: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -281,7 +311,7 @@ def _poly_eval(coeffs: Sequence[int], t: int) -> int:
     return sum(c * t**k for k, c in enumerate(coeffs))
 
 
-def poincare_and_beta(a: Arrangement, lat: IntersectionLattice | None = None) -> tuple[list[int], int]:
+def poincare_and_beta(a: Arrangement) -> tuple[list[int], int]:
     """Poincare polynomial (ascending coefficients) and the beta invariant.
 
     pi(t) sums |mu(bottom, X)| t^rank(X) over all flats; beta is pi/(1+t)
@@ -293,34 +323,32 @@ def poincare_and_beta(a: Arrangement, lat: IntersectionLattice | None = None) ->
     """
     if a.m == 0:
         raise ValueError("empty arrangement has no Poincare polynomial")
-    lat = lat or intersection_lattice(a)
-    mu = moebius_table(lat.poset, lat.bottom)
-    return _pi_beta_from_mu(lat, mu, lat.poset.elements)
+    lat = intersection_lattice(a)
+    return _pi_beta_from_mu(lat.flats, lat.moebius, lat.poset.elements)
 
 
-def _pi_beta_from_mu(lat: IntersectionLattice, mu: Mapping, flats: Iterable[tuple[int, ...]]) -> tuple[list[int], int]:
-    top_rank = max(lat.flats[cs].rank for cs in flats)
-    pi = [0] * (top_rank + 1)
-    for cs in flats:
-        pi[lat.flats[cs].rank] += abs(mu[cs])
+def _pi_beta_from_mu(flats: Mapping[tuple[int, ...], Flat], mu: Mapping, interval: Sequence) -> tuple[list[int], int]:
+    """pi and beta of an interval [bottom, X], given by its closed sets."""
+    pi = [0] * (max(flats[cs].rank for cs in interval) + 1)
+    for cs in interval:
+        pi[flats[cs].rank] += abs(mu[cs])
     if _poly_eval(pi, -1) != 0:
         raise InternalError(f"Poincare polynomial {pi} does not vanish at -1")
     # pi = (1 + t) q gives pi'(-1) = q(-1)
     return pi, -sum(k * c * (-1) ** k for k, c in enumerate(pi))
 
 
-def connected_flats(a: Arrangement, lat: IntersectionLattice | None = None) -> list[Flat]:
+def connected_flats(a: Arrangement) -> list[Flat]:
     """Flats X of positive rank whose localized arrangement is irreducible
     (beta of the interval [bottom, X] is nonzero).  Hyperplanes always
     qualify."""
-    lat = lat or intersection_lattice(a)
-    mu = moebius_table(lat.poset, lat.bottom)
+    lat = intersection_lattice(a)
     out = []
     for cs in lat.poset.elements:
         if lat.flats[cs].rank == 0:
             continue
         below = lat.poset.down_set(cs)
-        _, beta = _pi_beta_from_mu(lat, mu, below)
+        _, beta = _pi_beta_from_mu(lat.flats, lat.moebius, below)
         if beta != 0:
             out.append(lat.flats[cs])
     return out
@@ -339,23 +367,18 @@ class BuildingSetChoice:
             raise ValueError(f"unsupported building set kind {self.kind!r}")
 
 
-def minimal_building_set(a: Arrangement, lat: IntersectionLattice | None = None) -> BuildingSetChoice:
-    lat = lat or intersection_lattice(a)
-    members = tuple(f.closed_set for f in connected_flats(a, lat))
+def minimal_building_set(a: Arrangement) -> BuildingSetChoice:
+    members = tuple(f.closed_set for f in connected_flats(a))
     return BuildingSetChoice("minimal", members)
 
 
-def maximal_building_set(a: Arrangement, lat: IntersectionLattice | None = None) -> BuildingSetChoice:
-    lat = lat or intersection_lattice(a)
+def maximal_building_set(a: Arrangement) -> BuildingSetChoice:
+    lat = intersection_lattice(a)
     members = tuple(cs for cs in lat.poset.elements if lat.flats[cs].rank >= 1)
     return BuildingSetChoice("maximal", members)
 
 
-def nested_complex(
-    a: Arrangement,
-    g: BuildingSetChoice,
-    lat: IntersectionLattice | None = None,
-) -> SimplicialComplex:
+def nested_complex(a: Arrangement, g: BuildingSetChoice) -> SimplicialComplex:
     """The nested-set complex on vertex set g minus the top flat.
 
     A subset S is nested when every antichain in S of size >= 2 has its
@@ -369,7 +392,7 @@ def nested_complex(
         raise ValueError("empty arrangement has no nested-set complex")
     if not a.is_essential:
         raise ValueError("nested complexes require an essential arrangement")
-    lat = lat or intersection_lattice(a)
+    lat = intersection_lattice(a)
     # the top flat always blocks antichain joins, member or not: in the
     # projectivized picture its divisor is the ambient space itself, so a
     # family of divisors joining to it can never meet
@@ -386,7 +409,7 @@ def nested_complex(
                 cand = face | {v}
                 if frozenset(cand) in faces:
                     continue
-                if all(frozenset(cand) - {u} in faces for u in cand) and _is_nested(lat, members, cand):
+                if all(frozenset(cand) - {u} in faces for u in cand) and _is_nested(lat.flats, members, cand):
                     faces.add(frozenset(cand))
                     new.append(frozenset(cand))
         frontier = new
@@ -396,12 +419,12 @@ def nested_complex(
     return out
 
 
-def _is_nested(lat: IntersectionLattice, members: set, S: frozenset) -> bool:
+def _is_nested(flats: Mapping[tuple[int, ...], Flat], members: set, S: frozenset) -> bool:
     """Is S nested, given that all its proper subsets are?"""
     if len(S) < 2 or any(set(x) < set(y) for x in S for y in S):
         return True
     union = set().union(*S)
-    join = min((cs for cs in lat.flats if union.issubset(cs)), key=len)
+    join = min((cs for cs in flats if union.issubset(cs)), key=len)
     return join not in members
 
 
@@ -484,13 +507,7 @@ class VanishingVerdict:
         }
 
 
-def vanishing_check(
-    a: Arrangement,
-    sys: RankOneSystem,
-    *,
-    include_top: bool = False,
-    lat: IntersectionLattice | None = None,
-) -> VanishingVerdict:
+def vanishing_check(a: Arrangement, sys: RankOneSystem, *, include_top: bool = False) -> VanishingVerdict:
     """Does every relevant connected flat have nontrivial monodromy?
 
     Default form: the system must be projective (total weight 1), the top
@@ -508,32 +525,26 @@ def vanishing_check(
         raise ValueError("empty arrangement has no projectivized complement")
     if not include_top and not sys.is_projective:
         raise ValueError("projective system required (total weight 1)")
-    lat = lat or intersection_lattice(a)
+    top = intersection_lattice(a).top
     one = sys.field.one
     failing = []
-    for flat in connected_flats(a, lat):
-        if flat.closed_set == lat.top and not include_top:
+    for flat in connected_flats(a):
+        if flat.closed_set == top and not include_top:
             continue
         if flat_monodromy(sys, flat) == one:
             failing.append(flat.closed_set)
     holds = not failing
     if include_top:
         return VanishingVerdict(holds, tuple(failing), a.rank, None)
-    _, beta = poincare_and_beta(a, lat)
+    _, beta = poincare_and_beta(a)
     return VanishingVerdict(holds, tuple(failing), a.rank - 1, abs(beta) if holds else None)
 
 
-def depth_bound(
-    a: Arrangement,
-    g: BuildingSetChoice,
-    sys: RankOneSystem,
-    lat: IntersectionLattice | None = None,
-) -> int:
+def depth_bound(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> int:
     """Largest cardinality of a nested set all of whose flats have trivial
     monodromy (the empty set always qualifies, so the bound is >= 0).
     A positive bound certifies nonvanishing below the top degree."""
-    lat = lat or intersection_lattice(a)
-    nc = nested_complex(a, g, lat)
+    nc = nested_complex(a, g)
     one = sys.field.one
     best = 0
     for k in range(1, nc.dim + 2):
@@ -556,12 +567,7 @@ def _nested_poset(nc: SimplicialComplex) -> tuple[list[tuple], FinitePoset, dict
     return faces, poset, rho
 
 
-def e2_certificate(
-    a: Arrangement,
-    g: BuildingSetChoice,
-    sys: RankOneSystem,
-    lat: IntersectionLattice | None = None,
-) -> E2Support:
+def e2_certificate(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> E2Support:
     """Support certificate for the nested-set spectral sequence.
 
     Per nested set S the coefficient row is torus cohomology: {0} for the
@@ -574,9 +580,8 @@ def e2_certificate(
     """
     if not a.is_essential:
         raise ValueError("certificates require an essential arrangement")
-    lat = lat or intersection_lattice(a)
     n = a.rank
-    nc = nested_complex(a, g, lat)
+    nc = nested_complex(a, g)
     faces, poset, rho = _nested_poset(nc)
     one = sys.field.one
     data = []

@@ -115,9 +115,8 @@ def _run_arr_lattice(args):
     from arrcoh.arrangement import Arrangement, intersection_lattice, poincare_and_beta
 
     a = Arrangement.from_json(_load(args.arrangement))
-    lat = intersection_lattice(a)
-    pi, beta = poincare_and_beta(a, lat)
-    report = lat.to_json()
+    pi, beta = poincare_and_beta(a)
+    report = intersection_lattice(a).to_json()
     report["pi"] = pi
     report["beta"] = beta
     by_rank: dict[int, list[str]] = {}
@@ -146,22 +145,21 @@ def _essentialized(a: Arrangement) -> tuple[Arrangement, bool]:
     return a.essentialize(), True
 
 
-def _building(a, lat, kind: str):
+def _building(a, kind: str):
     from arrcoh.arrangement import maximal_building_set, minimal_building_set
 
     if kind == "maximal":
-        return maximal_building_set(a, lat)
-    return minimal_building_set(a, lat)
+        return maximal_building_set(a)
+    return minimal_building_set(a)
 
 
 def _run_arr_nested(args):
-    from arrcoh.arrangement import Arrangement, intersection_lattice, nested_complex
+    from arrcoh.arrangement import Arrangement, nested_complex
 
     a = Arrangement.from_json(_load(args.arrangement))
     a, reduced = _essentialized(a)
-    lat = intersection_lattice(a)
-    g = _building(a, lat, args.building)
-    nc = nested_complex(a, g, lat)
+    g = _building(a, args.building)
+    nc = nested_complex(a, g)
     labels = a.labels
     members = [[labels[i] for i in cs] for cs in g.members]
     report = {
@@ -182,20 +180,12 @@ def _run_arr_nested(args):
 
 
 def _run_arr_vanish(args):
-    from arrcoh.arrangement import (
-        Arrangement,
-        RankOneSystem,
-        depth_bound,
-        e2_certificate,
-        intersection_lattice,
-        vanishing_check,
-    )
+    from arrcoh.arrangement import Arrangement, RankOneSystem, depth_bound, e2_certificate, vanishing_check
 
     a = Arrangement.from_json(_load(args.arrangement))
     a, reduced = _essentialized(a)
     sys_ = RankOneSystem.from_json(a, _load(args.weights))
-    lat = intersection_lattice(a)
-    verdict = vanishing_check(a, sys_, include_top=args.include_top, lat=lat)
+    verdict = vanishing_check(a, sys_, include_top=args.include_top)
     report = {"verdict": verdict.to_json(a), "essentialized": reduced}
     table = [
         f"vanishing check: {'holds' if verdict.holds else 'FAILS'}",
@@ -207,10 +197,10 @@ def _run_arr_vanish(args):
         flats = ", ".join("{" + ",".join(fl) + "}" for fl in report["verdict"]["failing_flats"])
         table.append(f"trivial monodromy on: {flats}")
     if args.certificate:
-        g = _building(a, lat, args.building)
-        cert = e2_certificate(a, g, sys_, lat)
+        g = _building(a, args.building)
+        cert = e2_certificate(a, g, sys_)
         report["certificate"] = cert.to_json()
-        report["depth_bound"] = depth_bound(a, g, sys_, lat)
+        report["depth_bound"] = depth_bound(a, g, sys_)
         table.append("")
         table.extend(_grid(cert))
     return report, verdict.holds, table
@@ -380,6 +370,8 @@ def _run_covers_validate(args):
 
     obj = _load(args.cover)
     try:
+        if not isinstance(obj["sets"], Mapping) or not isinstance(obj["rho"], Mapping):
+            raise ValueError("bad cover JSON: sets and rho must be objects")
         sets = {str(k): frozenset(v) for k, v in obj["sets"].items()}
         pelems = [str(e) for e in obj["poset"]["elements"]]
         rels = [(str(x), str(y)) for x, y in obj["poset"]["relations"]]

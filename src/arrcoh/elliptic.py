@@ -27,9 +27,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from arrcoh.arrangement import Arrangement, RankOneSystem, _primitive, vanishing_check
+from arrcoh.arrangement import Arrangement, RankOneSystem, _primitive, _rank, vanishing_check
 from arrcoh.covers import E2Support, LocalDatum, e2_support
 from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, SmithForm, smith_normal_form
 from arrcoh.poset import from_leq
@@ -98,9 +99,9 @@ class EllipticArrangement:
     def m(self) -> int:
         return self.rows.nrows
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return smith_normal_form(self.rows).rank
+        return _rank(self.rows.entries)
 
     @property
     def corank(self) -> int:

@@ -1,19 +1,24 @@
-"""Dense elimination over a prime field: rank and right kernel.
+"""Dense elimination over a field (F_p, or Q): rank and right kernel.
 
-Matrices are lists of equal-length lists of ints (any residues; reduced
-mod p internally).  Any prime modulus works, however large.
+Matrices are lists of equal-length lists.  Over F_p (``p`` a prime) the
+entries are ints, any residues, reduced mod p internally; any prime
+modulus works, however large.  Over Q (``p=None``) the entries are ints or
+Fractions, and every step is exact Fraction arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 BACKEND = "python"  # the only one; benchmark results record it
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Row-reduce in place mod p; return (matrix, pivot column list)."""
-    if p < 2:
+def _rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
+    """Row-reduce a copy mod p, or over Q when p is None; return
+    (matrix, pivot column list)."""
+    if p is not None and p < 2:
         raise ValueError(f"modulus must be a prime, got {p}")
-    mat = [[x % p for x in row] for row in rows]
+    mat = [[x % p if p else Fraction(x) for x in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots: list[int] = []
@@ -27,17 +32,18 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
         if pivot_row < 0:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
+        inv = pow(mat[r][c], p - 2, p) if p else 1 / mat[r][c]
         row_r = mat[r]
         if inv != 1:
             for j in range(c, ncols):
-                row_r[j] = row_r[j] * inv % p
+                row_r[j] = row_r[j] * inv % p if p else row_r[j] * inv
         for i in range(nrows):
             if i != r and mat[i][c]:
                 f = mat[i][c]
                 row_i = mat[i]
                 for j in range(c, ncols):
-                    row_i[j] = (row_i[j] - f * row_r[j]) % p
+                    y = row_i[j] - f * row_r[j]
+                    row_i[j] = y % p if p else y
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -45,15 +51,16 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return mat, pivots
 
 
-def fp_rank(rows: list[list[int]], p: int) -> int:
-    """Rank of the matrix over F_p."""
+def fp_rank(rows: list[list], p: int | None) -> int:
+    """Rank of the matrix over F_p, or over Q when p is None."""
     if not rows or not rows[0]:
         return 0
     return len(_rref(rows, p)[1])
 
 
-def fp_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right kernel {v : A v = 0} over F_p, as a list of rows."""
+def fp_kernel(rows: list[list], p: int | None) -> list[list]:
+    """Basis of the right kernel {v : A v = 0} over F_p, or over Q when p
+    is None, as a list of rows."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -67,6 +74,6 @@ def fp_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
         v = [0] * ncols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = (-mat[r][fc]) % p
+            v[pc] = (-mat[r][fc]) % p if p else -mat[r][fc]
         basis.append(v)
     return basis

@@ -2,8 +2,9 @@
 
 Everything here is exact: rationals are :class:`fractions.Fraction`, prime
 field elements are ints in ``[0, p)``, integers are ints.  No floats are
-ever produced or accepted.  Dense matrices carry kernels and Smith
-witnesses; :func:`sparse_rank` is the rank-only elimination that cochain
+ever produced or accepted.  Dense matrices carry kernels, from the one
+dense row reduction of :mod:`arrcoh.fp` over F_p and Q, and Smith
+witnesses over Z; :func:`sparse_rank` is the rank-only elimination that cochain
 complexes use, one routine for all three rings, which over Q keeps
 integral values as ints and forms a Fraction only where a pivot is not
 +-1.
@@ -153,7 +154,9 @@ class FieldTag:
         return {"kind": "prime", "p": self.p}
 
     @staticmethod
-    def from_json(obj: dict) -> "FieldTag":
+    def from_json(obj: Mapping) -> "FieldTag":
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"field must be an object, got {obj!r}")
         kind = obj.get("kind")
         if kind == "rational":
             return QQ
@@ -261,35 +264,12 @@ class Matrix:
         return f"Matrix({self.ring}, {self.nrows}x{self.ncols})"
 
 
-def _rational_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), -1)
-        if pivot_row < 0:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
-
-
 def rank_kernel(mat: Matrix) -> tuple[int, Matrix]:
     """Rank and a right-kernel basis (rows of the returned matrix).
 
-    Each call runs one elimination.  Over F_p the rank is the number of
-    columns less the kernel's dimension.  Over Z rank and kernel both come
+    Each call runs one elimination.  Over a field, F_p or Q, the kernel
+    comes from the dense row reduction of :mod:`arrcoh.fp`, and the rank is
+    the number of columns less the kernel's dimension.  Over Z rank and kernel both come
     from the Smith form; the kernel basis is saturated (primitive integer
     vectors spanning the full rational kernel lattice), read off the
     Smith-form witness V.
@@ -302,22 +282,9 @@ def rank_kernel(mat: Matrix) -> tuple[int, Matrix]:
         r = sf.rank
         basis = [tuple(sf.right.entries[i][j] for i in range(mat.ncols)) for j in range(r, mat.ncols)]
         return r, Matrix(ZZ, tuple(basis), mat.ncols - r, mat.ncols)
-    if ring.kind == "prime":
-        basis = fp.fp_kernel([list(r) for r in mat.entries], ring.p)
-        kern = Matrix.from_rows(ring, basis) if basis else Matrix.zeros(ring, 0, mat.ncols)
-        return mat.ncols - len(basis), kern
-    rref, pivots = _rational_rref([list(r) for r in mat.entries])
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(mat.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * mat.ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
+    basis = fp.fp_kernel([list(r) for r in mat.entries], ring.p)
     kern = Matrix.from_rows(ring, basis) if basis else Matrix.zeros(ring, 0, mat.ncols)
-    return len(pivots), kern
+    return mat.ncols - len(basis), kern
 
 
 def sparse_rank(ring: Ring, rows: Iterable[Mapping[int, object]]) -> tuple[int, tuple[int, ...]]:

@@ -37,7 +37,6 @@ from typing import Mapping
 
 from arrcoh.arrangement import (
     Arrangement,
-    IntersectionLattice,
     RankOneSystem,
     intersection_lattice,
     poincare_and_beta,
@@ -82,12 +81,13 @@ class FaceSystem:
         return tuple(f for f in self.faces if self.codim[f] == 0)
 
 
-def _cocircuits(a: Arrangement, lat: IntersectionLattice) -> list[SignVector]:
+def _cocircuits(a: Arrangement) -> list[SignVector]:
     """Both sign vectors of each line of the arrangement.
 
     A flat of rank ``a.rank - 1`` is a line modulo the common kernel of the
     normals; any vector of the flat outside that kernel spans it, and the
     signs of the normals on it form a cocircuit."""
+    lat = intersection_lattice(a)
     rows = a.integral_normals
     out = []
     for cs in lat.poset.elements:
@@ -101,7 +101,7 @@ def _cocircuits(a: Arrangement, lat: IntersectionLattice) -> list[SignVector]:
     return out
 
 
-def enumerate_faces(a: Arrangement, lat: IntersectionLattice | None = None) -> FaceSystem:
+def enumerate_faces(a: Arrangement) -> FaceSystem:
     """Every face of the real arrangement: the closure of the zero vector
     under composition with the cocircuits.
 
@@ -112,10 +112,10 @@ def enumerate_faces(a: Arrangement, lat: IntersectionLattice | None = None) -> F
     f o y depends only on y restricted to f's zero set, so each distinct
     restriction is tried once.  The chamber count is cross-checked against
     the Poincare polynomial at 1.  Every flat is the zero set of a face, so
-    a lattice built here stops at ``MAX_FACES`` flats too.
+    the lattice stops at ``MAX_FACES`` flats too.
     """
-    lat = lat or intersection_lattice(a, max_flats=MAX_FACES)
-    cocircuits = _cocircuits(a, lat)
+    lat = intersection_lattice(a, max_flats=MAX_FACES)
+    cocircuits = _cocircuits(a)
     zero = (0,) * a.m
     codim: dict[SignVector, int] = {zero: lat.flats[lat.top].rank}
     covers: dict[SignVector, tuple[SignVector, ...]] = {}
@@ -142,7 +142,7 @@ def enumerate_faces(a: Arrangement, lat: IntersectionLattice | None = None) -> F
         covers[f] = tuple(sorted(up))
     fs = FaceSystem(a, tuple(sorted(codim)), codim, covers)
     if a.m >= 1:
-        pi, _ = poincare_and_beta(a, lat)
+        pi, _ = poincare_and_beta(a)
         if len(fs.chambers) != sum(pi):
             raise InternalError(f"chamber count {len(fs.chambers)} disagrees with the lattice prediction {sum(pi)}")
     return fs

@@ -100,6 +100,8 @@ class ToricRankOneSystem:
             q = obj["q"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad weights JSON: {exc}") from exc
+        if not isinstance(q, Mapping):
+            raise ValueError(f"weights q must map vertex names to scalars, got {q!r}")
         by_name = {str(v): v for v in tc.base.vertices}
         mapped = {}
         for name, val in q.items():

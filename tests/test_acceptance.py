@@ -233,9 +233,8 @@ def test_c01_lattice_invariants_match_moebius_oracle():
 @_criterion(2, "nested complexes: isolated vertices for generic lines, dim rank-2", budget=1.0)
 def test_c02_nested_complexes():
     lines = three_generic_lines()
-    lat = intersection_lattice(lines)
-    for g in (minimal_building_set(lines, lat), maximal_building_set(lines, lat)):
-        nc = nested_complex(lines, g, lat)
+    for g in (minimal_building_set(lines), maximal_building_set(lines)):
+        nc = nested_complex(lines, g)
         assert nc.f_vector() == [1, 3]  # three isolated vertices, no edges
         assert nc.dim == 0
 
@@ -251,9 +250,8 @@ def test_c02_nested_complexes():
 def test_c03_rank2_concentration_sweep():
     for m in range(3, 7):
         a = rank2_lines(m)
-        lat = intersection_lattice(a)
         sal = build_salvetti(a)
-        pi, beta = poincare_and_beta(a, lat)
+        pi, beta = poincare_and_beta(a)
         assert abs(beta) == m - 2
 
         untwisted = twisted_cohomology(a, RankOneSystem(F101, [1] * m), sal)
@@ -262,7 +260,7 @@ def test_c03_rank2_concentration_sweep():
         for trial in range(20):
             rng = random.Random(SEED + 1_000_000 * m + trial)
             sys_ = RankOneSystem(F101, projective_weights(rng, m))
-            assert vanishing_check(a, sys_, lat=lat).holds
+            assert vanishing_check(a, sys_).holds
             rep = twisted_cohomology(a, sys_, sal)
             assert rep.projective_betti == (0, m - 2), (m, trial, rep.projective_betti)
 
@@ -280,16 +278,15 @@ def test_c04_braid_end_to_end():
     assert prod == 1  # projective by construction
 
     sys_ = RankOneSystem(F101, qs)
-    lat = intersection_lattice(a)
-    assert vanishing_check(a, sys_, lat=lat).holds
+    assert vanishing_check(a, sys_).holds
 
     rep = twisted_cohomology(a, sys_)
     assert rep.full_betti == (0, 0, 2, 2)
     assert rep.projective_betti == (0, 0, 2)
-    _, beta = poincare_and_beta(a, lat)
+    _, beta = poincare_and_beta(a)
     assert rep.projective_betti[2] == abs(beta) == 2
 
-    cert = e2_certificate(a, minimal_building_set(a, lat), sys_, lat)
+    cert = e2_certificate(a, minimal_building_set(a), sys_)
     assert cert.concentration == 2
 
 
@@ -410,13 +407,12 @@ def test_c09_certificate_soundness():
     # hyperplane side: rank-2 sweeps plus the essential braid
     for m in range(3, 7):
         a = rank2_lines(m)
-        lat = intersection_lattice(a)
-        g = minimal_building_set(a, lat)
+        g = minimal_building_set(a)
         for trial in range(5):
             rng = random.Random(SEED + 10_000 * m + trial)
             good = RankOneSystem(F101, projective_weights(rng, m))
-            assert vanishing_check(a, good, lat=lat).holds
-            assert e2_certificate(a, g, good, lat).concentration == a.rank - 1 == 1
+            assert vanishing_check(a, good).holds
+            assert e2_certificate(a, g, good).concentration == a.rank - 1 == 1
 
             # force a failure: one trivial weight, still projective
             mid = [rng.randrange(2, 101) for _ in range(m - 2)]
@@ -424,16 +420,15 @@ def test_c09_certificate_soundness():
             for q in mid:
                 prod = prod * q % 101
             bad = RankOneSystem(F101, [1] + mid + [pow(prod, -1, 101)])
-            assert not vanishing_check(a, bad, lat=lat).holds
-            assert e2_certificate(a, g, bad, lat).concentration is None
+            assert not vanishing_check(a, bad).holds
+            assert e2_certificate(a, g, bad).concentration is None
 
     braid = braid_a3().essentialize()
-    lat = intersection_lattice(braid)
-    g = minimal_building_set(braid, lat)
+    g = minimal_building_set(braid)
     good = RankOneSystem(F101, [pow(2, e, 101) for e in (1, 1, 1, 1, 1, 95)])
-    assert e2_certificate(braid, g, good, lat).concentration == braid.rank - 1 == 2
+    assert e2_certificate(braid, g, good).concentration == braid.rank - 1 == 2
     trivial = RankOneSystem(F101, [1] * 6)
-    assert e2_certificate(braid, g, trivial, lat).concentration is None
+    assert e2_certificate(braid, g, trivial).concentration is None
 
     # elliptic side: weights built to pass or fail the stratum checks
     rng = random.Random(SEED)
@@ -527,14 +522,13 @@ def test_c10_scope_statement():
 def test_c11_braid_a4():
     a = braid(5).essentialize()
     assert (a.m, a.n) == (10, 4)
-    lat = intersection_lattice(a)
-    fs = enumerate_faces(a, lat)
+    fs = enumerate_faces(a)
     assert len(fs.faces) == 541
     assert len(fs.chambers) == 120  # |S_5|
     sal = build_salvetti(a, fs)
     assert sal.cell_counts() == [120, 480, 720, 480, 120]
 
-    pi, beta = poincare_and_beta(a, lat)
+    pi, beta = poincare_and_beta(a)
     assert pi == [1, 10, 35, 50, 24] and abs(beta) == 6
     untwisted = twisted_cohomology(a, RankOneSystem(QQ, [1] * 10), sal)
     assert untwisted.full_betti == tuple(pi)
@@ -542,7 +536,7 @@ def test_c11_braid_a4():
     rng = random.Random(SEED + 11)
     while True:
         sys_ = RankOneSystem(F101, projective_weights(rng, 10))
-        if vanishing_check(a, sys_, lat=lat).holds:
+        if vanishing_check(a, sys_).holds:
             break
     rep = twisted_cohomology(a, sys_, sal)
     assert rep.projective_betti == (0, 0, 0, 6)

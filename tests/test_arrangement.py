@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from arrcoh import arrangement, fp
 from arrcoh.arrangement import (
     _integral,
     _nested_poset,
@@ -169,7 +170,7 @@ def test_beta_needs_poincare_divisible_by_1_plus_t():
     lat = intersection_lattice(three_generic_lines())
     mu = {cs: 1 for cs in lat.poset.elements}  # pi = 1 + 3t + t^2, pi(-1) = -1
     with pytest.raises(InternalError):
-        _pi_beta_from_mu(lat, mu, lat.poset.elements)
+        _pi_beta_from_mu(lat.flats, mu, lat.poset.elements)
 
 
 def test_poincare_empty_rejected():
@@ -192,18 +193,16 @@ def test_lattice_json_shape():
 
 def test_building_sets_three_lines():
     a = three_generic_lines()
-    lat = intersection_lattice(a)
-    gmin = minimal_building_set(a, lat)
-    gmax = maximal_building_set(a, lat)
+    gmin = minimal_building_set(a)
+    gmax = maximal_building_set(a)
     assert gmin.members == ((0,), (1,), (2,), (0, 1, 2))
     assert gmax.members == gmin.members  # every flat is irreducible here
 
 
 def test_nested_complex_three_lines_isolated_vertices():
     a = three_generic_lines()
-    lat = intersection_lattice(a)
-    for g in (minimal_building_set(a, lat), maximal_building_set(a, lat)):
-        nc = nested_complex(a, g, lat)
+    for g in (minimal_building_set(a), maximal_building_set(a)):
+        nc = nested_complex(a, g)
         assert nc.f_vector() == [1, 3]  # three isolated vertices
         assert nc.dim == 0
 
@@ -283,11 +282,11 @@ def oracle_nested_faces(a, g):
 
 
 @st.composite
-def arrangements(draw, min_n=1, max_n=4, max_rows=6):
+def arrangements(draw, min_n=1, max_n=4, max_rows=6, entries=st.integers(-2, 2)):
     """At most ``max_rows`` distinct hyperplanes in C^n, ``min_n`` <= n <=
-    ``max_n``, entries in [-2, 2]; often not essential."""
+    ``max_n``, entries in [-2, 2] unless given; often not essential."""
     n = draw(st.integers(min_n, max_n))
-    raw = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=max_rows))
+    raw = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=max_rows))
     rows = []
     for r in raw:
         if any(r) and all(_rational_rank([r, q]) == 2 for q in rows):
@@ -307,18 +306,16 @@ def essential_arrangements(min_n=1, max_n=4, max_rows=6):
 @example(boolean_b3())
 @example(Arrangement.from_rows(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]))
 def test_nested_complex_matches_antichain_oracle(a):
-    lat = intersection_lattice(a)
-    for g in (minimal_building_set(a, lat), maximal_building_set(a, lat)):
-        assert nested_complex(a, g, lat).faces == oracle_nested_faces(a, g)
+    for g in (minimal_building_set(a), maximal_building_set(a)):
+        assert nested_complex(a, g).faces == oracle_nested_faces(a, g)
 
 
 @settings(max_examples=60, deadline=None)
 @given(essential_arrangements(max_n=3, max_rows=5))
 def test_nested_poset_is_reverse_inclusion(a):
     # the poset is built from its covers; compare it with every pair
-    lat = intersection_lattice(a)
-    for g in (minimal_building_set(a, lat), maximal_building_set(a, lat)):
-        faces, poset, _ = _nested_poset(nested_complex(a, g, lat))
+    for g in (minimal_building_set(a), maximal_building_set(a)):
+        faces, poset, _ = _nested_poset(nested_complex(a, g))
         for s in faces:
             for t in faces:
                 assert poset.leq(s, t) == (set(s) >= set(t)), (s, t)
@@ -353,6 +350,40 @@ def test_flats_match_fraction_elimination(a):
         k = a.n - flat.rank
         assert len(basis) == len(oracle.kernel_basis) == _rational_rank(basis) == k, cs
         assert _rational_rank(basis + list(oracle.kernel_basis)) == k, cs
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrangements(entries=st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))))
+@example(braid_a3())
+@example(Arrangement.from_rows(3, [["1/2", "1/3", 0], [1, 0, 0], [0, "3/4", 0]]))
+def test_rank_and_essentialize_follow_the_rref_pivots(a):
+    # the rank and the essentialized coordinates are read in integers;
+    # check them against a Fraction row reduction of the normals
+    _, pivots = fp._rref(a.normals.to_lists())
+    assert a.rank == len(pivots)
+    coords = [[row[p] for p in pivots] for row in a.normals.entries]
+    assert a.essentialize().to_json() == Arrangement.from_rows(len(pivots), coords, a.labels).to_json()
+
+
+def test_one_lattice_and_one_moebius_table_per_arrangement(monkeypatch):
+    built, tables = [], []
+
+    class CountedLattice(arrangement.IntersectionLattice):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    moebius_table = arrangement.moebius_table
+    monkeypatch.setattr(arrangement, "IntersectionLattice", CountedLattice)
+    monkeypatch.setattr(arrangement, "moebius_table", lambda *args: tables.append(args) or moebius_table(*args))
+    a = braid_a3().essentialize()
+    sys_ = RankOneSystem(GF(101), (2, 2, 2, 2, 2, pow(2, -5, 101)))
+    g = minimal_building_set(a)
+    assert vanishing_check(a, sys_).holds
+    assert e2_certificate(a, g, sys_).concentration == 2
+    assert depth_bound(a, g, sys_) == 0
+    assert twisted_cohomology(a, sys_).projective_betti == (0, 0, 2)
+    assert len(built) == len(tables) == 1
 
 
 # --- rank-one systems -------------------------------------------------------
@@ -485,11 +516,10 @@ def test_certificate_bounds_salvetti_cohomology(case):
     # projective cohomology lies on one of its lines, and a concentration
     # with a passing vanishing check is the exact answer
     a, sys_ = case
-    lat = intersection_lattice(a)
     betti = twisted_cohomology(a, sys_).projective_betti
-    verdict = vanishing_check(a, sys_, lat=lat)
-    for g in (minimal_building_set(a, lat), maximal_building_set(a, lat)):
-        cert = e2_certificate(a, g, sys_, lat)
+    verdict = vanishing_check(a, sys_)
+    for g in (minimal_building_set(a), maximal_building_set(a)):
+        cert = e2_certificate(a, g, sys_)
         assert {k for k, b in enumerate(betti) if b} <= set(cert.lines()), (g.kind, betti, cert.lines())
         if cert.concentration is not None and verdict.holds:
             assert cert.concentration == verdict.predicted_degree == len(betti) - 1

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -552,3 +553,66 @@ def test_cli_json_reparses_cleanly(files, capsys):
         assert code == 0
         obj = json.loads(out)
         assert json.dumps(obj, sort_keys=True, indent=2) + "\n" == out
+
+
+# --- mutation fuzz over every verb ------------------------------------------------
+
+# the README's inputs (toric weights keyed by its vertices), one row per verb;
+# a string is passed through as a command-line argument
+MUTATED_VERBS = (
+    ("arr-lattice", [LINES3]),
+    ("arr-beta", [LINES3]),
+    ("arr-nested", [LINES3]),
+    ("arr-vanish", [LINES3, W3_GOOD, "--certificate"]),
+    ("arr-salvetti", [LINES3, "--weights", W3_GOOD]),
+    ("toric-cohomology", [TORIC_TRI, WT_TRI, "--page"]),
+    ("toric-cm", [TORIC_TRI]),
+    ("toric-verify", [TORIC_TRI]),
+    ("ell-analyze", [ELL_GOOD]),
+    ("ell-convenient", [ELL_GOOD]),
+    ("ell-certify", [ELL_GOOD]),
+    ("covers-validate", [COVER]),
+)
+MUTATIONS = ([], "x", 3, {}, None, True, 1.5)
+
+
+def _json_paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return out
+
+
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path):
+    # every value of every input, replaced by each JSON kind in turn
+    broken = []
+    for verb, inputs in MUTATED_VERBS:
+        for slot, base in enumerate(inputs):
+            if isinstance(base, str):
+                continue
+            for path in _json_paths(base):
+                for value in MUTATIONS:
+                    argv = [verb]
+                    for i, x in enumerate(inputs):
+                        if not isinstance(x, str):
+                            f = tmp_path / f"in{i}.json"
+                            f.write_text(json.dumps(_replaced(x, path, value) if i == slot else x))
+                            x = str(f)
+                        argv.append(x)
+                    out, err = io.StringIO(), io.StringIO()
+                    try:
+                        with redirect_stdout(out), redirect_stderr(err):
+                            code = cli.main(argv)
+                    except Exception as exc:
+                        code = repr(exc)
+                    if code not in (0, 1, 2) or (code == 2 and not _one_error_line(err.getvalue())):
+                        broken.append((verb, slot, path, value, code))
+    assert not broken, "\n".join(map(repr, broken))

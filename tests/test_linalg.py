@@ -19,7 +19,6 @@ from arrcoh.linalg import (
     QQ,
     ZZ,
     Matrix,
-    _rational_rref,
     is_prime,
     parse_fraction,
     rank_kernel,
@@ -238,7 +237,7 @@ NO_UNIT_FRACTIONS = st.builds(Fraction, NO_UNITS, st.sampled_from([1, 5, 7]))
 def test_sparse_rank_qq_matches_rational_rref(rows):
     # integral entries go in as ints; real denominators and pivots other
     # than +-1 take the Fraction inverse
-    rank = len(_rational_rref(rows)[1])
+    rank = len(fp._rref(rows)[1])
     assert sparse_rank(QQ, _sparse(rows)) == (rank, ())
 
 

@@ -120,6 +120,10 @@ def test_caps_enforced(monkeypatch):
     monkeypatch.setattr(salvetti, "MAX_FACES", 22)
     with pytest.raises(ValueError, match="lattice stops at 22 flats"):
         enumerate_faces(generic)
+    # a lattice kept on the arrangement in full is held to the same limit
+    assert len(intersection_lattice(generic).flats) == 23
+    with pytest.raises(ValueError, match="lattice stops at 22 flats"):
+        enumerate_faces(generic)
 
 
 def test_default_limits_admit_generic_8_planes_in_c4():
