@@ -208,7 +208,7 @@ def _run_arr_vanish(args):
 
 def _run_arr_salvetti(args):
     from arrcoh.arrangement import Arrangement, RankOneSystem
-    from arrcoh.salvetti import build_salvetti, twisted_cohomology
+    from arrcoh.salvetti import twisted_cohomology
 
     a = Arrangement.from_json(_load(args.arrangement))
     a, reduced = _essentialized(a)
@@ -216,8 +216,7 @@ def _run_arr_salvetti(args):
         sys_ = RankOneSystem.from_json(a, _load(args.weights))
     else:
         sys_ = RankOneSystem(QQ, (1,) * a.m)
-    sal = build_salvetti(a)
-    rep = twisted_cohomology(a, sys_, sal)
+    rep = twisted_cohomology(a, sys_)
     report = rep.to_json()
     report["essentialized"] = reduced
     table = [f"cells by dimension: {list(rep.cell_counts)}"]

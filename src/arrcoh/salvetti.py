@@ -11,7 +11,10 @@ whose cells are pairs (face, adjacent chamber) (Salvetti, Invent. Math.
 88, 1987); its cellular cochain complex, twisted by one unit weight per
 hyperplane, computes the cohomology of the complement with rank-one
 coefficients.  All boundary matrices are exact and the d^2 = 0 identity
-is checked on construction.
+is checked on construction.  A central complement splits as
+M(A) = C^* x M(dA), dA the decone at hyperplane 0 (Orlik and Terao, 1992,
+Prop. 5.1); the cells on the positive side of hyperplane 0 form the
+Salvetti complex of dA, and Kunneth does the rest.
 
 Incidence signs come from the regularity of the complex: two facets of a
 cell that share a ridge force each other's sign.  Which facets of a cell
@@ -22,17 +25,18 @@ vertices); each of its cells walks the plan and checks that its forced
 signs agree.
 
 Two output limits, each a ValueError that states it, keep inputs small:
-``MAX_FACES`` faces, and ``MAX_INCIDENCES`` (cell, facet) pairs counted
-before any boundary is built.  The second matters in low rank: m lines in
-the plane have 4m + 1 faces, but 2m facets on each 2-cell.  This module
-grounds the support certificates on small inputs; it does not race
-dedicated solvers.
+``MAX_FACES`` faces, and ``MAX_INCIDENCES`` (cell, facet) pairs of the
+complex built, counted before any boundary is built.  The second matters
+in low rank: m lines in the plane have 4m + 1 faces, but 2m facets on each
+2-cell of the full complex.  This module grounds the support certificates
+on small inputs; it does not race dedicated solvers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from arrcoh.arrangement import (
@@ -339,9 +343,8 @@ def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexD
 
 @dataclass(frozen=True)
 class SalvettiReport:
-    """Twisted Betti numbers of the full complement, and (for projective
-    weights) of its projectivization, related by the product split
-    h_p(full) = h_p(proj) + h_{p-1}(proj)."""
+    """Cell counts and twisted Betti numbers of the full complement, and
+    (for projective weights) Betti numbers of its projectivization."""
 
     field_json: dict
     cell_counts: tuple[int, ...]
@@ -357,28 +360,46 @@ class SalvettiReport:
         }
 
 
-def twisted_cohomology(
-    a: Arrangement,
-    sys: RankOneSystem,
-    sal: SalvettiComplex | None = None,
-) -> SalvettiReport:
+def twisted_cohomology(a: Arrangement, sys: RankOneSystem) -> SalvettiReport:
     """Betti numbers of the complexified complement with the given weights.
 
-    When the weights are projective (product 1), the coefficients descend
-    to the projectivized complement and its Betti numbers are recovered
-    from the product split; the split always resolves exactly, which is an
-    internal consistency check on the complex.
+    M(A) = C^* x M(dA), and the cells (f, c) with f on the positive side
+    of hyperplane 0 are closed under boundary (every cover of f and every
+    chamber above it keep that sign) and never cross it: they form the
+    Salvetti complex of the decone dA, whose Betti numbers u are the
+    projective ones.  By Kunneth, with H^*(C^*; L_t) = (1, 1) when
+    t = prod q = 1 and 0 otherwise, the full Betti numbers are
+    u_p + u_{p-1} for projective weights and 0 for all others.  The half
+    complex's Euler characteristic must be beta, that of M(dA).  The cell
+    counts are the full complex's: a face has as many chambers above it as
+    the arrangement of its zero set has chambers.
+
+    >>> from arrcoh.linalg import GF
+    >>> three_lines = Arrangement.from_rows(2, [[1, 0], [0, 1], [1, 1]])
+    >>> rep = twisted_cohomology(three_lines, RankOneSystem(GF(7), (2, 2, 2)))
+    >>> rep.cell_counts, rep.full_betti, rep.projective_betti
+    ((6, 12, 6), (0, 1, 1), (0, 1))
     """
-    sal = sal or build_salvetti(a)
+    if a.m == 0:  # all of C^n: one cell, and no hyperplane to decone at
+        return SalvettiReport(sys.field.to_json(), (1,), (1,), None)
+    fs = enumerate_faces(a)
+    chambers = fs.chambers
+    half = tuple(f for f in fs.faces if f[0] > 0)
+    zeros = {f: tuple(i for i, s in enumerate(f) if not s) for f in fs.faces}
+    above = {z: len(set(map(itemgetter(*z), chambers))) if z else 1 for z in set(zeros.values())}
+    top = fs.codim[(0,) * a.m]
+    counts = [0] * (top + 1)
+    for f in fs.faces:
+        counts[fs.codim[f]] += above[zeros[f]]
+    chi = sum((-1) ** fs.codim[f] * above[zeros[f]] for f in half)
+    _, beta = poincare_and_beta(a)
+    if chi != beta:
+        raise InternalError(f"the decone's Salvetti complex has Euler characteristic {chi}, not beta = {beta}")
+    sal = build_salvetti(a, FaceSystem(a, half, {f: fs.codim[f] for f in half}, fs.covers))
     report = complex_cohomology(twisted_complex(sal, sys))
-    top = sal.dim
-    full = tuple(report.betti(d) for d in range(top + 1))
-    projective = None
-    if sys.is_projective and top >= 1:
-        u = [full[0]]
-        for p in range(1, top):
-            u.append(full[p] - u[p - 1])
-        if any(x < 0 for x in u) or full[top] != u[top - 1]:
-            raise InternalError(f"product split failed on betti numbers {full}")
-        projective = tuple(u)
-    return SalvettiReport(sys.field.to_json(), tuple(sal.cell_counts()), full, projective)
+    u = tuple(report.betti(d) for d in range(top))
+    if not sys.is_projective:
+        return SalvettiReport(sys.field.to_json(), tuple(counts), (0,) * (top + 1), None)
+    padded = (0, *u, 0)
+    full = tuple(x + y for x, y in zip(padded, padded[1:]))
+    return SalvettiReport(sys.field.to_json(), tuple(counts), full, u)

@@ -250,18 +250,17 @@ def test_c02_nested_complexes():
 def test_c03_rank2_concentration_sweep():
     for m in range(3, 7):
         a = rank2_lines(m)
-        sal = build_salvetti(a)
         pi, beta = poincare_and_beta(a)
         assert abs(beta) == m - 2
 
-        untwisted = twisted_cohomology(a, RankOneSystem(F101, [1] * m), sal)
+        untwisted = twisted_cohomology(a, RankOneSystem(F101, [1] * m))
         assert untwisted.full_betti == tuple(pi) == (1, m, m - 1)
 
         for trial in range(20):
             rng = random.Random(SEED + 1_000_000 * m + trial)
             sys_ = RankOneSystem(F101, projective_weights(rng, m))
             assert vanishing_check(a, sys_).holds
-            rep = twisted_cohomology(a, sys_, sal)
+            rep = twisted_cohomology(a, sys_)
             assert rep.projective_betti == (0, m - 2), (m, trial, rep.projective_betti)
 
 
@@ -530,14 +529,15 @@ def test_c11_braid_a4():
 
     pi, beta = poincare_and_beta(a)
     assert pi == [1, 10, 35, 50, 24] and abs(beta) == 6
-    untwisted = twisted_cohomology(a, RankOneSystem(QQ, [1] * 10), sal)
+    untwisted = twisted_cohomology(a, RankOneSystem(QQ, [1] * 10))
     assert untwisted.full_betti == tuple(pi)
+    assert untwisted.cell_counts == tuple(sal.cell_counts())
 
     rng = random.Random(SEED + 11)
     while True:
         sys_ = RankOneSystem(F101, projective_weights(rng, 10))
         if vanishing_check(a, sys_).holds:
             break
-    rep = twisted_cohomology(a, sys_, sal)
+    rep = twisted_cohomology(a, sys_)
     assert rep.projective_betti == (0, 0, 0, 6)
     assert rep.full_betti == (0, 0, 0, 6, 6)

@@ -294,6 +294,21 @@ def test_face_limit_is_input_error(files, capsys, monkeypatch):
     assert _one_error_line(err) and "12 faces" in err
 
 
+def test_arr_salvetti_builds_only_the_half_complex(files, capsys, monkeypatch):
+    # 86 lines: the full complex needs 30,272 incidences, past the limit;
+    # the decone's, 85 points on a line, needs 4 * 85
+    lines86 = {"n": 2, "hyperplanes": [{"label": f"h{k}", "normal": [1, k]} for k in range(86)]}
+    code, out, _ = run(capsys, ["arr-salvetti", files("a.json", lines86)])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["betti"] == [1, 86, 85] and obj["projective_betti"] == [1, 85]
+    assert obj["cells"] == [172, 344, 172]
+    monkeypatch.setattr("arrcoh.salvetti.MAX_INCIDENCES", 4 * 85 - 1)
+    code, out, err = run(capsys, ["arr-salvetti", files("a.json", lines86)])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "stops at 339 boundary incidences; this one needs 340" in err
+
+
 def test_toric_cohomology(files, capsys):
     code, out, _ = run(capsys, ["toric-cohomology", files("t.json", TORIC_TRI), files("w.json", WT_TRI)])
     assert code == 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import arrcoh.salvetti as salvetti
 from arrcoh.arrangement import Arrangement, RankOneSystem, intersection_lattice, poincare_and_beta
+from arrcoh.cochain import complex_cohomology
 from arrcoh.linalg import GF, QQ, InternalError, Matrix, rank_kernel
 from arrcoh.salvetti import (
     MAX_FACES,
@@ -24,6 +25,7 @@ from arrcoh.salvetti import (
     build_salvetti,
     enumerate_faces,
     twisted_cohomology,
+    twisted_complex,
 )
 
 
@@ -87,8 +89,9 @@ def test_cells_b2():
     sal = build_salvetti(b2)
     assert sal.cell_counts() == [8, 16, 8]
     pi, _ = poincare_and_beta(b2)
-    rep = twisted_cohomology(b2, untwisted(QQ, 4), sal)
+    rep = twisted_cohomology(b2, untwisted(QQ, 4))
     assert rep.full_betti == tuple(pi)
+    assert rep.cell_counts == (8, 16, 8)
 
 
 def lines(m):
@@ -124,6 +127,19 @@ def test_caps_enforced(monkeypatch):
     assert len(intersection_lattice(generic).flats) == 23
     with pytest.raises(ValueError, match="lattice stops at 22 flats"):
         enumerate_faces(generic)
+
+
+def test_incidence_limit_counts_the_half_complex(monkeypatch):
+    # twisted cohomology builds only the decone's complex: for m lines, m - 1
+    # points on a line, each point's edges over 2 chambers with 2 vertices
+    rep = twisted_cohomology(lines(86), untwisted(QQ, 86))
+    assert rep.full_betti == (1, 86, 85) and rep.projective_betti == (1, 85)
+    assert rep.cell_counts == (172, 344, 172)
+    monkeypatch.setattr(salvetti, "MAX_INCIDENCES", 4 * 8)
+    assert twisted_cohomology(lines(9), untwisted(QQ, 9)).full_betti == (1, 9, 8)
+    monkeypatch.setattr(salvetti, "MAX_INCIDENCES", 4 * 8 - 1)
+    with pytest.raises(ValueError, match="stops at 31 boundary incidences; this one needs 32"):
+        twisted_cohomology(lines(9), untwisted(QQ, 9))
 
 
 def test_default_limits_admit_generic_8_planes_in_c4():
@@ -228,6 +244,72 @@ def test_covector_faces_match_fourier_motzkin(a):
 def test_untwisted_betti_is_poincare_on_random_arrangements(a):
     pi, _ = poincare_and_beta(a)
     assert twisted_cohomology(a, untwisted(QQ, a.m)).full_betti == tuple(pi)
+
+
+# --- the decone's half complex against the full complex -------------------------
+
+
+def full_complex_reference(a, sys_):
+    """Cell counts and twisted Betti numbers from the full Salvetti complex,
+    and for projective weights the projective Betti numbers u recovered by
+    the product split h_p = u_p + u_{p-1}."""
+    sal = build_salvetti(a)
+    report = complex_cohomology(twisted_complex(sal, sys_))
+    full = tuple(report.betti(d) for d in range(sal.dim + 1))
+    projective = None
+    if sys_.is_projective and sal.dim >= 1:
+        u = [full[0]]
+        for p in range(1, sal.dim):
+            u.append(full[p] - u[p - 1])
+        assert min(u) >= 0 and full[sal.dim] == u[-1], full
+        projective = tuple(u)
+    return tuple(sal.cell_counts()), full, projective
+
+
+RATIONAL_UNITS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+@st.composite
+def weighted_arrangements(draw):
+    """A small arrangement, or none at all, with projective, arbitrary or
+    trivial weights over GF(2), GF(7), GF(101) or Q."""
+    a = draw(small_arrangements() | st.integers(0, 3).map(lambda n: Arrangement.from_rows(n, [])))
+    field = draw(st.sampled_from((GF(2), GF(7), GF(101), QQ)))
+    unit = st.sampled_from(RATIONAL_UNITS) if field is QQ else st.integers(1, field.p - 1)
+    kind = draw(st.sampled_from(("projective", "arbitrary", "trivial")))
+    if kind == "trivial":
+        return a, RankOneSystem(field, (1,) * a.m)
+    weights = [draw(unit) for _ in range(a.m)]
+    if kind == "projective" and weights:
+        weights[-1] = field.inv(RankOneSystem(field, weights[:-1]).product())
+    return a, RankOneSystem(field, weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_arrangements())
+@example((Arrangement.from_rows(4, BRAID_A3_ROWS), RankOneSystem(GF(7), (2, 2, 2, 2, 2, 2))))
+@example((Arrangement.from_rows(3, PENCIL_IN_C3), RankOneSystem(QQ, (2, 2, 2, 2, Fraction(1, 16)))))
+@example((Arrangement.from_rows(2, []), RankOneSystem(GF(7), ())))
+def test_half_complex_matches_full_complex(case):
+    a, sys_ = case
+    rep = twisted_cohomology(a, sys_)
+    assert (rep.cell_counts, rep.full_betti, rep.projective_betti) == full_complex_reference(a, sys_)
+
+
+def test_half_complex_euler_characteristic_is_beta(monkeypatch):
+    a = three_generic_lines()
+    fs = enumerate_faces(a)
+    # drop one chamber on the positive side of hyperplane 0 from the faces
+    # and from the covers of the faces below it: the decone's complex then
+    # has 2 chambers and 4 edges, Euler characteristic -2, where beta is -1
+    dropped = (1, -1, -1)
+    faces = tuple(f for f in fs.faces if f != dropped)
+    codim = {f: fs.codim[f] for f in faces}
+    covers = {f: tuple(g for g in fs.covers[f] if g != dropped) for f in faces}
+    monkeypatch.setattr(salvetti, "enumerate_faces", lambda a: FaceSystem(a, faces, codim, covers))
+    with pytest.raises(InternalError, match="Euler characteristic -2, not beta = -1") as info:
+        twisted_cohomology(a, RankOneSystem(GF(7), (2, 2, 2)))
+    assert not isinstance(info.value, ValueError)
 
 
 # --- incidence signs against a per-cell oracle ---------------------------------
@@ -449,12 +531,3 @@ def test_report_json():
     assert obj["betti"] == [0, 1, 1]
     assert obj["projective_betti"] == [0, 1]
     assert obj["field"] == {"kind": "prime", "p": 7}
-
-
-def test_reuse_of_prebuilt_complex():
-    a = three_generic_lines()
-    sal = build_salvetti(a)
-    r1 = twisted_cohomology(a, RankOneSystem(GF(7), (2, 2, 2)), sal)
-    r2 = twisted_cohomology(a, RankOneSystem(GF(7), (3, 3, 4)), sal)
-    assert r1.full_betti == (0, 1, 1)
-    assert r2.full_betti == (0, 1, 1)
