@@ -7,6 +7,10 @@ complexes, rank-one vanishing checks with spectral support certificates,
 the chamber complex of a real arrangement with twisted cohomology, toric
 subtorus unions over simplicial complexes with the Cohen-Macaulay
 criterion, and subgroup arrangements in powers of an elliptic curve.
+
+Submodules load on first use, and a sibling that one function needs is
+imported in that function, so a verb loads only the modules it runs: for
+``arr-lattice``, ``cli``, ``linalg``, ``fp``, ``arrangement`` and ``poset``.
 """
 
 import importlib
@@ -61,8 +65,8 @@ _EXPORTS = {  # exported name -> the module that defines it
 def __getattr__(name: str):
     """Import the module that defines ``name`` on first access (PEP 562).
 
-    ``import arrcoh`` loads no submodule, so a command that needs one family
-    of spaces compiles only the modules that family imports.
+    ``import arrcoh`` loads no submodule, so a command compiles only the
+    modules it runs.
     """
     module = _EXPORTS.get(name)
     if module is None:

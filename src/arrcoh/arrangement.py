@@ -16,12 +16,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from arrcoh.covers import E2Support, LocalDatum, e2_support
 from arrcoh.linalg import QQ, ZZ, FieldTag, InternalError, Matrix, parse_fraction, sparse_rank
 from arrcoh.poset import FinitePoset, from_relations, moebius_table
-from arrcoh.simplicial import SimplicialComplex
+
+if TYPE_CHECKING:
+    from arrcoh.covers import E2Support
+    from arrcoh.simplicial import SimplicialComplex
 
 __all__ = [
     "MAX_AMBIENT_DIM",
@@ -388,6 +390,8 @@ def nested_complex(a: Arrangement, g: BuildingSetChoice) -> SimplicialComplex:
     are faces; their antichains have passed already, so the one antichain
     left to check is the candidate itself.
     """
+    from arrcoh.simplicial import SimplicialComplex
+
     if a.m == 0:
         raise ValueError("empty arrangement has no nested-set complex")
     if not a.is_essential:
@@ -578,6 +582,8 @@ def e2_certificate(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> 
     dimension.  Entries above total degree rank-1 are cut by the ambient
     homotopy dimension; concentration is declared when one line survives.
     """
+    from arrcoh.covers import LocalDatum, e2_support
+
     if not a.is_essential:
         raise ValueError("certificates require an essential arrangement")
     n = a.rank

@@ -28,12 +28,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from arrcoh.arrangement import Arrangement, RankOneSystem, _primitive, _rank, vanishing_check
-from arrcoh.covers import E2Support, LocalDatum, e2_support
-from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, SmithForm, smith_normal_form
-from arrcoh.poset import from_leq
+from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, SmithForm, smith_normal_form, sparse_rank
+
+if TYPE_CHECKING:
+    from arrcoh.arrangement import Arrangement, RankOneSystem
+    from arrcoh.covers import E2Support
 
 __all__ = [
     "MAX_ROWS",
@@ -101,7 +102,7 @@ class EllipticArrangement:
 
     @cached_property
     def rank(self) -> int:
-        return _rank(self.rows.entries)
+        return sparse_rank(QQ, ({j: x for j, x in enumerate(row) if x} for row in self.rows.entries))[0]
 
     @property
     def corank(self) -> int:
@@ -361,6 +362,8 @@ def _tangent_data(
     weights multiplicatively (a small loop around the common tangent
     hyperplane winds once around each merged hypersurface branch).
     """
+    from arrcoh.arrangement import Arrangement, _primitive
+
     groups: dict[tuple, list[int]] = {}
     for h in sorted(closure):
         if _row_vanishes_at(a, h, X.point):
@@ -469,6 +472,10 @@ def elliptic_vanishing_certificate(a: EllipticArrangement, weights: RankOneSyste
     n are cut by the ambient homotopy dimension; concentration at n is
     declared exactly when every tangent check passes.
     """
+    from arrcoh.arrangement import RankOneSystem, vanishing_check
+    from arrcoh.covers import LocalDatum, e2_support
+    from arrcoh.poset import from_leq
+
     if not a.is_essential:
         raise ValueError("certificates require an essential arrangement (corank 0)")
     if a.is_translated:

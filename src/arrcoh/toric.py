@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology
-from arrcoh.covers import CoverDescription, E2Support, build_nerve, support_certificate
 from arrcoh.linalg import GF, FieldTag, is_prime
-from arrcoh.poset import from_relations
 from arrcoh.simplicial import (
     CMVerdict,
     FaceCoboundaries,
@@ -33,6 +31,9 @@ from arrcoh.simplicial import (
     _cm_verdict,
     link_cohomology,
 )
+
+if TYPE_CHECKING:
+    from arrcoh.covers import CoverDescription, E2Support
 
 __all__ = [
     "ToricComplex",
@@ -142,6 +143,9 @@ def cover_nerve(tc: ToricComplex) -> CoverDescription:
     fibers carry constant keys and validation certifies the homotopy
     condition (each intersection piece is itself a subtorus).
     """
+    from arrcoh.covers import CoverDescription, build_nerve
+    from arrcoh.poset import from_relations
+
     facets = tc.base.facets()
     nerve, keys = build_nerve({f: frozenset(f) for f in facets})
     images = sorted(set(keys.values()), key=lambda s: (-len(s), tuple(sorted(map(str, s)))))
@@ -165,11 +169,14 @@ def toric_e2_page(tc: ToricComplex, sys: ToricRankOneSystem) -> E2Support:
     :func:`~arrcoh.simplicial.link_cohomology` table, as in
     ``verify_cm_theorem``, built only for the faces of trivial weight.
     """
-    return _support_page(tc, sys, link_cohomology(tc.base, sys.field, sys.trivial_vertices()))
+    from arrcoh.covers import support_certificate
+
+    return support_certificate(*_support_page(tc, sys, link_cohomology(tc.base, sys.field, sys.trivial_vertices())))
 
 
-def _support_page(tc: ToricComplex, sys: ToricRankOneSystem, table: Mapping) -> E2Support:
-    """The support page read from link cohomology over ``sys.field``.
+def _support_page(tc: ToricComplex, sys: ToricRankOneSystem, table: Mapping) -> tuple[dict, int, tuple[str]]:
+    """The support page read from link cohomology over ``sys.field``, as the
+    arguments of :func:`~arrcoh.covers.support_certificate`.
 
     ``table`` maps faces, in face order, to the reduced cohomology of
     their links; it holds at least every face whose weights are trivial.
@@ -184,8 +191,8 @@ def _support_page(tc: ToricComplex, sys: ToricRankOneSystem, table: Mapping) -> 
             if h:
                 p = i + 1 - len(tau)
                 entries[(p, q)] = entries.get((p, q), 0) + h
-    notes = (f"ambient bound {tc.space_dim}: the space is a union of {tc.space_dim}-tori and smaller",)
-    return support_certificate(entries, ambient_bound=tc.space_dim, notes=notes)
+    note = f"ambient bound {tc.space_dim}: the space is a union of {tc.space_dim}-tori and smaller"
+    return entries, tc.space_dim, (note,)
 
 
 @dataclass(frozen=True)
@@ -226,6 +233,8 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
     Cohen-Macaulay verdict and every trial's support page are read from it.
     So are the face coboundaries, which each trial specializes.
     """
+    from arrcoh.covers import support_certificate
+
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if trials < 1:
@@ -245,7 +254,7 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
         q = {v: rng.randrange(2, p) for v in L.vertices}
         sys = ToricRankOneSystem.from_mapping(field, tc, q)
         report = complex_cohomology(faces.specialize(field, [sys.weights[v] - 1 for v in L.vertices]))
-        page = _support_page(tc, sys, table)
+        page = support_certificate(*_support_page(tc, sys, table))
         betti = {k: report.betti(k) for k in range(0, top + 1) if report.betti(k)}
         trial = {
             "q": {str(v): q[v] for v in L.vertices},

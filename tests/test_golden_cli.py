@@ -146,18 +146,39 @@ def fresh_env() -> dict[str, str]:
     return env
 
 
-# the first case of each verb, run the way a shell user runs it
-COLD_CASES = {argv[0]: name for name, (argv, _) in reversed(CASES.items())}
+COLD = [sys.executable, "-X", "dev", "-W", "error"]  # dev mode and warnings as errors, as in the tier-1 run
 
 
-@pytest.mark.parametrize("name", sorted(COLD_CASES.values()))
-def test_golden_output_cold_process(name, tmp_path):
-    """A fresh ``python -m arrcoh.cli`` that compiles every module from source prints the golden bytes."""
-    env = fresh_env()
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
-    env["PYTHONPYCACHEPREFIX"] = str(tmp_path / "no-bytecode")  # an empty cache: nothing is read from __pycache__
+@pytest.fixture(scope="session")
+def stdlib_bytecode(tmp_path_factory) -> str:
+    """A bytecode cache that holds the standard library a verb imports, and no arrcoh module.
+
+    A run that reads it compiles arrcoh from source, as a fresh checkout
+    does, but not the standard library, whose installed bytecode a fresh
+    checkout reads too.
+    """
+    prefix = tmp_path_factory.mktemp("pycache")
+    env = {**fresh_env(), "PYTHONPYCACHEPREFIX": str(prefix)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    code = "import runpy, arrcoh.cli, arrcoh.elliptic, arrcoh.salvetti, arrcoh.toric"
+    subprocess.run([*COLD, "-c", code], env=env, check=True)
+    for pyc in prefix.rglob("arrcoh/*.pyc"):
+        pyc.unlink()
+    return str(prefix)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_cold_process(name, tmp_path, stdlib_bytecode):
+    """A fresh ``python -m arrcoh.cli`` that compiles every arrcoh module from source prints the golden bytes.
+
+    Every case runs cold: modules are imported inside the functions that use
+    them, and a name first touched by a table renderer or by the
+    ``--certificate`` or ``--page`` branch is imported only there, which an
+    in-process run, sharing ``sys.modules`` with every other test, cannot see.
+    """
+    env = {**fresh_env(), "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": stdlib_bytecode}
     proc = subprocess.run(
-        [sys.executable, "-m", "arrcoh.cli", *case_argv(name, tmp_path)],
+        [*COLD, "-m", "arrcoh.cli", *case_argv(name, tmp_path)],
         env=env,
         capture_output=True,
         check=False,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcoh.covers import validate_cover
+from arrcoh.covers import support_certificate, validate_cover
 from arrcoh.linalg import GF, QQ, ZZ
 from arrcoh.simplicial import (
     SimplicialComplex,
@@ -225,8 +225,8 @@ def test_page_matches_link_of_each_trivial_face(case):
     trivial = sys.trivial_vertices()
     table = {tau: reduced_cohomology(link(L, tau), sys.field) for tau in L.faces if tau <= trivial}
     page = toric_e2_page(tc, sys)
-    assert page == _support_page(tc, sys, table)
-    assert page == _support_page(tc, sys, link_cohomology(L, sys.field, L.vertices))
+    assert page == support_certificate(*_support_page(tc, sys, table))
+    assert page == support_certificate(*_support_page(tc, sys, link_cohomology(L, sys.field, L.vertices)))
 
 
 # --- covers ----------------------------------------------------------------------
