@@ -38,7 +38,6 @@ __all__ = [
     "maximal_building_set",
     "nested_complex",
     "RankOneSystem",
-    "flat_monodromy",
     "VanishingVerdict",
     "vanishing_check",
     "depth_bound",
@@ -297,6 +296,15 @@ def _restrict(basis: tuple[tuple[int, ...], ...], r: tuple[int, ...]) -> tuple[t
 
     >>> _restrict(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 2, -3))
     ((1, 0, 0), (0, 3, 2))
+
+    The vectors span the kernel over Q, but not always over Z:
+
+    >>> _restrict(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (2, 1, 1))
+    ((-1, 2, 0), (-1, 0, 2))
+
+    These span an index-2 sublattice of the integer kernel, which holds
+    (0, 1, -1).  Linear flats need only the rational span; a walk over
+    torus flats would have to saturate.
     """
     p = next(i for i, x in enumerate(r) if x)
     rp, bp = r[p], basis[p]
@@ -487,13 +495,6 @@ class RankOneSystem:
         }
 
 
-def flat_monodromy(sys: RankOneSystem, X: Flat | tuple[int, ...]):
-    """Total monodromy around a flat: the product of the weights of the
-    hyperplanes containing it."""
-    cs = X.closed_set if isinstance(X, Flat) else tuple(X)
-    return sys.weight_product(cs)
-
-
 @dataclass(frozen=True)
 class VanishingVerdict:
     holds: bool
@@ -535,7 +536,7 @@ def vanishing_check(a: Arrangement, sys: RankOneSystem, *, include_top: bool = F
     for flat in connected_flats(a):
         if flat.closed_set == top and not include_top:
             continue
-        if flat_monodromy(sys, flat) == one:
+        if sys.weight_product(flat.closed_set) == one:
             failing.append(flat.closed_set)
     holds = not failing
     if include_top:
@@ -553,7 +554,7 @@ def depth_bound(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> int
     best = 0
     for k in range(1, nc.dim + 2):
         for face in nc.faces_of_card(k):
-            if all(flat_monodromy(sys, cs) == one for cs in face):
+            if all(sys.weight_product(cs) == one for cs in face):
                 best = max(best, k)
                 break
     return best
@@ -595,7 +596,7 @@ def e2_certificate(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> 
         k = len(S)
         if k == 0:
             coeff: Iterable[int] = (0,)
-        elif all(flat_monodromy(sys, cs) == one for cs in S):
+        elif all(sys.weight_product(cs) == one for cs in S):
             coeff = range(k, 2 * k + 1)
         else:
             coeff = ()

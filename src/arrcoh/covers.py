@@ -44,48 +44,34 @@ def build_nerve(sets: Mapping[Hashable, frozenset]) -> tuple[FinitePoset, dict]:
 
     Returns (poset of label-subsets with nonempty intersection, ordered by
     inclusion; map from each nerve element to its intersection as a
-    frozenset).  Label order follows the mapping's iteration order.
-    """
-    pools = {lab: frozenset(s) for lab, s in sets.items()}
-
-    def intersection(subset: frozenset) -> frozenset | None:
-        inter = None
-        for lab in subset:
-            inter = pools[lab] if inter is None else inter & pools[lab]
-            if not inter:
-                return None
-        return inter
-
-    return build_nerve_from_key(list(pools), intersection)
-
-
-def build_nerve_from_key(labels: Sequence[Hashable], key) -> tuple[FinitePoset, dict]:
-    """Nerve via a delegated intersection key: ``key(subset)`` returns a
-    hashable key for nonempty intersections and None for empty ones.
+    frozenset).
 
     A nerve is closed under subsets, so it is found level by level: an
     element of size r extends one of size r - 1 by a later label, and only
     those extensions are tried, not all 2^k label subsets.  Elements are
-    listed by size, then in ``itertools.combinations`` order over
-    ``labels``.  Past ``MAX_NERVE_ELEMENTS`` elements a ValueError states
-    the limit.
+    listed by size, then in ``itertools.combinations`` order over the
+    labels in the mapping's iteration order.  Past ``MAX_NERVE_ELEMENTS``
+    elements a ValueError states the limit.
     """
+    labels = list(sets)
+    pools = [frozenset(s) for s in sets.values()]
     elements: list[frozenset] = []
-    keys: dict[frozenset, Hashable] = {}
-    level: list[tuple[int, ...]] = [()]
+    keys: dict[frozenset, frozenset] = {}
+    # each element of a level with its intersection; the empty one has none
+    level: list[tuple[tuple[int, ...], frozenset | None]] = [((), None)]
     while level:
         found = []
-        for combo in level:
+        for combo, inter in level:
             for j in range(combo[-1] + 1 if combo else 0, len(labels)):
-                s = frozenset(labels[i] for i in combo + (j,))
-                k = key(s)
-                if k is None:
+                meet = pools[j] if inter is None else inter & pools[j]
+                if not meet:
                     continue
                 if len(elements) == MAX_NERVE_ELEMENTS:
                     raise ValueError(f"the nerve stops at {MAX_NERVE_ELEMENTS} elements; this cover has more")
+                s = frozenset(labels[i] for i in combo + (j,))
                 elements.append(s)
-                keys[s] = k
-                found.append(combo + (j,))
+                keys[s] = meet
+                found.append((combo + (j,), meet))
         level = found
     # the order is the transitive closure of removing one label
     relations = [(s - {lab}, s) for s in elements if len(s) > 1 for lab in s]

@@ -16,13 +16,15 @@ M(A) = C^* x M(dA), dA the decone at hyperplane 0 (Orlik and Terao, 1992,
 Prop. 5.1); the cells on the positive side of hyperplane 0 form the
 Salvetti complex of dA, and Kunneth does the rest.
 
-Incidence signs come from the regularity of the complex: two facets of a
-cell that share a ridge force each other's sign.  Which facets of a cell
-(f, c) share a ridge depends on the face f alone, so each face gets one
-ridge plan, checked once per face (every ridge on exactly two facets, the
-facets connected through their ridges, and every edge on exactly two
-vertices); each of its cells walks the plan and checks that its forced
-signs agree.
+Incidence signs are one tuple per face, shared by all of its cells: every
+cell (f, c) is a copy of the same zonotope dual to f, glued along copies
+of its covers' zonotopes, so one orientation per face is consistent.  An
+edge runs from the lesser of its two vertex chambers to the greater; in
+higher dimension two facets that share a ridge force each other's sign
+(the regularity of the complex).  The checks run once per face and so
+hold for every cell: every edge on exactly two vertices, every ridge on
+exactly two facets, the facets connected through their ridges, and the
+forced signs in agreement.
 
 Two output limits, each a ValueError that states it, keep inputs small:
 ``MAX_FACES`` faces, and ``MAX_INCIDENCES`` (cell, facet) pairs of the
@@ -181,26 +183,14 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
     """Assemble the cell complex and a consistent incidence sign function.
 
     The facets of a cell (f, c) are the cells (g, g o c) for the covers g
-    of f.  An edge is oriented away from its own chamber: sign -1 on the
-    vertex c, +1 on the opposite chamber; its face must have exactly these
-    two covers, checked once per face.  In higher dimension, any two
-    facets sharing a ridge (a codimension-two cell) are linked by the
-    regularity diamond (exactly two cells between), which forces their
-    relative signs; a walk over the facet adjacency graph fixes every sign
-    from the choice +1 on the first facet.
-
-    The ridges of the facet (g, g o c) are the cells (h, h o c) for the
-    covers h of g, so which facets share a ridge, and at which positions
-    in their boundaries, depends on the face f alone.  That ridge plan is
-    built once per face, and with it the two checks that depend on f
-    alone: every ridge lies on exactly two facets, and the facets are
-    connected through their ridges.  Each cell of f then only walks the
-    plan, and checks per cell that the signs its ridges force agree (with
-    two vertices per edge, the signs around a 2-cell always do).  Every
-    cover of a face must be one codimension more generic, and every
-    composition g o c a chamber.  A failed check means the complex is not
-    regular and raises InternalError, naming the face's first cell for the
-    per-face checks.
+    of f, and the cell's incidence signs are those of its face f, one per
+    cover (:func:`_face_signs`): every cell of f is the same zonotope, with
+    the same facets and ridges.  So the signs, and the regularity checks
+    that go with them, are worked out once per face.  Every cover of a
+    face must be one codimension more generic, and every composition
+    g o c a chamber.  A failed check means the complex is not regular and
+    raises InternalError, naming the face's first cell for the per-face
+    checks.
 
     >>> three_lines = Arrangement.from_rows(2, [[1, 0], [0, 1], [1, 1]])
     >>> build_salvetti(three_lines).cell_counts()
@@ -229,6 +219,7 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
     away = {c: frozenset(i for i, (x, y) in enumerate(zip(c, base)) if x != y) for c in chambers}
     chamber = {c: c for c in chambers}  # one tuple per chamber, shared by its cells
     crossings: dict[frozenset, frozenset] = {}
+    signs: dict[SignVector, tuple[int, ...]] = {}
     boundary: dict[Cell, tuple[tuple[Cell, int, frozenset], ...]] = {}
     for d in range(1, len(cells_by_dim)):
         for f in faces_by_dim[d]:
@@ -236,83 +227,68 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
             # g o c overwrites c where g is nonzero and f is zero
             flips = [[(i, s) for i, (x, s) in enumerate(zip(f, g)) if s != x] for g in covers]
             if d > 1:
-                plan = _ridge_plan(cells_of[f][0], covers, fs.covers)
+                eps = _face_signs(cells_of[f][0], covers, fs.covers, signs)
             elif len(covers) == 2:
-                plan = None
+                eps = (-1, 1)  # an edge runs from its lesser vertex to its greater
             else:
                 # with no covers there is no chamber above, so no cell to name
                 edge = cells_of[f][0] if covers else f
                 raise InternalError(f"edge {edge} is not regular: it has {len(covers)} vertices")
+            signs[f] = eps
             for cell in cells_of[f]:
                 c = cell[1]
-                facets = []
-                for flip, g in zip(flips, covers):
+                entries = []
+                for flip, g, e in zip(flips, covers, eps):
                     x = list(c)
                     for i, s in flip:
                         x[i] = s
                     y = chamber.get(tuple(x))
                     if y is None:
                         raise InternalError(f"cell {cell} is not regular: its facet face {g} o c is {tuple(x)}, no chamber")
-                    facets.append((g, y))
-                if plan is None:
-                    eps = [-1 if g == c else 1 for g, _ in facets]
-                else:
-                    eps = _walk_plan(cell, plan, [boundary[facet] for facet in facets])
-                entries = []
-                for facet, e in zip(facets, eps):
-                    crossed = away[c] - away[facet[1]]
-                    entries.append((facet, e, crossings.setdefault(crossed, crossed)))
+                    crossed = away[c] - away[y]
+                    entries.append(((g, y), e, crossings.setdefault(crossed, crossed)))
                 boundary[cell] = tuple(entries)
     return SalvettiComplex(fs, cells_by_dim, boundary)
 
 
-def _ridge_plan(first: Cell, covers: tuple, covers_of: Mapping) -> list[tuple[int, int, int, int]]:
-    """The ridge plan of a face f of codimension at least two, from its
-    covers and theirs: one (a, ka, b, kb) per ridge, where facets a and b
-    hold the ridge at positions ka and kb of their boundaries, ordered so
-    that facet a is reached, from facet 0, before the ridge is listed.
+def _face_signs(first: Cell, covers: tuple, covers_of: Mapping, signs: Mapping) -> tuple[int, ...]:
+    """The incidence signs of every cell of a face f of codimension at
+    least two, one per cover of f in order, from the signs of its covers.
 
-    ``first`` is the first cell of f, which the errors name."""
+    The ridges of f's cells are the covers of its covers.  Two facets a
+    and b that hold a ridge at positions ka and kb of their boundaries are
+    linked by the regularity diamond (exactly two cells between), which
+    forces eps_b = -eps_a * signs[a][ka] * signs[b][kb]; a breadth-first
+    walk from +1 on the first facet fixes every sign.  Every ridge must
+    lie on exactly two facets, the facets must be connected through their
+    ridges, and the forced signs must agree.  ``first`` is the first cell
+    of f, which the errors name.
+    """
     owners: dict[SignVector, list[tuple[int, int]]] = {}
     for a, g in enumerate(covers):
-        for k, h in enumerate(covers_of[g]):
-            owners.setdefault(h, []).append((a, k))
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in covers]
+        for h, s in zip(covers_of[g], signs[g]):
+            owners.setdefault(h, []).append((a, s))
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in covers]
     for h, pair in owners.items():
         if len(pair) != 2:
             ridge = (h, tuple(x or y for x, y in zip(h, first[1])))
             raise InternalError(f"cell {first} is not regular: ridge {ridge} has {len(pair)} facets")
-        (a, ka), (b, kb) = pair
-        adjacency[a].append((ka, b, kb))
-        adjacency[b].append((kb, a, ka))
-    # breadth-first from facet 0; a ridge is listed from the facet met first
+        (a, sa), (b, sb) = pair
+        adjacency[a].append((b, sa * sb))
+        adjacency[b].append((a, sa * sb))
+    eps = [1] + [0] * (len(covers) - 1)
     walk = [0]
-    order = {0: 0}
-    plan = []
     for a in walk:
-        for ka, b, kb in adjacency[a]:
-            if b not in order:
-                order[b] = len(walk)
+        for b, product in adjacency[a]:
+            forced = -eps[a] * product
+            if not eps[b]:
+                eps[b] = forced
                 walk.append(b)
-            if order[b] > order[a]:
-                plan.append((a, ka, b, kb))
+            elif eps[b] != forced:
+                raise InternalError(f"inconsistent incidence signs around {first}")
     if len(walk) != len(covers):
         raise InternalError(f"boundary of {first} is not connected")
-    return plan
-
-
-def _walk_plan(cell: Cell, plan: list[tuple[int, int, int, int]], facet_boundaries: list) -> list[int]:
-    """Incidence signs of the facets of ``cell`` from its face's ridge plan
-    and the boundaries of its facets, in the order of ``facet_boundaries``."""
-    eps = [0] * len(facet_boundaries)
-    eps[0] = 1
-    for a, ka, b, kb in plan:
-        forced = -eps[a] * facet_boundaries[a][ka][1] * facet_boundaries[b][kb][1]
-        if not eps[b]:
-            eps[b] = forced
-        elif eps[b] != forced:
-            raise InternalError(f"inconsistent incidence signs around {cell}")
-    return eps
+    return tuple(eps)
 
 
 def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexData:
@@ -321,7 +297,8 @@ def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexD
 
     Each entry is a plain sum of eps * (product of crossed weights);
     :func:`make_complex` reduces it into the field.  Each distinct
-    crossing set's product is taken once."""
+    crossing set's product is taken once.  The complex is arrcoh's own, so
+    a failed check is an InternalError, not a ValueError."""
     dims = {d: len(cells) for d, cells in enumerate(sal.cells_by_dim)}
     monomials: dict[frozenset, object] = {}
     diffs = {}
@@ -338,7 +315,10 @@ def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexD
                 row[j] = row.get(j, 0) + eps * w
             rows.append(row)
         diffs[d - 1] = rows
-    return make_complex(sys.field, dims, diffs)
+    try:
+        return make_complex(sys.field, dims, diffs)
+    except ValueError as exc:
+        raise InternalError(f"the twisted Salvetti complex is not a complex: {exc}") from exc
 
 
 @dataclass(frozen=True)

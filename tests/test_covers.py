@@ -14,7 +14,6 @@ from arrcoh.covers import (
     E2Support,
     LocalDatum,
     build_nerve,
-    build_nerve_from_key,
     e2_support,
     support_certificate,
     validate_cover,
@@ -41,19 +40,6 @@ def test_nerve_with_common_point():
     nerve, keys = build_nerve(sets)
     assert len(nerve) == 7
     assert keys[frozenset({"A", "B", "C"})] == {0}
-
-
-def test_nerve_from_key_matches_sets():
-    sets = {"U": frozenset({1, 2}), "V": frozenset({2, 3}), "W": frozenset({1, 3})}
-
-    def key(subset):
-        inter = frozenset.intersection(*(sets[lab] for lab in subset))
-        return inter or None
-
-    nerve_a, keys_a = build_nerve(sets)
-    nerve_b, keys_b = build_nerve_from_key(list(sets), key)
-    assert set(nerve_a.elements) == set(nerve_b.elements)
-    assert keys_a == keys_b
 
 
 @settings(max_examples=80, deadline=None)

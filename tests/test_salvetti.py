@@ -324,10 +324,9 @@ def _propagate_signs(cell, facets, boundary):
     of its facets, link the two facets of each ridge and walk the links
     from the first facet."""
     if facets[0] not in boundary:
-        # an edge: its facets are vertices, oriented away from its own chamber
-        f, c = cell
-        opposite = _compose(f, tuple(-x for x in c))
-        return {(c, c): -1, (opposite, opposite): 1}
+        # an edge: its facets are vertices, from the lesser to the greater
+        lesser, greater = sorted(facets)
+        return {lesser: -1, greater: 1}
     ridge_owners = {}
     for facet in facets:
         for ridge, sign, _ in boundary[facet]:
@@ -382,6 +381,11 @@ def test_ridge_plans_match_per_cell_oracle(a):
     cells_by_dim, boundary = oracle_salvetti(fs)
     assert sal.cells_by_dim == cells_by_dim
     assert dict(sal.boundary) == boundary
+    # each cell's own walk lands on its face's signs: one tuple per face
+    signs = {}
+    for (f, _), entries in boundary.items():
+        signs.setdefault(f, set()).add(tuple(e for _, e, _ in entries))
+    assert all(len(tuples) == 1 for tuples in signs.values())
 
 
 def test_corrupted_face_system_is_an_internal_error():
@@ -399,6 +403,18 @@ def test_corrupted_face_system_is_an_internal_error():
     covers[ray] = ()
     with pytest.raises(InternalError, match=r"edge \(-1, 0, -1\) is not regular: it has 0 vertices"):
         build_salvetti(a, dataclasses.replace(fs, covers=covers))
+
+
+def test_failed_twisted_square_is_an_internal_error():
+    a = three_generic_lines()
+    sal = build_salvetti(a)
+    # flip the sign of one edge's first vertex: d o d no longer vanishes
+    edge = sal.cells_by_dim[1][0]
+    (vertex, eps, crossed), *rest = sal.boundary[edge]
+    boundary = {**sal.boundary, edge: ((vertex, -eps, crossed), *rest)}
+    with pytest.raises(InternalError, match=r"not a complex: d\^1 o d\^0 != 0") as info:
+        twisted_complex(dataclasses.replace(sal, boundary=boundary), RankOneSystem(GF(7), (2, 2, 2)))
+    assert not isinstance(info.value, ValueError)  # the CLI exits 3, not 2
 
 
 def test_cover_of_wrong_codimension_is_an_internal_error():
