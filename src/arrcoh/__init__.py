@@ -18,7 +18,6 @@ import importlib
 _EXPORTS = {  # exported name -> the module that defines it
     "Arrangement": "arrangement",
     "IntersectionLattice": "arrangement",
-    "RankOneSystem": "arrangement",
     "VanishingVerdict": "arrangement",
     "e2_certificate": "arrangement",
     "intersection_lattice": "arrangement",
@@ -43,6 +42,7 @@ _EXPORTS = {  # exported name -> the module that defines it
     "tangent_arrangement": "elliptic",
     "GF": "linalg",
     "QQ": "linalg",
+    "RankOneSystem": "linalg",
     "ZZ": "linalg",
     "Matrix": "linalg",
     "smith_normal_form": "linalg",
@@ -54,7 +54,6 @@ _EXPORTS = {  # exported name -> the module that defines it
     "link": "simplicial",
     "reduced_cohomology": "simplicial",
     "ToricComplex": "toric",
-    "ToricRankOneSystem": "toric",
     "cover_nerve": "toric",
     "toric_cohomology": "toric",
     "toric_e2_page": "toric",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from arrcoh.linalg import QQ, ZZ, FieldTag, InternalError, Matrix, parse_fraction, sparse_rank
+from arrcoh.linalg import QQ, ZZ, InternalError, Matrix, RankOneSystem, sparse_rank
 from arrcoh.poset import FinitePoset, from_relations, moebius_table
 
 if TYPE_CHECKING:
@@ -37,7 +37,6 @@ __all__ = [
     "minimal_building_set",
     "maximal_building_set",
     "nested_complex",
-    "RankOneSystem",
     "VanishingVerdict",
     "vanishing_check",
     "depth_bound",
@@ -46,12 +45,6 @@ __all__ = [
 
 # flats carry n x n kernel bases, so the work grows with n even at rank 1
 MAX_AMBIENT_DIM = 64
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("refusing float input; pass int, Fraction or 'p/q' string")
-    return parse_fraction(x)
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ class Arrangement:
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[Sequence], labels: Sequence[str] | None = None) -> "Arrangement":
-        rows = [[_as_fraction(x) for x in row] for row in rows]
+        rows = list(rows)
         if labels is None:
             labels = [f"H{i + 1}" for i in range(len(rows))]
         mat = Matrix.from_rows(QQ, rows) if rows else Matrix.zeros(QQ, 0, n)
@@ -150,11 +143,11 @@ class Arrangement:
             if n > MAX_AMBIENT_DIM:
                 raise ValueError(f"ambient dimension is capped at {MAX_AMBIENT_DIM}, got {n}")
             hyps = obj["hyperplanes"]
-            rows = [[_as_fraction(x) for x in h["normal"]] for h in hyps]
+            rows = [h["normal"] for h in hyps]
             labels = [str(h["label"]) for h in hyps]
+            return cls.from_rows(n, rows, labels)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad arrangement JSON: {exc}") from exc
-        return cls.from_rows(n, rows, labels)
 
     def __repr__(self) -> str:
         return f"Arrangement(n={self.n}, m={self.m})"
@@ -438,61 +431,6 @@ def _is_nested(flats: Mapping[tuple[int, ...], Flat], members: set, S: frozenset
     union = set().union(*S)
     join = min((cs for cs in flats if union.issubset(cs)), key=len)
     return join not in members
-
-
-@dataclass(frozen=True)
-class RankOneSystem:
-    """One unit weight per hyperplane: the monodromy of a rank-one system
-    around each meridian, in arrangement row order.  The readers take the
-    row labels from ``a.labels``, so an elliptic arrangement serves too."""
-
-    field: FieldTag
-    weights: tuple
-
-    def __post_init__(self) -> None:
-        normalized = tuple(self.field.normalize(w) for w in self.weights)
-        object.__setattr__(self, "weights", normalized)
-        for w in normalized:
-            if self.field.is_zero(w):
-                raise ValueError("weights must be nonzero")
-
-    def product(self):
-        return self.weight_product(range(len(self.weights)))
-
-    @property
-    def is_projective(self) -> bool:
-        return self.product() == self.field.one
-
-    def weight_product(self, indices: Iterable[int]):
-        acc = self.field.one
-        for i in indices:
-            acc = self.field.mul(acc, self.weights[i])
-        return acc
-
-    @classmethod
-    def from_mapping(cls, field: FieldTag, a: Arrangement, by_label: Mapping[str, object]) -> "RankOneSystem":
-        missing = [lab for lab in a.labels if lab not in by_label]
-        if missing:
-            raise ValueError(f"missing weights for {missing}")
-        for lab in by_label:
-            if lab not in a.labels:
-                raise ValueError(f"weight for unknown hyperplane {lab!r}")
-        return cls(field, tuple(by_label[lab] for lab in a.labels))
-
-    @classmethod
-    def from_json(cls, a: Arrangement, obj: Mapping) -> "RankOneSystem":
-        try:
-            field = FieldTag.from_json(obj["field"])
-            q = obj["q"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad weights JSON: {exc}") from exc
-        return cls.from_mapping(field, a, q)
-
-    def to_json(self, a: Arrangement) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "q": {lab: self.field.format_scalar(w) for lab, w in zip(a.labels, self.weights)},
-        }
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from arrcoh.linalg import GF, QQ, ZZ, FieldTag, InternalError, is_prime
+from arrcoh.linalg import GF, QQ, ZZ, FieldTag, InternalError, RankOneSystem, is_prime
 
 if TYPE_CHECKING:
     from arrcoh.arrangement import Arrangement
@@ -180,7 +180,7 @@ def _run_arr_nested(args):
 
 
 def _run_arr_vanish(args):
-    from arrcoh.arrangement import Arrangement, RankOneSystem, depth_bound, e2_certificate, vanishing_check
+    from arrcoh.arrangement import Arrangement, depth_bound, e2_certificate, vanishing_check
 
     a = Arrangement.from_json(_load(args.arrangement))
     a, reduced = _essentialized(a)
@@ -207,7 +207,7 @@ def _run_arr_vanish(args):
 
 
 def _run_arr_salvetti(args):
-    from arrcoh.arrangement import Arrangement, RankOneSystem
+    from arrcoh.arrangement import Arrangement
     from arrcoh.salvetti import twisted_cohomology
 
     a = Arrangement.from_json(_load(args.arrangement))
@@ -227,10 +227,10 @@ def _run_arr_salvetti(args):
 
 
 def _run_toric_cohomology(args):
-    from arrcoh.toric import ToricComplex, ToricRankOneSystem, toric_cohomology, toric_e2_page
+    from arrcoh.toric import ToricComplex, toric_cohomology, toric_e2_page
 
     tc = ToricComplex.from_json(_load(args.complex))
-    sys_ = ToricRankOneSystem.from_json(tc, _load(args.weights))
+    sys_ = RankOneSystem.from_json(tc, _load(args.weights))
     rep = toric_cohomology(tc, sys_)
     report = rep.to_json()
     report["space_dim"] = tc.space_dim
@@ -349,7 +349,6 @@ def _run_ell_convenient(args):
 
 
 def _run_ell_certify(args):
-    from arrcoh.arrangement import RankOneSystem
     from arrcoh.elliptic import EllipticArrangement, elliptic_vanishing_certificate
 
     obj = _load(args.arrangement)

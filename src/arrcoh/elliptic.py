@@ -30,10 +30,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, SmithForm, smith_normal_form, sparse_rank
+from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, RankOneSystem, SmithForm, smith_normal_form, sparse_rank
 
 if TYPE_CHECKING:
-    from arrcoh.arrangement import Arrangement, RankOneSystem
+    from arrcoh.arrangement import Arrangement
     from arrcoh.covers import E2Support
 
 __all__ = [
@@ -415,7 +415,8 @@ def convenient_check(a: EllipticArrangement, field: FieldTag, values: Sequence) 
     """Is the character nontrivial on every positive-dimensional stratum?
 
     The character assigns a nonzero scalar to each of the 2n basis loops
-    of the ambient product (two per curve factor, interleaved).  Each
+    of the ambient product (two per curve factor, interleaved): a rank-one
+    system on the loops, read on a lattice vector as a monomial.  Each
     stratum lattice is the saturated integer kernel of a row subset (the
     first subset of each closure, read off its Smith witness), doubled
     across the two coordinate copies; the test passes when some lattice
@@ -424,22 +425,9 @@ def convenient_check(a: EllipticArrangement, field: FieldTag, values: Sequence) 
     """
     if a.is_translated:
         raise ValueError("the convenient test requires all translations zero")
-    vals = [field.normalize(v) for v in values]
-    if len(vals) != 2 * a.n:
-        raise ValueError(f"need {2 * a.n} character values, got {len(vals)}")
-    if any(field.is_zero(v) for v in vals):
-        raise ValueError("character values must be nonzero")
-
-    def value_on(vec: Sequence[int]):
-        acc = field.one
-        for v, e in zip(vals, vec):
-            if e == 0:
-                continue
-            base = v if e > 0 else field.inv(v)
-            for _ in range(abs(e)):
-                acc = field.mul(acc, base)
-        return acc
-
+    chi = RankOneSystem(field, tuple(values))
+    if len(chi.weights) != 2 * a.n:
+        raise ValueError(f"need {2 * a.n} character values, got {len(chi.weights)}")
     first: dict[frozenset[int], tuple[int, tuple[int, ...], SmithForm]] = {}
     for I, _, snf in _subsets(a):
         first.setdefault(_closure(a, snf), (snf.rank, I, snf))
@@ -448,7 +436,7 @@ def convenient_check(a: EllipticArrangement, field: FieldTag, values: Sequence) 
         if rank >= a.n:
             continue  # only finitely many points on these strata
         basis = [_interleave(v, copy) for v in _kernel(snf) for copy in (0, 1)]
-        if all(value_on(v) == field.one for v in basis):
+        if all(chi.monomial(v) == field.one for v in basis):
             failures.append((I, tuple(basis)))
     holds = not failures
     return ConvenientVerdict(holds, tuple(failures), a.n - 1 if holds else None)
@@ -472,7 +460,7 @@ def elliptic_vanishing_certificate(a: EllipticArrangement, weights: RankOneSyste
     n are cut by the ambient homotopy dimension; concentration at n is
     declared exactly when every tangent check passes.
     """
-    from arrcoh.arrangement import RankOneSystem, vanishing_check
+    from arrcoh.arrangement import vanishing_check
     from arrcoh.covers import LocalDatum, e2_support
     from arrcoh.poset import from_leq
 

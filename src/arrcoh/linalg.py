@@ -7,7 +7,9 @@ dense row reduction of :mod:`arrcoh.fp` over F_p and Q, and Smith
 witnesses over Z; :func:`sparse_rank` is the rank-only elimination that cochain
 complexes use, one routine for all three rings, which over Q keeps
 integral values as ints and forms a Fraction only where a pivot is not
-+-1.
++-1.  :class:`RankOneSystem` is a rank-one local system over a field, one
+type for every space arrcoh twists: hyperplane arrangements, elliptic
+arrangements and toric complexes, each keyed by its ``labels``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "FieldTag",
     "QQ",
     "GF",
+    "RankOneSystem",
     "ZZ",
     "IntegerRing",
     "Matrix",
@@ -173,6 +176,82 @@ QQ = FieldTag("rational")
 
 def GF(p: int) -> FieldTag:
     return FieldTag("prime", p)
+
+
+@dataclass(frozen=True)
+class RankOneSystem:
+    """A rank-one local system: one unit weight per generator of first
+    homology, the monodromy around it, in the order of ``space.labels``.
+
+    One type serves every space: the meridians of a hyperplane arrangement
+    or the rows of an elliptic one (one weight per hyperplane or row), the
+    circle factors of a toric complex (one per vertex), and the 2n basis
+    loops of a power of an elliptic curve (a character, read through
+    :meth:`monomial`).
+    """
+
+    field: FieldTag
+    weights: tuple
+
+    def __post_init__(self) -> None:
+        normalized = tuple(self.field.normalize(w) for w in self.weights)
+        object.__setattr__(self, "weights", normalized)
+        for w in normalized:
+            if self.field.is_zero(w):
+                raise ValueError("weights must be nonzero")
+
+    def product(self):
+        return self.weight_product(range(len(self.weights)))
+
+    @property
+    def is_projective(self) -> bool:
+        return self.product() == self.field.one
+
+    def weight_product(self, indices: Iterable[int]):
+        acc = self.field.one
+        for i in indices:
+            acc = self.field.mul(acc, self.weights[i])
+        return acc
+
+    def monomial(self, exponents: Iterable[int]):
+        """The product of the weights raised to ``exponents``, one integer
+        per weight; a negative exponent takes the inverse."""
+        p = self.field.p
+        acc = self.field.one
+        for w, e in zip(self.weights, exponents):
+            if e:
+                acc = acc * pow(w, e, p) % p if p else acc * w**e
+        return acc
+
+    @classmethod
+    def from_mapping(cls, field: FieldTag, space, by_label: Mapping) -> "RankOneSystem":
+        missing = [lab for lab in space.labels if lab not in by_label]
+        if missing:
+            raise ValueError(f"missing weights for {missing}")
+        for lab in by_label:
+            if lab not in space.labels:
+                raise ValueError(f"weight for unknown label {lab!r}")
+        return cls(field, tuple(by_label[lab] for lab in space.labels))
+
+    @classmethod
+    def from_json(cls, space, obj: Mapping) -> "RankOneSystem":
+        """Weights ``{"field": ..., "q": {name: scalar}}``, each name the
+        ``str`` of a label of ``space``."""
+        try:
+            field = FieldTag.from_json(obj["field"])
+            q = obj["q"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad weights JSON: {exc}") from exc
+        if not isinstance(q, Mapping):
+            raise ValueError(f"weights q must map labels to scalars, got {q!r}")
+        by_name = {str(lab): lab for lab in space.labels}
+        return cls.from_mapping(field, space, {by_name.get(name, name): val for name, val in q.items()})
+
+    def to_json(self, space) -> dict:
+        return {
+            "field": self.field.to_json(),
+            "q": {str(lab): self.field.format_scalar(w) for lab, w in zip(space.labels, self.weights)},
+        }
 
 
 class IntegerRing:

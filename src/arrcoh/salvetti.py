@@ -36,19 +36,13 @@ on small inputs; it does not race dedicated solvers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping
 
-from arrcoh.arrangement import (
-    Arrangement,
-    RankOneSystem,
-    intersection_lattice,
-    poincare_and_beta,
-)
+from arrcoh.arrangement import Arrangement, intersection_lattice, poincare_and_beta
 from arrcoh.cochain import CochainComplexData, complex_cohomology, make_complex
-from arrcoh.linalg import InternalError
+from arrcoh.linalg import InternalError, RankOneSystem
 
 __all__ = [
     "MAX_FACES",
@@ -226,12 +220,14 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
             covers = fs.covers[f]
             # g o c overwrites c where g is nonzero and f is zero
             flips = [[(i, s) for i, (x, s) in enumerate(zip(f, g)) if s != x] for g in covers]
-            if d > 1:
+            # with no covers there is no chamber above, so no cell to name
+            if d > 1 and covers:
                 eps = _face_signs(cells_of[f][0], covers, fs.covers, signs)
+            elif d > 1:
+                raise InternalError(f"face {f} is not regular: it has no covers")
             elif len(covers) == 2:
                 eps = (-1, 1)  # an edge runs from its lesser vertex to its greater
             else:
-                # with no covers there is no chamber above, so no cell to name
                 edge = cells_of[f][0] if covers else f
                 raise InternalError(f"edge {edge} is not regular: it has {len(covers)} vertices")
             signs[f] = eps
@@ -310,7 +306,7 @@ def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexD
             for facet, eps, crossed in sal.boundary[cell]:
                 w = monomials.get(crossed)
                 if w is None:
-                    w = monomials[crossed] = math.prod(sys.weights[i] for i in crossed)
+                    w = monomials[crossed] = sys.weight_product(crossed)
                 j = index[facet]
                 row[j] = row.get(j, 0) + eps * w
             rows.append(row)

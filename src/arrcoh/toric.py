@@ -2,11 +2,13 @@
 
 A simplicial complex L on a vertex set V selects, inside the |V|-torus,
 the union of the coordinate subtori spanned by the faces of L.  That
-space has dimension dim L + 1; its cohomology twisted by one unit weight
-per circle factor is computed by a tiny cochain complex whose basis is
-the faces of L, with coboundary coefficients (q_v - 1): the face
-coboundaries of L, checked once (:class:`~arrcoh.simplicial.FaceCoboundaries`),
-specialized at each weight system.
+space has dimension dim L + 1.  Its cohomology twisted by one unit weight
+per circle factor, a :class:`~arrcoh.linalg.RankOneSystem` (the type the
+arrangements use) keyed by the vertices as ``ToricComplex.labels``, is
+computed by a tiny cochain complex whose basis is the faces of L, with
+coboundary coefficients (q_v - 1): the face coboundaries of L, checked
+once (:class:`~arrcoh.simplicial.FaceCoboundaries`), specialized at each
+weight system.
 
 Two independent descriptions of the answer live here: the direct cochain
 computation, and a support page assembled from the reduced cohomology of
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology
-from arrcoh.linalg import GF, FieldTag, is_prime
+from arrcoh.linalg import GF, RankOneSystem, is_prime
 from arrcoh.simplicial import (
     CMVerdict,
     FaceCoboundaries,
@@ -37,7 +39,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ToricComplex",
-    "ToricRankOneSystem",
     "twisted_cochain",
     "toric_cohomology",
     "cover_nerve",
@@ -52,6 +53,11 @@ class ToricComplex:
     """The union of coordinate subtori picked out by the faces of ``base``."""
 
     base: SimplicialComplex
+
+    @property
+    def labels(self) -> tuple:
+        """The vertices: one circle factor, and one weight, each."""
+        return self.base.vertices
 
     @property
     def space_dim(self) -> int:
@@ -69,56 +75,7 @@ class ToricComplex:
         return self.base.to_json()
 
 
-@dataclass(frozen=True)
-class ToricRankOneSystem:
-    """One unit weight per vertex circle."""
-
-    field: FieldTag
-    weights: Mapping
-
-    def trivial_vertices(self) -> frozenset:
-        """Vertices of weight 1: a face has all weights trivial exactly
-        when it lies inside this set."""
-        one = self.field.one
-        return frozenset(v for v, w in self.weights.items() if w == one)
-
-    @classmethod
-    def from_mapping(cls, field: FieldTag, tc: ToricComplex, by_vertex: Mapping) -> "ToricRankOneSystem":
-        weights = {}
-        for v in tc.base.vertices:
-            if v not in by_vertex:
-                raise ValueError(f"missing weight for vertex {v!r}")
-            w = field.normalize(by_vertex[v])
-            if field.is_zero(w):
-                raise ValueError(f"weight at vertex {v!r} must be nonzero")
-            weights[v] = w
-        return cls(field, weights)
-
-    @classmethod
-    def from_json(cls, tc: ToricComplex, obj: Mapping) -> "ToricRankOneSystem":
-        try:
-            field = FieldTag.from_json(obj["field"])
-            q = obj["q"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad weights JSON: {exc}") from exc
-        if not isinstance(q, Mapping):
-            raise ValueError(f"weights q must map vertex names to scalars, got {q!r}")
-        by_name = {str(v): v for v in tc.base.vertices}
-        mapped = {}
-        for name, val in q.items():
-            if name not in by_name:
-                raise ValueError(f"weight for unknown vertex {name!r}")
-            mapped[by_name[name]] = val
-        return cls.from_mapping(field, tc, mapped)
-
-    def to_json(self, tc: ToricComplex) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "q": {str(v): self.field.format_scalar(self.weights[v]) for v in tc.base.vertices},
-        }
-
-
-def twisted_cochain(tc: ToricComplex, sys: ToricRankOneSystem) -> CochainComplexData:
+def twisted_cochain(tc: ToricComplex, sys: RankOneSystem) -> CochainComplexData:
     """Cochain complex on the faces of the indexing complex.
 
     Degree k has basis the faces of cardinality k (the empty face sits in
@@ -128,10 +85,10 @@ def twisted_cochain(tc: ToricComplex, sys: ToricRankOneSystem) -> CochainComplex
     weights the coboundary is identically zero, so every Betti number is a
     face count.
     """
-    return FaceCoboundaries.of(tc.base).specialize(sys.field, [sys.weights[v] - 1 for v in tc.base.vertices])
+    return FaceCoboundaries.of(tc.base).specialize(sys.field, [w - 1 for w in sys.weights])
 
 
-def toric_cohomology(tc: ToricComplex, sys: ToricRankOneSystem) -> CohomologyReport:
+def toric_cohomology(tc: ToricComplex, sys: RankOneSystem) -> CohomologyReport:
     return complex_cohomology(twisted_cochain(tc, sys))
 
 
@@ -158,7 +115,7 @@ def cover_nerve(tc: ToricComplex) -> CoverDescription:
     return CoverDescription(nerve, poset, rho, phi, keys=keys)
 
 
-def toric_e2_page(tc: ToricComplex, sys: ToricRankOneSystem) -> E2Support:
+def toric_e2_page(tc: ToricComplex, sys: RankOneSystem) -> E2Support:
     """Exact support page from face links.
 
     A face with any nontrivial weight contributes nothing (a nontrivial
@@ -171,17 +128,24 @@ def toric_e2_page(tc: ToricComplex, sys: ToricRankOneSystem) -> E2Support:
     """
     from arrcoh.covers import support_certificate
 
-    return support_certificate(*_support_page(tc, sys, link_cohomology(tc.base, sys.field, sys.trivial_vertices())))
+    return support_certificate(*_support_page(tc, sys, link_cohomology(tc.base, sys.field, _trivial_vertices(tc, sys))))
 
 
-def _support_page(tc: ToricComplex, sys: ToricRankOneSystem, table: Mapping) -> tuple[dict, int, tuple[str]]:
+def _trivial_vertices(tc: ToricComplex, sys: RankOneSystem) -> frozenset:
+    """Vertices of weight 1: a face has all weights trivial exactly when it
+    lies inside this set."""
+    one = sys.field.one
+    return frozenset(v for v, w in zip(tc.labels, sys.weights) if w == one)
+
+
+def _support_page(tc: ToricComplex, sys: RankOneSystem, table: Mapping) -> tuple[dict, int, tuple[str]]:
     """The support page read from link cohomology over ``sys.field``, as the
     arguments of :func:`~arrcoh.covers.support_certificate`.
 
     ``table`` maps faces, in face order, to the reduced cohomology of
     their links; it holds at least every face whose weights are trivial.
     """
-    trivial = sys.trivial_vertices()
+    trivial = _trivial_vertices(tc, sys)
     entries: dict[tuple[int, int], int] = {}
     for tau, report in table.items():
         if not tau <= trivial:
@@ -251,13 +215,12 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
     out = []
     ok = True
     for _ in range(trials):
-        q = {v: rng.randrange(2, p) for v in L.vertices}
-        sys = ToricRankOneSystem.from_mapping(field, tc, q)
-        report = complex_cohomology(faces.specialize(field, [sys.weights[v] - 1 for v in L.vertices]))
+        sys = RankOneSystem(field, tuple(rng.randrange(2, p) for _ in L.vertices))
+        report = complex_cohomology(faces.specialize(field, [w - 1 for w in sys.weights]))
         page = support_certificate(*_support_page(tc, sys, table))
         betti = {k: report.betti(k) for k in range(0, top + 1) if report.betti(k)}
         trial = {
-            "q": {str(v): q[v] for v in L.vertices},
+            "q": {str(v): w for v, w in zip(L.vertices, sys.weights)},
             "betti": {str(k): v for k, v in sorted(betti.items())},
             "page_lines": page.lines(),
         }

@@ -20,7 +20,6 @@ import time
 
 from arrcoh.arrangement import (
     Arrangement,
-    RankOneSystem,
     e2_certificate,
     intersection_lattice,
     maximal_building_set,
@@ -34,12 +33,11 @@ from arrcoh.elliptic import (
     components,
     elliptic_vanishing_certificate,
 )
-from arrcoh.linalg import GF, QQ, ZZ
+from arrcoh.linalg import GF, QQ, ZZ, RankOneSystem
 from arrcoh.salvetti import build_salvetti, enumerate_faces, twisted_cohomology
 from arrcoh.simplicial import SimplicialComplex, enumerate_complexes, is_cohen_macaulay
 from arrcoh.toric import (
     ToricComplex,
-    ToricRankOneSystem,
     toric_cohomology,
     toric_e2_page,
     verify_cm_theorem,
@@ -186,7 +184,7 @@ def corpus():
 
 
 def toric_weights(tc, by_vertex):
-    return ToricRankOneSystem.from_mapping(F101, tc, by_vertex)
+    return RankOneSystem.from_mapping(F101, tc, by_vertex)
 
 
 def projective_weights(rng, m):

@@ -153,7 +153,7 @@ def test_unknown_weight_label_is_input_error(files, capsys, verb, inputs):
     args = [x if isinstance(x, str) else files(f"in{i}.json", x) for i, x in enumerate(inputs)]
     code, out, err = run(capsys, [verb, *args])
     assert code == 2 and out == ""
-    assert _one_error_line(err) and "weight for unknown hyperplane 'zz'" in err
+    assert _one_error_line(err) and "weight for unknown label 'zz'" in err
 
 
 @pytest.mark.parametrize(

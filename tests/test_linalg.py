@@ -1,11 +1,14 @@
 """Exact linear algebra: ranks, kernels, Smith form, prime-field kernels.
 
 The Smith-form tests freeze hand-computed divisors (gcd of entries, then
-gcd of 2x2 minors, and so on).  The sparse elimination is checked against
+gcd of 2x2 minors, and so on).  One rank-one system type serves all three
+families of spaces, so its JSON form is checked on each.  The sparse elimination is checked against
 the dense references (``arrcoh.fp`` over F_p, the rational RREF over Q,
 the Smith form over Z) on random small integer matrices.
 """
 
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -19,6 +22,7 @@ from arrcoh.linalg import (
     QQ,
     ZZ,
     Matrix,
+    RankOneSystem,
     is_prime,
     parse_fraction,
     rank_kernel,
@@ -298,3 +302,56 @@ def test_is_prime_refuses_at_the_bound():
             is_prime(n)
         with pytest.raises(ValueError, match=str(PRIME_BOUND)):
             GF(n)
+
+
+# --- rank-one local systems ---------------------------------------------------
+
+
+def _arrangement():
+    from arrcoh.arrangement import Arrangement
+
+    return Arrangement.from_rows(2, [[1, 0], [0, 1], [1, 1]], ("a", "b", "c"))
+
+
+def _elliptic():
+    from arrcoh.elliptic import EllipticArrangement
+
+    return EllipticArrangement.from_rows(2, [[1, 0], [1, 1]])
+
+
+def _toric():
+    from arrcoh.simplicial import SimplicialComplex
+    from arrcoh.toric import ToricComplex
+
+    return ToricComplex(SimplicialComplex.from_facets([1, 2, 3], [(1, 2), (2, 3)]))
+
+
+@pytest.mark.parametrize(
+    "make_space, field, by_label",
+    [
+        (_arrangement, QQ, {"a": 2, "b": "1/3", "c": Fraction(-3, 2)}),
+        (_elliptic, GF(7), {"f1": 3, "f2": 9}),
+        (_toric, GF(101), {1: 3, 2: 1, 3: -1}),
+    ],
+    ids=["arrangement", "elliptic", "toric"],
+)
+def test_rank_one_json_round_trip(make_space, field, by_label):
+    space = make_space()
+    sys = RankOneSystem.from_mapping(field, space, by_label)
+    obj = json.loads(json.dumps(sys.to_json(space)))
+    assert list(obj["q"]) == [str(lab) for lab in space.labels]
+    assert RankOneSystem.from_json(space, obj) == sys
+
+
+@pytest.mark.parametrize("field, weights", [(GF(7), (3, 5, 6, 1)), (QQ, (Fraction(2, 3), -4, 5, 1))])
+def test_monomial_extends_weight_product(field, weights):
+    sys = RankOneSystem(field, weights)
+    for bits in itertools.product((0, 1), repeat=len(weights)):
+        assert sys.monomial(bits) == sys.weight_product(i for i, b in enumerate(bits) if b)
+    for e in itertools.product(range(-3, 4), repeat=len(weights)):
+        assert field.mul(sys.monomial(e), sys.monomial([-x for x in e])) == field.one
+
+
+def test_monomial_values():
+    assert RankOneSystem(GF(7), (3, 5)).monomial((2, -1)) == 6  # 9 * 3, as 5 * 3 = 1 mod 7
+    assert RankOneSystem(QQ, (Fraction(2, 3), 5)).monomial((-2, 1)) == Fraction(45, 4)

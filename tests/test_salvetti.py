@@ -403,6 +403,11 @@ def test_corrupted_face_system_is_an_internal_error():
     covers[ray] = ()
     with pytest.raises(InternalError, match=r"edge \(-1, 0, -1\) is not regular: it has 0 vertices"):
         build_salvetti(a, dataclasses.replace(fs, covers=covers))
+    # nor above the origin when it has no covers: the face itself is named
+    covers = {**fs.covers, (0, 0, 0): ()}
+    with pytest.raises(InternalError, match=r"face \(0, 0, 0\) is not regular: it has no covers") as info:
+        build_salvetti(a, dataclasses.replace(fs, covers=covers))
+    assert not isinstance(info.value, ValueError)
 
 
 def test_failed_twisted_square_is_an_internal_error():

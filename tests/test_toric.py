@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrcoh.covers import support_certificate, validate_cover
-from arrcoh.linalg import GF, QQ, ZZ
+from arrcoh.linalg import GF, QQ, ZZ, RankOneSystem
 from arrcoh.simplicial import (
     SimplicialComplex,
     enumerate_complexes,
@@ -24,8 +24,8 @@ from arrcoh.simplicial import (
 )
 from arrcoh.toric import (
     ToricComplex,
-    ToricRankOneSystem,
     _support_page,
+    _trivial_vertices,
     cover_nerve,
     toric_cohomology,
     toric_e2_page,
@@ -38,7 +38,7 @@ def tc_from_facets(vertices, facets):
 
 
 def weights(tc, field, by_vertex):
-    return ToricRankOneSystem.from_mapping(field, tc, by_vertex)
+    return RankOneSystem.from_mapping(field, tc, by_vertex)
 
 
 # --- frozen small cases -----------------------------------------------------
@@ -148,14 +148,14 @@ def test_weights_json_round_trip():
     sys = weights(tc, GF(7), {1: 9, 2: 3})
     obj = sys.to_json(tc)
     assert obj["q"] == {"1": "2", "2": "3"}
-    again = ToricRankOneSystem.from_json(tc, obj)
+    again = RankOneSystem.from_json(tc, obj)
     assert again.weights == sys.weights
 
 
 def test_weights_json_unknown_vertex():
     tc = tc_from_facets([1], [(1,)])
-    with pytest.raises(ValueError, match="unknown vertex"):
-        ToricRankOneSystem.from_json(tc, {"field": {"kind": "prime", "p": 5}, "q": {"1": 2, "9": 2}})
+    with pytest.raises(ValueError, match="unknown label '9'"):
+        RankOneSystem.from_json(tc, {"field": {"kind": "prime", "p": 5}, "q": {"1": 2, "9": 2}})
 
 
 def test_complex_json_round_trip():
@@ -222,7 +222,7 @@ def test_page_matches_link_of_each_trivial_face(case):
     L, q = case
     tc = ToricComplex(L)
     sys = weights(tc, GF(101), {v: 1 if w % 2 else w for v, w in q.items()})
-    trivial = sys.trivial_vertices()
+    trivial = _trivial_vertices(tc, sys)
     table = {tau: reduced_cohomology(link(L, tau), sys.field) for tau in L.faces if tau <= trivial}
     page = toric_e2_page(tc, sys)
     assert page == support_certificate(*_support_page(tc, sys, table))
