@@ -13,10 +13,9 @@ certificates in :mod:`arrcoh.covers`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from arrcoh.linalg import QQ, ZZ, InternalError, Matrix, RankOneSystem, sparse_rank
 from arrcoh.poset import FinitePoset, from_relations, moebius_table
@@ -47,30 +46,28 @@ __all__ = [
 MAX_AMBIENT_DIM = 64
 
 
-@dataclass(frozen=True)
 class Arrangement:
     """Finitely many linear hyperplanes ker(f_i) through the origin of C^n.
 
     ``normals`` holds one row per hyperplane.  Rows must be nonzero and
-    pairwise non-proportional (each hyperplane listed once).
+    pairwise non-proportional (each hyperplane listed once).  The instance
+    dict holds the cached properties and the lattice that
+    :func:`intersection_lattice` keeps.
     """
 
-    n: int
-    normals: Matrix
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"ambient dimension must be nonnegative, got {self.n}")
-        if self.normals.ncols != self.n:
-            raise ValueError(f"normals have {self.normals.ncols} columns, ambient dimension is {self.n}")
-        if len(self.labels) != self.normals.nrows:
+    def __init__(self, n: int, normals: Matrix, labels: tuple[str, ...]) -> None:
+        self.n, self.normals, self.labels = n, normals, labels
+        if n < 0:
+            raise ValueError(f"ambient dimension must be nonnegative, got {n}")
+        if normals.ncols != n:
+            raise ValueError(f"normals have {normals.ncols} columns, ambient dimension is {n}")
+        if len(labels) != normals.nrows:
             raise ValueError("one label per hyperplane required")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate hyperplane labels")
-        for i, row in enumerate(self.normals.entries):
+        for i, row in enumerate(normals.entries):
             if all(x == 0 for x in row):
-                raise ValueError(f"hyperplane {self.labels[i]!r} has zero normal")
+                raise ValueError(f"hyperplane {labels[i]!r} has zero normal")
         classes: dict[tuple[int, ...], list[int]] = {}
         for i, row in enumerate(self.integral_normals):
             classes.setdefault(_primitive(row), []).append(i)
@@ -171,30 +168,30 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in row)
 
 
-@dataclass(frozen=True)
 class Flat:
     """A lattice element: the subspace cut out by a closed set of hyperplanes."""
 
-    closed_set: tuple[int, ...]
-    rank: int  # codimension of the subspace
-    # integer rows spanning the subspace over Q, each with gcd 1: the unit
-    # vectors for the bottom flat, cut by one integer restriction per cover
-    # above it (see intersection_lattice)
-    kernel_basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("closed_set", "rank", "kernel_basis")
+
+    def __init__(self, closed_set: tuple[int, ...], rank: int, kernel_basis: tuple[tuple[int, ...], ...]) -> None:
+        self.closed_set = closed_set
+        self.rank = rank  # codimension of the subspace
+        # integer rows spanning the subspace over Q, each with gcd 1: the unit
+        # vectors for the bottom flat, cut by one integer restriction per cover
+        # above it (see intersection_lattice)
+        self.kernel_basis = kernel_basis
 
     def __repr__(self) -> str:
         return f"Flat({list(self.closed_set)}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
 class IntersectionLattice:
     """Flats ordered by inclusion of closed sets (= reverse inclusion of
     subspaces), ranked by codimension.  Elements of ``poset`` are the
     closed-set tuples; ``flats`` holds the full data per element."""
 
-    arrangement: Arrangement
-    poset: FinitePoset
-    flats: Mapping[tuple[int, ...], Flat]
+    def __init__(self, arrangement: Arrangement, poset: FinitePoset, flats: Mapping[tuple[int, ...], Flat]) -> None:
+        self.arrangement, self.poset, self.flats = arrangement, poset, flats
 
     @property
     def bottom(self) -> tuple[int, ...]:
@@ -273,7 +270,7 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
         frontier = sorted(nxt)
     elements = sorted(seen, key=lambda cs: (seen[cs].rank, cs))
     lat = IntersectionLattice(a, from_relations(elements, relations), seen)
-    object.__setattr__(a, "_lattice", lat)  # frozen, but the lattice is derived
+    a._lattice = lat
     return lat
 
 
@@ -357,17 +354,16 @@ def connected_flats(a: Arrangement) -> list[Flat]:
     return out
 
 
-@dataclass(frozen=True)
 class BuildingSetChoice:
     """A supported building set: the connected flats (minimal) or all of
     the positive-rank lattice (maximal), as closed-set tuples."""
 
-    kind: str
-    members: tuple[tuple[int, ...], ...]
+    __slots__ = ("kind", "members")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("minimal", "maximal"):
-            raise ValueError(f"unsupported building set kind {self.kind!r}")
+    def __init__(self, kind: str, members: tuple[tuple[int, ...], ...]) -> None:
+        if kind not in ("minimal", "maximal"):
+            raise ValueError(f"unsupported building set kind {kind!r}")
+        self.kind, self.members = kind, members
 
 
 def minimal_building_set(a: Arrangement) -> BuildingSetChoice:
@@ -433,8 +429,7 @@ def _is_nested(flats: Mapping[tuple[int, ...], Flat], members: set, S: frozenset
     return join not in members
 
 
-@dataclass(frozen=True)
-class VanishingVerdict:
+class VanishingVerdict(NamedTuple):
     holds: bool
     failing_flats: tuple[tuple[int, ...], ...]
     predicted_degree: int

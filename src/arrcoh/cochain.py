@@ -20,7 +20,6 @@ sparse elimination per differential (:func:`~arrcoh.linalg.sparse_rank`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
 from arrcoh.linalg import FieldTag, Matrix, Ring, sparse_rank
@@ -28,7 +27,6 @@ from arrcoh.linalg import FieldTag, Matrix, Ring, sparse_rank
 __all__ = ["CochainComplexData", "CohomologyReport", "complex_cohomology"]
 
 
-@dataclass(frozen=True)
 class CochainComplexData:
     """Degrees, dimensions and differentials of a finite cochain complex.
 
@@ -38,9 +36,10 @@ class CochainComplexData:
     :class:`~arrcoh.simplicial.FaceCoboundaries` once for all values.
     """
 
-    ring: Ring
-    dims: Mapping[int, int]
-    rows: Mapping[int, list[dict]]
+    __slots__ = ("ring", "dims", "rows")
+
+    def __init__(self, ring: Ring, dims: Mapping[int, int], rows: Mapping[int, list[dict]]) -> None:
+        self.ring, self.dims, self.rows = ring, dims, rows
 
     @property
     def differentials(self) -> dict[int, Matrix]:
@@ -116,13 +115,20 @@ def make_complex(
     return CochainComplexData(ring=ring, dims=dims, rows=rows)
 
 
-@dataclass(frozen=True)
 class CohomologyReport:
-    """Per-degree cohomology: free rank plus invariant factors over Z."""
+    """Per-degree cohomology: free rank plus invariant factors over Z
+    (a fresh empty dict when no torsion is given).  Reports with equal
+    fields compare equal."""
 
-    ring: Ring
-    free_ranks: Mapping[int, int]
-    torsion: Mapping[int, tuple[int, ...]] = dc_field(default_factory=dict)
+    __slots__ = ("ring", "free_ranks", "torsion")
+
+    def __init__(self, ring: Ring, free_ranks: Mapping[int, int], torsion: Mapping | None = None) -> None:
+        self.ring, self.free_ranks, self.torsion = ring, free_ranks, {} if torsion is None else torsion
+
+    def __eq__(self, other):
+        if other.__class__ is not CohomologyReport:
+            return NotImplemented
+        return (self.ring, self.free_ranks, self.torsion) == (other.ring, other.free_ranks, other.torsion)
 
     def betti(self, k: int) -> int:
         return self.free_ranks.get(k, 0)

@@ -15,7 +15,6 @@ one.  It never claims nonvanishing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from arrcoh.poset import FinitePoset, validate_ranked
@@ -78,26 +77,32 @@ def build_nerve(sets: Mapping[Hashable, frozenset]) -> tuple[FinitePoset, dict]:
     return FinitePoset(elements, relations), keys
 
 
-@dataclass(frozen=True)
 class CoverDescription:
     """A candidate combinatorial cover: nerve, poset, rank map, and phi."""
 
-    nerve: FinitePoset
-    poset: FinitePoset
-    rho: Mapping
-    phi: Mapping
-    keys: Mapping | None = None
+    __slots__ = ("nerve", "poset", "rho", "phi", "keys")
+
+    def __init__(self, nerve: FinitePoset, poset: FinitePoset, rho: Mapping, phi: Mapping, keys: Mapping | None = None) -> None:
+        self.nerve, self.poset, self.rho, self.phi, self.keys = nerve, poset, rho, phi, keys
 
 
-@dataclass(frozen=True)
 class CoverVerdict:
-    valid: bool
-    failures: tuple = ()
-    """(code, witness) pairs: the first ``MAX_WITNESSES`` found of each code."""
-    condition2: str = "assumed"  # "certified" when keys witness the surrogate
-    assumptions: tuple = ()
-    counts: Mapping[str, int] = field(default_factory=dict)
-    """How many failures of each code were found, listed or not."""
+    """``failures`` lists (code, witness) pairs, the first ``MAX_WITNESSES``
+    found of each code; ``counts`` (a fresh empty dict by default) says how
+    many failures of each code were found, listed or not."""
+
+    __slots__ = ("valid", "failures", "condition2", "assumptions", "counts")
+
+    def __init__(
+        self,
+        valid: bool,
+        failures: tuple = (),
+        condition2: str = "assumed",  # "certified" when keys witness the surrogate
+        assumptions: tuple = (),
+        counts: Mapping[str, int] | None = None,
+    ) -> None:
+        self.valid, self.failures, self.condition2, self.assumptions = valid, failures, condition2, assumptions
+        self.counts = {} if counts is None else counts
 
     def to_json(self) -> dict:
         out = {
@@ -188,14 +193,14 @@ def validate_cover(cover: CoverDescription) -> CoverVerdict:
     return CoverVerdict(not failures, tuple(failures), condition2, assumptions, counts)
 
 
-@dataclass(frozen=True)
 class LocalDatum:
     """Support of a local coefficient at x: which rows (coefficient degrees)
     and which base degrees may be nonzero."""
 
-    x: Hashable
-    coeff_support: frozenset
-    base_support: frozenset
+    __slots__ = ("x", "coeff_support", "base_support")
+
+    def __init__(self, x: Hashable, coeff_support: frozenset, base_support: frozenset) -> None:
+        self.x, self.coeff_support, self.base_support = x, coeff_support, base_support
 
     @classmethod
     def of(cls, x, coeff: Iterable[int], base: Iterable[int]) -> "LocalDatum":
@@ -205,20 +210,32 @@ class LocalDatum:
 POSSIBLE = "possible"
 
 
-@dataclass(frozen=True)
 class E2Support:
     """Sparse E2 support: absent bidegrees are provably zero.
 
     Entries map (p, q) either to the sentinel ``"possible"`` or to an exact
     dimension (int > 0).  ``concentration`` is the single surviving
-    antidiagonal p + q, when there is one.
+    antidiagonal p + q, when there is one.  Supports with equal fields
+    compare equal.
     """
 
-    entries: Mapping[tuple[int, int], object]
-    ambient_bound: int | None = None
-    concentration: int | None = None
-    total_vanishing: bool = False
-    notes: tuple[str, ...] = ()
+    __slots__ = ("entries", "ambient_bound", "concentration", "total_vanishing", "notes")
+
+    def __init__(
+        self,
+        entries: Mapping[tuple[int, int], object],
+        ambient_bound: int | None = None,
+        concentration: int | None = None,
+        total_vanishing: bool = False,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        self.entries, self.ambient_bound, self.concentration = entries, ambient_bound, concentration
+        self.total_vanishing, self.notes = total_vanishing, notes
+
+    def __eq__(self, other):
+        if other.__class__ is not E2Support:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def lines(self) -> list[int]:
         return sorted({p + q for p, q in self.entries})

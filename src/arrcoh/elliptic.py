@@ -25,10 +25,10 @@ arrangement complement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, RankOneSystem, SmithForm, smith_normal_form, sparse_rank
 
@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MAX_ROWS",
+    "MAX_CANDIDATES",
     "EllipticArrangement",
     "EllipticAnalysis",
     "analyze",
@@ -51,35 +52,40 @@ __all__ = [
 ]
 
 MAX_ROWS = 12
+# candidate components, prod d_i^2 summed over the row subsets, each tested
+# against the strata of its closure: 4 rows in E^3 with 397 take seconds
+MAX_CANDIDATES = 256
 
 
-@dataclass(frozen=True)
 class EllipticArrangement:
     """Integer rows acting on the n-fold product of the curve; per-row
     translations are torsion labels (c, m) on the diagonal torsion copy,
-    or None for the subgroup through the origin."""
+    or None for the subgroup through the origin.  Arrangements with the
+    same rows, translations and labels compare equal."""
 
-    n: int
-    rows: Matrix
-    translations: tuple
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows.ncols != self.n:
-            raise ValueError(f"rows have {self.rows.ncols} columns, ambient has {self.n} factors")
-        if len(self.labels) != self.rows.nrows or len(self.translations) != self.rows.nrows:
+    def __init__(self, n: int, rows: Matrix, translations: tuple, labels: tuple[str, ...]) -> None:
+        self.n, self.rows, self.translations, self.labels = n, rows, translations, labels
+        if rows.ncols != n:
+            raise ValueError(f"rows have {rows.ncols} columns, ambient has {n} factors")
+        if len(labels) != rows.nrows or len(translations) != rows.nrows:
             raise ValueError("one label and one translation per row required")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
-        for i, row in enumerate(self.rows.entries):
+        for i, row in enumerate(rows.entries):
             if all(x == 0 for x in row):
-                raise ValueError(f"row {self.labels[i]!r} is zero")
-        for i, t in enumerate(self.translations):
+                raise ValueError(f"row {labels[i]!r} is zero")
+        for i, t in enumerate(translations):
             if t is None:
                 continue
             c, m = t
             if m < 1 or not (0 <= c < m):
-                raise ValueError(f"translation {t!r} on row {self.labels[i]!r} is not a torsion label")
+                raise ValueError(f"translation {t!r} on row {labels[i]!r} is not a torsion label")
+
+    def __eq__(self, other):
+        if other.__class__ is not EllipticArrangement:
+            return NotImplemented
+        mine = (self.n, self.rows.entries, self.translations, self.labels)
+        return mine == (other.n, other.rows.entries, other.translations, other.labels)
 
     @classmethod
     def from_rows(
@@ -185,8 +191,7 @@ def _closure(a: EllipticArrangement, snf: SmithForm) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class EllipticAnalysis:
+class EllipticAnalysis(NamedTuple):
     corank: int
     essential: bool
     unimodular: bool
@@ -213,7 +218,6 @@ def analyze(a: EllipticArrangement) -> EllipticAnalysis:
     return EllipticAnalysis(corank, corank == 0, unimodular, a.n + corank)
 
 
-@dataclass(frozen=True)
 class EllipticComponent:
     """One connected component of the intersection of the rows in ``rows``.
 
@@ -222,10 +226,10 @@ class EllipticComponent:
     the curve.  ``point`` is an exact representative, two rational vectors
     with entries in [0, 1)."""
 
-    rows: tuple[int, ...]
-    torsion_label: tuple[tuple[int, ...], tuple[int, ...]]
-    dim: int
-    point: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    __slots__ = ("rows", "torsion_label", "dim", "point")
+
+    def __init__(self, rows: tuple[int, ...], torsion_label: tuple, dim: int, point: tuple) -> None:
+        self.rows, self.torsion_label, self.dim, self.point = rows, torsion_label, dim, point
 
 
 def components(a: EllipticArrangement, I: Iterable[int]) -> list[EllipticComponent]:
@@ -285,17 +289,16 @@ def _point_on_component(a: EllipticArrangement, X: "Stratum", point: tuple) -> b
     return _in_kernel_plus_lattice(X.defining, X.snf, zu) and _in_kernel_plus_lattice(X.defining, X.snf, zw)
 
 
-@dataclass(frozen=True)
 class Stratum:
     """A deduplicated intersection component together with its defining
     data: the first row subset that produced it, the Smith form used for
     membership tests, and the subset's closure (the rows whose normals lie
     in the rational span of the defining rows)."""
 
-    component: EllipticComponent
-    defining: Matrix
-    snf: SmithForm
-    closure: frozenset[int]
+    __slots__ = ("component", "defining", "snf", "closure")
+
+    def __init__(self, component: EllipticComponent, defining: Matrix, snf: SmithForm, closure: frozenset[int]) -> None:
+        self.component, self.defining, self.snf, self.closure = component, defining, snf, closure
 
     @property
     def dim(self) -> int:
@@ -312,12 +315,17 @@ def enumerate_strata(a: EllipticArrangement) -> list[Stratum]:
     Subsets are scanned by increasing size; a candidate component is new
     unless an already-seen stratum has the same closure (so the same
     rational row span) and contains the candidate's representative point.
+    Past ``MAX_CANDIDATES`` candidates it raises a ValueError.
     """
     if a.is_translated:
         raise ValueError("strata enumeration requires all translations zero")
     by_closure: dict[frozenset[int], list[Stratum]] = {}
     out: list[Stratum] = []
+    candidates = 0
     for I, sub, snf in _subsets(a):
+        candidates += math.prod(d * d for d in snf.divisors if d)
+        if candidates > MAX_CANDIDATES:
+            raise ValueError(f"strata enumeration stops at {MAX_CANDIDATES} candidate components; this arrangement has more")
         closure = _closure(a, snf)
         bucket = by_closure.setdefault(closure, [])
         for comp in _components(a, I, snf):
@@ -383,8 +391,7 @@ def tangent_arrangement(a: EllipticArrangement, X: EllipticComponent) -> Arrange
     return _tangent_data(a, X, _closure(a, smith_normal_form(a.submatrix(X.rows))))[0]
 
 
-@dataclass(frozen=True)
-class ConvenientVerdict:
+class ConvenientVerdict(NamedTuple):
     """Outcome of the positive-dimensional-strata character test."""
 
     holds: bool

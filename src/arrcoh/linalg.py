@@ -14,7 +14,6 @@ arrangements and toric complexes, each keyed by its ``labels``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -92,22 +91,30 @@ def parse_fraction(x) -> Fraction:
         raise ValueError(f"zero denominator in {x!r}") from None
 
 
-@dataclass(frozen=True)
 class FieldTag:
-    """A coefficient field: the rationals or a prime field F_p."""
+    """A coefficient field: the rationals or a prime field F_p.  Equal
+    fields compare and hash equal, so ``ring == QQ`` holds for any copy."""
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self) -> None:
-        if self.kind == "rational":
-            if self.p is not None:
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        if kind == "rational":
+            if p is not None:
                 raise ValueError("rational field takes no modulus")
-        elif self.kind == "prime":
-            if self.p is None or not is_prime(self.p):
-                raise ValueError(f"modulus must be prime, got {self.p}")
+        elif kind == "prime":
+            if p is None or not is_prime(p):
+                raise ValueError(f"modulus must be prime, got {p}")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ValueError(f"unknown field kind {kind!r}")
+        self.kind, self.p = kind, p
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldTag:
+            return NotImplemented
+        return (self.kind, self.p) == (other.kind, other.p)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
 
     # --- scalar arithmetic ------------------------------------------------
 
@@ -178,7 +185,6 @@ def GF(p: int) -> FieldTag:
     return FieldTag("prime", p)
 
 
-@dataclass(frozen=True)
 class RankOneSystem:
     """A rank-one local system: one unit weight per generator of first
     homology, the monodromy around it, in the order of ``space.labels``.
@@ -190,15 +196,18 @@ class RankOneSystem:
     :meth:`monomial`).
     """
 
-    field: FieldTag
-    weights: tuple
+    __slots__ = ("field", "weights")
 
-    def __post_init__(self) -> None:
-        normalized = tuple(self.field.normalize(w) for w in self.weights)
-        object.__setattr__(self, "weights", normalized)
-        for w in normalized:
-            if self.field.is_zero(w):
+    def __init__(self, field: FieldTag, weights: tuple) -> None:
+        self.field, self.weights = field, tuple(field.normalize(w) for w in weights)
+        for w in self.weights:
+            if field.is_zero(w):
                 raise ValueError("weights must be nonzero")
+
+    def __eq__(self, other):
+        if other.__class__ is not RankOneSystem:
+            return NotImplemented
+        return (self.field, self.weights) == (other.field, other.weights)
 
     def product(self):
         return self.weight_product(range(len(self.weights)))
@@ -289,14 +298,16 @@ ZZ = IntegerRing()
 Ring = Union[FieldTag, IntegerRing]
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable exact matrix with an explicit coefficient ring."""
 
-    ring: Ring
-    entries: tuple[tuple, ...]
-    nrows: int
-    ncols: int
+    __slots__ = ("ring", "entries", "nrows", "ncols")
+
+    def __init__(self, ring: Ring, entries: tuple[tuple, ...], nrows: int, ncols: int) -> None:
+        self.ring = ring
+        self.entries = entries
+        self.nrows = nrows
+        self.ncols = ncols
 
     @classmethod
     def from_rows(cls, ring: Ring, rows: Iterable[Sequence]) -> "Matrix":
@@ -451,7 +462,6 @@ def sparse_rank(ring: Ring, rows: Iterable[Mapping[int, object]]) -> tuple[int, 
     return rank + sf.rank, sf.nontrivial
 
 
-@dataclass(frozen=True)
 class SmithForm:
     """Smith normal form D = U A V with unimodular witnesses.
 
@@ -459,11 +469,10 @@ class SmithForm:
     nonnegative, each dividing the next among the nonzero entries.
     """
 
-    left: Matrix
-    right: Matrix
-    divisors: tuple[int, ...]
-    nrows: int
-    ncols: int
+    __slots__ = ("left", "right", "divisors", "nrows", "ncols")
+
+    def __init__(self, left: Matrix, right: Matrix, divisors: tuple[int, ...], nrows: int, ncols: int) -> None:
+        self.left, self.right, self.divisors, self.nrows, self.ncols = left, right, divisors, nrows, ncols
 
     @property
     def rank(self) -> int:

@@ -8,8 +8,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "FinitePoset",
@@ -120,8 +119,7 @@ def moebius_table(poset: FinitePoset, x) -> dict:
     return table
 
 
-@dataclass(frozen=True)
-class RankVerdict:
+class RankVerdict(NamedTuple):
     ok: bool
     reason: str = ""
     witness: tuple | None = None

@@ -36,9 +36,8 @@ on small inputs; it does not race dedicated solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from arrcoh.arrangement import Arrangement, intersection_lattice, poincare_and_beta
 from arrcoh.cochain import CochainComplexData, complex_cohomology, make_complex
@@ -63,7 +62,6 @@ SignVector = tuple  # entries in {-1, 0, +1}, one per hyperplane
 Cell = tuple  # (face, chamber) pair of sign vectors
 
 
-@dataclass(frozen=True)
 class FaceSystem:
     """All faces of the real arrangement, as sign vectors, with their
     codimensions.  Faces are ordered by specialization: f <= g when f lies
@@ -71,10 +69,10 @@ class FaceSystem:
     f; ``covers[f]`` lists, in sorted order, the faces one codimension more
     generic with f in their closure."""
 
-    arrangement: Arrangement
-    faces: tuple[SignVector, ...]
-    codim: Mapping[SignVector, int]
-    covers: Mapping[SignVector, tuple[SignVector, ...]]
+    __slots__ = ("arrangement", "faces", "codim", "covers")
+
+    def __init__(self, arrangement: Arrangement, faces: tuple, codim: Mapping[SignVector, int], covers: Mapping) -> None:
+        self.arrangement, self.faces, self.codim, self.covers = arrangement, faces, codim, covers
 
     @property
     def chambers(self) -> tuple[SignVector, ...]:
@@ -148,7 +146,6 @@ def enumerate_faces(a: Arrangement) -> FaceSystem:
     return fs
 
 
-@dataclass(frozen=True)
 class SalvettiComplex:
     """Cells are (face, chamber) pairs with the face in the chamber's
     closure; the cell dimension is the codimension of the face.
@@ -158,9 +155,10 @@ class SalvettiComplex:
     base chamber; a weight system turns the crossing set into a monomial.
     """
 
-    face_system: FaceSystem
-    cells_by_dim: tuple[tuple[Cell, ...], ...]
-    boundary: Mapping[Cell, tuple[tuple[Cell, int, frozenset], ...]]
+    __slots__ = ("face_system", "cells_by_dim", "boundary")
+
+    def __init__(self, face_system: FaceSystem, cells_by_dim: tuple[tuple[Cell, ...], ...], boundary: Mapping) -> None:
+        self.face_system, self.cells_by_dim, self.boundary = face_system, cells_by_dim, boundary
 
     @property
     def dim(self) -> int:
@@ -317,8 +315,7 @@ def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexD
         raise InternalError(f"the twisted Salvetti complex is not a complex: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SalvettiReport:
+class SalvettiReport(NamedTuple):
     """Cell counts and twisted Betti numbers of the full complement, and
     (for projective weights) Betti numbers of its projectivization."""
 

@@ -7,8 +7,7 @@ explicit vertex order so that every chain-level object is deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Collection, Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, NamedTuple, Sequence
 
 from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology
 from arrcoh.linalg import InternalError, Ring, ZZ
@@ -248,7 +247,6 @@ def _graph_cohomology(ring: Ring, faces: Collection[int], m: int) -> CohomologyR
     return CohomologyReport(ring, free)
 
 
-@dataclass(frozen=True)
 class FaceCoboundaries:
     """Coboundaries between the faces of a simplicial complex, with a
     symbol x_v per vertex v in place of a weight.
@@ -263,11 +261,11 @@ class FaceCoboundaries:
     in any commutative ring, and :meth:`specialize` checks nothing.
     """
 
-    counts: tuple[int, ...]
-    rows: tuple[list[dict], ...]
+    __slots__ = ("counts", "rows")
 
-    def __post_init__(self) -> None:
-        for k, (outer, inner) in enumerate(zip(self.rows[1:], self.rows)):
+    def __init__(self, counts: tuple[int, ...], rows: tuple[list[dict], ...]) -> None:
+        self.counts, self.rows = counts, rows
+        for k, (outer, inner) in enumerate(zip(rows[1:], rows)):
             for row in outer:
                 acc: dict = {}
                 for mid, (s, v) in row.items():
@@ -329,8 +327,7 @@ def reduced_cohomology(L: SimplicialComplex, ring: Ring = ZZ) -> CohomologyRepor
     return complex_cohomology(reduced_cochain_complex(L, ring))
 
 
-@dataclass(frozen=True)
-class CMVerdict:
+class CMVerdict(NamedTuple):
     ok: bool
     dim: int
     ring: Ring

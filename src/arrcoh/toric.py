@@ -21,8 +21,7 @@ samples random weights and checks exactly that.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology
 from arrcoh.linalg import GF, RankOneSystem, is_prime
@@ -48,11 +47,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ToricComplex:
     """The union of coordinate subtori picked out by the faces of ``base``."""
 
-    base: SimplicialComplex
+    __slots__ = ("base",)
+
+    def __init__(self, base: SimplicialComplex) -> None:
+        self.base = base
 
     @property
     def labels(self) -> tuple:
@@ -66,10 +67,17 @@ class ToricComplex:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ToricComplex":
+        """The complex ``{"vertices": [...], "facets": [[...], ...]}``; JSON
+        weights name a vertex by its ``str``, so two vertices may not share one."""
         try:
-            return cls(SimplicialComplex.from_facets(obj["vertices"], obj["facets"]))
+            base = SimplicialComplex.from_facets(obj["vertices"], obj["facets"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad complex JSON: {exc}") from exc
+        names: dict = {}
+        for v in base.vertices:
+            if names.setdefault(str(v), v) is not v:
+                raise ValueError(f"vertices {names[str(v)]!r} and {v!r} have the same name {str(v)!r}")
+        return cls(base)
 
     def to_json(self) -> dict:
         return self.base.to_json()
@@ -159,8 +167,7 @@ def _support_page(tc: ToricComplex, sys: RankOneSystem, table: Mapping) -> tuple
     return entries, tc.space_dim, (note,)
 
 
-@dataclass(frozen=True)
-class ToricCmReport:
+class ToricCmReport(NamedTuple):
     """Outcome of randomized agreement checks between the direct cochain
     computation and the link-based support page."""
 

@@ -14,6 +14,7 @@ import pytest
 from arrcoh import cli
 from arrcoh.arrangement import MAX_AMBIENT_DIM
 from arrcoh.covers import MAX_NERVE_ELEMENTS, MAX_WITNESSES
+from arrcoh.elliptic import MAX_CANDIDATES
 from arrcoh.simplicial import MAX_FACES
 
 
@@ -353,6 +354,16 @@ def test_simplex_past_face_limit_is_input_error(files, capsys, verb):
     assert _one_error_line(err) and f"{MAX_FACES} faces" in err
 
 
+@pytest.mark.parametrize("verb", ["toric-cohomology", "toric-cm"])
+def test_vertices_with_one_name_are_input_error(files, capsys, verb):
+    # weights name a vertex by its str, so 1 and "1" could never both get one
+    complex_ = files("c.json", {"vertices": [1, "1"], "facets": [[1, "1"]]})
+    weights = [files("w.json", {"field": {"kind": "prime", "p": 7}, "q": {"1": 3}})] if verb == "toric-cohomology" else []
+    code, out, err = run(capsys, [verb, complex_, *weights])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "vertices 1 and '1' have the same name '1'" in err
+
+
 def test_large_facet_is_refused_before_its_faces_are_built(files):
     # one facet on 22 vertices has 2^22 faces: under a 2 GB address space
     # the closure ran out of memory before the limit existed
@@ -411,6 +422,25 @@ def test_ell_certify(files, capsys):
     code, out, _ = run(capsys, ["ell-certify", files("es.json", spread)])
     assert code == 1
     assert json.loads(out)["concentration"] is None
+
+
+def test_elliptic_candidate_limit_is_input_error(files, capsys, monkeypatch):
+    weights = {"field": {"kind": "prime", "p": 101}, "q": {"f1": 2, "f2": 3, "f3": 4, "f4": 5}}
+    # rows 2x and 2y in E^2: 1 + 4 + 4 + 16 = 25 candidate components
+    grid = files("g.json", {"n": 2, "rows": [[2, 0], [0, 2]], "weights": dict(weights, q={"f1": 2, "f2": 3})})
+    monkeypatch.setattr("arrcoh.elliptic.MAX_CANDIDATES", 25)
+    code, out, _ = run(capsys, ["ell-certify", grid])
+    assert code == 0 and json.loads(out)["concentration"] == 2
+    monkeypatch.setattr("arrcoh.elliptic.MAX_CANDIDATES", 24)
+    code, out, err = run(capsys, ["ell-certify", grid])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "stops at 24 candidate components" in err
+    monkeypatch.undo()
+    # 4 rows in E^3 with 397 candidates, which took seconds to enumerate
+    rows = [[-2, 2, -1], [1, 2, -2], [-2, 1, -2], [-1, 2, 0]]
+    code, out, err = run(capsys, ["ell-certify", files("f.json", {"n": 3, "rows": rows, "weights": weights})])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and f"stops at {MAX_CANDIDATES} candidate components" in err
 
 
 def test_readme_elliptic_example_runs(tmp_path, capsys):

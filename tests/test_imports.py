@@ -1,4 +1,5 @@
-"""Import footprint: ``import arrcoh`` loads no submodule, and a verb loads only the modules it runs.
+"""Import footprint: ``import arrcoh`` loads no submodule, a verb loads only the modules it runs,
+and nothing loads the standard library's code generators.
 
 Each check runs in a fresh interpreter, because this test session has
 already imported every module.
@@ -20,16 +21,29 @@ def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _loaded_after(code: str, *args: str) -> set[str]:
-    """The ``arrcoh`` submodules loaded after ``code`` runs in a fresh interpreter."""
-    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('arrcoh.'))))"
-    proc = _fresh(probe, *args)
+def _modules_after(code: str, *args: str) -> set[str]:
+    """Every module loaded after ``code`` runs in a fresh interpreter."""
+    proc = _fresh(code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))", *args)
     assert proc.returncode == 0, proc.stderr
-    return {m.removeprefix("arrcoh.") for m in json.loads(proc.stdout.splitlines()[-1])}
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _submodules(loaded: set[str]) -> set[str]:
+    """The ``arrcoh`` submodules among ``loaded``, without the package prefix."""
+    return {m.removeprefix("arrcoh.") for m in loaded if m.startswith("arrcoh.")}
+
+
+# what ``dataclasses`` brings in to generate and exec methods: several ms of
+# every cold verb, so records are written out by hand
+CODE_GENERATORS = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_import_arrcoh_loads_no_submodule():
-    assert _loaded_after("import arrcoh") == set()
+    assert _submodules(_modules_after("import arrcoh")) == set()
+
+
+def test_resolving_every_export_loads_no_code_generator():
+    assert not _modules_after("import arrcoh\nfor name in arrcoh.__all__:\n    getattr(arrcoh, name)") & CODE_GENERATORS
 
 
 VERB_RUN = """
@@ -67,7 +81,9 @@ def test_verb_loads_only_its_family(verb, tmp_path):
     """The exact module set of each verb, so that a sibling import moved back
     to a module top shows here.  Each golden case named after a verb takes
     its ``--certificate`` or ``--page`` branch where it has one."""
-    assert _loaded_after(VERB_RUN, *case_argv(verb, tmp_path)) == ALWAYS | VERB_MODULES[verb]
+    loaded = _modules_after(VERB_RUN, *case_argv(verb, tmp_path))
+    assert _submodules(loaded) == ALWAYS | VERB_MODULES[verb]
+    assert not loaded & CODE_GENERATORS
 
 
 def test_star_import_binds_every_exported_name():

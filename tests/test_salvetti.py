@@ -6,7 +6,6 @@ enumeration, sign propagation, boundary matrices), so it is exercised on
 every pinned arrangement here.
 """
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from arrcoh.salvetti import (
     MAX_FACES,
     MAX_INCIDENCES,
     FaceSystem,
+    SalvettiComplex,
     build_salvetti,
     enumerate_faces,
     twisted_cohomology,
@@ -397,16 +397,16 @@ def test_corrupted_face_system_is_an_internal_error():
     covers = dict(fs.covers)
     covers[ray] = covers[ray][1:]
     with pytest.raises(InternalError, match=r"edge \(\(-1, 0, -1\), \(-1, 1, -1\)\) is not regular: it has 1 vertices") as info:
-        build_salvetti(a, dataclasses.replace(fs, covers=covers))
+        build_salvetti(a, FaceSystem(a, fs.faces, fs.codim, covers))
     assert not isinstance(info.value, ValueError)  # the CLI exits 3, not 2
     # with no covers at all, no chamber lies above the ray: its face is named
     covers[ray] = ()
     with pytest.raises(InternalError, match=r"edge \(-1, 0, -1\) is not regular: it has 0 vertices"):
-        build_salvetti(a, dataclasses.replace(fs, covers=covers))
+        build_salvetti(a, FaceSystem(a, fs.faces, fs.codim, covers))
     # nor above the origin when it has no covers: the face itself is named
     covers = {**fs.covers, (0, 0, 0): ()}
     with pytest.raises(InternalError, match=r"face \(0, 0, 0\) is not regular: it has no covers") as info:
-        build_salvetti(a, dataclasses.replace(fs, covers=covers))
+        build_salvetti(a, FaceSystem(a, fs.faces, fs.codim, covers))
     assert not isinstance(info.value, ValueError)
 
 
@@ -418,7 +418,7 @@ def test_failed_twisted_square_is_an_internal_error():
     (vertex, eps, crossed), *rest = sal.boundary[edge]
     boundary = {**sal.boundary, edge: ((vertex, -eps, crossed), *rest)}
     with pytest.raises(InternalError, match=r"not a complex: d\^1 o d\^0 != 0") as info:
-        twisted_complex(dataclasses.replace(sal, boundary=boundary), RankOneSystem(GF(7), (2, 2, 2)))
+        twisted_complex(SalvettiComplex(sal.face_system, sal.cells_by_dim, boundary), RankOneSystem(GF(7), (2, 2, 2)))
     assert not isinstance(info.value, ValueError)  # the CLI exits 3, not 2
 
 
@@ -428,7 +428,7 @@ def test_cover_of_wrong_codimension_is_an_internal_error():
     # a ray covered by the origin, which is less generic than the ray
     covers = {**fs.covers, (-1, 0, -1): ((0, 0, 0),)}
     with pytest.raises(InternalError, match=r"face \(-1, 0, -1\) is not regular: its cover \(0, 0, 0\) is not one codimension more generic"):
-        build_salvetti(a, dataclasses.replace(fs, covers=covers))
+        build_salvetti(a, FaceSystem(a, fs.faces, fs.codim, covers))
 
 
 def test_composition_that_is_no_chamber_is_an_internal_error():
@@ -442,7 +442,7 @@ def test_composition_that_is_no_chamber_is_an_internal_error():
         InternalError,
         match=r"cell \(\(-1, 0, -1\), \(-1, 1, 1\)\) is not regular: its facet face \(-1, -1, -1\) o c is \(-1, -1, 1\), no chamber",
     ):
-        build_salvetti(a, dataclasses.replace(fs, covers=covers))
+        build_salvetti(a, FaceSystem(a, fs.faces, fs.codim, covers))
 
 
 def one_face_system(ray_covers):
