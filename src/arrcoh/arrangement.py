@@ -493,18 +493,6 @@ def depth_bound(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> int
     return best
 
 
-def _nested_poset(nc: SimplicialComplex) -> tuple[list[tuple], FinitePoset, dict]:
-    """Faces of the nested complex (including the empty face), ordered by
-    reverse inclusion, ranked by minus cardinality."""
-    faces = [tuple(sorted(f)) for f in nc.all_faces()]
-    faces.sort(key=lambda f: (len(f), f))
-    # the complex is closed under subsets: dropping one flat gives a cover
-    covers = [(S, S[:i] + S[i + 1 :]) for S in faces for i in range(len(S))]
-    poset = from_relations(faces, covers)
-    rho = {f: -len(f) for f in faces}
-    return faces, poset, rho
-
-
 def e2_certificate(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> E2Support:
     """Support certificate for the nested-set spectral sequence.
 
@@ -516,15 +504,18 @@ def e2_certificate(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> 
     dimension.  Entries above total degree rank-1 are cut by the ambient
     homotopy dimension; concentration is declared when one line survives.
     """
-    from arrcoh.covers import LocalDatum, e2_support
+    from arrcoh.covers import e2_support
 
     if not a.is_essential:
         raise ValueError("certificates require an essential arrangement")
     n = a.rank
-    nc = nested_complex(a, g)
-    faces, poset, rho = _nested_poset(nc)
+    # nested sets ordered by reverse inclusion, ranked by minus cardinality;
+    # the complex is closed under subsets, so dropping one flat gives a cover
+    faces = [tuple(sorted(f)) for f in nested_complex(a, g).all_faces()]
+    rho = {S: -len(S) for S in faces}
+    covers = [(S, S[:i] + S[i + 1 :]) for S in faces for i in range(len(S))]
     one = sys.field.one
-    data = []
+    data = {}
     for S in faces:
         k = len(S)
         if k == 0:
@@ -534,10 +525,10 @@ def e2_certificate(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> 
         else:
             coeff = ()
         base = range(n - 1 - k, 2 * (n - 1) - k + 1)
-        data.append(LocalDatum.of(S, coeff, base))
+        data[S] = (coeff, base)
     notes = (
         f"ambient bound {n - 1}: the complement is Stein of dimension {n - 1}",
         "base supports: compactly supported cohomology of each stratum piece "
         "vanishes below its complex dimension and above its real dimension",
     )
-    return e2_support(poset, rho, data, ambient_bound=n - 1, notes=notes)
+    return e2_support(rho, covers, data, ambient_bound=n - 1, notes=notes)

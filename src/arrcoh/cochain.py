@@ -145,9 +145,6 @@ class CohomologyReport:
         )
         return sorted(degs)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * r for k, r in self.free_ranks.items())
-
     def to_json(self) -> dict:
         out: dict = {"field": self.ring.to_json(), "cohomology": {}}
         degs = sorted(set(self.free_ranks) | set(self.torsion))

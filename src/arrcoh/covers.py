@@ -10,12 +10,17 @@ available and otherwise records the condition as an assumption.
 The E2 engine deliberately works with *supports*, not modules: each datum
 says in which degrees a local coefficient may be nonzero, and the engine
 reports which bidegrees survive, plus a concentration line when there is
-one.  It never claims nonvanishing.
+one.  It never claims nonvanishing.  The page is indexed by a ranked
+poset, but the support reads the order only through rho: it takes the
+rank map, pairs x < y that generate the order, and one datum per element.
+Checking that rho strictly increases along the generators is enough,
+since every chain is a path of generators, and a cycle of generators
+could not increase strictly; so no transitive closure is built.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 from arrcoh.poset import FinitePoset, validate_ranked
 
@@ -26,7 +31,6 @@ __all__ = [
     "CoverDescription",
     "CoverVerdict",
     "validate_cover",
-    "LocalDatum",
     "E2Support",
     "e2_support",
 ]
@@ -163,7 +167,7 @@ def validate_cover(cover: CoverDescription) -> CoverVerdict:
     for x in P.elements:
         if x not in image:
             fail("phi-not-surjective", (x,))
-    rk = validate_ranked(P, cover.rho)
+    rk = validate_ranked(P.elements, ((x, y) for x in P.elements for y in P.strictly_above(x)), cover.rho)
     if not rk.ok:
         fail("rho-not-ranked", rk.witness or ())
     if cover.keys is not None:
@@ -191,20 +195,6 @@ def validate_cover(cover: CoverDescription) -> CoverVerdict:
         condition2 = "assumed"
         assumptions = ("homotopy condition on up-set unions assumed (no intersection keys)",)
     return CoverVerdict(not failures, tuple(failures), condition2, assumptions, counts)
-
-
-class LocalDatum:
-    """Support of a local coefficient at x: which rows (coefficient degrees)
-    and which base degrees may be nonzero."""
-
-    __slots__ = ("x", "coeff_support", "base_support")
-
-    def __init__(self, x: Hashable, coeff_support: frozenset, base_support: frozenset) -> None:
-        self.x, self.coeff_support, self.base_support = x, coeff_support, base_support
-
-    @classmethod
-    def of(cls, x, coeff: Iterable[int], base: Iterable[int]) -> "LocalDatum":
-        return cls(x, frozenset(coeff), frozenset(base))
 
 
 POSSIBLE = "possible"
@@ -254,7 +244,7 @@ class E2Support:
 
     def to_json(self) -> dict:
         return {
-            "entries": {f"{p},{q}": (v if isinstance(v, int) else v) for (p, q), v in sorted(self.entries.items())},
+            "entries": {f"{p},{q}": v for (p, q), v in sorted(self.entries.items())},
             "ambient_bound": self.ambient_bound,
             "concentration": self.concentration,
             "total_vanishing": self.total_vanishing,
@@ -292,32 +282,32 @@ def support_certificate(
 
 
 def e2_support(
-    poset: FinitePoset,
     rho: Mapping,
-    data: Sequence[LocalDatum],
+    relations: Iterable[tuple[Hashable, Hashable]],
+    data: Mapping[Hashable, tuple[Iterable[int], Iterable[int]]],
     ambient_bound: int | None = None,
     notes: Iterable[str] = (),
 ) -> E2Support:
     """Assemble possibly-nonzero bidegrees from per-element local data.
 
-    (p, q) survives iff some datum at x has q in its coefficient support
-    and p - rho(x) in its base support; bidegrees beyond the ambient bound
+    ``relations`` are pairs x < y that generate the order and ``data``
+    maps each element x to (coefficient support, base support).  rho must
+    rank every element named in either and strictly increase along each
+    relation; that is all the order is checked for, and the generators
+    suffice (see :func:`~arrcoh.poset.validate_ranked`).
+
+    (p, q) survives iff some x has q in its coefficient support and
+    p - rho(x) in its base support; bidegrees beyond the ambient bound
     are zero.  Dimensions are never claimed.
     """
-    rk = validate_ranked(poset, rho)
+    relations = list(relations)
+    rk = validate_ranked([*data, *(e for pair in relations for e in pair)], relations, rho)
     if not rk.ok:
         raise ValueError(f"rho is not a rank map: {rk.reason} {rk.witness}")
-    seen = set()
-    for datum in data:
-        if datum.x not in poset:
-            raise ValueError(f"datum for unknown element {datum.x!r}")
-        if datum.x in seen:
-            raise ValueError(f"duplicate datum for {datum.x!r}")
-        seen.add(datum.x)
     entries: dict[tuple[int, int], object] = {}
-    for datum in data:
-        r = rho[datum.x]
-        for q in datum.coeff_support:
-            for j in datum.base_support:
+    for x, (coeff, base) in data.items():
+        r = rho[x]
+        for q in coeff:
+            for j in base:
                 entries[(j + r, q)] = POSSIBLE
     return support_certificate(entries, ambient_bound, notes)

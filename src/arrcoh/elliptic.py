@@ -39,6 +39,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MAX_ROWS",
     "MAX_CANDIDATES",
+    "MAX_FACTORS",
     "EllipticArrangement",
     "EllipticAnalysis",
     "analyze",
@@ -55,6 +56,8 @@ MAX_ROWS = 12
 # candidate components, prod d_i^2 summed over the row subsets, each tested
 # against the strata of its closure: 4 rows in E^3 with 397 take seconds
 MAX_CANDIDATES = 256
+# curve factors read from JSON: each subset's Smith witness V is n x n
+MAX_FACTORS = 16
 
 
 class EllipticArrangement:
@@ -132,6 +135,8 @@ class EllipticArrangement:
     def from_json(cls, obj: Mapping) -> "EllipticArrangement":
         try:
             n = ZZ.normalize(obj["n"])
+            if n > MAX_FACTORS:
+                raise ValueError(f"the ambient product is capped at {MAX_FACTORS} curve factors, got {n}")
             rows = [[ZZ.normalize(x) for x in r] for r in obj["rows"]]
             translations = [_parse_translation(t) for t in obj.get("translations", [0] * len(rows))]
         except (KeyError, TypeError) as exc:
@@ -315,17 +320,17 @@ def enumerate_strata(a: EllipticArrangement) -> list[Stratum]:
     Subsets are scanned by increasing size; a candidate component is new
     unless an already-seen stratum has the same closure (so the same
     rational row span) and contains the candidate's representative point.
-    Past ``MAX_CANDIDATES`` candidates it raises a ValueError.
+    Past ``MAX_CANDIDATES`` candidates, counted over the whole walk before
+    any is tested, it raises a ValueError.
     """
     if a.is_translated:
         raise ValueError("strata enumeration requires all translations zero")
+    walk = list(_subsets(a))
+    if sum(math.prod(d * d for d in snf.divisors if d) for _, _, snf in walk) > MAX_CANDIDATES:
+        raise ValueError(f"strata enumeration stops at {MAX_CANDIDATES} candidate components; this arrangement has more")
     by_closure: dict[frozenset[int], list[Stratum]] = {}
     out: list[Stratum] = []
-    candidates = 0
-    for I, sub, snf in _subsets(a):
-        candidates += math.prod(d * d for d in snf.divisors if d)
-        if candidates > MAX_CANDIDATES:
-            raise ValueError(f"strata enumeration stops at {MAX_CANDIDATES} candidate components; this arrangement has more")
+    for I, sub, snf in walk:
         closure = _closure(a, snf)
         bucket = by_closure.setdefault(closure, [])
         for comp in _components(a, I, snf):
@@ -468,8 +473,7 @@ def elliptic_vanishing_certificate(a: EllipticArrangement, weights: RankOneSyste
     declared exactly when every tangent check passes.
     """
     from arrcoh.arrangement import vanishing_check
-    from arrcoh.covers import LocalDatum, e2_support
-    from arrcoh.poset import from_leq
+    from arrcoh.covers import e2_support
 
     if not a.is_essential:
         raise ValueError("certificates require an essential arrangement (corank 0)")
@@ -479,13 +483,14 @@ def elliptic_vanishing_certificate(a: EllipticArrangement, weights: RankOneSyste
         raise ValueError("one weight per row required")
     strata = enumerate_strata(a)
     keyed = {s.key: s for s in strata}
-    poset = from_leq(sorted(keyed), lambda x, y: _stratum_contained(a, keyed[x], keyed[y]))
+    keys = sorted(keyed)
+    contained = [(x, y) for x in keys for y in keys if x != y and _stratum_contained(a, keyed[x], keyed[y])]
     rho = {k: keyed[k].dim for k in keyed}
     field = weights.field
     n = a.n
-    data = []
+    data = {}
     all_pass = True
-    for k in sorted(keyed):
+    for k in keys:
         X = keyed[k]
         arr, groups = _tangent_data(a, X.component, X.closure)
         merged = [weights.weight_product(rows_here) for rows_here in groups]
@@ -506,7 +511,7 @@ def elliptic_vanishing_certificate(a: EllipticArrangement, weights: RankOneSyste
         else:
             coeff = range(-kdim, n - 2 * kdim + 1)
         base = range(kdim, 2 * kdim + 1)
-        data.append(LocalDatum.of(k, coeff, base))
+        data[k] = (coeff, base)
     notes = [
         f"ambient bound {n}: the complement is Stein of dimension {n}",
         "weights act through tangent arrangements; characters of the complement "
@@ -517,4 +522,4 @@ def elliptic_vanishing_certificate(a: EllipticArrangement, weights: RankOneSyste
             f"single-degree conclusion: behaves as a duality space of dimension {n} "
             "for these coefficients"
         )
-    return e2_support(poset, rho, data, ambient_bound=n, notes=tuple(notes))
+    return e2_support(rho, contained, data, ambient_bound=n, notes=tuple(notes))

@@ -137,13 +137,6 @@ class FieldTag:
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "prime" else a * b
 
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        if self.kind == "prime":
-            return pow(a, self.p - 2, self.p)
-        return 1 / Fraction(a)
-
     def is_zero(self, a) -> bool:
         return a == 0
 

@@ -69,9 +69,6 @@ class FinitePoset:
         i, j = self._index[x], self._index[y]
         return i == j or j in self._above[i]
 
-    def less(self, x, y) -> bool:
-        return self._index[y] in self._above[self._index[x]]
-
     def strictly_above(self, x) -> list:
         """The elements y with x < y, in element order."""
         return [self.elements[j] for j in sorted(self._above[self._index[x]])]
@@ -125,19 +122,18 @@ class RankVerdict(NamedTuple):
     witness: tuple | None = None
 
 
-def validate_ranked(poset: FinitePoset, rho: Mapping) -> RankVerdict:
-    """Check that rho is order-preserving and has antichain fibers.
-
-    Fibers must be antichains: two comparable elements sharing a rank value
-    is a violation even though it does not break monotonicity.
+def validate_ranked(elements: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hashable]], rho: Mapping) -> RankVerdict:
+    """Check that rho ranks every element and strictly increases along each
+    pair x < y, so its fibers are antichains; the first failing pair is the
+    witness.  Pairs that generate the order suffice: strict increase along
+    them gives it along every chain, and no cycle can increase strictly.
     """
-    for e in poset.elements:
+    for e in elements:
         if e not in rho:
             return RankVerdict(False, f"missing rank for {e!r}", (e,))
-    for x in poset.elements:
-        for y in poset.strictly_above(x):
-            if rho[x] > rho[y]:
-                return RankVerdict(False, "rank decreases along order", (x, y))
-            if rho[x] == rho[y]:
-                return RankVerdict(False, "comparable pair shares a rank (fiber not an antichain)", (x, y))
+    for x, y in pairs:
+        if rho[x] > rho[y]:
+            return RankVerdict(False, "rank decreases along order", (x, y))
+        if rho[x] == rho[y]:
+            return RankVerdict(False, "comparable pair shares a rank (fiber not an antichain)", (x, y))
     return RankVerdict(True)

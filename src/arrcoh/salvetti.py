@@ -167,9 +167,6 @@ class SalvettiComplex:
     def cell_counts(self) -> list[int]:
         return [len(cells) for cells in self.cells_by_dim]
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(cells) for d, cells in enumerate(self.cells_by_dim))
-
 
 def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComplex:
     """Assemble the cell complex and a consistent incidence sign function.

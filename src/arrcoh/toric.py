@@ -136,7 +136,8 @@ def toric_e2_page(tc: ToricComplex, sys: RankOneSystem) -> E2Support:
     """
     from arrcoh.covers import support_certificate
 
-    return support_certificate(*_support_page(tc, sys, link_cohomology(tc.base, sys.field, _trivial_vertices(tc, sys))))
+    trivial = _trivial_vertices(tc, sys)
+    return support_certificate(*_support_page(tc, trivial, link_cohomology(tc.base, sys.field, trivial)))
 
 
 def _trivial_vertices(tc: ToricComplex, sys: RankOneSystem) -> frozenset:
@@ -146,14 +147,13 @@ def _trivial_vertices(tc: ToricComplex, sys: RankOneSystem) -> frozenset:
     return frozenset(v for v, w in zip(tc.labels, sys.weights) if w == one)
 
 
-def _support_page(tc: ToricComplex, sys: RankOneSystem, table: Mapping) -> tuple[dict, int, tuple[str]]:
-    """The support page read from link cohomology over ``sys.field``, as the
-    arguments of :func:`~arrcoh.covers.support_certificate`.
+def _support_page(tc: ToricComplex, trivial: frozenset, table: Mapping) -> tuple[dict, int, tuple[str]]:
+    """The support page read from link cohomology, as the arguments of
+    :func:`~arrcoh.covers.support_certificate`.
 
-    ``table`` maps faces, in face order, to the reduced cohomology of
-    their links; it holds at least every face whose weights are trivial.
+    ``table`` maps faces, in face order, to the reduced cohomology of their
+    links; it holds at least every face inside ``trivial``, the vertices of weight 1.
     """
-    trivial = _trivial_vertices(tc, sys)
     entries: dict[tuple[int, int], int] = {}
     for tau, report in table.items():
         if not tau <= trivial:
@@ -201,8 +201,8 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
 
     The reduced cohomology of every face link over F_p is computed once,
     in one :func:`~arrcoh.simplicial.link_cohomology` table; the
-    Cohen-Macaulay verdict and every trial's support page are read from it.
-    So are the face coboundaries, which each trial specializes.
+    Cohen-Macaulay verdict and the one support page all trials share are
+    read from it.  So are the face coboundaries, which each trial specializes.
     """
     from arrcoh.covers import support_certificate
 
@@ -218,13 +218,14 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
     cm = _cm_verdict(L, field, table)
     faces = FaceCoboundaries.of(L)
     top = tc.space_dim
+    # no weight is 1, so every trial reads the same page: the link of the empty face
+    page = support_certificate(*_support_page(tc, frozenset(), table))
     rng = random.Random(seed)
     out = []
     ok = True
     for _ in range(trials):
         sys = RankOneSystem(field, tuple(rng.randrange(2, p) for _ in L.vertices))
         report = complex_cohomology(faces.specialize(field, [w - 1 for w in sys.weights]))
-        page = support_certificate(*_support_page(tc, sys, table))
         betti = {k: report.betti(k) for k in range(0, top + 1) if report.betti(k)}
         trial = {
             "q": {str(v): w for v, w in zip(L.vertices, sys.weights)},

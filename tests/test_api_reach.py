@@ -6,11 +6,14 @@ named in README.md, or used by the benchmark under ``perfbench/``.  A name
 that only tests reach is code no user can rely on: delete it instead.
 A module-level private function or class (``_name``) must be referenced
 under ``src/arrcoh`` outside its own definition, so an oracle that only
-tests use lives in ``tests/``.  Dunder names (``__getattr__``) are exempt:
-the interpreter calls them.
+tests use lives in ``tests/``.  A public method or property of a class
+must be reached by an attribute access under ``src/arrcoh`` outside its own
+definition, or be named in README.md or ``perfbench/``.  Dunder names
+(``__getattr__``, ``__eq__``) are exempt: the interpreter calls them.
 """
 
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -59,18 +62,27 @@ def _reached_in_src(trees: dict[Path, ast.Module], path: Path, name: str) -> boo
     return any(name in _references(t, own if p == path else None) for p, t in trees.items())
 
 
+@functools.cache
+def _outside_src() -> str:
+    return (ROOT / "README.md").read_text(encoding="utf-8") + "".join(
+        path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))
+    )
+
+
+def _named_outside_src(name: str) -> bool:
+    """Is ``name`` a word of README.md or of the benchmark's code?"""
+    return re.search(rf"\b{re.escape(name)}\b", _outside_src()) is not None
+
+
 def unreached_public_names() -> list[str]:
     trees = _trees()
     exported = set(arrcoh.__all__)
-    outside_src = (ROOT / "README.md").read_text(encoding="utf-8") + "".join(
-        path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))
-    )
     offenders = []
     for path, tree in trees.items():
         if path.name == "__init__.py":
             continue
         for name in _all_names(tree):
-            if name in exported or re.search(rf"\b{re.escape(name)}\b", outside_src):
+            if name in exported or _named_outside_src(name):
                 continue
             if not _reached_in_src(trees, path, name):
                 offenders.append(f"{path.name}: {name}")
@@ -93,6 +105,30 @@ def unreached_private_helpers(package: Path = PACKAGE) -> list[str]:
     return offenders
 
 
+def unreached_public_members(package: Path = PACKAGE) -> list[str]:
+    """Public methods and properties of module-level classes that no
+    attribute access under ``package`` reaches outside their own
+    definition (a local variable of the same name does not count)."""
+    trees = _trees(package)
+    accesses: dict[str, list[ast.Attribute]] = {}
+    for tree in trees.values():
+        for a in ast.walk(tree):
+            if isinstance(a, ast.Attribute):
+                accesses.setdefault(a.attr, []).append(a)
+    offenders = []
+    for path, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") or _named_outside_src(node.name):
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if all(id(a) in own for a in accesses.get(node.name, ())):
+                    offenders.append(f"{path.name}: {cls.name}.{node.name}")
+    return offenders
+
+
 def test_every_public_name_is_reached():
     assert unreached_public_names() == []
 
@@ -110,3 +146,20 @@ def test_private_rule_names_orphans_and_skips_dunders(tmp_path):
         encoding="utf-8",
     )
     assert unreached_private_helpers(tmp_path) == ["mod.py: _orphan"]
+
+
+def test_every_public_member_is_reached_from_src():
+    assert unreached_public_members() == []
+
+
+def test_member_rule_names_orphans_and_skips_dunders(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    def __eq__(self, other):\n        return True\n\n"
+        "    def _hidden(self):\n        return 0\n\n"
+        "    def orphan_method(self):\n        return self.orphan_method\n\n"
+        "    @property\n    def called_property(self):\n        return 2\n\n\n"
+        "VALUE = Box().called_property\n",
+        encoding="utf-8",
+    )
+    assert unreached_public_members(tmp_path) == ["mod.py: Box.orphan_method"]

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from arrcoh import arrangement, fp
 from arrcoh.arrangement import (
     _integral,
-    _nested_poset,
     _pi_beta_from_mu,
     Arrangement,
     Flat,
@@ -308,17 +307,6 @@ def essential_arrangements(min_n=1, max_n=4, max_rows=6):
 def test_nested_complex_matches_antichain_oracle(a):
     for g in (minimal_building_set(a), maximal_building_set(a)):
         assert nested_complex(a, g).faces == oracle_nested_faces(a, g)
-
-
-@settings(max_examples=60, deadline=None)
-@given(essential_arrangements(max_n=3, max_rows=5))
-def test_nested_poset_is_reverse_inclusion(a):
-    # the poset is built from its covers; compare it with every pair
-    for g in (minimal_building_set(a), maximal_building_set(a)):
-        faces, poset, _ = _nested_poset(nested_complex(a, g))
-        for s in faces:
-            for t in faces:
-                assert poset.leq(s, t) == (set(s) >= set(t)), (s, t)
 
 
 def fraction_flat(a, closed_set):

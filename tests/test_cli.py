@@ -14,7 +14,7 @@ import pytest
 from arrcoh import cli
 from arrcoh.arrangement import MAX_AMBIENT_DIM
 from arrcoh.covers import MAX_NERVE_ELEMENTS, MAX_WITNESSES
-from arrcoh.elliptic import MAX_CANDIDATES
+from arrcoh.elliptic import MAX_CANDIDATES, MAX_FACTORS
 from arrcoh.simplicial import MAX_FACES
 
 
@@ -436,7 +436,11 @@ def test_elliptic_candidate_limit_is_input_error(files, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert _one_error_line(err) and "stops at 24 candidate components" in err
     monkeypatch.undo()
-    # 4 rows in E^3 with 397 candidates, which took seconds to enumerate
+    # 4 rows in E^3 with 397 candidates, refused before any candidate is tested
+    def tested(*args):
+        raise AssertionError("a candidate was tested")
+
+    monkeypatch.setattr("arrcoh.elliptic._point_on_component", tested)
     rows = [[-2, 2, -1], [1, 2, -2], [-2, 1, -2], [-1, 2, 0]]
     code, out, err = run(capsys, ["ell-certify", files("f.json", {"n": 3, "rows": rows, "weights": weights})])
     assert code == 2 and out == ""
@@ -580,6 +584,15 @@ def test_ambient_dimension_limit_is_input_error(files, capsys):
     code, out, err = run(capsys, ["arr-lattice", files("a.json", obj)])
     assert code == 2 and out == ""
     assert _one_error_line(err) and f"capped at {MAX_AMBIENT_DIM}" in err
+
+
+def test_elliptic_factor_limit_is_input_error(files, capsys):
+    n = MAX_FACTORS + 1
+    code, out, err = run(capsys, ["ell-analyze", files("e.json", {"n": n, "rows": [[1] * n]})])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and f"capped at {MAX_FACTORS} curve factors" in err
+    code, out, _ = run(capsys, ["ell-analyze", files("e.json", {"n": n - 1, "rows": [[1] * (n - 1)]})])
+    assert code == 0 and json.loads(out)["corank"] == n - 2
 
 
 # --- module JSON round trips through the CLI ---------------------------------------

@@ -16,7 +16,7 @@ def test_circle_over_q():
     cx = make_complex(QQ, {0: 1, 1: 1}, {0: [{0: 0}]})
     rep = complex_cohomology(cx)
     assert rep.betti(0) == 1 and rep.betti(1) == 1
-    assert rep.euler_characteristic() == 0
+    assert sum((-1) ** k * r for k, r in rep.free_ranks.items()) == 0
 
 
 def test_multiplication_by_two_over_z():
@@ -50,7 +50,7 @@ def test_three_term_complex():
     cx = make_complex(QQ, {0: 1, 1: 2, 2: 1}, {0: d0, 1: d1})
     rep = complex_cohomology(cx)
     assert [rep.betti(k) for k in (0, 1, 2)] == [0, 0, 0]
-    assert rep.euler_characteristic() == 0
+    assert sum((-1) ** k * r for k, r in rep.free_ranks.items()) == 0
 
 
 def test_d_squared_nonzero_rejected():

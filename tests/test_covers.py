@@ -12,7 +12,6 @@ from arrcoh.covers import (
     POSSIBLE,
     CoverDescription,
     E2Support,
-    LocalDatum,
     build_nerve,
     e2_support,
     support_certificate,
@@ -32,7 +31,7 @@ def test_nerve_pairwise_meeting_empty_triple():
     assert len(nerve) == 6  # three singletons, three pairs, no triple
     assert frozenset({"U", "V", "W"}) not in nerve
     assert keys[frozenset({"U", "V"})] == {2}
-    assert nerve.less(frozenset({"U"}), frozenset({"U", "V"}))
+    assert nerve.leq(frozenset({"U"}), frozenset({"U", "V"}))
 
 
 def test_nerve_with_common_point():
@@ -58,7 +57,7 @@ def test_nerve_matches_all_subsets_in_order(pools):
     assert all(keys[s] == frozenset.intersection(*(sets[lab] for lab in s)) for s in expected)
     for a in expected:
         for b in expected:
-            assert nerve.less(a, b) == (a < b)
+            assert (nerve.leq(a, b) and a != b) == (a < b)
 
 
 def _two_set_cover():
@@ -152,7 +151,7 @@ def test_validate_cover_bad_rank():
 def _all_pairs_failures(cover):
     # oracle: the pair checks of validate_cover over all N^2 nerve pairs
     nerve, P, phi = cover.nerve, cover.poset, cover.phi
-    pairs = [(s, t) for s in nerve.elements for t in nerve.elements if s != t and nerve.less(s, t)]
+    pairs = [(s, t) for s in nerve.elements for t in nerve.elements if s != t and nerve.leq(s, t)]
     out = [("phi-not-order-preserving", (s, t)) for s, t in pairs if not P.leq(phi[s], phi[t])]
     if cover.keys is not None:
         out += [("condition3", (s, t)) for s, t in pairs if cover.keys[s] == cover.keys[t] and phi[s] != phi[t]]
@@ -196,17 +195,14 @@ def test_cover_verdict_json():
 # --- E2 support -----------------------------------------------------------
 
 
-def _chain_poset():
-    return from_relations(["a", "b"], [("a", "b")]), {"a": 0, "b": 1}
+def _chain():
+    """rho on a < b, and the one pair that generates the order."""
+    return {"a": 0, "b": 1}, [("a", "b")]
 
 
 def test_e2_support_basic_placement():
-    poset, rho = _chain_poset()
-    data = [
-        LocalDatum.of("a", coeff=[0], base=[0]),
-        LocalDatum.of("b", coeff=[-1], base=[1, 2]),
-    ]
-    sup = e2_support(poset, rho, data)
+    rho, relations = _chain()
+    sup = e2_support(rho, relations, {"a": ([0], [0]), "b": ([-1], [1, 2])})
     # (p, q) = (base + rho, coeff)
     assert set(sup.entries) == {(0, 0), (2, -1), (3, -1)}
     assert all(v == POSSIBLE for v in sup.entries.values())
@@ -215,41 +211,38 @@ def test_e2_support_basic_placement():
 
 
 def test_e2_support_concentration_and_ambient_cut():
-    poset, rho = _chain_poset()
-    data = [
-        LocalDatum.of("a", coeff=[1], base=[0]),
-        LocalDatum.of("b", coeff=[0], base=[0]),
-        LocalDatum.of("b", coeff=[9], base=[9]),
-    ]
-    with pytest.raises(ValueError, match="duplicate"):
-        e2_support(poset, rho, data)
-    sup = e2_support(poset, rho, data[:2], ambient_bound=1)
+    rho, relations = _chain()
+    sup = e2_support(rho, relations, {"a": ([1], [0]), "b": ([0], [0])}, ambient_bound=1)
     assert set(sup.entries) == {(0, 1), (1, 0)}
     assert sup.concentration == 1
-    big = [LocalDatum.of("a", coeff=[1], base=[0]), LocalDatum.of("b", coeff=[5], base=[0])]
-    cut = e2_support(poset, rho, big, ambient_bound=1)
+    cut = e2_support(rho, relations, {"a": ([1], [0]), "b": ([5], [0])}, ambient_bound=1)
     assert set(cut.entries) == {(0, 1)}
     assert any("discarded" in n for n in cut.notes)
 
 
 def test_e2_support_total_vanishing():
-    poset, rho = _chain_poset()
-    sup = e2_support(poset, rho, [LocalDatum.of("a", coeff=[], base=[0])])
+    rho, relations = _chain()
+    sup = e2_support(rho, relations, {"a": ([], [0])})
     assert sup.total_vanishing
     assert sup.entries == {}
     assert sup.concentration is None
 
 
 def test_e2_support_unknown_element():
-    poset, rho = _chain_poset()
-    with pytest.raises(ValueError, match="unknown"):
-        e2_support(poset, rho, [LocalDatum.of("zz", coeff=[0], base=[0])])
+    rho, relations = _chain()
+    with pytest.raises(ValueError, match="missing rank for 'zz'"):
+        e2_support(rho, relations, {"zz": ([0], [0])})
+    with pytest.raises(ValueError, match="missing rank for 'zz'"):
+        e2_support(rho, relations + [("b", "zz")], {"a": ([0], [0])})
 
 
 def test_e2_support_bad_rank_map():
-    poset, _ = _chain_poset()
+    rho, relations = _chain()
     with pytest.raises(ValueError, match="rank"):
-        e2_support(poset, {"a": 1, "b": 0}, [LocalDatum.of("a", coeff=[0], base=[0])])
+        e2_support({"a": 1, "b": 0}, relations, {"a": ([0], [0])})
+    # a cycle of generators cannot increase strictly
+    with pytest.raises(ValueError, match="rank"):
+        e2_support(rho, relations + [("b", "a")], {"a": ([0], [0])})
 
 
 def test_dim_on_line_exact_vs_possible():

@@ -26,7 +26,7 @@ def oracle_moebius(poset, x, y):
         return 0
     if x == y:
         return 1
-    return -sum(oracle_moebius(poset, x, z) for z in poset.elements if poset.leq(x, z) and poset.less(z, y))
+    return -sum(oracle_moebius(poset, x, z) for z in poset.elements if poset.leq(x, z) and poset.leq(z, y) and z != y)
 
 
 def boolean_lattice(n):
@@ -89,7 +89,7 @@ def test_moebius_sum_property():
     for x in p.elements:
         mu = moebius_table(p, x)
         for y in p.elements:
-            if p.less(x, y):
+            if p.leq(x, y) and x != y:
                 total = sum(v for z, v in mu.items() if p.leq(z, y))
                 assert total == 0
 
@@ -108,22 +108,22 @@ def test_cycle_rejected():
 
 
 def test_validate_ranked():
-    p = from_relations(["x", "y", "z"], [("x", "y"), ("y", "z")])
-    ok = validate_ranked(p, {"x": 0, "y": 1, "z": 2})
+    elements, pairs = ["x", "y", "z"], [("x", "y"), ("y", "z")]
+    ok = validate_ranked(elements, pairs, {"x": 0, "y": 1, "z": 2})
     assert ok.ok
-    bad = validate_ranked(p, {"x": 0, "y": 0, "z": 1})  # comparable pair shares a rank
-    assert not bad.ok
-    backwards = validate_ranked(p, {"x": 2, "y": 1, "z": 0})
-    assert not backwards.ok
-    missing = validate_ranked(p, {"x": 0, "y": 1})
-    assert not missing.ok
+    bad = validate_ranked(elements, pairs, {"x": 0, "y": 0, "z": 1})  # comparable pair shares a rank
+    assert bad == RankVerdict(False, "comparable pair shares a rank (fiber not an antichain)", ("x", "y"))
+    backwards = validate_ranked(elements, pairs, {"x": 2, "y": 1, "z": 0})
+    assert backwards == RankVerdict(False, "rank decreases along order", ("x", "y"))
+    missing = validate_ranked(elements, pairs, {"x": 0, "y": 1})
+    assert missing == RankVerdict(False, "missing rank for 'z'", ("z",))
 
 
 def _all_pairs_rank_verdict(poset, rho):
-    # oracle: validate_ranked over all N^2 pairs, for a rho defined everywhere
+    # oracle: every ordered pair of elements, for a rho defined everywhere
     for x in poset.elements:
         for y in poset.elements:
-            if x != y and poset.less(x, y):
+            if x != y and poset.leq(x, y):
                 if rho[x] > rho[y]:
                     return RankVerdict(False, "rank decreases along order", (x, y))
                 if rho[x] == rho[y]:
@@ -131,12 +131,23 @@ def _all_pairs_rank_verdict(poset, rho):
     return RankVerdict(True)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_validate_ranked_matches_all_pairs(n, data):
     # elements listed in a shuffled order, so element order need not extend the order
     elements = data.draw(st.permutations([f"e{i}" for i in range(n)]))
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
-    poset = from_relations(elements, [(f"e{i}", f"e{j}") for i, j in pairs if i < j])
+    generators = [(f"e{i}", f"e{j}") for i, j in pairs if i != j]
     rho = {f"e{i}": data.draw(st.integers(0, 3)) for i in range(n)}
-    assert validate_ranked(poset, rho) == _all_pairs_rank_verdict(poset, rho)
+    verdict = validate_ranked(elements, generators, rho)
+    try:
+        poset = from_relations(elements, generators)
+    except ValueError:  # a cycle: no rank increases strictly around it
+        assert not verdict.ok
+        return
+    oracle = _all_pairs_rank_verdict(poset, rho)
+    # the generators decide whether rho is a rank map ...
+    assert verdict.ok == oracle.ok
+    # ... and the comparable pairs, walked as validate_cover walks them, give the oracle's witness too
+    comparable = [(x, y) for x in poset.elements for y in poset.strictly_above(x)]
+    assert validate_ranked(poset.elements, comparable, rho) == oracle

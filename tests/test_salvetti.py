@@ -74,14 +74,14 @@ def test_faces_braid_a3():
 def test_cells_three_lines():
     sal = build_salvetti(three_generic_lines())
     assert sal.cell_counts() == [6, 12, 6]
-    assert sal.euler_characteristic() == 0
+    assert sum((-1) ** d * c for d, c in enumerate(sal.cell_counts())) == 0
     assert sal.dim == 2
 
 
 def test_cells_braid_a3():
     sal = build_salvetti(braid_a3_essential())
     assert sal.cell_counts() == [24, 72, 72, 24]
-    assert sal.euler_characteristic() == 0
+    assert sum((-1) ** d * c for d, c in enumerate(sal.cell_counts())) == 0
 
 
 def test_cells_b2():
@@ -281,7 +281,8 @@ def weighted_arrangements(draw):
         return a, RankOneSystem(field, (1,) * a.m)
     weights = [draw(unit) for _ in range(a.m)]
     if kind == "projective" and weights:
-        weights[-1] = field.inv(RankOneSystem(field, weights[:-1]).product())
+        rest = RankOneSystem(field, weights[:-1]).product()
+        weights[-1] = 1 / Fraction(rest) if field is QQ else pow(rest, -1, field.p)
     return a, RankOneSystem(field, weights)
 
 

@@ -102,7 +102,7 @@ def test_euler_characteristic_is_weight_independent():
     expected = sum((-1) ** k * c for k, c in enumerate(f))
     for q in ({1: 2, 2: 3, 3: 5, 4: 7}, {1: 1, 2: 1, 3: 1, 4: 1}, {1: 1, 2: 2, 3: 1, 4: 2}):
         rep = toric_cohomology(tc, weights(tc, GF(101), q))
-        assert rep.euler_characteristic() == expected
+        assert sum((-1) ** k * r for k, r in rep.free_ranks.items()) == expected
 
 
 @st.composite
@@ -225,8 +225,8 @@ def test_page_matches_link_of_each_trivial_face(case):
     trivial = _trivial_vertices(tc, sys)
     table = {tau: reduced_cohomology(link(L, tau), sys.field) for tau in L.faces if tau <= trivial}
     page = toric_e2_page(tc, sys)
-    assert page == support_certificate(*_support_page(tc, sys, table))
-    assert page == support_certificate(*_support_page(tc, sys, link_cohomology(L, sys.field, L.vertices)))
+    assert page == support_certificate(*_support_page(tc, trivial, table))
+    assert page == support_certificate(*_support_page(tc, trivial, link_cohomology(L, sys.field, L.vertices)))
 
 
 # --- covers ----------------------------------------------------------------------
