@@ -341,17 +341,17 @@ def _pi_beta_from_mu(flats: Mapping[tuple[int, ...], Flat], mu: Mapping, interva
 def connected_flats(a: Arrangement) -> list[Flat]:
     """Flats X of positive rank whose localized arrangement is irreducible
     (beta of the interval [bottom, X] is nonzero).  Hyperplanes always
-    qualify."""
+    qualify.  The intervals come from one inversion of the up-sets."""
     lat = intersection_lattice(a)
-    out = []
+    below = {cs: [cs] for cs in lat.poset.elements}
     for cs in lat.poset.elements:
-        if lat.flats[cs].rank == 0:
-            continue
-        below = lat.poset.down_set(cs)
-        _, beta = _pi_beta_from_mu(lat.flats, lat.moebius, below)
-        if beta != 0:
-            out.append(lat.flats[cs])
-    return out
+        for y in lat.poset.strictly_above(cs):
+            below[y].append(cs)
+    return [
+        lat.flats[cs]
+        for cs in lat.poset.elements
+        if lat.flats[cs].rank and _pi_beta_from_mu(lat.flats, lat.moebius, below[cs])[1]
+    ]
 
 
 class BuildingSetChoice:
@@ -405,14 +405,10 @@ def nested_complex(a: Arrangement, g: BuildingSetChoice) -> SimplicialComplex:
         new: list[frozenset] = []
         for face in frontier:
             for v in vertices:
-                if v in face:
-                    continue
                 cand = face | {v}
-                if frozenset(cand) in faces:
-                    continue
-                if all(frozenset(cand) - {u} in faces for u in cand) and _is_nested(lat.flats, members, cand):
-                    faces.add(frozenset(cand))
-                    new.append(frozenset(cand))
+                if cand not in faces and all(cand - {u} in faces for u in cand) and _is_nested(lat.flats, members, cand):
+                    faces.add(cand)
+                    new.append(cand)
         frontier = new
     out = SimplicialComplex.from_facets(vertices, [tuple(f) for f in faces])
     if out.dim > a.n - 2:

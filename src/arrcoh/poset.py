@@ -73,18 +73,11 @@ class FinitePoset:
         """The elements y with x < y, in element order."""
         return [self.elements[j] for j in sorted(self._above[self._index[x]])]
 
-    def down_set(self, x) -> list:
-        return [e for e in self.elements if self.leq(e, x)]
-
     def covers(self) -> list[tuple, ]:
         """Cover pairs (x, y) with x < y and nothing in between."""
         if self._covers is None:
-            out = []
-            for i, e in enumerate(self.elements):
-                for j in self._above[i]:
-                    if not any(j in self._above[k] for k in self._above[i]):
-                        out.append((i, j))
-            self._covers = sorted(out)
+            above = self._above
+            self._covers = sorted((i, j) for i, up in enumerate(above) for j in up if not any(j in above[k] for k in up))
         return [(self.elements[i], self.elements[j]) for i, j in self._covers]
 
     def __repr__(self) -> str:
@@ -102,17 +95,17 @@ def from_leq(elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], b
 
 
 def moebius_table(poset: FinitePoset, x) -> dict:
-    """mu(x, y) for every y above x, computed in one sweep."""
-    table: dict = {}
-    ups = [y for y in poset.elements if poset.leq(x, y)]
-    # iterate in a linear extension: element order may not extend the order,
-    # and z < y leaves fewer elements strictly above y than above z
-    ups.sort(key=lambda y: -len(poset._above[poset._index[y]]))
-    for y in ups:
-        if y == x:
-            table[y] = 1
-        else:
-            table[y] = -sum(table[z] for z in ups if poset.leq(z, y) and z != y)
+    """mu(x, y) for every y above x, in one pass over the interval: walked
+    in a linear extension (z < y leaves fewer elements strictly above y
+    than above z), each mu(x, z) is pushed once into every element above
+    z, so mu(x, y) = -sum over [x, y) is complete when the walk reaches y."""
+    above, i = poset._above, poset._index[x]
+    table = {x: 1}
+    pending = dict.fromkeys(above[i], -1)
+    for j in sorted(above[i], key=lambda j: (-len(above[j]), j)):
+        mu = table[poset.elements[j]] = pending[j]
+        for k in above[j]:
+            pending[k] -= mu
     return table
 
 

@@ -14,7 +14,9 @@ coefficients.  All boundary matrices are exact and the d^2 = 0 identity
 is checked on construction.  A central complement splits as
 M(A) = C^* x M(dA), dA the decone at hyperplane 0 (Orlik and Terao, 1992,
 Prop. 5.1); the cells on the positive side of hyperplane 0 form the
-Salvetti complex of dA, and Kunneth does the rest.
+Salvetti complex of dA, and Kunneth does the rest.  So the closure runs
+on that side, with sign 0 or +1 on hyperplane 0, and the mirror f -> -f
+gives the other faces and the full cell counts.
 
 Incidence signs are one tuple per face, shared by all of its cells: every
 cell (f, c) is a copy of the same zonotope dual to f, glued along copies
@@ -100,30 +102,38 @@ def _cocircuits(a: Arrangement) -> list[SignVector]:
 
 
 def enumerate_faces(a: Arrangement) -> FaceSystem:
-    """Every face of the real arrangement: the closure of the zero vector
-    under composition with the cocircuits.
+    """Every face of the real arrangement: those of :func:`_decone_side` and
+    their mirrors.  g covers f exactly when -g covers -f, so the covers
+    across hyperplane 0 are mirrors too."""
+    codim, half = _decone_side(a)
+    mirror = {f: tuple(-s for s in f) for f in codim}
+    codim.update({mirror[f]: d for f, d in codim.items()})
+    covers = {f: list(up) for f, up in half.items()}
+    for f, g in mirror.items():
+        covers.setdefault(g, []).extend(mirror[h] for h in half[f] if h[0] > 0)
+    return FaceSystem(a, tuple(sorted(codim)), codim, {f: tuple(sorted(up)) for f, up in covers.items()})
 
-    The closure yields only covectors, and every covector is a composition
-    of cocircuits, so it yields all of them.  A face's codimension is the
-    rank of its zero set.  If g covers f then g = f o y for a cocircuit
-    y <= g, so the covers of f are the faces f o y one codimension lower;
-    f o y depends only on y restricted to f's zero set, so each distinct
-    restriction is tried once.  The chamber count is cross-checked against
-    the Poincare polynomial at 1.  Every flat is the zero set of a face, so
-    the lattice stops at ``MAX_FACES`` flats too.
-    """
+
+def _decone_side(a: Arrangement) -> tuple[dict, dict]:
+    """Codimensions and covers of the faces with sign 0 or +1 on hyperplane
+    0: the closure of the zero vector under composition with the
+    cocircuits, kept to that side, which holds every face below its faces.
+    If g covers f then g = f o y for a cocircuit y <= g, and f o y depends
+    only on y on f's zero set, so each distinct restriction is tried once.
+    ``MAX_FACES`` counts the mirror faces too, and so bounds the lattice;
+    the chamber count, twice this side's, is checked against pi(1)."""
     lat = intersection_lattice(a, max_flats=MAX_FACES)
     cocircuits = _cocircuits(a)
     zero = (0,) * a.m
     codim: dict[SignVector, int] = {zero: lat.flats[lat.top].rank}
     covers: dict[SignVector, tuple[SignVector, ...]] = {}
     fillings: dict[tuple[int, ...], set[SignVector]] = {}
-    queue = [zero]
+    total, queue = 1, [zero]
     for f in queue:
         z = tuple(i for i, s in enumerate(f) if s == 0)
         fill = fillings.get(z)
-        if fill is None:
-            fill = fillings[z] = {tuple(y[i] for i in z) for y in cocircuits} - {(0,) * len(z)}
+        if fill is None:  # z holds 0 iff f[0] = 0, and then y[0] < 0 would leave this side
+            fill = fillings[z] = {tuple(y[i] for i in z) for y in cocircuits if f[0] or y[0] >= 0} - {(0,) * len(z)}
         up = []
         for p in fill:
             g = list(f)
@@ -131,19 +141,19 @@ def enumerate_faces(a: Arrangement) -> FaceSystem:
                 g[i] = s
             g = tuple(g)
             if g not in codim:
-                if len(codim) == MAX_FACES:
+                total += 1 + g[0]  # with its mirror when g[0] = +1
+                if total > MAX_FACES:
                     raise ValueError(f"face enumeration stops at {MAX_FACES} faces; this arrangement has more")
                 codim[g] = lat.flats[tuple(i for i, s in zip(z, p) if s == 0)].rank
                 queue.append(g)
             if codim[g] == codim[f] - 1:
                 up.append(g)
         covers[f] = tuple(sorted(up))
-    fs = FaceSystem(a, tuple(sorted(codim)), codim, covers)
     if a.m >= 1:
         pi, _ = poincare_and_beta(a)
-        if len(fs.chambers) != sum(pi):
-            raise InternalError(f"chamber count {len(fs.chambers)} disagrees with the lattice prediction {sum(pi)}")
-    return fs
+        if (chambers := 2 * list(codim.values()).count(0)) != sum(pi):
+            raise InternalError(f"chamber count {chambers} disagrees with the lattice prediction {sum(pi)}")
+    return codim, covers
 
 
 class SalvettiComplex:
@@ -342,7 +352,7 @@ def twisted_cohomology(a: Arrangement, sys: RankOneSystem) -> SalvettiReport:
     u_p + u_{p-1} for projective weights and 0 for all others.  The half
     complex's Euler characteristic must be beta, that of M(dA).  The cell
     counts are the full complex's: a face has as many chambers above it as
-    the arrangement of its zero set has chambers.
+    the arrangement of its zero set has chambers, and so has its mirror.
 
     >>> from arrcoh.linalg import GF
     >>> three_lines = Arrangement.from_rows(2, [[1, 0], [0, 1], [1, 1]])
@@ -352,20 +362,21 @@ def twisted_cohomology(a: Arrangement, sys: RankOneSystem) -> SalvettiReport:
     """
     if a.m == 0:  # all of C^n: one cell, and no hyperplane to decone at
         return SalvettiReport(sys.field.to_json(), (1,), (1,), None)
-    fs = enumerate_faces(a)
-    chambers = fs.chambers
-    half = tuple(f for f in fs.faces if f[0] > 0)
-    zeros = {f: tuple(i for i, s in enumerate(f) if not s) for f in fs.faces}
+    codim, covers = _decone_side(a)
+    half = tuple(sorted(f for f in codim if f[0] > 0))
+    chambers = [f for f in half if not codim[f]]
+    chambers += [tuple(-s for s in c) for c in chambers]
+    zeros = {f: tuple(i for i, s in enumerate(f) if not s) for f in codim}
     above = {z: len(set(map(itemgetter(*z), chambers))) if z else 1 for z in set(zeros.values())}
-    top = fs.codim[(0,) * a.m]
+    top = codim[(0,) * a.m]
     counts = [0] * (top + 1)
-    for f in fs.faces:
-        counts[fs.codim[f]] += above[zeros[f]]
-    chi = sum((-1) ** fs.codim[f] * above[zeros[f]] for f in half)
+    for f, d in codim.items():
+        counts[d] += above[zeros[f]] * (1 + f[0])
+    chi = sum((-1) ** codim[f] * above[zeros[f]] for f in half)
     _, beta = poincare_and_beta(a)
     if chi != beta:
         raise InternalError(f"the decone's Salvetti complex has Euler characteristic {chi}, not beta = {beta}")
-    sal = build_salvetti(a, FaceSystem(a, half, {f: fs.codim[f] for f in half}, fs.covers))
+    sal = build_salvetti(a, FaceSystem(a, half, {f: codim[f] for f in half}, covers))
     report = complex_cohomology(twisted_complex(sal, sys))
     u = tuple(report.betti(d) for d in range(top))
     if not sys.is_projective:

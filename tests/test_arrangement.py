@@ -31,6 +31,7 @@ from arrcoh.arrangement import (
 )
 from arrcoh.covers import POSSIBLE
 from arrcoh.linalg import GF, QQ, InternalError, Matrix, rank_kernel
+from arrcoh.poset import FinitePoset
 from arrcoh.salvetti import twisted_cohomology
 
 
@@ -46,6 +47,11 @@ def braid_a3():
         rows.append(r)
         labels.append(f"h{i}{j}")
     return Arrangement.from_rows(4, rows, labels)
+
+
+def braid_a4():
+    pairs = itertools.combinations(range(5), 2)
+    return Arrangement.from_rows(5, [[int(t == i) - int(t == j) for t in range(5)] for i, j in pairs])
 
 
 def boolean_b3():
@@ -351,6 +357,40 @@ def test_rank_and_essentialize_follow_the_rref_pivots(a):
     assert a.rank == len(pivots)
     coords = [[row[p] for p in pivots] for row in a.normals.entries]
     assert a.essentialize().to_json() == Arrangement.from_rows(len(pivots), coords, a.labels).to_json()
+
+
+def oracle_connected_flats(a):
+    """Closed sets of the flats X of positive rank with beta([bottom, X])
+    nonzero, from the Moebius recursion over all pairs of the interval."""
+    poset = intersection_lattice(a).poset
+    rank = {cs: flat.rank for cs, flat in intersection_lattice(a).flats.items()}
+    mu = {}
+    for y in poset.elements:  # ordered by rank, so a linear extension
+        mu[y] = 1 if y == () else -sum(mu[z] for z in poset.elements if z != y and poset.leq(z, y))
+    out = []
+    for cs in poset.elements:
+        pi = [0] * (rank[cs] + 1)
+        for z in poset.elements:
+            if poset.leq(z, cs):
+                pi[rank[z]] += abs(mu[z])
+        if rank[cs] and sum(k * c * (-1) ** k for k, c in enumerate(pi)):
+            out.append(cs)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrangements())
+@example(braid_a3())
+@example(braid_a4())
+@example(Arrangement.from_rows(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]))
+def test_connected_flats_match_all_pairs_oracle(a):
+    oracle = oracle_connected_flats(a)
+    # the Moebius table and the intervals come from the kept up-sets: no
+    # comparison of pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FinitePoset, "leq", lambda self, x, y: pytest.fail("leq called"))
+        flats = arrangement.connected_flats(a)
+    assert [f.closed_set for f in flats] == oracle
 
 
 def test_one_lattice_and_one_moebius_table_per_arrangement(monkeypatch):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import hashlib
 import io
 import itertools
 import json
@@ -47,6 +48,32 @@ COVER = {
 }
 
 
+def braid_json(k):
+    """The braid arrangement x_i = x_j, i < j, in C^k."""
+    pairs = itertools.combinations(range(k), 2)
+    normals = {f"h{i}{j}": [str(int(t == i) - int(t == j)) for t in range(k)] for i, j in pairs}
+    return {"n": k, "hyperplanes": [{"label": lab, "normal": row} for lab, row in normals.items()]}
+
+
+def projective_weights_json(arr):
+    """Weight 2 on every hyperplane but the last, whose weight makes the product 1 in F_101."""
+    labels = [h["label"] for h in arr["hyperplanes"]]
+    q = {lab: 2 for lab in labels}
+    q[labels[-1]] = pow(2, 1 - len(labels), 101)
+    return {"field": {"kind": "prime", "p": 101}, "q": q}
+
+
+DIGEST_ARRANGEMENTS = {  # larger than the three lines of the golden cases
+    "braid-a4": braid_json(5),
+    "braid-a5": braid_json(6),  # 4,683 faces, past MAX_FACES: arr-salvetti exits 2
+    "generic-8-in-c4": {
+        "n": 4,
+        "hyperplanes": [{"label": f"g{k + 4}", "normal": [str(k**e) for e in range(4)]} for k in range(-4, 4)],
+    },
+}
+ARRANGEMENT_DIGEST = "08cb969468cc89a93a0e8efdbcd2027a11f4cab70f2d918cb0251754e8f1bcb5"
+
+
 @pytest.fixture()
 def files(tmp_path):
     def write(name, obj):
@@ -61,6 +88,19 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_arrangement_verbs_digest_pinned(files, capsys, monkeypatch):
+    # the JSON of four arrangement verbs, with exit codes and error lines
+    monkeypatch.delenv(cli.FORMAT_ENV, raising=False)
+    h = hashlib.sha256()
+    for name, arr in DIGEST_ARRANGEMENTS.items():
+        a, w = files(f"{name}.json", arr), files(f"{name}-w.json", projective_weights_json(arr))
+        verbs = (["arr-lattice", a], ["arr-beta", a], ["arr-vanish", a, w, "--certificate"], ["arr-salvetti", a, "--weights", w])
+        for argv in verbs:
+            code, out, err = run(capsys, argv)
+            h.update(json.dumps([argv[0], code, out, err]).encode())
+    assert h.hexdigest() == ARRANGEMENT_DIGEST
 
 
 # --- exit code partition -----------------------------------------------------

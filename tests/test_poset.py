@@ -8,10 +8,11 @@ a bug.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrcoh.poset import (
+    FinitePoset,
     RankVerdict,
     from_leq,
     from_relations,
@@ -27,6 +28,11 @@ def oracle_moebius(poset, x, y):
     if x == y:
         return 1
     return -sum(oracle_moebius(poset, x, z) for z in poset.elements if poset.leq(x, z) and poset.leq(z, y) and z != y)
+
+
+def oracle_down_set(poset, x):
+    """The elements below x, in element order, one ``leq`` call per element."""
+    return [e for e in poset.elements if poset.leq(e, x)]
 
 
 def boolean_lattice(n):
@@ -83,6 +89,40 @@ def test_moebius_table_when_element_order_lists_the_top_first(poset, x):
         assert v == oracle_moebius(poset, x, y)
 
 
+@st.composite
+def posets_with_an_element(draw):
+    """A poset on up to 7 elements, from relations that go up a hidden
+    order, with its elements listed in a shuffled order (so the element
+    order need not extend the partial order), and one of its elements."""
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    elements = [f"e{i}" for i in draw(st.permutations(range(n)))]
+    poset = from_relations(elements, [(f"e{min(i, j)}", f"e{max(i, j)}") for i, j in pairs if i != j])
+    return poset, draw(st.sampled_from(elements))
+
+
+def _refuse_leq(self, x, y):
+    raise AssertionError("leq called")
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets_with_an_element())
+@example((boolean_lattice(3), frozenset()))
+@example((boolean_lattice(3), frozenset({1})))  # an interior element
+@example((from_leq([frozenset(s) for r in range(3, -1, -1) for s in itertools.combinations(range(3), r)],
+                   lambda a, b: a <= b), frozenset({2})))  # listed top first
+@example((divisor_lattice(60), 2))
+def test_moebius_table_matches_all_pairs_oracle(case):
+    poset, x = case
+    oracle = {y: oracle_moebius(poset, x, y) for y in poset.elements if poset.leq(x, y)}
+    # one pass over the kept up-sets: no comparison of pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FinitePoset, "leq", _refuse_leq)
+        table = moebius_table(poset, x)
+    assert table == oracle
+    assert next(iter(table)) == x
+
+
 def test_moebius_sum_property():
     # sum_{x <= z <= y} mu(x, z) = 0 for x < y
     p = divisor_lattice(30)
@@ -98,7 +138,7 @@ def test_order_basics():
     p = from_relations(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
     assert p.leq("a", "c")  # transitivity
     assert not p.leq("a", "d") and not p.leq("d", "a")
-    assert p.down_set("c") == ["a", "b", "c"]
+    assert oracle_down_set(p, "c") == ["a", "b", "c"]
     assert p.covers() == [("a", "b"), ("b", "c")]
 
 

@@ -117,6 +117,12 @@ def test_caps_enforced(monkeypatch):
     assert len(enumerate_faces(lines(9)).faces) == 37
     with pytest.raises(ValueError, match="stops at 37 faces"):
         enumerate_faces(lines(10))
+    # twisted cohomology walks the decone side only, and the limit still
+    # counts every face: 9 lines have 37, 17 of them mirrored
+    assert twisted_cohomology(lines(9), untwisted(QQ, 9)).full_betti == (1, 9, 8)
+    monkeypatch.setattr(salvetti, "MAX_FACES", 36)
+    with pytest.raises(ValueError, match="^face enumeration stops at 36 faces; this arrangement has more$"):
+        twisted_cohomology(lines(9), untwisted(QQ, 9))
     # every flat carries a face, so the lattice built for the faces stops too
     # (generic 6 planes in C^3: 23 flats, 123 faces)
     generic = Arrangement.from_rows(3, [[1, k, k * k] for k in range(6)])
@@ -225,6 +231,38 @@ BRAID_A3_ROWS = [[int(k == i) - int(k == j) for k in range(4)] for i, j in itert
 PENCIL_IN_C3 = [[1, 1, 0], [1, -1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1]]  # rank 3, three planes share a line
 
 
+def unrestricted_closure(a):
+    """Codimensions and covers of every face, from the closure of the zero
+    vector under composition with the cocircuits on both sides of
+    hyperplane 0, with no mirror."""
+    lat = intersection_lattice(a)
+    cocircuits = salvetti._cocircuits(a)
+    zero = (0,) * a.m
+    codim, covers = {zero: lat.flats[lat.top].rank}, {}
+    queue = [zero]
+    for f in queue:
+        up = []
+        for y in cocircuits:
+            g = tuple(x or t for x, t in zip(f, y))
+            if g == f:
+                continue
+            if g not in codim:
+                codim[g] = lat.flats[tuple(i for i, s in enumerate(g) if not s)].rank
+                queue.append(g)
+            if codim[g] == codim[f] - 1 and g not in up:
+                up.append(g)
+        covers[f] = tuple(sorted(up))
+    return codim, covers
+
+
+def assert_faces_match_unrestricted_closure(a):
+    fs = enumerate_faces(a)
+    codim, covers = unrestricted_closure(a)
+    assert fs.faces == tuple(sorted(codim))
+    assert dict(fs.codim) == codim
+    assert dict(fs.covers) == covers
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_arrangements())
 @example(Arrangement.from_rows(4, BRAID_A3_ROWS))
@@ -235,6 +273,8 @@ def test_covector_faces_match_fourier_motzkin(a):
     assert fs.faces == tuple(sorted(codim))
     assert dict(fs.codim) == codim
     assert dict(fs.covers) == covers
+    # the decone side and its mirror give what the closure on both sides gives
+    assert_faces_match_unrestricted_closure(a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,19 +335,19 @@ def test_half_complex_matches_full_complex(case):
     a, sys_ = case
     rep = twisted_cohomology(a, sys_)
     assert (rep.cell_counts, rep.full_betti, rep.projective_betti) == full_complex_reference(a, sys_)
+    assert_faces_match_unrestricted_closure(a)
 
 
 def test_half_complex_euler_characteristic_is_beta(monkeypatch):
     a = three_generic_lines()
-    fs = enumerate_faces(a)
+    side_codim, side_covers = salvetti._decone_side(a)
     # drop one chamber on the positive side of hyperplane 0 from the faces
     # and from the covers of the faces below it: the decone's complex then
     # has 2 chambers and 4 edges, Euler characteristic -2, where beta is -1
     dropped = (1, -1, -1)
-    faces = tuple(f for f in fs.faces if f != dropped)
-    codim = {f: fs.codim[f] for f in faces}
-    covers = {f: tuple(g for g in fs.covers[f] if g != dropped) for f in faces}
-    monkeypatch.setattr(salvetti, "enumerate_faces", lambda a: FaceSystem(a, faces, codim, covers))
+    codim = {f: d for f, d in side_codim.items() if f != dropped}
+    covers = {f: tuple(g for g in side_covers[f] if g != dropped) for f in codim}
+    monkeypatch.setattr(salvetti, "_decone_side", lambda a: (codim, covers))
     with pytest.raises(InternalError, match="Euler characteristic -2, not beta = -1") as info:
         twisted_cohomology(a, RankOneSystem(GF(7), (2, 2, 2)))
     assert not isinstance(info.value, ValueError)
