@@ -188,10 +188,11 @@ class Flat:
 class IntersectionLattice:
     """Flats ordered by inclusion of closed sets (= reverse inclusion of
     subspaces), ranked by codimension.  Elements of ``poset`` are the
-    closed-set tuples; ``flats`` holds the full data per element."""
+    closed-set tuples; ``flats`` holds the full data per element.  Its
+    ``labels`` are the arrangement's: a reference back would be a cycle."""
 
-    def __init__(self, arrangement: Arrangement, poset: FinitePoset, flats: Mapping[tuple[int, ...], Flat]) -> None:
-        self.arrangement, self.poset, self.flats = arrangement, poset, flats
+    def __init__(self, labels: tuple[str, ...], poset: FinitePoset, flats: Mapping[tuple[int, ...], Flat]) -> None:
+        self.labels, self.poset, self.flats = labels, poset, flats
 
     @property
     def bottom(self) -> tuple[int, ...]:
@@ -199,7 +200,7 @@ class IntersectionLattice:
 
     @property
     def top(self) -> tuple[int, ...]:
-        return tuple(range(self.arrangement.m))
+        return tuple(range(len(self.labels)))
 
     @cached_property
     def moebius(self) -> dict:
@@ -207,7 +208,7 @@ class IntersectionLattice:
         return moebius_table(self.poset, self.bottom)
 
     def to_json(self) -> dict:
-        labels = self.arrangement.labels
+        labels = self.labels
         return {
             "flats": [
                 {
@@ -269,7 +270,7 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
                     nxt.add(bigger)
         frontier = sorted(nxt)
     elements = sorted(seen, key=lambda cs: (seen[cs].rank, cs))
-    lat = IntersectionLattice(a, from_relations(elements, relations), seen)
+    lat = IntersectionLattice(a.labels, from_relations(elements, relations), seen)
     a._lattice = lat
     return lat
 

@@ -15,6 +15,7 @@ arrangements and toric complexes, each keyed by its ``labels``.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence, Union
 
 from arrcoh import fp
@@ -374,21 +375,24 @@ def sparse_rank(ring: Ring, rows: Iterable[Mapping[int, object]]) -> tuple[int, 
     """Rank of a sparse matrix and, over Z, its invariant factors above 1.
 
     ``rows`` gives each row as a {column: entry} mapping of its nonzero
-    entries in ``ring``; nothing is formed but ranks.  Each pivot (r, c)
-    subtracts multiples of row r from every other row that meets column c,
-    then drops row r and column c (a Schur complement).  Pivots are taken in
-    short rows first, each in its column with the fewest rows, to keep
-    fill-in low.
+    entries in ``ring``; nothing is formed but ranks.  Each row in turn is
+    reduced against the pivot rows found so far, in the order found (a
+    pivot row is zero in earlier pivot columns, so no step refills a
+    cleared column), and what is left becomes a pivot row, pivoting on its
+    greatest column.  On face complexes, columns in ``faces_of_card``
+    order, that drops a face's least vertex: the rows through the first
+    vertex come first and pivot with no reduction, keeping fill-in low.
 
     Over F_p (arithmetic mod p) and Q any nonzero entry may pivot, and the
-    rank is the number of pivots.  Over Q an integral entry goes in as an
-    ``int``, a pivot of +-1 is its own inverse and any other pivot is
+    rank is the number of pivot rows.  Over Q an integral entry goes in as
+    an ``int``, a pivot of +-1 is its own inverse and any other pivot is
     inverted as ``1 / Fraction(pivot)``: a matrix of integers with unit
     pivots, such as an untwisted Salvetti complex, is eliminated in ints,
     and every value is the same exact number as in Fraction arithmetic.
-    Over Z
-    only an entry of +-1 may: those steps are unimodular and keep the
-    invariant factors, so what no unit pivot reaches goes to
+    Over Z only an entry of +-1 may pivot, on the greatest such column: those
+    steps are unimodular and keep the invariant factors.  A reduced row
+    with no unit entry waits, and is reduced again after pivot rows that
+    came later; what no unit pivot reaches goes to
     :func:`smith_normal_form`, and the rank is the unit pivots plus the rank
     of that remainder (Dumas, Saunders and Villard, *On efficient sparse
     integer matrix Smith normal form computations*, J. Symb. Comput. 32,
@@ -396,63 +400,53 @@ def sparse_rank(ring: Ring, rows: Iterable[Mapping[int, object]]) -> tuple[int, 
     """
     integral = isinstance(ring, IntegerRing)
     p = ring.p if not integral and ring.kind == "prime" else None
-    active: dict[int, dict] = {}
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        if p:
-            row = {j: x % p for j, x in row.items() if x % p}
-        else:  # an integral Fraction goes in as an int
-            row = {j: x.numerator if x.denominator == 1 else x for j, x in row.items() if x}
-        if row:
-            active[i] = row
-            for j in row:
-                cols.setdefault(j, set()).add(i)
-    rank = 0
-    progress = True
-    while progress and active:
-        progress = False
-        for i in sorted(active, key=lambda i: len(active[i])):
-            row = active.get(i)
-            if row is None:
-                continue
-            eligible = [j for j, x in row.items() if x == 1 or x == -1] if integral else row
-            if not eligible:
-                continue
-            c = min(eligible, key=lambda j: len(cols[j]))
-            del active[i]
-            for j in row:
-                cols[j].discard(i)
-            pivot = row[c]
-            if p:
-                inverse = pow(pivot, -1, p)
-            elif pivot == 1 or pivot == -1:
-                inverse = pivot  # its own inverse, and every unit pivot over Z
-            else:
-                inverse = 1 / Fraction(pivot)
-            rest = [(j, x) for j, x in row.items() if j != c]
-            for t in cols.pop(c):
-                target = active[t]
-                f = target.pop(c) * inverse
-                for j, x in rest:
-                    y = target.get(j, 0) - f * x
+    if p:
+        pending = [r for row in rows if (r := {j: x % p for j, x in row.items() if x % p})]
+    else:  # an integral Fraction goes in as an int
+        pending = [r for row in rows if (r := {j: x.numerator if x.denominator == 1 else x for j, x in row.items() if x})]
+    # (pivot column, the rest of its row, the inverse of its pivot entry) in
+    # the order found, and each pivot column's place in that order
+    pivots: list[tuple[int, dict, object]] = []
+    place: dict[int, int] = {}
+    while True:
+        found, waiting = len(pivots), []
+        for row in pending:
+            heap = [place[j] for j in row if j in place]
+            heapify(heap)
+            while heap:
+                c, rest, inverse = pivots[heappop(heap)]
+                if c not in row:  # cancelled by an earlier pivot row
+                    continue
+                f = row.pop(c) * inverse
+                for j, x in rest.items():
+                    y = row.get(j, 0) - f * x
                     if p:
                         y %= p
                     if y:
-                        if j not in target:
-                            cols[j].add(t)
-                        target[j] = y
-                    elif j in target:
-                        del target[j]
-                        cols[j].discard(t)
-                if not target:
-                    del active[t]
-            rank += 1
-            progress = True
-    if not active:
-        return rank, ()
-    used = sorted({j for row in active.values() for j in row})
-    sf = smith_normal_form(Matrix.from_rows(ZZ, [[row.get(j, 0) for j in used] for row in active.values()]))
-    return rank + sf.rank, sf.nontrivial
+                        if j not in row and j in place:
+                            heappush(heap, place[j])
+                        row[j] = y
+                    else:
+                        del row[j]
+            if not row:
+                continue
+            units = [j for j, x in row.items() if x == 1 or x == -1] if integral else row
+            if not units:
+                waiting.append(row)
+                continue
+            c = max(units)
+            x = row.pop(c)
+            place[c] = len(pivots)
+            # +-1 is its own inverse, and every unit pivot over Z is +-1
+            pivots.append((c, row, pow(x, -1, p) if p else x if x == 1 or x == -1 else 1 / Fraction(x)))
+        if not waiting or len(pivots) == found:
+            break
+        pending = waiting
+    if not waiting:
+        return len(pivots), ()
+    used = sorted({j for row in waiting for j in row})
+    sf = smith_normal_form(Matrix.from_rows(ZZ, [[row.get(j, 0) for j in used] for row in waiting]))
+    return len(pivots) + sf.rank, sf.nontrivial
 
 
 class SmithForm:

@@ -74,10 +74,10 @@ class FinitePoset:
         return [self.elements[j] for j in sorted(self._above[self._index[x]])]
 
     def covers(self) -> list[tuple, ]:
-        """Cover pairs (x, y) with x < y and nothing in between."""
+        """Cover pairs (x, y) with x < y and nothing in between: up(x) less the up(z), z in up(x)."""
         if self._covers is None:
             above = self._above
-            self._covers = sorted((i, j) for i, up in enumerate(above) for j in up if not any(j in above[k] for k in up))
+            self._covers = sorted((i, j) for i, up in enumerate(above) for j in up.difference(*map(above.__getitem__, up)))
         return [(self.elements[i], self.elements[j]) for i, j in self._covers]
 
     def __repr__(self) -> str:

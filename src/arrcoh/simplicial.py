@@ -7,6 +7,7 @@ explicit vertex order so that every chain-level object is deterministic.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from typing import Collection, Hashable, Iterable, NamedTuple, Sequence
 
 from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology
@@ -174,20 +175,20 @@ def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[
     from g = s | tau.  Only the submasks of g inside ``within`` are
     visited, so no link outside it is built.
 
-    Links are shared by shape: each link is relabeled onto bits 0..m-1, its
-    m vertices taken in the vertex order of L, and the cohomology is
-    computed once per distinct relabeled mask set (every facet's link is
-    {emptyset}; the link of each vertex of a cycle is two points).  A shape
-    with a face of three vertices gets its coboundaries straight from its
-    masks (:meth:`FaceCoboundaries.from_levels`, with its d o d check) and
-    is eliminated.  Any other shape is {emptyset}, a set of points or a
-    graph, and its cohomology is read off counts (:func:`_graph_cohomology`).
+    The sweep takes the faces by cardinality, so each link lists its faces
+    by cardinality too.  A link with no face of three vertices is {emptyset},
+    a set of points or a graph: its cohomology is read off its own masks
+    (:func:`_graph_cohomology`), with no relabeling.  Any other link is
+    relabeled onto bits 0..m-1, its m vertices taken in the vertex order of
+    L, and eliminated once per distinct relabeled mask set (the link of
+    every face of a simplex is a simplex), with coboundaries straight from
+    the masks (:meth:`FaceCoboundaries.from_levels`, with its d o d check).
     """
     levels, face_of = _face_index(L)
     keep = set(within)
     mask = sum(1 << i for i, v in enumerate(L.vertices) if v in keep)
     links: dict[int, list[int]] = {s: [] for level in levels for s in level if not s & ~mask}
-    for g in face_of:
+    for g in itertools.chain.from_iterable(levels):
         s = g & mask
         top = s
         while True:
@@ -198,44 +199,47 @@ def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[
     by_shape: dict[frozenset, CohomologyReport] = {}
     table = {}
     for s, faces in links.items():
-        used = 0
-        for f in faces:
-            used |= f
-        positions = [1 << i for i in range(used.bit_length()) if used >> i & 1]
-        shape = frozenset(sum(1 << j for j, b in enumerate(positions) if f & b) for f in faces)
+        m = bisect_right(faces, 1, key=int.bit_count) - 1
+        if faces[-1].bit_count() < 3:
+            table[face_of[s]] = _graph_cohomology(ring, faces, m)
+            continue
+        # a face's new mask is that of the face without its least vertex,
+        # plus that vertex's new bit
+        new = {v: 1 << j for j, v in enumerate(sorted(faces[1 : m + 1]))}
+        new[0] = 0
+        for f in faces[m + 1 :]:
+            low = f & -f
+            new[f] = new[f ^ low] | new[low]
+        shape = frozenset(new.values())
         if shape not in by_shape:
-            m = len(positions)
-            if any(f.bit_count() > 2 for f in shape):
-                cx = FaceCoboundaries.from_levels(_levels(shape, m)).specialize(ring, [1] * m, shift=-1)
-                by_shape[shape] = complex_cohomology(cx)
-            else:
-                by_shape[shape] = _graph_cohomology(ring, shape, m)
+            cx = FaceCoboundaries.from_levels(_levels(shape, m)).specialize(ring, [1] * m, shift=-1)
+            by_shape[shape] = complex_cohomology(cx)
         table[face_of[s]] = by_shape[shape]
     return table
 
 
 def _graph_cohomology(ring: Ring, faces: Collection[int], m: int) -> CohomologyReport:
-    """Reduced cohomology of a complex with no face of three vertices, on
-    vertices 0..m-1 (each one a face), from its masks ``faces``.
+    """Reduced cohomology of a complex with no face of three vertices, from
+    its masks ``faces``: m vertices, each one a face, on any bits.
 
-    With E edges and c components (by union-find): H^0 has rank c - 1 and
-    H^1 rank E - m + c, as the signed incidence matrix of a graph has rank
-    m - c and is totally unimodular, so there is no torsion over any ring.
-    {emptyset} (m = 0) has rank 1 in degree -1.  Every degree from -1 to
-    the dimension is reported, zeros included, as :func:`reduced_cohomology`
-    does.
+    With E edges and c components (by union-find over the vertices' bits):
+    H^0 has rank c - 1 and H^1 rank E - m + c, as the signed incidence
+    matrix of a graph has rank m - c and is totally unimodular, so there is
+    no torsion over any ring.  {emptyset} (m = 0) has rank 1 in degree -1.
+    Every degree from -1 to the dimension is reported, zeros included, as
+    :func:`reduced_cohomology` does.
     """
     if not m:
         return CohomologyReport(ring, {-1: 1})
-    root = list(range(m))
+    root: dict[int, int] = {}  # a vertex's bit -> a bit nearer its component's root
     edges = merges = 0
     for f in faces:
         if f.bit_count() == 2:
             edges += 1
-            a, b = (f & -f).bit_length() - 1, f.bit_length() - 1
-            while root[a] != a:
+            a, b = f & -f, f & (f - 1)
+            while a in root:
                 a = root[a]
-            while root[b] != b:
+            while b in root:
                 b = root[b]
             if a != b:
                 root[a] = b
@@ -421,6 +425,7 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
                 chosen.pop()
 
         grow([], 0)
+        del grow  # the closure refers to itself: a cycle only the cyclic GC frees
         # built after the search: interleaved with its short-lived objects, the
         # complexes fragment the allocator's arenas and peak memory grows per call
         out.extend(SimplicialComplex.from_facets(tuple(range(k)), [subsets[i] for i in f] or [()]) for f in found)

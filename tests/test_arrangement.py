@@ -5,6 +5,7 @@ recursion on the lattice poset, so the packaged computation and the test
 cannot share an error.
 """
 
+import gc
 import itertools
 import math
 from fractions import Fraction
@@ -575,3 +576,31 @@ def test_rational_normals_survive_json():
     a = Arrangement.from_rows(2, [["1/2", 1], [1, 0]])
     again = Arrangement.from_json(a.to_json())
     assert again.normals.row(0) == a.normals.row(0)
+
+
+# --- memory -------------------------------------------------------------------
+
+
+def _salvetti_item():
+    a = braid_a3().essentialize()
+    weights = RankOneSystem(GF(101), (2, 2, 2, 2, 2, pow(2, -5, 101)))
+    vanishing_check(a, weights)
+    twisted_cohomology(a, weights)
+
+
+def test_no_reference_cycles():
+    # a lattice kept on its arrangement, an elliptic certificate and the
+    # orderly search leave nothing that only the cyclic GC would free
+    from arrcoh.elliptic import EllipticArrangement, elliptic_vanishing_certificate
+    from arrcoh.simplicial import enumerate_complexes
+
+    gc.collect()
+    gc.disable()
+    try:
+        _salvetti_item()
+        ell = EllipticArrangement.from_rows(2, [[2, 2], [-1, 1], [1, 2], [0, 2]])
+        elliptic_vanishing_certificate(ell, RankOneSystem(GF(101), (2, 3, 5, 7)))
+        assert len(enumerate_complexes(4)) == 1 + 1 + 2 + 5 + 20
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

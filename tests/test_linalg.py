@@ -219,11 +219,38 @@ def _matrices(entries):
     )
 
 
+@st.composite
+def _long_sparse(draw, entries):
+    """Up to 25 x 25 with a few entries per row: zero rows, repeated rows,
+    random rows and chained rows (entries at columns j and j + 1), so that
+    chains of pivot rows get long."""
+    size = st.integers(min_value=1, max_value=25) | st.integers(min_value=15, max_value=25)
+    ncols = draw(size)
+    column = st.integers(min_value=0, max_value=ncols - 1)
+    rows: list[list] = []
+    for _ in range(draw(size)):
+        kind = draw(st.sampled_from(["chain", "random", "zero", "chain", "random", "repeat"]))
+        if kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+            continue
+        row = [0] * ncols
+        if kind == "chain":
+            j = draw(column)
+            row[j], row[(j + 1) % ncols] = draw(entries), draw(entries)
+        elif kind == "random":
+            for j in draw(st.lists(column, min_size=1, max_size=4)):
+                row[j] = draw(entries)
+        rows.append(row)
+    return rows
+
+
 SMALL = st.integers(min_value=-4, max_value=4)
 NO_UNITS = st.sampled_from([-4, -3, -2, 0, 2, 3, 4])
+# also entries that vanish mod 2, 3 or 101 but not over Q
+WIDE = SMALL | st.sampled_from([6, -12, 101, -202, 303])
 
 
-@given(_matrices(SMALL), st.sampled_from([2, 3, 5, 101]))
+@given(_matrices(SMALL) | _long_sparse(WIDE), st.sampled_from([2, 3, 5, 101]))
 @settings(max_examples=150, deadline=None)
 def test_sparse_rank_fp_matches_dense_kernel(rows, p):
     # entries such as 2 and 4 vanish mod 2, 3 mod 3: the rows go in unreduced
@@ -234,7 +261,12 @@ FRACTIONS = st.builds(Fraction, SMALL, st.integers(min_value=1, max_value=6))
 NO_UNIT_FRACTIONS = st.builds(Fraction, NO_UNITS, st.sampled_from([1, 5, 7]))
 
 
-@given(_matrices(SMALL.map(Fraction)) | _matrices(FRACTIONS) | _matrices(NO_UNIT_FRACTIONS))
+@given(
+    _matrices(SMALL.map(Fraction))
+    | _matrices(FRACTIONS)
+    | _matrices(NO_UNIT_FRACTIONS)
+    | _long_sparse(WIDE.map(Fraction) | FRACTIONS)
+)
 @settings(max_examples=200, deadline=None)
 def test_sparse_rank_qq_matches_rational_rref(rows):
     # integral entries go in as ints; real denominators and pivots other
@@ -249,7 +281,7 @@ def test_sparse_rank_qq_is_exact_on_int_entries():
     assert sparse_rank(QQ, _sparse([[3, 9], [5, Fraction(46, 3)]])) == (2, ())
 
 
-@given(_matrices(SMALL) | _matrices(NO_UNITS))
+@given(_matrices(SMALL) | _matrices(NO_UNITS) | _long_sparse(WIDE))
 @settings(max_examples=200, deadline=None)
 def test_sparse_rank_zz_matches_smith_form(rows):
     # without unit entries the whole matrix is the remainder the Smith form sees
@@ -263,6 +295,9 @@ def test_sparse_rank_units_then_remainder():
     rows = [[1, 0, 0], [0, 2, 4], [0, 4, 6]]
     assert sparse_rank(ZZ, _sparse(rows)) == (3, (2, 2))
     assert sparse_rank(ZZ, _sparse([[2, 0], [0, 0]])) == (1, (2,))
+    # the last row pivots first; the second then has a unit and pivots; the
+    # first, reduced by it in a third round, is the remainder [2] (det 2)
+    assert sparse_rank(ZZ, _sparse([[2, 3, 0], [0, 3, 2], [0, 1, 1]])) == (3, (2,))
     assert sparse_rank(QQ, []) == (0, ())
     assert sparse_rank(GF(3), _sparse([[3, 6], [9, 0]])) == (0, ())
 

@@ -123,6 +123,27 @@ def test_moebius_table_matches_all_pairs_oracle(case):
     assert next(iter(table)) == x
 
 
+def oracle_covers(poset):
+    """Cover pairs by definition: x < y with no z strictly between, over
+    all pairs, in element order."""
+    els, leq = poset.elements, poset.leq
+    return [
+        (x, y)
+        for x in els
+        for y in els
+        if x != y and leq(x, y) and not any(z not in (x, y) and leq(x, z) and leq(z, y) for z in els)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets_with_an_element())
+@example((boolean_lattice(3), frozenset()))
+@example((divisor_lattice(60), 1))
+def test_covers_match_all_pairs_oracle(case):
+    poset = case[0]
+    assert poset.covers() == oracle_covers(poset)
+
+
 def test_moebius_sum_property():
     # sum_{x <= z <= y} mu(x, z) = 0 for x < y
     p = divisor_lattice(30)

@@ -396,6 +396,12 @@ CHORDED = SimplicialComplex.from_facets(
     [("z", x, y) for x, y in [("i", "j"), ("j", "k"), ("k", "l"), ("i", "l"), ("i", "k"), ("l", "w")]] + [("z", "m")],
 )
 
+# Links on high, non-adjacent bits of a 10-vertex complex, read without
+# relabeling: the link of 9 is the two disjoint edges {0, 5} and {2, 7}, the
+# link of 0 the edge {5, 9}; the tetrahedron on 1, 3, 4, 6 is relabeled and
+# eliminated, and 8 is an isolated point.
+SCATTERED = SimplicialComplex.from_facets(range(10), [(0, 5, 9), (2, 7, 9), (1, 3, 4, 6), (8,)])
+
 
 @settings(max_examples=60, deadline=None)
 @given(named_complexes())
@@ -405,6 +411,7 @@ CHORDED = SimplicialComplex.from_facets(
 @example(OCTAHEDRON)
 @example(TWO_TRIANGLES)
 @example(CHORDED)
+@example(SCATTERED)
 @example(SimplicialComplex.from_facets(["u", "s"], [("u", "s")]))
 def test_link_cohomology_matches_each_link(L):
     inside = frozenset(L.vertices[::2])
