@@ -188,11 +188,12 @@ class Flat:
 class IntersectionLattice:
     """Flats ordered by inclusion of closed sets (= reverse inclusion of
     subspaces), ranked by codimension.  Elements of ``poset`` are the
-    closed-set tuples; ``flats`` holds the full data per element.  Its
-    ``labels`` are the arrangement's: a reference back would be a cycle."""
+    closed-set tuples; ``flats`` holds the full data per element, and
+    ``lower_covers`` the kept cover relations: the flats each flat covers.
+    Its ``labels`` are the arrangement's: a reference back would be a cycle."""
 
-    def __init__(self, labels: tuple[str, ...], poset: FinitePoset, flats: Mapping[tuple[int, ...], Flat]) -> None:
-        self.labels, self.poset, self.flats = labels, poset, flats
+    def __init__(self, labels: tuple[str, ...], poset: FinitePoset, flats: Mapping, lower_covers: Mapping) -> None:
+        self.labels, self.poset, self.flats, self.lower_covers = labels, poset, flats, lower_covers
 
     @property
     def bottom(self) -> tuple[int, ...]:
@@ -238,7 +239,8 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
     are proportional; so each projective class of restrictions adds one
     cover, already closed.  The cover's rank is X's rank + 1, and its
     kernel basis is cut from X's by r in integers (:func:`_restrict`), so
-    no flat is eliminated from scratch and no fraction is formed.
+    no flat is eliminated from scratch and no fraction is formed.  Every
+    cover pair is found this way, once, and kept in ``lower_covers``.
     """
     lat = getattr(a, "_lattice", None)
     if lat is not None:
@@ -247,7 +249,7 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
         return lat
     identity = tuple(tuple(int(i == j) for j in range(a.n)) for i in range(a.n))
     seen: dict[tuple[int, ...], Flat] = {(): Flat((), 0, identity)}
-    relations: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    lower: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): []}
     frontier = [()]
     while frontier:
         nxt: set[tuple[int, ...]] = set()
@@ -262,15 +264,16 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
                     classes.setdefault(_primitive(r), []).append(h)
             for r, group in classes.items():
                 bigger = tuple(sorted(cs + tuple(group)))
-                relations.append((cs, bigger))
                 if bigger not in seen:
                     if len(seen) == max_flats:
                         raise ValueError(_past_limit(max_flats))
                     seen[bigger] = Flat(bigger, flat.rank + 1, _restrict(flat.kernel_basis, r))
                     nxt.add(bigger)
+                lower.setdefault(bigger, []).append(cs)
         frontier = sorted(nxt)
     elements = sorted(seen, key=lambda cs: (seen[cs].rank, cs))
-    lat = IntersectionLattice(a.labels, from_relations(elements, relations), seen)
+    poset = from_relations(elements, ((y, z) for z, ys in lower.items() for y in ys))
+    lat = IntersectionLattice(a.labels, poset, seen, lower)
     a._lattice = lat
     return lat
 

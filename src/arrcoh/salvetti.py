@@ -1,11 +1,12 @@
 """Combinatorial model of the complexified complement of a real arrangement.
 
 The faces of the real arrangement are the covectors of its oriented
-matroid: sign vectors with one entry per hyperplane.  Every covector is a
-composition of cocircuits, and the cocircuits are the two sign vectors of
-each line of the arrangement, so the faces come from a breadth-first
-closure with no linear programming (Bjorner, Las Vergnas, Sturmfels, White
-and Ziegler, *Oriented Matroids*, 1999).  The complement of the
+matroid: sign vectors with one entry per hyperplane.  The faces just above
+a face f are f composed with the cocircuits of its localization, one pair
+per flat that f's zero set covers in the intersection lattice, so the
+faces come from a breadth-first walk over the lattice's cover relations
+with no linear programming (Bjorner, Las Vergnas, Sturmfels, White and
+Ziegler, *Oriented Matroids*, 1999).  The complement of the
 complexified arrangement deformation-retracts onto a regular cell complex
 whose cells are pairs (face, adjacent chamber) (Salvetti, Invent. Math.
 88, 1987); its cellular cochain complex, twisted by one unit weight per
@@ -81,26 +82,6 @@ class FaceSystem:
         return tuple(f for f in self.faces if self.codim[f] == 0)
 
 
-def _cocircuits(a: Arrangement) -> list[SignVector]:
-    """Both sign vectors of each line of the arrangement.
-
-    A flat of rank ``a.rank - 1`` is a line modulo the common kernel of the
-    normals; any vector of the flat outside that kernel spans it, and the
-    signs of the normals on it form a cocircuit."""
-    lat = intersection_lattice(a)
-    rows = a.integral_normals
-    out = []
-    for cs in lat.poset.elements:
-        if lat.flats[cs].rank != a.rank - 1:
-            continue
-        for v in lat.flats[cs].kernel_basis:
-            y = tuple((d > 0) - (d < 0) for d in (sum(x * t for x, t in zip(row, v)) for row in rows))
-            if any(y):
-                out += [y, tuple(-s for s in y)]
-                break
-    return out
-
-
 def enumerate_faces(a: Arrangement) -> FaceSystem:
     """Every face of the real arrangement: those of :func:`_decone_side` and
     their mirrors.  g covers f exactly when -g covers -f, so the covers
@@ -116,37 +97,48 @@ def enumerate_faces(a: Arrangement) -> FaceSystem:
 
 def _decone_side(a: Arrangement) -> tuple[dict, dict]:
     """Codimensions and covers of the faces with sign 0 or +1 on hyperplane
-    0: the closure of the zero vector under composition with the
-    cocircuits, kept to that side, which holds every face below its faces.
-    If g covers f then g = f o y for a cocircuit y <= g, and f o y depends
-    only on y on f's zero set, so each distinct restriction is tried once.
-    ``MAX_FACES`` counts the mirror faces too, and so bounds the lattice;
-    the chamber count, twice this side's, is checked against pi(1)."""
+    0: a breadth-first walk up from the zero vector, kept to that side,
+    which holds every face below its faces.  The covers of a face f with
+    zero set Z are the cocircuits of its localization, composed with f:
+    for each flat Y that Z covers, the signs s of Z's hyperplanes on a
+    vector of Y outside Z are zero exactly on Y, and f o s and f o -s are
+    the two covers with zero set Y, of codimension rank(Y).  When f has
+    sign 0 on hyperplane 0, the one with s_0 < 0 lies on the other side.
+    The pairs (s, rank(Y)) depend on Z alone, so each zero set's are worked
+    out once, for the first face that has it.  ``MAX_FACES`` counts the
+    mirror faces too, and so bounds the lattice; the chamber count, twice
+    this side's, is checked against pi(1)."""
     lat = intersection_lattice(a, max_flats=MAX_FACES)
-    cocircuits = _cocircuits(a)
+    rows = a.integral_normals
     zero = (0,) * a.m
     codim: dict[SignVector, int] = {zero: lat.flats[lat.top].rank}
     covers: dict[SignVector, tuple[SignVector, ...]] = {}
-    fillings: dict[tuple[int, ...], set[SignVector]] = {}
+    steps: dict[tuple[int, ...], list] = {}
     total, queue = 1, [zero]
     for f in queue:
         z = tuple(i for i, s in enumerate(f) if s == 0)
-        fill = fillings.get(z)
-        if fill is None:  # z holds 0 iff f[0] = 0, and then y[0] < 0 would leave this side
-            fill = fillings[z] = {tuple(y[i] for i in z) for y in cocircuits if f[0] or y[0] >= 0} - {(0,) * len(z)}
+        step = steps.get(z)
+        if step is None:
+            step = steps[z] = []
+            for y in lat.lower_covers[z]:
+                for v in lat.flats[y].kernel_basis:  # some vector of Y lies outside Z
+                    s = [(d > 0) - (d < 0) for d in (sum(x * t for x, t in zip(rows[i], v)) for i in z)]
+                    if any(s):
+                        break
+                step.append((s, lat.flats[y].rank))
         up = []
-        for p in fill:
-            g = list(f)
-            for i, s in zip(z, p):
-                g[i] = s
-            g = tuple(g)
-            if g not in codim:
-                total += 1 + g[0]  # with its mirror when g[0] = +1
-                if total > MAX_FACES:
-                    raise ValueError(f"face enumeration stops at {MAX_FACES} faces; this arrangement has more")
-                codim[g] = lat.flats[tuple(i for i, s in zip(z, p) if s == 0)].rank
-                queue.append(g)
-            if codim[g] == codim[f] - 1:
+        for s, r in step:
+            for e in (1, -1) if f[0] or not s[0] else (s[0],):
+                g = list(f)
+                for i, t in zip(z, s):
+                    g[i] = e * t
+                g = tuple(g)
+                if g not in codim:
+                    total += 1 + g[0]  # with its mirror when g[0] = +1
+                    if total > MAX_FACES:
+                        raise ValueError(f"face enumeration stops at {MAX_FACES} faces; this arrangement has more")
+                    codim[g] = r
+                    queue.append(g)
                 up.append(g)
         covers[f] = tuple(sorted(up))
     if a.m >= 1:

@@ -227,16 +227,45 @@ def small_arrangements(draw):
     return Arrangement.from_rows(n, rows)
 
 
-BRAID_A3_ROWS = [[int(k == i) - int(k == j) for k in range(4)] for i, j in itertools.combinations(range(4), 2)]
+def braid_rows(k):
+    """x_i - x_j for i < j in C^(k+1): the braid arrangement A_k."""
+    return [[int(c == i) - int(c == j) for c in range(k + 1)] for i, j in itertools.combinations(range(k + 1), 2)]
+
+
+BRAID_A3_ROWS = braid_rows(3)
 PENCIL_IN_C3 = [[1, 1, 0], [1, -1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1]]  # rank 3, three planes share a line
+B3_ROWS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1]]
+B3_IN_C4 = [[a, b, c, a + b] for a, b, c in B3_ROWS]
+
+
+def _cocircuits(a):
+    """Both sign vectors of each line of the arrangement.
+
+    A flat of rank ``a.rank - 1`` is a line modulo the common kernel of the
+    normals; any vector of the flat outside that kernel spans it, and the
+    signs of the normals on it form a cocircuit."""
+    lat = intersection_lattice(a)
+    rows = a.integral_normals
+    out = []
+    for cs in lat.poset.elements:
+        if lat.flats[cs].rank != a.rank - 1:
+            continue
+        for v in lat.flats[cs].kernel_basis:
+            y = tuple((d > 0) - (d < 0) for d in (sum(x * t for x, t in zip(row, v)) for row in rows))
+            if any(y):
+                out += [y, tuple(-s for s in y)]
+                break
+    return out
 
 
 def unrestricted_closure(a):
     """Codimensions and covers of every face, from the closure of the zero
     vector under composition with the cocircuits on both sides of
-    hyperplane 0, with no mirror."""
+    hyperplane 0, with no mirror.  Every covector is a composition of
+    cocircuits, so this finds every face without the lattice's cover
+    relations, which :func:`salvetti._decone_side` walks."""
     lat = intersection_lattice(a)
-    cocircuits = salvetti._cocircuits(a)
+    cocircuits = _cocircuits(a)
     zero = (0,) * a.m
     codim, covers = {zero: lat.flats[lat.top].rank}, {}
     queue = [zero]
@@ -261,6 +290,33 @@ def assert_faces_match_unrestricted_closure(a):
     assert fs.faces == tuple(sorted(codim))
     assert dict(fs.codim) == codim
     assert dict(fs.covers) == covers
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        pytest.param(Arrangement.from_rows(5, braid_rows(4)), id="braid-a4"),
+        pytest.param(Arrangement.from_rows(4, [[1, k, k * k, k**3] for k in range(-4, 4)]), id="generic-8-planes-in-c4"),
+        pytest.param(Arrangement.from_rows(3, PENCIL_IN_C3), id="pencil-in-c3"),
+        # B3 (x_i, x_i +- x_j) read in C^4 through (a, b, c) -> (a, b, c, a + b):
+        # rank 3, every normal vanishes on (1, 1, 0, -1)
+        pytest.param(Arrangement.from_rows(4, B3_IN_C4), id="non-essential-b3-in-c4"),
+    ],
+)
+def test_faces_match_unrestricted_closure(a):
+    assert_faces_match_unrestricted_closure(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_arrangements())
+@example(Arrangement.from_rows(4, BRAID_A3_ROWS))
+@example(Arrangement.from_rows(3, PENCIL_IN_C3))
+def test_kept_lower_covers_are_the_cover_pairs(a):
+    lat = intersection_lattice(a)
+    assert set(lat.lower_covers) == set(lat.poset.elements)
+    pairs = [(y, z) for z, ys in lat.lower_covers.items() for y in ys]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(lat.poset.covers())
 
 
 @settings(max_examples=60, deadline=None)
