@@ -103,7 +103,7 @@ class EllipticArrangement:
             translations = [None] * len(rows)
         if labels is None:
             labels = [f"f{i + 1}" for i in range(len(rows))]
-        return cls(n, Matrix.from_rows(ZZ, rows), tuple(translations), tuple(labels))
+        return cls(n, Matrix.from_rows(ZZ, rows) if rows else Matrix.zeros(ZZ, 0, n), tuple(translations), tuple(labels))
 
     @property
     def m(self) -> int:

@@ -178,10 +178,10 @@ def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[
     The sweep takes the faces by cardinality, so each link lists its faces
     by cardinality too.  A link with no face of three vertices is {emptyset},
     a set of points or a graph: its cohomology is read off its own masks
-    (:func:`_graph_cohomology`), with no relabeling.  Any other link is
-    relabeled onto bits 0..m-1, its m vertices taken in the vertex order of
-    L, and eliminated once per distinct relabeled mask set (the link of
-    every face of a simplex is a simplex), with coboundaries straight from
+    (:func:`_graph_cohomology`), and one with m vertices and 2^m faces is a
+    simplex, acyclic: neither is relabeled.  Any other link is relabeled
+    onto bits 0..m-1, its m vertices in the vertex order of L, and
+    eliminated once per distinct relabeled mask set, with coboundaries from
     the masks (:meth:`FaceCoboundaries.from_levels`, with its d o d check).
     """
     levels, face_of = _face_index(L)
@@ -202,6 +202,9 @@ def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[
         m = bisect_right(faces, 1, key=int.bit_count) - 1
         if faces[-1].bit_count() < 3:
             table[face_of[s]] = _graph_cohomology(ring, faces, m)
+            continue
+        if len(faces) == 1 << m:  # a simplex on m >= 3 vertices: acyclic
+            table[face_of[s]] = CohomologyReport(ring, dict.fromkeys(range(-1, m), 0))
             continue
         # a face's new mask is that of the face without its least vertex,
         # plus that vertex's new bit
@@ -396,39 +399,46 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
     the same relabeling sorts the whole sequence below it, as merging more
     indices into a sorted sequence can only lower each of its positions.
     So no canonical key is computed and no class is met twice.
+
+    The test runs on masks of subset indices: C for the sequence and, per
+    relabeling, A for its image.  A and C agree below their lowest differing
+    index, so sorted(A) >= sorted(C) exactly when A = C or the lowest set bit
+    of A ^ C is in C.  An extension ORs one bit into C and, from a table per
+    subset, one into each A: one OR and one lowest-bit test per relabeling.
     """
     out: list[SimplicialComplex] = []
     for k in range(max_vertices + 1):
-        subsets = [s for r in range(k, 0, -1) for s in itertools.combinations(range(k), r)]
-        masks = [sum(1 << v for v in s) for s in subsets]
+        masks = [sum(1 << v for v in s) for r in range(k, 0, -1) for s in itertools.combinations(range(k), r)]
         index = {m: i for i, m in enumerate(masks)}
-        # each relabeling but the identity, as its action on subset indices
-        actions = [
-            [index[sum(1 << perm[v] for v in s)] for s in subsets]
-            for perm in itertools.islice(itertools.permutations(range(k)), 1, None)
-        ]
-        full = (1 << k) - 1
-        found: list[list[int]] = []
+        face = [frozenset(v for v in range(k) if m >> v & 1) for m in range(1 << k)]
+        perms = list(itertools.islice(itertools.permutations(range(k)), 1, None))
+        # per subset: its image bit under each relabeling but the identity
+        image_bits = [[1 << index[sum(1 << p[v] for v in face[m])] for p in perms] for m in masks]
+        above = [sum(1 << t for t in range(i) if m & masks[t] == m) for i, m in enumerate(masks)]
+        found: list[int] = []
 
-        def grow(chosen: list[int], covered: int) -> None:
+        def grow(chosen: int, images: list[int], uncovered: int, start: int) -> None:
             # least sequences in preorder, which is lexicographic order
-            if covered == full:
-                found.append(list(chosen))
-            for idx in range(chosen[-1] + 1 if chosen else 0, len(masks)):
-                s = masks[idx]
-                # an earlier subset is no smaller, so only s <= t can fail
-                if any(s & masks[t] == s for t in chosen):
+            if not uncovered:
+                found.append(chosen)
+            for idx in range(start, len(masks)):
+                # an earlier subset is no smaller: only those above it can clash
+                if above[idx] & chosen:
                     continue
-                chosen.append(idx)
-                if all(sorted(map(act.__getitem__, chosen)) >= chosen for act in actions):
-                    grow(chosen, covered | s)
-                chosen.pop()
+                c = chosen | 1 << idx
+                new = [a | b for a, b in zip(images, image_bits[idx])]
+                # an image sorts below c when the lowest differing bit is its own
+                if not any((x := a ^ c) & -x & a for a in new):
+                    grow(c, new, uncovered & ~masks[idx], idx + 1)
 
-        grow([], 0)
+        grow(0, [0] * len(perms), (1 << k) - 1, 0)
         del grow  # the closure refers to itself: a cycle only the cyclic GC frees
         # built after the search: interleaved with its short-lived objects, the
         # complexes fragment the allocator's arenas and peak memory grows per call
-        out.extend(SimplicialComplex.from_facets(tuple(range(k)), [subsets[i] for i in f] or [()]) for f in found)
+        below = [[f for f in range(1 << k) if f & m == f] for m in masks]
+        for chosen in found:
+            closed = {0}.union(*(below[i] for i in range(len(masks)) if chosen >> i & 1))
+            out.append(SimplicialComplex._closed(range(k), frozenset(map(face.__getitem__, closed))))
     return out
 
 

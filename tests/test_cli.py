@@ -464,6 +464,21 @@ def test_ell_certify(files, capsys):
     assert json.loads(out)["concentration"] is None
 
 
+def test_elliptic_arrangement_with_no_rows(files, capsys):
+    # no rows in E^1: analyzed as the whole curve, refused by the verbs that need more
+    empty = {"n": 1, "rows": [], "weights": {"field": {"kind": "prime", "p": 7}, "q": {}}}
+    path = files("e.json", empty)
+    code, out, err = run(capsys, ["ell-analyze", path])
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["corank"] == 1 and obj["essential"] is False
+    refusals = {"ell-certify": "certificates require an essential arrangement", "ell-convenient": "input needs a character"}
+    for verb, message in refusals.items():
+        code, out, err = run(capsys, [verb, path])
+        assert code == 2 and out == ""
+        assert _one_error_line(err) and message in err
+
+
 def test_elliptic_candidate_limit_is_input_error(files, capsys, monkeypatch):
     weights = {"field": {"kind": "prime", "p": 101}, "q": {"f1": 2, "f2": 3, "f3": 4, "f4": 5}}
     # rows 2x and 2y in E^2: 1 + 4 + 4 + 16 = 25 candidate components

@@ -135,6 +135,15 @@ def test_analyze_corank():
     assert rep.homotopy_dim == 3
 
 
+def test_empty_row_list_keeps_the_ambient_columns():
+    # the empty matrix still has n columns: the whole product, of corank n
+    a = EllipticArrangement.from_rows(2, [])
+    assert (a.m, a.rows.nrows, a.rows.ncols, a.rank) == (0, 0, 2, 0)
+    rep = analyze(a)
+    assert rep.corank == 2 and not rep.essential
+    assert EllipticArrangement.from_json(a.to_json()) == a
+
+
 def test_analyze_unimodular_pair_with_bad_subset():
     # each row is primitive, yet together they span index 3
     rep = analyze(EllipticArrangement.from_rows(2, [[1, 2], [2, 1]]))

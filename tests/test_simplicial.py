@@ -291,6 +291,33 @@ def test_enumeration_matches_key_dict_oracle():
     assert got == [(cx.vertices, cx.facets()) for cx in key_dict_enumeration(5)]
 
 
+def test_enumerated_complexes_equal_their_checked_construction():
+    # each representative is closed unchecked from its facet masks
+    for cx in enumerate_complexes(5):
+        ref = SimplicialComplex.from_facets(cx.vertices, cx.facets())
+        assert (cx.vertices, cx.faces, cx._vindex) == (ref.vertices, ref.faces, ref._vindex)
+
+
+@st.composite
+def equal_size_index_sets(draw):
+    size = draw(st.integers(0, 31))
+    return [sorted(draw(st.permutations(range(31)))[:size]) for _ in range(2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_size_index_sets())
+@example([[0, 5], [1, 2]])
+@example([[1, 2], [0, 5]])
+@example([[3, 4, 9], [3, 4, 9]])
+def test_lowest_differing_bit_orders_equal_size_sequences(pair):
+    # the search's canonicity test: the image A sorts below the sequence C
+    # exactly when the lowest bit of A ^ C is in A
+    A, C = pair
+    a, c = sum(1 << i for i in A), sum(1 << i for i in C)
+    x = a ^ c
+    assert (not x & -x & a) == (A >= C)
+
+
 def brute_force_key(n, facets):
     """Reference key: the lex-min facet encoding over all n! relabelings."""
     best = None
@@ -401,6 +428,11 @@ CHORDED = SimplicialComplex.from_facets(
 # link of 0 the edge {5, 9}; the tetrahedron on 1, 3, 4, 6 is relabeled and
 # eliminated, and 8 is an isolated point.
 SCATTERED = SimplicialComplex.from_facets(range(10), [(0, 5, 9), (2, 7, 9), (1, 3, 4, 6), (8,)])
+# Simplex links, read in closed form, next to links that are not simplices:
+# two tetrahedra sharing the edge {0, 1}.  The link of 2 is the triangle
+# {0, 1, 3}; the link of 0 is two triangles sharing 1, with 5 vertices and
+# fewer than 2^5 faces; the link of {0, 1} is two disjoint edges.
+TETRAHEDRA = SimplicialComplex.from_facets(range(6), [(0, 1, 2, 3), (0, 1, 4, 5)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,6 +445,8 @@ SCATTERED = SimplicialComplex.from_facets(range(10), [(0, 5, 9), (2, 7, 9), (1, 
 @example(CHORDED)
 @example(SCATTERED)
 @example(SimplicialComplex.from_facets(["u", "s"], [("u", "s")]))
+@example(full_simplex(5))
+@example(TETRAHEDRA)
 def test_link_cohomology_matches_each_link(L):
     inside = frozenset(L.vertices[::2])
     for ring in (ZZ, QQ, GF(2), GF(101)):
