@@ -39,7 +39,6 @@ _EXPORTS = {  # exported name -> the module that defines it
     "convenient_check": "elliptic",
     "elliptic_vanishing_certificate": "elliptic",
     "enumerate_strata": "elliptic",
-    "tangent_arrangement": "elliptic",
     "GF": "linalg",
     "QQ": "linalg",
     "RankOneSystem": "linalg",
@@ -54,7 +53,6 @@ _EXPORTS = {  # exported name -> the module that defines it
     "link": "simplicial",
     "reduced_cohomology": "simplicial",
     "ToricComplex": "toric",
-    "cover_nerve": "toric",
     "toric_cohomology": "toric",
     "toric_e2_page": "toric",
     "verify_cm_theorem": "toric",

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from arrcoh.linalg import QQ, ZZ, InternalError, Matrix, RankOneSystem, sparse_rank
-from arrcoh.poset import FinitePoset, from_relations, moebius_table
+from arrcoh.poset import FinitePoset, moebius_table
 
 if TYPE_CHECKING:
     from arrcoh.covers import E2Support
@@ -209,18 +209,20 @@ class IntersectionLattice:
         return moebius_table(self.poset, self.bottom)
 
     def to_json(self) -> dict:
-        labels = self.labels
+        """The flats in the poset's element order, and the kept cover pairs
+        [lower, upper], sorted by that order of the lower, then the upper."""
+        labels, elements = self.labels, self.poset.elements
+        index = {cs: i for i, cs in enumerate(elements)}
+        pairs = sorted((index[y], index[z]) for z, ys in self.lower_covers.items() for y in ys)
         return {
             "flats": [
                 {
                     "hyperplanes": [labels[i] for i in cs],
                     "rank": self.flats[cs].rank,
                 }
-                for cs in self.poset.elements
+                for cs in elements
             ],
-            "covers": [
-                [[labels[i] for i in a], [labels[i] for i in b]] for a, b in self.poset.covers()
-            ],
+            "covers": [[[labels[i] for i in elements[y]], [labels[i] for i in elements[z]]] for y, z in pairs],
         }
 
 
@@ -272,7 +274,7 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
                 lower.setdefault(bigger, []).append(cs)
         frontier = sorted(nxt)
     elements = sorted(seen, key=lambda cs: (seen[cs].rank, cs))
-    poset = from_relations(elements, ((y, z) for z, ys in lower.items() for y in ys))
+    poset = FinitePoset(elements, ((y, z) for z, ys in lower.items() for y in ys))
     lat = IntersectionLattice(a.labels, poset, seen, lower)
     a._lattice = lat
     return lat

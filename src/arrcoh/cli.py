@@ -364,7 +364,7 @@ def _run_ell_certify(args):
 
 def _run_covers_validate(args):
     from arrcoh.covers import MAX_WITNESSES, CoverDescription, build_nerve, validate_cover
-    from arrcoh.poset import from_relations
+    from arrcoh.poset import FinitePoset
 
     obj = _load(args.cover)
     try:
@@ -384,7 +384,7 @@ def _run_covers_validate(args):
         if labs not in nerve_elems:
             raise ValueError(f"phi key {sorted(labs)} is not a nerve element")
         phi[labs] = img
-    poset = from_relations(pelems, rels)
+    poset = FinitePoset(pelems, rels)
     verdict = validate_cover(CoverDescription(nerve, poset, rho, phi, keys))
     report = verdict.to_json()
     table = [f"valid: {'yes' if verdict.valid else 'no'}", f"homotopy condition: {verdict.condition2}"]

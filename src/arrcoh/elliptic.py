@@ -46,7 +46,6 @@ __all__ = [
     "EllipticComponent",
     "components",
     "enumerate_strata",
-    "tangent_arrangement",
     "ConvenientVerdict",
     "convenient_check",
     "elliptic_vanishing_certificate",
@@ -68,6 +67,8 @@ class EllipticArrangement:
 
     def __init__(self, n: int, rows: Matrix, translations: tuple, labels: tuple[str, ...]) -> None:
         self.n, self.rows, self.translations, self.labels = n, rows, translations, labels
+        if n < 0:
+            raise ValueError(f"the number of curve factors must be nonnegative, got {n}")
         if rows.ncols != n:
             raise ValueError(f"rows have {rows.ncols} columns, ambient has {n} factors")
         if len(labels) != rows.nrows or len(translations) != rows.nrows:
@@ -387,13 +388,6 @@ def _tangent_data(
     else:
         arr = Arrangement(a.n, Matrix.zeros(QQ, 0, a.n), ())
     return arr, [groups[d] for d in directions]
-
-
-def tangent_arrangement(a: EllipticArrangement, X: EllipticComponent) -> Arrangement:
-    """The rational hyperplane arrangement tangent to the elliptic one
-    at the component: one linear hyperplane in C^n per tangent direction
-    of a hypersurface containing the component."""
-    return _tangent_data(a, X, _closure(a, smith_normal_form(a.submatrix(X.rows))))[0]
 
 
 class ConvenientVerdict(NamedTuple):

@@ -1,5 +1,5 @@
-"""Finite posets: closure from relations, cover pairs, the Moebius function
-and rank validation.
+"""Finite posets: closure from relations, the Moebius function and rank
+validation.
 
 Elements are arbitrary hashable labels; all iteration orders are the
 insertion order of the element list, so every derived object is
@@ -12,7 +12,6 @@ from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "FinitePoset",
-    "from_relations",
     "from_leq",
     "moebius_table",
     "validate_ranked",
@@ -21,11 +20,9 @@ __all__ = [
 
 
 class FinitePoset:
-    """An explicit finite poset with precomputed reachability.
-
-    Use :func:`from_relations` to build one; the constructor expects the
-    relation pairs to already be consistent (it closes transitively and
-    rejects cycles).
+    """An explicit finite poset with precomputed reachability, built from
+    arbitrary (x <= y) pairs: the constructor closes them transitively and
+    rejects duplicate elements, pairs on unknown elements, and cycles.
     """
 
     def __init__(self, elements: Sequence[Hashable], relations: Iterable[tuple[Hashable, Hashable]]):
@@ -55,7 +52,6 @@ class FinitePoset:
                         stack.append(w)
             above.append(frozenset(seen))
         self._above = above  # strict upper sets, as index sets
-        self._covers: list[tuple[int, int]] | None = None
 
     # --- basic queries ----------------------------------------------------
 
@@ -73,20 +69,8 @@ class FinitePoset:
         """The elements y with x < y, in element order."""
         return [self.elements[j] for j in sorted(self._above[self._index[x]])]
 
-    def covers(self) -> list[tuple, ]:
-        """Cover pairs (x, y) with x < y and nothing in between: up(x) less the up(z), z in up(x)."""
-        if self._covers is None:
-            above = self._above
-            self._covers = sorted((i, j) for i, up in enumerate(above) for j in up.difference(*map(above.__getitem__, up)))
-        return [(self.elements[i], self.elements[j]) for i, j in self._covers]
-
     def __repr__(self) -> str:
         return f"FinitePoset({len(self.elements)} elements)"
-
-
-def from_relations(elements: Sequence[Hashable], relations: Iterable[tuple[Hashable, Hashable]]) -> FinitePoset:
-    """Build a poset from arbitrary (x <= y) pairs; cycles are rejected."""
-    return FinitePoset(elements, relations)
 
 
 def from_leq(elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]) -> FinitePoset:

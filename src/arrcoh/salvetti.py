@@ -72,10 +72,10 @@ class FaceSystem:
     f; ``covers[f]`` lists, in sorted order, the faces one codimension more
     generic with f in their closure."""
 
-    __slots__ = ("arrangement", "faces", "codim", "covers")
+    __slots__ = ("faces", "codim", "covers")
 
-    def __init__(self, arrangement: Arrangement, faces: tuple, codim: Mapping[SignVector, int], covers: Mapping) -> None:
-        self.arrangement, self.faces, self.codim, self.covers = arrangement, faces, codim, covers
+    def __init__(self, faces: tuple, codim: Mapping[SignVector, int], covers: Mapping) -> None:
+        self.faces, self.codim, self.covers = faces, codim, covers
 
     @property
     def chambers(self) -> tuple[SignVector, ...]:
@@ -92,7 +92,7 @@ def enumerate_faces(a: Arrangement) -> FaceSystem:
     covers = {f: list(up) for f, up in half.items()}
     for f, g in mirror.items():
         covers.setdefault(g, []).extend(mirror[h] for h in half[f] if h[0] > 0)
-    return FaceSystem(a, tuple(sorted(codim)), codim, {f: tuple(sorted(up)) for f, up in covers.items()})
+    return FaceSystem(tuple(sorted(codim)), codim, {f: tuple(sorted(up)) for f, up in covers.items()})
 
 
 def _decone_side(a: Arrangement) -> tuple[dict, dict]:
@@ -157,10 +157,10 @@ class SalvettiComplex:
     base chamber; a weight system turns the crossing set into a monomial.
     """
 
-    __slots__ = ("face_system", "cells_by_dim", "boundary")
+    __slots__ = ("cells_by_dim", "boundary")
 
-    def __init__(self, face_system: FaceSystem, cells_by_dim: tuple[tuple[Cell, ...], ...], boundary: Mapping) -> None:
-        self.face_system, self.cells_by_dim, self.boundary = face_system, cells_by_dim, boundary
+    def __init__(self, cells_by_dim: tuple[tuple[Cell, ...], ...], boundary: Mapping) -> None:
+        self.cells_by_dim, self.boundary = cells_by_dim, boundary
 
     @property
     def dim(self) -> int:
@@ -170,8 +170,8 @@ class SalvettiComplex:
         return [len(cells) for cells in self.cells_by_dim]
 
 
-def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComplex:
-    """Assemble the cell complex and a consistent incidence sign function.
+def build_salvetti(fs: FaceSystem) -> SalvettiComplex:
+    """Assemble the cell complex of ``fs`` and a consistent incidence sign function.
 
     The facets of a cell (f, c) are the cells (g, g o c) for the covers g
     of f, and the cell's incidence signs are those of its face f, one per
@@ -184,10 +184,9 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
     checks.
 
     >>> three_lines = Arrangement.from_rows(2, [[1, 0], [0, 1], [1, 1]])
-    >>> build_salvetti(three_lines).cell_counts()
+    >>> build_salvetti(enumerate_faces(three_lines)).cell_counts()
     [6, 12, 6]
     """
-    fs = fs or enumerate_faces(a)
     chambers = fs.chambers
     base = min(chambers)
     # the chambers above a face are the chambers above its covers
@@ -241,7 +240,7 @@ def build_salvetti(a: Arrangement, fs: FaceSystem | None = None) -> SalvettiComp
                     crossed = away[c] - away[y]
                     entries.append(((g, y), e, crossings.setdefault(crossed, crossed)))
                 boundary[cell] = tuple(entries)
-    return SalvettiComplex(fs, cells_by_dim, boundary)
+    return SalvettiComplex(cells_by_dim, boundary)
 
 
 def _face_signs(first: Cell, covers: tuple, covers_of: Mapping, signs: Mapping) -> tuple[int, ...]:
@@ -368,7 +367,7 @@ def twisted_cohomology(a: Arrangement, sys: RankOneSystem) -> SalvettiReport:
     _, beta = poincare_and_beta(a)
     if chi != beta:
         raise InternalError(f"the decone's Salvetti complex has Euler characteristic {chi}, not beta = {beta}")
-    sal = build_salvetti(a, FaceSystem(a, half, {f: codim[f] for f in half}, covers))
+    sal = build_salvetti(FaceSystem(half, {f: codim[f] for f in half}, covers))
     report = complex_cohomology(twisted_complex(sal, sys))
     u = tuple(report.betti(d) for d in range(top))
     if not sys.is_projective:

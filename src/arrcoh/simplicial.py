@@ -320,18 +320,14 @@ class FaceCoboundaries:
         return CochainComplexData(ring, {c + shift: n for c, n in enumerate(self.counts)}, rows)
 
 
-def reduced_cochain_complex(L: SimplicialComplex, ring: Ring) -> CochainComplexData:
-    """Augmented simplicial cochain complex; degree k has basis the k-faces
-    (cardinality k+1), with the empty face in degree -1."""
-    return FaceCoboundaries.of(L).specialize(ring, [1] * len(L.vertices), shift=-1)
-
-
 def reduced_cohomology(L: SimplicialComplex, ring: Ring = ZZ) -> CohomologyReport:
-    """Reduced simplicial cohomology of a nonvoid complex.
+    """Reduced simplicial cohomology of a nonvoid complex, from the
+    augmented cochain complex: degree k has basis the k-faces (cardinality
+    k+1), with the empty face in degree -1.
 
     The irrelevant complex {emptyset} reports rank 1 in degree -1.
     """
-    return complex_cohomology(reduced_cochain_complex(L, ring))
+    return complex_cohomology(FaceCoboundaries.of(L).specialize(ring, [1] * len(L.vertices), shift=-1))
 
 
 class CMVerdict(NamedTuple):

@@ -34,13 +34,12 @@ from arrcoh.simplicial import (
 )
 
 if TYPE_CHECKING:
-    from arrcoh.covers import CoverDescription, E2Support
+    from arrcoh.covers import E2Support
 
 __all__ = [
     "ToricComplex",
     "twisted_cochain",
     "toric_cohomology",
-    "cover_nerve",
     "toric_e2_page",
     "verify_cm_theorem",
     "ToricCmReport",
@@ -98,29 +97,6 @@ def twisted_cochain(tc: ToricComplex, sys: RankOneSystem) -> CochainComplexData:
 
 def toric_cohomology(tc: ToricComplex, sys: RankOneSystem) -> CohomologyReport:
     return complex_cohomology(twisted_cochain(tc, sys))
-
-
-def cover_nerve(tc: ToricComplex) -> CoverDescription:
-    """Cover of the space by the subtori of the facets.
-
-    Nerve elements are facet subsets whose faces share a vertex; the
-    shared face is both the intersection key and the target of phi, so
-    fibers carry constant keys and validation certifies the homotopy
-    condition (each intersection piece is itself a subtorus).
-    """
-    from arrcoh.covers import CoverDescription, build_nerve
-    from arrcoh.poset import from_relations
-
-    facets = tc.base.facets()
-    nerve, keys = build_nerve({f: frozenset(f) for f in facets})
-    images = sorted(set(keys.values()), key=lambda s: (-len(s), tuple(sorted(map(str, s)))))
-    # an image is the intersection of the facets that contain it, so adding
-    # those facets one at a time links it to every image inside it
-    covers = [(keys[s - {f}], keys[s]) for s in nerve.elements if len(s) > 1 for f in s]
-    poset = from_relations(images, covers)
-    rho = {x: -len(x) for x in images}
-    phi = dict(keys)
-    return CoverDescription(nerve, poset, rho, phi, keys=keys)
 
 
 def toric_e2_page(tc: ToricComplex, sys: RankOneSystem) -> E2Support:

@@ -522,7 +522,7 @@ def test_c11_braid_a4():
     fs = enumerate_faces(a)
     assert len(fs.faces) == 541
     assert len(fs.chambers) == 120  # |S_5|
-    sal = build_salvetti(a, fs)
+    sal = build_salvetti(fs)
     assert sal.cell_counts() == [120, 480, 720, 480, 120]
 
     pi, beta = poincare_and_beta(a)

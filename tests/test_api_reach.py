@@ -1,9 +1,10 @@
 """Every public name is reached by something other than the tests.
 
-A name listed in a module's ``__all__`` must be exported from
-``arrcoh/__init__.py``, referenced in another place under ``src/arrcoh``,
-named in README.md, or used by the benchmark under ``perfbench/``.  A name
-that only tests reach is code no user can rely on: delete it instead.
+A name listed in a module's ``__all__`` must be referenced in another
+place under ``src/arrcoh``, named in README.md, or used by the benchmark
+under ``perfbench/``.  An entry in the export table of ``arrcoh/__init__.py``
+is a string, not a reference, so exporting a name does not reach it.  A
+name that only tests reach is code no user can rely on: delete it instead.
 A module-level private function or class (``_name``) must be referenced
 under ``src/arrcoh`` outside its own definition, so an oracle that only
 tests use lives in ``tests/``.  A public method or property of a class
@@ -16,8 +17,6 @@ import ast
 import functools
 import re
 from pathlib import Path
-
-import arrcoh
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "arrcoh"
@@ -74,17 +73,17 @@ def _named_outside_src(name: str) -> bool:
     return re.search(rf"\b{re.escape(name)}\b", _outside_src()) is not None
 
 
-def unreached_public_names() -> list[str]:
-    trees = _trees()
-    exported = set(arrcoh.__all__)
+def unreached_public_names(package: Path = PACKAGE) -> list[str]:
+    """The ``__all__`` names of the modules of ``package`` that nothing in
+    it references outside their own definition, and that README.md and
+    ``perfbench/`` do not name; the package's export table does not count."""
+    trees = _trees(package)
     offenders = []
     for path, tree in trees.items():
         if path.name == "__init__.py":
             continue
         for name in _all_names(tree):
-            if name in exported or _named_outside_src(name):
-                continue
-            if not _reached_in_src(trees, path, name):
+            if not _named_outside_src(name) and not _reached_in_src(trees, path, name):
                 offenders.append(f"{path.name}: {name}")
     return offenders
 
@@ -131,6 +130,20 @@ def unreached_public_members(package: Path = PACKAGE) -> list[str]:
 
 def test_every_public_name_is_reached():
     assert unreached_public_names() == []
+
+
+def test_public_rule_does_not_count_an_export(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        '_EXPORTS = {"exported_orphan": "mod", "exported_used": "mod"}\n', encoding="utf-8"
+    )
+    (tmp_path / "mod.py").write_text(
+        '__all__ = ["exported_orphan", "exported_used"]\n\n\n'
+        "def exported_orphan():\n    return exported_orphan\n\n\n"
+        "def exported_used():\n    return 2\n\n\n"
+        "VALUE = exported_used()\n",
+        encoding="utf-8",
+    )
+    assert unreached_public_names(tmp_path) == ["mod.py: exported_orphan"]
 
 
 def test_every_private_helper_is_reached_from_src():

@@ -533,6 +533,9 @@ LINE1 = {"n": 1, "hyperplanes": [{"label": "a", "normal": ["1"]}]}
         (["arr-nested", "a.json"], "no nested-set complex"),
         (["arr-vanish", "a.json", "w.json", "--include-top", "--certificate"], "no nested-set complex"),
         (["arr-salvetti", "neg.json"], "ambient dimension must be nonnegative"),
+        (["ell-analyze", "eneg.json"], "number of curve factors must be nonnegative, got -1"),
+        (["ell-convenient", "eneg.json"], "number of curve factors must be nonnegative, got -1"),
+        (["ell-certify", "eneg.json"], "number of curve factors must be nonnegative, got -1"),
     ],
 )
 def test_empty_or_negative_arrangement_is_input_error(files, capsys, argv, message):
@@ -540,6 +543,7 @@ def test_empty_or_negative_arrangement_is_input_error(files, capsys, argv, messa
         "a.json": files("a.json", EMPTY),
         "w.json": files("w.json", W_EMPTY),
         "neg.json": files("neg.json", dict(EMPTY, n=-1)),
+        "eneg.json": files("eneg.json", {"n": -1, "rows": []}),
     }
     code, out, err = run(capsys, [paths.get(x, x) for x in argv])
     assert code == 2 and out == ""

@@ -17,7 +17,7 @@ from arrcoh.covers import (
     support_certificate,
     validate_cover,
 )
-from arrcoh.poset import from_relations
+from arrcoh.poset import FinitePoset
 
 
 def test_nerve_pairwise_meeting_empty_triple():
@@ -63,7 +63,7 @@ def test_nerve_matches_all_subsets_in_order(pools):
 def _two_set_cover():
     sets = {"U1": frozenset({1, 2}), "U2": frozenset({2, 3})}
     nerve, keys = build_nerve(sets)
-    poset = from_relations(["x", "y"], [("x", "y")])
+    poset = FinitePoset(["x", "y"], [("x", "y")])
     phi = {
         frozenset({"U1"}): "x",
         frozenset({"U2"}): "x",
@@ -92,9 +92,24 @@ def test_validate_cover_assumed_with_nonconstant_fiber_keys():
 def test_validate_cover_certified_with_constant_fiber_keys():
     sets = {"U1": frozenset({1, 2}), "U2": frozenset({1, 2})}
     nerve, keys = build_nerve(sets)
-    poset = from_relations(["x"], [])
+    poset = FinitePoset(["x"], [])
     phi = {s: "x" for s in nerve.elements}
     v = validate_cover(CoverDescription(nerve, poset, {"x": 0}, phi, keys=keys))
+    assert v.valid and v.condition2 == "certified"
+    assert v.assumptions == ()
+
+
+def test_validate_cover_certified_on_the_triangle_boundary():
+    # the boundary of a triangle covered by its three edges: two edges meet
+    # in a vertex, all three in nothing; phi sends each nerve element to
+    # its intersection, ordered by reverse inclusion and ranked by -size,
+    # so each of the six fibers carries one key
+    edges = {"a": frozenset({1, 2}), "b": frozenset({2, 3}), "c": frozenset({1, 3})}
+    nerve, keys = build_nerve(edges)
+    vertices = [frozenset({v}) for v in (1, 2, 3)]
+    poset = FinitePoset([*edges.values(), *vertices], [(e, v) for e in edges.values() for v in vertices if v <= e])
+    rho = {x: -len(x) for x in poset.elements}
+    v = validate_cover(CoverDescription(nerve, poset, rho, dict(keys), keys=keys))
     assert v.valid and v.condition2 == "certified"
     assert v.assumptions == ()
 
@@ -103,7 +118,7 @@ def test_validate_cover_condition3_failure():
     sets = {"U1": frozenset({1}), "U2": frozenset({1})}
     nerve, keys = build_nerve(sets)
     # equal keys on a comparable pair, yet phi separates them
-    poset = from_relations(["x", "y"], [("x", "y")])
+    poset = FinitePoset(["x", "y"], [("x", "y")])
     phi = {
         frozenset({"U1"}): "x",
         frozenset({"U2"}): "x",
@@ -135,7 +150,7 @@ def test_validate_cover_not_order_preserving():
 
 def test_validate_cover_not_surjective():
     nerve, keys, poset, phi, rho = _two_set_cover()
-    poset = from_relations(["x", "y", "z"], [("x", "y")])
+    poset = FinitePoset(["x", "y", "z"], [("x", "y")])
     v = validate_cover(CoverDescription(nerve, poset, {"x": 0, "y": 1, "z": 0}, phi))
     assert not v.valid
     assert any(code == "phi-not-surjective" for code, _ in v.failures)
@@ -168,7 +183,7 @@ def test_validate_cover_pair_checks_match_all_pairs(pools, k, data):
     nerve, keys = build_nerve({f"U{i}": s for i, s in enumerate(pools)})
     elements = [f"p{i}" for i in range(k)]
     below = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
-    poset = from_relations(elements, [(elements[i], elements[j]) for i, j in below if i < j])
+    poset = FinitePoset(elements, [(elements[i], elements[j]) for i, j in below if i < j])
     rho = {x: data.draw(st.integers(0, 3)) for x in elements}
     phi = {s: data.draw(st.sampled_from(elements)) for s in nerve.elements}
     cover = CoverDescription(nerve, poset, rho, phi, keys if data.draw(st.booleans()) else None)

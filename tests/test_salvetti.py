@@ -27,6 +27,7 @@ from arrcoh.salvetti import (
     twisted_cohomology,
     twisted_complex,
 )
+from test_poset import oracle_covers
 
 
 def three_generic_lines():
@@ -72,21 +73,21 @@ def test_faces_braid_a3():
 
 
 def test_cells_three_lines():
-    sal = build_salvetti(three_generic_lines())
+    sal = build_salvetti(enumerate_faces(three_generic_lines()))
     assert sal.cell_counts() == [6, 12, 6]
     assert sum((-1) ** d * c for d, c in enumerate(sal.cell_counts())) == 0
     assert sal.dim == 2
 
 
 def test_cells_braid_a3():
-    sal = build_salvetti(braid_a3_essential())
+    sal = build_salvetti(enumerate_faces(braid_a3_essential()))
     assert sal.cell_counts() == [24, 72, 72, 24]
     assert sum((-1) ** d * c for d, c in enumerate(sal.cell_counts())) == 0
 
 
 def test_cells_b2():
     b2 = Arrangement.from_rows(2, [[1, 0], [0, 1], [1, 1], [1, -1]])
-    sal = build_salvetti(b2)
+    sal = build_salvetti(enumerate_faces(b2))
     assert sal.cell_counts() == [8, 16, 8]
     pi, _ = poincare_and_beta(b2)
     rep = twisted_cohomology(b2, untwisted(QQ, 4))
@@ -106,13 +107,13 @@ def test_caps_enforced(monkeypatch):
     assert twisted_cohomology(lines(9), untwisted(QQ, 9)).full_betti == (1, 9, 8)
     # 86 lines have only 345 faces, but 4 * 86^2 + 8 * 86 incidences
     with pytest.raises(ValueError, match=f"stops at {MAX_INCIDENCES} boundary incidences; this one needs 30272"):
-        build_salvetti(lines(86))
+        build_salvetti(enumerate_faces(lines(86)))
     # each limit admits exactly its value; m lines have 2m two-cells with
     # 2m facets each and 4m edges with 2 each
     monkeypatch.setattr(salvetti, "MAX_INCIDENCES", 4 * 9 * 9 + 8 * 9)
-    build_salvetti(lines(9))
+    build_salvetti(enumerate_faces(lines(9)))
     with pytest.raises(ValueError, match="stops at 396 boundary incidences; this one needs 480"):
-        build_salvetti(lines(10))
+        build_salvetti(enumerate_faces(lines(10)))
     monkeypatch.setattr(salvetti, "MAX_FACES", 37)
     assert len(enumerate_faces(lines(9)).faces) == 37
     with pytest.raises(ValueError, match="stops at 37 faces"):
@@ -153,7 +154,7 @@ def test_default_limits_admit_generic_8_planes_in_c4():
     a = Arrangement.from_rows(4, [[1, k, k * k, k**3] for k in range(-4, 4)])
     fs = enumerate_faces(a)
     assert len(fs.faces) == 929 <= MAX_FACES
-    sal = build_salvetti(a, fs)
+    sal = build_salvetti(fs)
     assert sum(sal.cell_counts()) == 3200
     assert sum(len(facets) for facets in sal.boundary.values()) == 26496 <= MAX_INCIDENCES
 
@@ -316,7 +317,17 @@ def test_kept_lower_covers_are_the_cover_pairs(a):
     assert set(lat.lower_covers) == set(lat.poset.elements)
     pairs = [(y, z) for z, ys in lat.lower_covers.items() for y in ys]
     assert len(pairs) == len(set(pairs))
-    assert set(pairs) == set(lat.poset.covers())
+    assert set(pairs) == set(oracle_covers(lat.poset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_arrangements())
+@example(Arrangement.from_rows(4, BRAID_A3_ROWS))
+@example(Arrangement.from_rows(3, PENCIL_IN_C3))
+def test_lattice_json_covers_are_the_cover_pairs_in_element_order(a):
+    lat = intersection_lattice(a)
+    covers = [[[a.labels[i] for i in cs] for cs in pair] for pair in oracle_covers(lat.poset)]
+    assert lat.to_json()["covers"] == covers
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,7 +360,7 @@ def full_complex_reference(a, sys_):
     """Cell counts and twisted Betti numbers from the full Salvetti complex,
     and for projective weights the projective Betti numbers u recovered by
     the product split h_p = u_p + u_{p-1}."""
-    sal = build_salvetti(a)
+    sal = build_salvetti(enumerate_faces(a))
     report = complex_cohomology(twisted_complex(sal, sys_))
     full = tuple(report.betti(d) for d in range(sal.dim + 1))
     projective = None
@@ -474,7 +485,7 @@ def oracle_salvetti(fs):
 @example(Arrangement.from_rows(3, PENCIL_IN_C3))
 def test_ridge_plans_match_per_cell_oracle(a):
     fs = enumerate_faces(a)
-    sal = build_salvetti(a, fs)
+    sal = build_salvetti(fs)
     cells_by_dim, boundary = oracle_salvetti(fs)
     assert sal.cells_by_dim == cells_by_dim
     assert dict(sal.boundary) == boundary
@@ -494,28 +505,28 @@ def test_corrupted_face_system_is_an_internal_error():
     covers = dict(fs.covers)
     covers[ray] = covers[ray][1:]
     with pytest.raises(InternalError, match=r"edge \(\(-1, 0, -1\), \(-1, 1, -1\)\) is not regular: it has 1 vertices") as info:
-        build_salvetti(a, FaceSystem(a, fs.faces, fs.codim, covers))
+        build_salvetti(FaceSystem(fs.faces, fs.codim, covers))
     assert not isinstance(info.value, ValueError)  # the CLI exits 3, not 2
     # with no covers at all, no chamber lies above the ray: its face is named
     covers[ray] = ()
     with pytest.raises(InternalError, match=r"edge \(-1, 0, -1\) is not regular: it has 0 vertices"):
-        build_salvetti(a, FaceSystem(a, fs.faces, fs.codim, covers))
+        build_salvetti(FaceSystem(fs.faces, fs.codim, covers))
     # nor above the origin when it has no covers: the face itself is named
     covers = {**fs.covers, (0, 0, 0): ()}
     with pytest.raises(InternalError, match=r"face \(0, 0, 0\) is not regular: it has no covers") as info:
-        build_salvetti(a, FaceSystem(a, fs.faces, fs.codim, covers))
+        build_salvetti(FaceSystem(fs.faces, fs.codim, covers))
     assert not isinstance(info.value, ValueError)
 
 
 def test_failed_twisted_square_is_an_internal_error():
     a = three_generic_lines()
-    sal = build_salvetti(a)
+    sal = build_salvetti(enumerate_faces(a))
     # flip the sign of one edge's first vertex: d o d no longer vanishes
     edge = sal.cells_by_dim[1][0]
     (vertex, eps, crossed), *rest = sal.boundary[edge]
     boundary = {**sal.boundary, edge: ((vertex, -eps, crossed), *rest)}
     with pytest.raises(InternalError, match=r"not a complex: d\^1 o d\^0 != 0") as info:
-        twisted_complex(SalvettiComplex(sal.face_system, sal.cells_by_dim, boundary), RankOneSystem(GF(7), (2, 2, 2)))
+        twisted_complex(SalvettiComplex(sal.cells_by_dim, boundary), RankOneSystem(GF(7), (2, 2, 2)))
     assert not isinstance(info.value, ValueError)  # the CLI exits 3, not 2
 
 
@@ -525,7 +536,7 @@ def test_cover_of_wrong_codimension_is_an_internal_error():
     # a ray covered by the origin, which is less generic than the ray
     covers = {**fs.covers, (-1, 0, -1): ((0, 0, 0),)}
     with pytest.raises(InternalError, match=r"face \(-1, 0, -1\) is not regular: its cover \(0, 0, 0\) is not one codimension more generic"):
-        build_salvetti(a, FaceSystem(a, fs.faces, fs.codim, covers))
+        build_salvetti(FaceSystem(fs.faces, fs.codim, covers))
 
 
 def test_composition_that_is_no_chamber_is_an_internal_error():
@@ -539,18 +550,17 @@ def test_composition_that_is_no_chamber_is_an_internal_error():
         InternalError,
         match=r"cell \(\(-1, 0, -1\), \(-1, 1, 1\)\) is not regular: its facet face \(-1, -1, -1\) o c is \(-1, -1, 1\), no chamber",
     ):
-        build_salvetti(a, FaceSystem(a, fs.faces, fs.codim, covers))
+        build_salvetti(FaceSystem(fs.faces, fs.codim, covers))
 
 
 def one_face_system(ray_covers):
     """A face system of one face of codimension two, the zero vector, whose
-    covers are the given rays, each over the given chambers.  Its
-    arrangement is a placeholder: build_salvetti reads only the faces."""
+    covers are the given rays, each over the given chambers."""
     chambers = {c for cs in ray_covers.values() for c in cs}
     zero = (0,) * len(next(iter(chambers)))
     codim = {zero: 2, **{r: 1 for r in ray_covers}, **{c: 0 for c in chambers}}
     covers = {zero: tuple(sorted(ray_covers)), **ray_covers, **{c: () for c in chambers}}
-    return FaceSystem(three_generic_lines(), tuple(sorted(codim)), codim, covers)
+    return FaceSystem(tuple(sorted(codim)), codim, covers)
 
 
 def test_disconnected_facets_are_an_internal_error():
@@ -560,7 +570,7 @@ def test_disconnected_facets_are_an_internal_error():
     high = ((1, 1, -1), (1, 1, 1))
     fs = one_face_system({(1, 0, 0): low, (1, -1, 0): low, (0, 1, 0): high, (1, 1, 0): high})
     with pytest.raises(InternalError, match=r"boundary of \(\(0, 0, 0\), \(1, -1, -1\)\) is not connected"):
-        build_salvetti(fs.arrangement, fs)
+        build_salvetti(fs)
 
 
 def test_ridge_on_one_facet_is_an_internal_error():
@@ -568,7 +578,7 @@ def test_ridge_on_one_facet_is_an_internal_error():
     # chain lie under one ray each: a ridge of the 2-cells on one facet
     fs = one_face_system({(1, 0, 0): ((1, -1, 1), (1, 1, 1)), (0, 1, 0): ((1, 1, 1), (-1, 1, 1))})
     with pytest.raises(InternalError, match=r"cell \(\(0, 0, 0\), \(-1, 1, 1\)\) is not regular: ridge .* has 1 facets"):
-        build_salvetti(fs.arrangement, fs)
+        build_salvetti(fs)
 
 
 def test_edge_with_four_vertices_is_an_internal_error():
@@ -579,7 +589,7 @@ def test_edge_with_four_vertices_is_an_internal_error():
     middle = ((-1, 1, -1), (-1, 1, 1), (1, 1, -1), (1, 1, 1))
     fs = one_face_system({(0, 1, 0): middle, (1, 1, 0): middle[2:], (-1, 1, 0): middle[:2]})
     with pytest.raises(InternalError, match=r"edge \(\(0, 1, 0\), \(-1, 1, -1\)\) is not regular: it has 4 vertices"):
-        build_salvetti(fs.arrangement, fs)
+        build_salvetti(fs)
 
 
 # --- untwisted cohomology = Poincare coefficients ----------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcoh.covers import support_certificate, validate_cover
+from arrcoh.covers import support_certificate
 from arrcoh.linalg import GF, QQ, ZZ, RankOneSystem
 from arrcoh.simplicial import (
     SimplicialComplex,
@@ -26,7 +26,6 @@ from arrcoh.toric import (
     ToricComplex,
     _support_page,
     _trivial_vertices,
-    cover_nerve,
     toric_cohomology,
     toric_e2_page,
     verify_cm_theorem,
@@ -227,32 +226,6 @@ def test_page_matches_link_of_each_trivial_face(case):
     page = toric_e2_page(tc, sys)
     assert page == support_certificate(*_support_page(tc, trivial, table))
     assert page == support_certificate(*_support_page(tc, trivial, link_cohomology(L, sys.field, L.vertices)))
-
-
-# --- covers ----------------------------------------------------------------------
-
-
-def test_cover_nerve_is_certified():
-    tc = tc_from_facets([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    v = validate_cover(cover_nerve(tc))
-    assert v.valid
-    assert v.condition2 == "certified"
-
-
-def test_cover_nerve_disconnected_complex():
-    tc = tc_from_facets([1, 2, 3, 4], [(1, 2), (3, 4)])
-    v = validate_cover(cover_nerve(tc))
-    assert v.valid
-
-
-@given(_complex_and_weights())
-@settings(max_examples=60, deadline=None)
-def test_cover_nerve_poset_is_reverse_inclusion(case):
-    # the poset is built from the nerve's covers; compare it with every pair
-    poset = cover_nerve(ToricComplex(case[0])).poset
-    for x in poset.elements:
-        for y in poset.elements:
-            assert poset.leq(x, y) == (x >= y), (x, y)
 
 
 # --- randomized theorem check ------------------------------------------------------
