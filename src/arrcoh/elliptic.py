@@ -28,6 +28,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, RankOneSystem, SmithForm, smith_normal_form, sparse_rank
@@ -55,7 +56,8 @@ MAX_ROWS = 12
 # candidate components, prod d_i^2 summed over the row subsets, each tested
 # against the strata of its closure: 4 rows in E^3 with 397 take seconds
 MAX_CANDIDATES = 256
-# curve factors read from JSON: each subset's Smith witness V is n x n
+# curve factors read from JSON: each subset's Smith witness V is n x n; at 16,
+# 12 random rows take about 1.5 s in analyze and 2.2 s in convenient_check
 MAX_FACTORS = 16
 
 
@@ -127,10 +129,8 @@ class EllipticArrangement:
         return any(t is not None for t in self.translations)
 
     def submatrix(self, I: Iterable[int]) -> Matrix:
-        idx = sorted(set(I))
-        if not idx:
-            return Matrix.zeros(ZZ, 0, self.n)
-        return Matrix.from_rows(ZZ, [list(self.rows.row(i)) for i in idx])
+        idx = sorted(set(I))  # the rows were normalized once, on the way in
+        return Matrix(ZZ, tuple(self.rows.entries[i] for i in idx), len(idx), self.n)
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "EllipticArrangement":
@@ -254,7 +254,8 @@ def components(a: EllipticArrangement, I: Iterable[int]) -> list[EllipticCompone
 def _components(a: EllipticArrangement, idx: tuple[int, ...], snf: SmithForm) -> list[EllipticComponent]:
     """The components of the rows ``idx``, given their Smith form.  Label
     c names V . (c_1/d_1, ..., c_r/d_r, 0, ...) reduced into [0,1)^n, a
-    solution in that torsion component, taken once in integers over d_r."""
+    solution in that torsion component, taken once in integers over d_r:
+    one Fraction per residue mod d_r that occurs."""
     if not idx:
         zero = tuple(Fraction(0) for _ in range(a.n))
         return [EllipticComponent((), ((), ()), a.n, (zero, zero))]
@@ -262,10 +263,10 @@ def _components(a: EllipticArrangement, idx: tuple[int, ...], snf: SmithForm) ->
     top = divisors[-1]
     scale = [top // d for d in divisors]
     labels = list(itertools.product(*(range(d) for d in divisors)))
-    points = [
-        tuple(Fraction(sum(x * c * s for x, c, s in zip(row, label, scale)) % top, top) for row in snf.right.entries)
-        for label in labels
-    ]
+    weights = [[c * s for c, s in zip(label, scale)] for label in labels]
+    residues = [tuple(sum(map(mul, row, w)) % top for row in snf.right.entries) for w in weights]
+    fractions = {r: Fraction(r, top) for r in set().union(*residues)}
+    points = [tuple(map(fractions.__getitem__, res)) for res in residues]
     dim = a.n - snf.rank
     return [
         EllipticComponent(idx, (c1, c2), dim, (u, w)) for c1, u in zip(labels, points) for c2, w in zip(labels, points)

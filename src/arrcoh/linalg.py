@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from arrcoh import fp
@@ -469,17 +470,14 @@ class SmithForm:
     def nontrivial(self) -> tuple[int, ...]:
         return tuple(d for d in self.divisors if d > 1)
 
-    def diagonal_matrix(self) -> Matrix:
-        rows = [[self.divisors[i] if i == j and i < len(self.divisors) else 0
-                 for j in range(self.ncols)] for i in range(self.nrows)]
-        return Matrix.from_rows(ZZ, rows)
-
 
 def smith_normal_form(mat: Matrix) -> SmithForm:
     """Exact Smith normal form over Z with verified unimodular witnesses.
 
     Pivots are chosen by minimal absolute value to tame coefficient growth.
-    Raises InternalError if the witness check U A V == D fails.
+    U and V are products of elementary steps, so unimodular by construction;
+    every call checks U A V == D on plain int rows (:func:`_check_witness`,
+    no Matrix product) and raises InternalError if it fails.
     """
     if not isinstance(mat.ring, IntegerRing):
         raise TypeError("smith_normal_form expects a matrix over ZZ")
@@ -487,24 +485,16 @@ def smith_normal_form(mat: Matrix) -> SmithForm:
     a = [list(row) for row in mat.entries]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    det_u = 1
-    det_v = 1
 
     def swap_rows(i, j):
-        nonlocal det_u
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-            det_u = -det_u
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        nonlocal det_v
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-            det_v = -det_v
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):
         # row[dst] += c * row[src]
@@ -516,12 +506,6 @@ def smith_normal_form(mat: Matrix) -> SmithForm:
             row[dst] += c * row[src]
         for row in v:
             row[dst] += c * row[src]
-
-    def negate_row(i):
-        nonlocal det_u
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        det_u = -det_u
 
     t = 0
     limit = min(m, n)
@@ -537,7 +521,8 @@ def smith_normal_form(mat: Matrix) -> SmithForm:
         swap_rows(t, best[0])
         swap_cols(t, best[1])
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
         # clear column and row; pivot may need refreshing when remainders appear
         dirty = False
         for i in range(t + 1, m):
@@ -569,17 +554,21 @@ def smith_normal_form(mat: Matrix) -> SmithForm:
         t += 1
 
     divisors = tuple(a[i][i] for i in range(limit))
-    if abs(det_u) != 1 or abs(det_v) != 1:
-        raise InternalError("unimodularity lost")  # pragma: no cover - defensive
-    left = Matrix.from_rows(ZZ, u)
-    right = Matrix.from_rows(ZZ, v)
-    sf = SmithForm(left=left, right=right, divisors=divisors, nrows=m, ncols=n)
-    check = left.mul(mat).mul(right)
-    if check.entries != sf.diagonal_matrix().entries:
-        raise InternalError("smith form witness check failed")  # pragma: no cover
+    _check_witness(mat.entries, u, v, divisors)
     for i in range(len(divisors) - 1):
         if divisors[i] and divisors[i + 1] % (divisors[i] or 1) != 0:
             raise InternalError("divisibility chain broken")  # pragma: no cover
         if divisors[i] == 0 and divisors[i + 1] != 0:
             raise InternalError("zero divisor out of order")  # pragma: no cover
-    return sf
+    return SmithForm(Matrix(ZZ, tuple(map(tuple, u)), m, m), Matrix(ZZ, tuple(map(tuple, v)), n, n), divisors, m, n)
+
+
+def _check_witness(rows: Sequence[Sequence[int]], u: list[list[int]], v: list[list[int]], divisors: tuple) -> None:
+    """Raise InternalError unless U A V is the diagonal of ``divisors``: each
+    row of U A is formed once, then each entry of (U A) V, all in ints."""
+    a_cols, v_cols = list(zip(*rows)), list(zip(*v))
+    for i, u_row in enumerate(u):
+        ua = [sum(map(mul, u_row, col)) for col in a_cols]
+        for j, col in enumerate(v_cols):
+            if sum(map(mul, ua, col)) != (divisors[i] if i == j else 0):
+                raise InternalError("smith form witness check failed")

@@ -405,11 +405,16 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
     out: list[SimplicialComplex] = []
     for k in range(max_vertices + 1):
         masks = [sum(1 << v for v in s) for r in range(k, 0, -1) for s in itertools.combinations(range(k), r)]
-        index = {m: i for i, m in enumerate(masks)}
+        bit = {m: 1 << i for i, m in enumerate(masks)}
         face = [frozenset(v for v in range(k) if m >> v & 1) for m in range(1 << k)]
         perms = list(itertools.islice(itertools.permutations(range(k)), 1, None))
-        # per subset: its image bit under each relabeling but the identity
-        image_bits = [[1 << index[sum(1 << p[v] for v in face[m])] for p in perms] for m in masks]
+        # per relabeling but the identity, the image of every mask, doubled up
+        # from the images of single vertices; then per subset, its image bits
+        relabeled = [[0] for _ in perms]
+        for img, p in zip(relabeled, perms):
+            for v in range(k):
+                img += [x | 1 << p[v] for x in img]
+        image_bits = [[bit[img[m]] for img in relabeled] for m in masks]
         above = [sum(1 << t for t in range(i) if m & masks[t] == m) for i, m in enumerate(masks)]
         found: list[int] = []
 

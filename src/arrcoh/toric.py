@@ -179,6 +179,11 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
     in one :func:`~arrcoh.simplicial.link_cohomology` table; the
     Cohen-Macaulay verdict and the one support page all trials share are
     read from it.  So are the face coboundaries, which each trial specializes.
+
+    Weights are drawn from 2..p-1, so no vertex is trivial: scaled face by
+    face by the product of its q_v - 1, each trial's complex is the base's
+    augmented cochain complex shifted up one degree.  So the trials re-check
+    that twisted specialization, never a page with a trivial vertex.
     """
     from arrcoh.covers import support_certificate
 

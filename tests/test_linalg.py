@@ -7,16 +7,17 @@ the dense references (``arrcoh.fp`` over F_p, the rational RREF over Q,
 the Smith form over Z) on random small integer matrices.
 """
 
+import hashlib
 import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrcoh import fp
+from arrcoh import fp, linalg
 from arrcoh.linalg import (
     GF,
     QQ,
@@ -140,7 +141,7 @@ def test_smith_witnesses():
     a = Matrix.from_rows(ZZ, [[2, 4], [6, 8]])
     snf = smith_normal_form(a)
     d = snf.left.mul(a).mul(snf.right)
-    assert d.entries == snf.diagonal_matrix().entries
+    assert d.entries == ((2, 0), (0, 4))
     assert snf.rank == 2
     assert snf.nontrivial
 
@@ -165,6 +166,108 @@ def test_smith_properties(rows):
     # rank agrees with the rational rank, with rank_kernel and with sparse_rank
     assert snf.rank == rank_kernel(Matrix.from_rows(QQ, rows))[0]
     assert rank_kernel(a)[0] == snf.rank == sparse_rank(ZZ, _sparse(rows))[0]
+
+
+def _fraction_det(rows) -> Fraction:
+    """Determinant by Fraction elimination, independent of the Smith form."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def _product(x, y, inner: int):
+    return [[sum(x[i][k] * y[k][j] for k in range(inner)) for j in range(len(y[0]) if y else 0)] for i in range(len(x))]
+
+
+@st.composite
+def _integer_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    return ncols, draw(st.lists(st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+
+
+@given(_integer_matrices())
+@example((3, []))
+@example((3, [[0, 0, 0], [0, 0, 0]]))
+@example((4, [[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 0, 0], [3, 6, 9, 12]]))
+@example((5, [[2, 4, -6, 0, 2], [4, 8, -12, 0, 4], [6, 6, 6, 6, 6]]))
+@settings(max_examples=150, deadline=None)
+def test_smith_witnesses_are_unimodular_and_diagonalize(case):
+    ncols, rows = case
+    nrows = len(rows)
+    snf = smith_normal_form(Matrix(ZZ, tuple(map(tuple, rows)), nrows, ncols))
+    u, v = snf.left.to_lists(), snf.right.to_lists()
+    assert (snf.left.nrows, snf.left.ncols, snf.right.nrows, snf.right.ncols) == (nrows, nrows, ncols, ncols)
+    assert abs(_fraction_det(u)) == 1 and abs(_fraction_det(v)) == 1
+    d = _product(_product(u, rows, nrows), v, ncols)
+    assert d == [[snf.divisors[i] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
+
+
+# sha256 of the witnesses and divisors of every 1x3, 2x2 and 2x3 matrix with
+# entries in [-2, 2], in itertools.product order: U, V and the divisors must
+# stay bit-identical, since strata keys, goldens and digests are read off them
+SMITH_WITNESS_DIGEST = "bfac47e7fb84ed355a9e2e3373430dd0ef4f5bf1e1c312e7c1100d90db5a35e1"
+
+
+def test_smith_witness_digest_pinned():
+    h = hashlib.sha256()
+    for nrows, ncols in ((1, 3), (2, 2), (2, 3)):
+        for flat in itertools.product(range(-2, 3), repeat=nrows * ncols):
+            snf = smith_normal_form(Matrix.from_rows(ZZ, [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]))
+            h.update(repr((snf.left.entries, snf.right.entries, snf.divisors)).encode())
+    assert h.hexdigest() == SMITH_WITNESS_DIGEST
+
+
+# invertible, with invariant factors 2, 6, 12: every row of A V and every
+# column of U A is nonzero, so a change to any one witness entry shows
+WITNESS_CASE = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+
+
+def test_witness_check_rejects_one_corrupted_entry():
+    snf = smith_normal_form(Matrix.from_rows(ZZ, WITNESS_CASE))
+    assert snf.divisors == (2, 6, 12)
+    u, v = snf.left.to_lists(), snf.right.to_lists()
+    linalg._check_witness(WITNESS_CASE, u, v, snf.divisors)
+    for side in ("u", "v", "divisors"):
+        for i, j in itertools.product(range(3), repeat=2):
+            bad_u, bad_v, bad_d = [row[:] for row in u], [row[:] for row in v], list(snf.divisors)
+            if side == "divisors":
+                if j:
+                    continue
+                bad_d[i] += 1
+            else:
+                (bad_u if side == "u" else bad_v)[i][j] += 1
+            with pytest.raises(linalg.InternalError, match="witness check failed"):
+                linalg._check_witness(WITNESS_CASE, bad_u, bad_v, tuple(bad_d))
+
+
+def test_every_smith_form_runs_the_witness_check(monkeypatch):
+    """The check runs on every call, on the witnesses the call returns:
+    corrupting one entry on its way in makes the call raise."""
+    check, calls = linalg._check_witness, []
+
+    def corrupting(rows, u, v, divisors):
+        calls.append(len(rows))
+        if len(calls) == 3 and u:
+            u[0][0] += 1
+        check(rows, u, v, divisors)
+
+    monkeypatch.setattr(linalg, "_check_witness", corrupting)
+    smith_normal_form(Matrix.from_rows(ZZ, [[2, 4], [6, 8]]))
+    smith_normal_form(Matrix.zeros(ZZ, 0, 3))
+    with pytest.raises(linalg.InternalError, match="witness check failed"):
+        smith_normal_form(Matrix.from_rows(ZZ, WITNESS_CASE))
+    assert calls == [2, 0, 3]
 
 
 # --- prime-field kernels --------------------------------------------------

@@ -7,6 +7,7 @@ cross-checked on a corpus where the collapse theorem applies.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -113,14 +114,21 @@ def _complex_and_weights(draw):
     return SimplicialComplex.from_facets(range(n), facets), q
 
 
-@given(_complex_and_weights())
+# rational weights other than 1: integers, negatives and fractions
+NOT_ONE = st.sampled_from([2, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), 101])
+
+
+@given(_complex_and_weights(), st.sampled_from([GF(101), GF(7), QQ]), st.data())
 @settings(max_examples=80, deadline=None)
-def test_nontrivial_weights_shift_reduced_cohomology(case):
+def test_nontrivial_weights_shift_reduced_cohomology(case, field, data):
     # rescaling each face by the product of its q_v - 1 carries the toric
     # complex onto the augmented simplicial one, shifted up one degree
     L, q = case
+    if field == QQ:
+        q = {v: data.draw(NOT_ONE) for v in q}
+    else:
+        q = {v: 2 + w % (field.p - 2) for v, w in q.items()}  # in 2..p-1
     tc = ToricComplex(L)
-    field = GF(101)
     toric = toric_cohomology(tc, weights(tc, field, q))
     reduced = reduced_cohomology(L, field)
     for k in range(0, L.dim + 2):
@@ -246,6 +254,22 @@ def test_verify_cm_on_non_cm_records_only():
     assert not rep.cm.ok
     assert rep.ok  # nothing to violate; the theorem is silent here
     assert all("concentrated" not in t for t in rep.trials)
+
+
+@pytest.mark.parametrize("p", [7, 101])
+def test_verify_trials_read_the_shifted_reduced_cohomology(p):
+    """No trial weight is 1, so each trial's complex is the augmented
+    cochain complex of L, rescaled face by face by the product of its
+    q_v - 1: every trial's Betti numbers are L's reduced cohomology over F_p
+    shifted up one degree, on CM and non-CM complexes alike.  The trials
+    re-check that one specialization and never a page with a trivial vertex."""
+    field = GF(p)
+    for L in enumerate_complexes(5 if p == 101 else 4):
+        reduced = reduced_cohomology(L, field)
+        expected = {str(k + 1): reduced.betti(k) for k in range(-1, L.dim + 1) if reduced.betti(k)}
+        for trial in verify_cm_theorem(ToricComplex(L), p, trials=5, seed=len(L.vertices)).trials:
+            assert 1 not in trial["q"].values()
+            assert trial["betti"] == expected
 
 
 def test_verify_cm_deterministic_in_seed():
