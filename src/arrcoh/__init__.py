@@ -26,6 +26,7 @@ _EXPORTS = {  # exported name -> the module that defines it
     "nested_complex": "arrangement",
     "poincare_and_beta": "arrangement",
     "vanishing_check": "arrangement",
+    "Coboundaries": "cochain",
     "CohomologyReport": "cochain",
     "complex_cohomology": "cochain",
     "make_complex": "cochain",
@@ -45,7 +46,6 @@ _EXPORTS = {  # exported name -> the module that defines it
     "ZZ": "linalg",
     "Matrix": "linalg",
     "smith_normal_form": "linalg",
-    "SalvettiComplex": "salvetti",
     "build_salvetti": "salvetti",
     "twisted_cohomology": "salvetti",
     "SimplicialComplex": "simplicial",

@@ -6,25 +6,28 @@ report carries dimensions; over Z it carries free ranks and invariant
 factors (torsion) per degree.
 
 Each differential is stored only as sparse rows, one {column: entry} dict
-of nonzero entries per row.  :func:`make_complex` (Salvetti complexes and
-hand-built ones) normalizes each entry once and checks d o d = 0 with an
-exact product over the nonzero entries only, in integers on every ring
-(mod p over F_p; over Q on each differential scaled to integers).  Face
-complexes of simplicial complexes come from
-:class:`~arrcoh.simplicial.FaceCoboundaries`, checked once per simplicial
-complex as an identity in vertex symbols, whatever the values and ring.
-:func:`complex_cohomology` needs ranks alone, which it takes from one
-sparse elimination per differential (:func:`~arrcoh.linalg.sparse_rank`).
+of nonzero entries per row.  Face complexes of simplicial complexes and
+twisted Salvetti complexes come from :class:`Coboundaries`: entries are
+signed monomials in one symbol per vertex or hyperplane, d o d = 0 is
+checked once per structure as an identity in the symbols, and each weight
+system only specializes the monomials.  :func:`make_complex` takes
+hand-built numeric rows: it normalizes each entry once and checks
+d o d = 0 with an exact product over the nonzero entries only, in integers
+on every ring (mod p over F_p; over Q on each differential scaled to
+integers).  :func:`complex_cohomology` needs ranks alone, which it takes
+from one sparse elimination per differential
+(:func:`~arrcoh.linalg.sparse_rank`).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Mapping, Sequence
 
-from arrcoh.linalg import FieldTag, Matrix, Ring, sparse_rank
+from arrcoh.linalg import FieldTag, InternalError, Matrix, Ring, sparse_rank
 
-__all__ = ["CochainComplexData", "CohomologyReport", "complex_cohomology"]
+__all__ = ["CochainComplexData", "Coboundaries", "CohomologyReport", "complex_cohomology"]
 
 
 class CochainComplexData:
@@ -33,7 +36,7 @@ class CochainComplexData:
     ``rows[k]`` holds d^k as dims[k+1] {column: entry} dicts of nonzero
     entries, columns in range(dims[k]); missing keys mean zero maps.
     d o d = 0 is checked by the maker: :func:`make_complex`, or
-    :class:`~arrcoh.simplicial.FaceCoboundaries` once for all values.
+    :class:`Coboundaries` once for all values.
     """
 
     __slots__ = ("ring", "dims", "rows")
@@ -53,6 +56,65 @@ class CochainComplexData:
         rows = self.rows.get(k) or [{}] * self.dims.get(k + 1, 0)
         entries = tuple(tuple(row.get(j, zero) for j in range(ncols)) for row in rows)
         return Matrix(self.ring, entries, len(entries), ncols)
+
+
+class Coboundaries:
+    """The differentials of a cochain complex with signed monomials for
+    entries: a symbol x_i per vertex or hyperplane i in place of a weight.
+
+    ``counts[c]`` is the rank of the c-th module; ``rows[c]`` maps it to
+    the next one, one {column: (sign, mask)} dict per basis element of the
+    target, for sign * (product of x_i over the bits i of mask).  d o d = 0
+    is checked once, on construction, as an identity in the symbols: the
+    product of two entries is keyed by its column and monomial, (column,
+    m1 | m2, m1 & m2), and the signs per key must cancel.  So it holds at
+    any values in any commutative ring, and :meth:`specialize` checks
+    nothing.  A failure is arrcoh's own fault, an InternalError.
+    """
+
+    __slots__ = ("counts", "rows")
+
+    def __init__(self, counts: tuple[int, ...], rows: tuple[list[dict], ...]) -> None:
+        self.counts, self.rows = counts, rows
+        for k, (outer, inner) in enumerate(zip(rows[1:], rows)):
+            for row in outer:
+                acc: dict = {}
+                for mid, (s, m1) in row.items():
+                    for j, (t, m2) in inner[mid].items():
+                        key = (j, m1 | m2, m1 & m2)
+                        acc[key] = acc.get(key, 0) + s * t
+                if any(acc.values()):
+                    raise InternalError(f"coboundaries: d^{k + 1} o d^{k} != 0")
+
+    def cell_counts(self) -> list[int]:
+        return list(self.counts)
+
+    def specialize(self, ring: Ring, values: Sequence, shift: int = 0) -> CochainComplexData:
+        """The complex over ``ring`` at x_i = values[i], values in ``ring``,
+        with the c-th module in degree c + shift.  Each distinct
+        (sign, mask) is normalized once; entries that vanish are dropped.
+        The symbols and their negatives, all that face complexes use, are
+        valued up front; the first entry of another mask values them all."""
+        entry = {(s, 1 << i): ring.normalize(s * x) for i, x in enumerate(values) for s in (1, -1)}
+        try:
+            return self._at(ring, entry, shift)
+        except KeyError:
+            pass
+        for e in set().union(*map(dict.values, chain.from_iterable(self.rows))) - entry.keys():
+            y, mask = e
+            while mask:
+                low = mask & -mask
+                y *= values[low.bit_length() - 1]
+                mask ^= low
+            entry[e] = ring.normalize(y)
+        return self._at(ring, entry, shift)
+
+    def _at(self, ring: Ring, entry: Mapping, shift: int) -> CochainComplexData:
+        rows = {
+            c + shift: [{j: y for j, e in row.items() if (y := entry[e])} for row in block]
+            for c, block in enumerate(self.rows)
+        }
+        return CochainComplexData(ring, {c + shift: n for c, n in enumerate(self.counts)}, rows)
 
 
 def _composes_to_zero(outer: list[dict], inner: list[dict], p: int | None) -> bool:

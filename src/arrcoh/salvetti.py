@@ -11,8 +11,9 @@ complexified arrangement deformation-retracts onto a regular cell complex
 whose cells are pairs (face, adjacent chamber) (Salvetti, Invent. Math.
 88, 1987); its cellular cochain complex, twisted by one unit weight per
 hyperplane, computes the cohomology of the complement with rank-one
-coefficients.  All boundary matrices are exact and the d^2 = 0 identity
-is checked on construction.  A central complement splits as
+coefficients.  Its coboundaries are built once, with a signed monomial in
+the weights for each entry, and the d^2 = 0 identity is checked on
+construction for all weights at once.  A central complement splits as
 M(A) = C^* x M(dA), dA the decone at hyperplane 0 (Orlik and Terao, 1992,
 Prop. 5.1); the cells on the positive side of hyperplane 0 form the
 Salvetti complex of dA, and Kunneth does the rest.  So the closure runs
@@ -43,7 +44,7 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from arrcoh.arrangement import Arrangement, intersection_lattice, poincare_and_beta
-from arrcoh.cochain import CochainComplexData, complex_cohomology, make_complex
+from arrcoh.cochain import Coboundaries, CochainComplexData, complex_cohomology, make_complex  # noqa: F401 (perfbench traces it here)
 from arrcoh.linalg import InternalError, RankOneSystem
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "MAX_INCIDENCES",
     "FaceSystem",
     "enumerate_faces",
-    "SalvettiComplex",
     "build_salvetti",
     "twisted_complex",
     "twisted_cohomology",
@@ -148,38 +148,28 @@ def _decone_side(a: Arrangement) -> tuple[dict, dict]:
     return codim, covers
 
 
-class SalvettiComplex:
-    """Cells are (face, chamber) pairs with the face in the chamber's
-    closure; the cell dimension is the codimension of the face.
+def build_salvetti(fs: FaceSystem) -> Coboundaries:
+    """The cellular coboundaries of the complex of ``fs``, with a
+    consistent incidence sign function and the crossing monomials.
 
-    ``boundary`` maps each cell of positive dimension to its facet cells
-    with an incidence sign and the set of hyperplanes crossed toward the
-    base chamber; a weight system turns the crossing set into a monomial.
-    """
-
-    __slots__ = ("cells_by_dim", "boundary")
-
-    def __init__(self, cells_by_dim: tuple[tuple[Cell, ...], ...], boundary: Mapping) -> None:
-        self.cells_by_dim, self.boundary = cells_by_dim, boundary
-
-    @property
-    def dim(self) -> int:
-        return len(self.cells_by_dim) - 1
-
-    def cell_counts(self) -> list[int]:
-        return [len(cells) for cells in self.cells_by_dim]
-
-
-def build_salvetti(fs: FaceSystem) -> SalvettiComplex:
-    """Assemble the cell complex of ``fs`` and a consistent incidence sign function.
-
+    The cells of dimension d are the (face, chamber) pairs of the faces of
+    codimension d, numbered face by face in ``fs.faces`` order and each
+    face's chambers in sorted order.  A chamber is encoded as the bitmask
+    of the hyperplanes on which it differs from the base (least) chamber.
     The facets of a cell (f, c) are the cells (g, g o c) for the covers g
-    of f, and the cell's incidence signs are those of its face f, one per
-    cover (:func:`_face_signs`): every cell of f is the same zonotope, with
-    the same facets and ridges.  So the signs, and the regularity checks
-    that go with them, are worked out once per face.  Every cover of a
-    face must be one codimension more generic, and every composition
-    g o c a chamber.  A failed check means the complex is not regular and
+    of f: g o c clears c's bits where g is nonzero and f is zero, then
+    sets those where g differs from the base.  The entry at (g, y) is the
+    incidence sign of its cover times the product of the weights of the
+    hyperplanes crossed toward the base chamber, c & ~y; so hyperplane i
+    is the symbol x_i of :class:`~arrcoh.cochain.Coboundaries`, which
+    checks d o d = 0 once for all weights.
+
+    A cell's incidence signs are those of its face f, one per cover
+    (:func:`_face_signs`): every cell of f is the same zonotope, with the
+    same facets and ridges.  So the signs, and the regularity checks that
+    go with them, are worked out once per face.  Every cover of a face
+    must be one codimension more generic, and every composition g o c a
+    chamber above g.  A failed check means the complex is not regular and
     raises InternalError, naming the face's first cell for the per-face
     checks.
 
@@ -201,46 +191,51 @@ def build_salvetti(fs: FaceSystem) -> SalvettiComplex:
     if incidences > MAX_INCIDENCES:
         raise ValueError(f"the cell complex stops at {MAX_INCIDENCES} boundary incidences; this one needs {incidences}")
     faces_by_dim = [[f for f in fs.faces if fs.codim[f] == d] for d in range(max(fs.codim.values(), default=0) + 1)]
-    cells_of = {f: [(f, c) for c in sorted(above[f])] for f in fs.faces}
-    cells_by_dim = tuple(tuple(cell for f in faces for cell in cells_of[f]) for faces in faces_by_dim)
+    chambers_of = {f: sorted(above[f]) for f in fs.faces}
+    bits = {c: sum(1 << i for i, (x, y) in enumerate(zip(c, base)) if x != y) for c in chambers}
+    column: dict[SignVector, dict[int, int]] = {f: {} for f in fs.faces}
+    for faces in faces_by_dim:
+        for j, (f, c) in enumerate((f, c) for f in faces for c in chambers_of[f]):
+            column[f][bits[c]] = j
 
-    # a facet's chamber lies across the hyperplanes it separates the cell's
-    # chamber from; those on the base chamber's side are the ones crossed
-    away = {c: frozenset(i for i, (x, y) in enumerate(zip(c, base)) if x != y) for c in chambers}
-    chamber = {c: c for c in chambers}  # one tuple per chamber, shared by its cells
-    crossings: dict[frozenset, frozenset] = {}
     signs: dict[SignVector, tuple[int, ...]] = {}
-    boundary: dict[Cell, tuple[tuple[Cell, int, frozenset], ...]] = {}
-    for d in range(1, len(cells_by_dim)):
+    rows = []
+    for d in range(1, len(faces_by_dim)):
+        block = []
         for f in faces_by_dim[d]:
             covers = fs.covers[f]
-            # g o c overwrites c where g is nonzero and f is zero
-            flips = [[(i, s) for i, (x, s) in enumerate(zip(f, g)) if s != x] for g in covers]
             # with no covers there is no chamber above, so no cell to name
             if d > 1 and covers:
-                eps = _face_signs(cells_of[f][0], covers, fs.covers, signs)
+                eps = _face_signs((f, chambers_of[f][0]), covers, fs.covers, signs)
             elif d > 1:
                 raise InternalError(f"face {f} is not regular: it has no covers")
             elif len(covers) == 2:
                 eps = (-1, 1)  # an edge runs from its lesser vertex to its greater
             else:
-                edge = cells_of[f][0] if covers else f
+                edge = (f, chambers_of[f][0]) if covers else f
                 raise InternalError(f"edge {edge} is not regular: it has {len(covers)} vertices")
             signs[f] = eps
-            for cell in cells_of[f]:
-                c = cell[1]
-                entries = []
-                for flip, g, e in zip(flips, covers, eps):
-                    x = list(c)
-                    for i, s in flip:
-                        x[i] = s
-                    y = chamber.get(tuple(x))
-                    if y is None:
-                        raise InternalError(f"cell {cell} is not regular: its facet face {g} o c is {tuple(x)}, no chamber")
-                    crossed = away[c] - away[y]
-                    entries.append(((g, y), e, crossings.setdefault(crossed, crossed)))
-                boundary[cell] = tuple(entries)
-    return SalvettiComplex(cells_by_dim, boundary)
+            facets = []
+            for g, e in zip(covers, eps):
+                flip = put = 0
+                for i, (x, s, b) in enumerate(zip(f, g, base)):
+                    if s != x:
+                        flip |= 1 << i
+                        put |= (s != b) << i
+                facets.append((~flip, put, column[g], e, g))
+            for c in chambers_of[f]:
+                here = bits[c]
+                row = {}
+                for keep, put, to, e, g in facets:
+                    y = here & keep | put
+                    j = to.get(y)
+                    if j is None:
+                        x = tuple(-b if y >> i & 1 else b for i, b in enumerate(base))
+                        raise InternalError(f"cell {(f, c)} is not regular: its facet face {g} o c is {x}, no chamber above that face")
+                    row[j] = (e, here & ~y)
+                block.append(row)
+        rows.append(block)
+    return Coboundaries(tuple(sum(len(chambers_of[f]) for f in faces) for faces in faces_by_dim), tuple(rows))
 
 
 def _face_signs(first: Cell, covers: tuple, covers_of: Mapping, signs: Mapping) -> tuple[int, ...]:
@@ -283,34 +278,10 @@ def _face_signs(first: Cell, covers: tuple, covers_of: Mapping, signs: Mapping) 
     return tuple(eps)
 
 
-def twisted_complex(sal: SalvettiComplex, sys: RankOneSystem) -> CochainComplexData:
-    """Cellular cochain complex with entries twisted by the weight
-    monomials; construction re-verifies d . d = 0 with the twist.
-
-    Each entry is a plain sum of eps * (product of crossed weights);
-    :func:`make_complex` reduces it into the field.  Each distinct
-    crossing set's product is taken once.  The complex is arrcoh's own, so
-    a failed check is an InternalError, not a ValueError."""
-    dims = {d: len(cells) for d, cells in enumerate(sal.cells_by_dim)}
-    monomials: dict[frozenset, object] = {}
-    diffs = {}
-    for d in range(1, sal.dim + 1):
-        index = {cell: j for j, cell in enumerate(sal.cells_by_dim[d - 1])}
-        rows = []
-        for cell in sal.cells_by_dim[d]:
-            row = {}
-            for facet, eps, crossed in sal.boundary[cell]:
-                w = monomials.get(crossed)
-                if w is None:
-                    w = monomials[crossed] = sys.weight_product(crossed)
-                j = index[facet]
-                row[j] = row.get(j, 0) + eps * w
-            rows.append(row)
-        diffs[d - 1] = rows
-    try:
-        return make_complex(sys.field, dims, diffs)
-    except ValueError as exc:
-        raise InternalError(f"the twisted Salvetti complex is not a complex: {exc}") from exc
+def twisted_complex(sal: Coboundaries, sys: RankOneSystem) -> CochainComplexData:
+    """Cellular cochain complex twisted by the weights: each crossing
+    monomial of :func:`build_salvetti` at x_i = the weight of hyperplane i."""
+    return sal.specialize(sys.field, sys.weights)
 
 
 class SalvettiReport(NamedTuple):
@@ -340,7 +311,8 @@ def twisted_cohomology(a: Arrangement, sys: RankOneSystem) -> SalvettiReport:
     Salvetti complex of the decone dA, whose Betti numbers u are the
     projective ones.  By Kunneth, with H^*(C^*; L_t) = (1, 1) when
     t = prod q = 1 and 0 otherwise, the full Betti numbers are
-    u_p + u_{p-1} for projective weights and 0 for all others.  The half
+    u_p + u_{p-1} for projective weights and 0 for all others, whose half
+    complex is built (so its limits and checks hold) but not eliminated.  The half
     complex's Euler characteristic must be beta, that of M(dA).  The cell
     counts are the full complex's: a face has as many chambers above it as
     the arrangement of its zero set has chambers, and so has its mirror.
@@ -368,10 +340,10 @@ def twisted_cohomology(a: Arrangement, sys: RankOneSystem) -> SalvettiReport:
     if chi != beta:
         raise InternalError(f"the decone's Salvetti complex has Euler characteristic {chi}, not beta = {beta}")
     sal = build_salvetti(FaceSystem(half, {f: codim[f] for f in half}, covers))
-    report = complex_cohomology(twisted_complex(sal, sys))
-    u = tuple(report.betti(d) for d in range(top))
     if not sys.is_projective:
         return SalvettiReport(sys.field.to_json(), tuple(counts), (0,) * (top + 1), None)
+    report = complex_cohomology(twisted_complex(sal, sys))
+    u = tuple(report.betti(d) for d in range(top))
     padded = (0, *u, 0)
     full = tuple(x + y for x, y in zip(padded, padded[1:]))
     return SalvettiReport(sys.field.to_json(), tuple(counts), full, u)

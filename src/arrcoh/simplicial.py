@@ -10,15 +10,15 @@ import itertools
 from bisect import bisect_right
 from typing import Collection, Hashable, Iterable, NamedTuple, Sequence
 
-from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomology
-from arrcoh.linalg import InternalError, Ring, ZZ
+from arrcoh.cochain import Coboundaries, CohomologyReport, complex_cohomology
+from arrcoh.linalg import Ring, ZZ
 
 __all__ = [
     "MAX_FACES",
     "SimplicialComplex",
     "link",
     "link_cohomology",
-    "FaceCoboundaries",
+    "face_coboundaries",
     "reduced_cohomology",
     "is_cohen_macaulay",
     "CMVerdict",
@@ -182,7 +182,7 @@ def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[
     simplex, acyclic: neither is relabeled.  Any other link is relabeled
     onto bits 0..m-1, its m vertices in the vertex order of L, and
     eliminated once per distinct relabeled mask set, with coboundaries from
-    the masks (:meth:`FaceCoboundaries.from_levels`, with its d o d check).
+    the masks (:func:`_level_coboundaries`, with its d o d check).
     """
     levels, face_of = _face_index(L)
     keep = set(within)
@@ -215,7 +215,7 @@ def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[
             new[f] = new[f ^ low] | new[low]
         shape = frozenset(new.values())
         if shape not in by_shape:
-            cx = FaceCoboundaries.from_levels(_levels(shape, m)).specialize(ring, [1] * m, shift=-1)
+            cx = _level_coboundaries(_levels(shape, m)).specialize(ring, [1] * m, shift=-1)
             by_shape[shape] = complex_cohomology(cx)
         table[face_of[s]] = by_shape[shape]
     return table
@@ -254,70 +254,33 @@ def _graph_cohomology(ring: Ring, faces: Collection[int], m: int) -> CohomologyR
     return CohomologyReport(ring, free)
 
 
-class FaceCoboundaries:
-    """Coboundaries between the faces of a simplicial complex, with a
-    symbol x_v per vertex v in place of a weight.
+def face_coboundaries(L: SimplicialComplex) -> Coboundaries:
+    """The coboundaries between the faces of L, with a symbol x_v per
+    vertex v, bit i of a mask for the vertex at position i of the vertex
+    order: :func:`_level_coboundaries` of L's face masks."""
+    return _level_coboundaries(_face_index(L)[0])
 
-    ``counts[c]`` counts the faces of cardinality c; ``rows[c]`` maps them
-    to those of cardinality c+1, both in :meth:`SimplicialComplex.faces_of_card`
-    order: one {column: (sign, position)} dict per face g, for (-1)^pos * x_v
-    at g - {v}, v at ``position`` in the vertex order, pos the number of
-    vertices of g before v.  d o d = 0 is checked once, on construction, as
-    an identity in the symbols: for each face g, the signs of the paths to
-    g - {v, w} cancel per (g - {v, w}, {v, w}).  So it holds at any values
-    in any commutative ring, and :meth:`specialize` checks nothing.
-    """
 
-    __slots__ = ("counts", "rows")
-
-    def __init__(self, counts: tuple[int, ...], rows: tuple[list[dict], ...]) -> None:
-        self.counts, self.rows = counts, rows
-        for k, (outer, inner) in enumerate(zip(rows[1:], rows)):
-            for row in outer:
-                acc: dict = {}
-                for mid, (s, v) in row.items():
-                    for j, (t, w) in inner[mid].items():
-                        key = (j, v, w) if v < w else (j, w, v)
-                        acc[key] = acc.get(key, 0) + s * t
-                if any(acc.values()):
-                    raise InternalError(f"face coboundaries: d^{k + 1} o d^{k} != 0")
-
-    @classmethod
-    def of(cls, L: SimplicialComplex) -> "FaceCoboundaries":
-        return cls.from_levels(_face_index(L)[0])
-
-    @classmethod
-    def from_levels(cls, levels: Sequence[Sequence[int]]) -> "FaceCoboundaries":
-        """The coboundaries between the face masks of each cardinality, as
-        :func:`_levels` groups them; the position of a vertex is its bit."""
-        rows = []
-        for source, target in zip(levels, levels[1:]):
-            index = {f: j for j, f in enumerate(source)}
-            block = []
-            for g in target:
-                row = {}
-                sign, rest = 1, g
-                while rest:
-                    low = rest & -rest
-                    row[index[g ^ low]] = (sign, low.bit_length() - 1)
-                    sign, rest = -sign, rest ^ low
-                block.append(row)
-            rows.append(block)
-        return cls(tuple(len(level) for level in levels), tuple(rows))
-
-    def specialize(self, ring: Ring, values: Sequence, shift: int = 0) -> CochainComplexData:
-        """The complex over ``ring`` at x_v = values[position of v], with the
-        faces of cardinality c in degree c + shift.  Each value and its
-        negative are normalized once; entries that vanish are dropped."""
-        entry = {}
-        for i, x in enumerate(values):
-            x = ring.normalize(x)
-            entry[1, i], entry[-1, i] = x, ring.normalize(-x)
-        rows = {
-            c + shift: [{j: y for j, e in row.items() if (y := entry[e])} for row in block]
-            for c, block in enumerate(self.rows)
-        }
-        return CochainComplexData(ring, {c + shift: n for c, n in enumerate(self.counts)}, rows)
+def _level_coboundaries(levels: Sequence[Sequence[int]]) -> Coboundaries:
+    """The coboundaries between the face masks of each cardinality, as
+    :func:`_levels` groups them.  Module c is spanned by the faces of
+    cardinality c in their group's order; the row of a face g holds
+    (-1)^pos * x_v at g - {v}, pos the number of vertices of g before v,
+    with d o d = 0 checked by :class:`~arrcoh.cochain.Coboundaries`."""
+    rows = []
+    for source, target in zip(levels, levels[1:]):
+        index = {f: j for j, f in enumerate(source)}
+        block = []
+        for g in target:
+            row = {}
+            sign, rest = 1, g
+            while rest:
+                low = rest & -rest
+                row[index[g ^ low]] = (sign, low)
+                sign, rest = -sign, rest ^ low
+            block.append(row)
+        rows.append(block)
+    return Coboundaries(tuple(len(level) for level in levels), tuple(rows))
 
 
 def reduced_cohomology(L: SimplicialComplex, ring: Ring = ZZ) -> CohomologyReport:
@@ -327,7 +290,7 @@ def reduced_cohomology(L: SimplicialComplex, ring: Ring = ZZ) -> CohomologyRepor
 
     The irrelevant complex {emptyset} reports rank 1 in degree -1.
     """
-    return complex_cohomology(FaceCoboundaries.of(L).specialize(ring, [1] * len(L.vertices), shift=-1))
+    return complex_cohomology(face_coboundaries(L).specialize(ring, [1] * len(L.vertices), shift=-1))
 
 
 class CMVerdict(NamedTuple):

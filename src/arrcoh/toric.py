@@ -7,8 +7,8 @@ per circle factor, a :class:`~arrcoh.linalg.RankOneSystem` (the type the
 arrangements use) keyed by the vertices as ``ToricComplex.labels``, is
 computed by a tiny cochain complex whose basis is the faces of L, with
 coboundary coefficients (q_v - 1): the face coboundaries of L, checked
-once (:class:`~arrcoh.simplicial.FaceCoboundaries`), specialized at each
-weight system.
+once (:func:`~arrcoh.simplicial.face_coboundaries`, a
+:class:`~arrcoh.cochain.Coboundaries`), specialized at each weight system.
 
 Two independent descriptions of the answer live here: the direct cochain
 computation, and a support page assembled from the reduced cohomology of
@@ -27,9 +27,9 @@ from arrcoh.cochain import CochainComplexData, CohomologyReport, complex_cohomol
 from arrcoh.linalg import GF, RankOneSystem, is_prime
 from arrcoh.simplicial import (
     CMVerdict,
-    FaceCoboundaries,
     SimplicialComplex,
     _cm_verdict,
+    face_coboundaries,
     link_cohomology,
 )
 
@@ -92,7 +92,7 @@ def twisted_cochain(tc: ToricComplex, sys: RankOneSystem) -> CochainComplexData:
     weights the coboundary is identically zero, so every Betti number is a
     face count.
     """
-    return FaceCoboundaries.of(tc.base).specialize(sys.field, [w - 1 for w in sys.weights])
+    return face_coboundaries(tc.base).specialize(sys.field, [w - 1 for w in sys.weights])
 
 
 def toric_cohomology(tc: ToricComplex, sys: RankOneSystem) -> CohomologyReport:
@@ -197,7 +197,7 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
     L = tc.base
     table = link_cohomology(L, field, L.vertices)
     cm = _cm_verdict(L, field, table)
-    faces = FaceCoboundaries.of(L)
+    faces = face_coboundaries(L)
     top = tc.space_dim
     # no weight is 1, so every trial reads the same page: the link of the empty face
     page = support_certificate(*_support_page(tc, frozenset(), table))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from arrcoh.cochain import complex_cohomology, make_complex
 from arrcoh.linalg import GF, QQ, ZZ, sparse_rank
-from arrcoh.simplicial import FaceCoboundaries, SimplicialComplex
+from arrcoh.simplicial import SimplicialComplex, face_coboundaries
 
 
 def test_circle_over_q():
@@ -115,7 +115,7 @@ def test_rp2_torsion_from_sparse_elimination():
     facets = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
               (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)]
     L = SimplicialComplex.from_facets(range(1, 7), facets)
-    cx = FaceCoboundaries.of(L).specialize(ZZ, [1] * 6, shift=-1)  # augmented, empty face in degree -1
+    cx = face_coboundaries(L).specialize(ZZ, [1] * 6, shift=-1)  # augmented, empty face in degree -1
     rep = complex_cohomology(cx)
     assert [rep.betti(k) for k in (-1, 0, 1, 2)] == [0, 0, 0, 0]
     assert rep.torsion == {2: (2,)}

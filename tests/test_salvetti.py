@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 import arrcoh.salvetti as salvetti
 from arrcoh.arrangement import Arrangement, RankOneSystem, intersection_lattice, poincare_and_beta
-from arrcoh.cochain import complex_cohomology
+from arrcoh.cochain import Coboundaries, complex_cohomology, make_complex
 from arrcoh.linalg import GF, QQ, InternalError, Matrix, rank_kernel
 from arrcoh.salvetti import (
     MAX_FACES,
     MAX_INCIDENCES,
     FaceSystem,
-    SalvettiComplex,
     build_salvetti,
     enumerate_faces,
     twisted_cohomology,
@@ -76,7 +75,7 @@ def test_cells_three_lines():
     sal = build_salvetti(enumerate_faces(three_generic_lines()))
     assert sal.cell_counts() == [6, 12, 6]
     assert sum((-1) ** d * c for d, c in enumerate(sal.cell_counts())) == 0
-    assert sal.dim == 2
+    assert len(sal.rows) == 2
 
 
 def test_cells_braid_a3():
@@ -156,7 +155,7 @@ def test_default_limits_admit_generic_8_planes_in_c4():
     assert len(fs.faces) == 929 <= MAX_FACES
     sal = build_salvetti(fs)
     assert sum(sal.cell_counts()) == 3200
-    assert sum(len(facets) for facets in sal.boundary.values()) == 26496 <= MAX_INCIDENCES
+    assert sum(len(row) for block in sal.rows for row in block) == 26496 <= MAX_INCIDENCES
 
 
 # --- covector faces against a Fourier-Motzkin oracle --------------------------
@@ -357,20 +356,22 @@ def test_untwisted_betti_is_poincare_on_random_arrangements(a):
 
 
 def full_complex_reference(a, sys_):
-    """Cell counts and twisted Betti numbers from the full Salvetti complex,
-    and for projective weights the projective Betti numbers u recovered by
-    the product split h_p = u_p + u_{p-1}."""
-    sal = build_salvetti(enumerate_faces(a))
-    report = complex_cohomology(twisted_complex(sal, sys_))
-    full = tuple(report.betti(d) for d in range(sal.dim + 1))
+    """Cell counts and twisted Betti numbers from the full Salvetti complex
+    of the old construction (:func:`oracle_twisted_complex`), and for
+    projective weights the projective Betti numbers u recovered by the
+    product split h_p = u_p + u_{p-1}."""
+    cx = oracle_twisted_complex(enumerate_faces(a), sys_)
+    top = len(cx.dims) - 1
+    report = complex_cohomology(cx)
+    full = tuple(report.betti(d) for d in range(top + 1))
     projective = None
-    if sys_.is_projective and sal.dim >= 1:
+    if sys_.is_projective and top >= 1:
         u = [full[0]]
-        for p in range(1, sal.dim):
+        for p in range(1, top):
             u.append(full[p] - u[p - 1])
-        assert min(u) >= 0 and full[sal.dim] == u[-1], full
+        assert min(u) >= 0 and full[top] == u[-1], full
         projective = tuple(u)
-    return tuple(sal.cell_counts()), full, projective
+    return tuple(cx.dims[d] for d in range(top + 1)), full, projective
 
 
 RATIONAL_UNITS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
@@ -479,6 +480,33 @@ def oracle_salvetti(fs):
     return cells_by_dim, boundary
 
 
+def index_rows(cells_by_dim, boundary):
+    """The oracle's boundary as rows {column: (sign, crossing mask)}, one
+    list per dimension from 1, columns numbering the cells one dimension
+    down in order."""
+    rows = []
+    for lower, cells in zip(cells_by_dim, cells_by_dim[1:]):
+        index = {cell: j for j, cell in enumerate(lower)}
+        rows.append([{index[x]: (eps, sum(1 << i for i in crossed)) for x, eps, crossed in boundary[c]} for c in cells])
+    return rows
+
+
+def oracle_twisted_complex(fs, sys_):
+    """The old construction: the oracle's cells and boundary, one row per
+    cell with eps * (product of the crossed weights) at each facet, then
+    :func:`~arrcoh.cochain.make_complex`, which normalizes every entry and
+    checks d o d = 0 at these weights."""
+    cells_by_dim, boundary = oracle_salvetti(fs)
+    diffs = {}
+    for d in range(1, len(cells_by_dim)):
+        index = {cell: j for j, cell in enumerate(cells_by_dim[d - 1])}
+        diffs[d - 1] = [
+            {index[x]: eps * sys_.weight_product(crossed) for x, eps, crossed in boundary[cell]}
+            for cell in cells_by_dim[d]
+        ]
+    return make_complex(sys_.field, {d: len(cells) for d, cells in enumerate(cells_by_dim)}, diffs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_arrangements())
 @example(Arrangement.from_rows(4, BRAID_A3_ROWS))
@@ -487,8 +515,8 @@ def test_ridge_plans_match_per_cell_oracle(a):
     fs = enumerate_faces(a)
     sal = build_salvetti(fs)
     cells_by_dim, boundary = oracle_salvetti(fs)
-    assert sal.cells_by_dim == cells_by_dim
-    assert dict(sal.boundary) == boundary
+    assert sal.cell_counts() == [len(cells) for cells in cells_by_dim]
+    assert list(sal.rows) == index_rows(cells_by_dim, boundary)
     # each cell's own walk lands on its face's signs: one tuple per face
     signs = {}
     for (f, _), entries in boundary.items():
@@ -518,16 +546,45 @@ def test_corrupted_face_system_is_an_internal_error():
     assert not isinstance(info.value, ValueError)
 
 
+@settings(max_examples=60, deadline=None)
+@given(weighted_arrangements())
+@example((Arrangement.from_rows(4, BRAID_A3_ROWS), RankOneSystem(QQ, (1, 2, Fraction(1, 2), 1, -3, -1))))
+@example((Arrangement.from_rows(3, PENCIL_IN_C3), RankOneSystem(GF(2), (1, 1, 1, 1, 1))))
+def test_specialized_rows_match_the_old_construction(case):
+    a, sys_ = case
+    fs = enumerate_faces(a)
+    twisted = twisted_complex(build_salvetti(fs), sys_)
+    expected = oracle_twisted_complex(fs, sys_)
+    assert (twisted.dims, twisted.rows) == (expected.dims, expected.rows)
+    assert complex_cohomology(twisted) == complex_cohomology(expected)
+
+
+def _one_entry_changed(sal, m):
+    """Copies of the rows of ``sal``, each with one entry changed: its
+    incidence sign flipped, or one bit of its crossing mask moved to a
+    hyperplane it does not cross."""
+    for c, block in enumerate(sal.rows):
+        for i, row in enumerate(block):
+            for j, (s, mask) in row.items():
+                moved = [mask ^ 1 << a ^ 1 << b for a in range(m) if mask >> a & 1 for b in range(m) if not mask >> b & 1]
+                for changed in [(-s, mask)] + [(s, x) for x in moved]:
+                    rows = [[dict(r) for r in b] for b in sal.rows]
+                    rows[c][i][j] = changed
+                    yield tuple(rows)
+
+
 def test_failed_twisted_square_is_an_internal_error():
     a = three_generic_lines()
     sal = build_salvetti(enumerate_faces(a))
-    # flip the sign of one edge's first vertex: d o d no longer vanishes
-    edge = sal.cells_by_dim[1][0]
-    (vertex, eps, crossed), *rest = sal.boundary[edge]
-    boundary = {**sal.boundary, edge: ((vertex, -eps, crossed), *rest)}
-    with pytest.raises(InternalError, match=r"not a complex: d\^1 o d\^0 != 0") as info:
-        twisted_complex(SalvettiComplex(sal.cells_by_dim, boundary), RankOneSystem(GF(7), (2, 2, 2)))
-    assert not isinstance(info.value, ValueError)  # the CLI exits 3, not 2
+    # every entry lies on a path of length two whose partner keeps its sign
+    # and monomial, so each change breaks the symbolic d o d = 0
+    cases = list(_one_entry_changed(sal, a.m))
+    moves = sum(mask.bit_count() * (a.m - mask.bit_count()) for block in sal.rows for row in block for _, mask in row.values())
+    assert len(cases) == 60 + moves and moves > 0
+    for rows in cases:
+        with pytest.raises(InternalError, match=r"d\^1 o d\^0 != 0") as info:
+            Coboundaries(sal.counts, rows)
+        assert not isinstance(info.value, ValueError)  # the CLI exits 3, not 2
 
 
 def test_cover_of_wrong_codimension_is_an_internal_error():
@@ -548,7 +605,7 @@ def test_composition_that_is_no_chamber_is_an_internal_error():
     covers = {**fs.covers, (-1, 0, -1): ((-1, -1, -1), (-1, 1, 1))}
     with pytest.raises(
         InternalError,
-        match=r"cell \(\(-1, 0, -1\), \(-1, 1, 1\)\) is not regular: its facet face \(-1, -1, -1\) o c is \(-1, -1, 1\), no chamber",
+        match=r"cell \(\(-1, 0, -1\), \(-1, 1, 1\)\) is not regular: its facet face \(-1, -1, -1\) o c is \(-1, -1, 1\), no chamber above that face",
     ):
         build_salvetti(FaceSystem(fs.faces, fs.codim, covers))
 
@@ -610,6 +667,34 @@ def test_untwisted_betti_equals_poincare(rows, n):
     pi, _ = poincare_and_beta(a)
     rep = twisted_cohomology(a, untwisted(QQ, a.m))
     assert rep.full_betti == tuple(pi)
+
+
+def type_d_rows(n):
+    """x_i - x_j and x_i + x_j for i < j in C^n: the reflection arrangement D_n."""
+    return [[int(c == i) + s * int(c == j) for c in range(n)] for i, j in itertools.combinations(range(n), 2) for s in (-1, 1)]
+
+
+@pytest.mark.parametrize(
+    "rows,n,exponents",
+    [
+        pytest.param(braid_rows(2), 3, (1, 2), id="A2"),
+        pytest.param(braid_rows(3), 4, (1, 2, 3), id="A3"),
+        pytest.param(braid_rows(4), 5, (1, 2, 3, 4), id="A4"),
+        pytest.param([[1, 0], [0, 1], [1, 1], [1, -1]], 2, (1, 3), id="B2"),
+        pytest.param(B3_ROWS, 3, (1, 3, 5), id="B3"),
+        pytest.param(type_d_rows(4), 4, (1, 3, 3, 5), id="D4"),
+        *(pytest.param([[1, k] for k in range(m)], 2, (1, m - 1), id=f"{m}-lines") for m in range(2, 9)),
+    ],
+)
+def test_untwisted_betti_is_the_exponent_product(rows, n, exponents):
+    # the Poincare polynomial of a reflection arrangement, or of any lines
+    # through the origin of the plane, is prod (1 + e t) over its exponents
+    # e (Orlik and Terao, 1992): an answer that needs no intersection lattice
+    expected = [1]
+    for e in exponents:
+        expected = [x + e * y for x, y in zip(expected + [0], [0] + expected)]
+    a = Arrangement.from_rows(n, rows)
+    assert twisted_cohomology(a, untwisted(QQ, a.m)).full_betti == tuple(expected)
 
 
 def test_untwisted_braid_a3():

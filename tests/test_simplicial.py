@@ -12,16 +12,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrcoh.cochain import make_complex
+from arrcoh.cochain import Coboundaries, make_complex
 from arrcoh.linalg import GF, QQ, ZZ, InternalError
 from arrcoh.simplicial import (
     MAX_FACES,
-    FaceCoboundaries,
     SimplicialComplex,
     _canonical_key,
     _face_index,
     _graph_cohomology,
     enumerate_complexes,
+    face_coboundaries,
     is_cohen_macaulay,
     link,
     link_cohomology,
@@ -484,7 +484,7 @@ def test_graph_closed_form_matches_elimination(L):
         assert list(expected.free_ranks) == list(range(-1, L.dim + 1))
 
 
-def face_coboundaries(L, weight):
+def oracle_coboundaries(L, weight):
     """Oracle: face counts by cardinality and the weighted coboundaries
     between them, in faces_of_card order, the column of g - {v} in the row
     of g holding (-1)^pos * weight(v), pos the number of vertices of g
@@ -500,7 +500,7 @@ def face_coboundaries(L, weight):
 def oracle_complex(L, ring, weight, shift=0):
     """The oracle's coboundaries through make_complex, which normalizes every
     entry and checks d o d = 0 numerically."""
-    counts, rows = face_coboundaries(L, weight)
+    counts, rows = oracle_coboundaries(L, weight)
     return make_complex(ring, {c + shift: n for c, n in enumerate(counts)}, {c + shift: r for c, r in enumerate(rows)})
 
 
@@ -520,7 +520,7 @@ def ring_and_weights(draw, vertices):
 @example((SimplicialComplex.from_facets(range(1, 7), RP2_FACETS), (GF(2), {v: 3 for v in range(1, 7)})))
 def test_face_coboundaries_specialize_like_the_oracle(case):
     L, (ring, q) = case
-    faces = FaceCoboundaries.of(L)
+    faces = face_coboundaries(L)
     twisted = faces.specialize(ring, [q[v] - 1 for v in L.vertices])
     expected = oracle_complex(L, ring, lambda v: q[v] - 1)
     assert (twisted.dims, twisted.rows) == (expected.dims, expected.rows)
@@ -531,13 +531,14 @@ def test_face_coboundaries_specialize_like_the_oracle(case):
 
 def _one_entry_changed(L):
     """Copies of the rows of L's face coboundaries, each with one entry
-    changed: its sign flipped, or its vertex symbol swapped for another."""
-    faces = FaceCoboundaries.of(L)
+    changed: its sign flipped, or its vertex symbol (one bit) swapped for
+    another."""
+    faces = face_coboundaries(L)
     n = len(L.vertices)
     for c, block in enumerate(faces.rows):
         for i, row in enumerate(block):
             for j, (s, v) in row.items():
-                for changed in [(-s, v)] + [(s, u) for u in range(n) if u != v]:
+                for changed in [(-s, v)] + [(s, 1 << u) for u in range(n) if 1 << u != v]:
                     rows = [[dict(r) for r in b] for b in faces.rows]
                     rows[c][i][j] = changed
                     yield faces.counts, tuple(rows)
@@ -547,10 +548,10 @@ def _one_entry_changed(L):
 def test_face_coboundaries_reject_one_changed_entry(L):
     # every entry lies on a path of length two, so each change breaks d o d
     cases = list(_one_entry_changed(L))
-    assert len(cases) == 4 * sum(len(row) for block in FaceCoboundaries.of(L).rows for row in block)
+    assert len(cases) == 4 * sum(len(row) for block in face_coboundaries(L).rows for row in block)
     for counts, rows in cases:
         with pytest.raises(InternalError, match=r"d\^\d o d\^\d != 0"):
-            FaceCoboundaries(counts, rows)
+            Coboundaries(counts, rows)
 
 
 @given(st.integers(0, 6).flatmap(lambda n: st.tuples(complexes(n), st.permutations(range(n)))), st.randoms())
