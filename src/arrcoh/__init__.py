@@ -30,7 +30,6 @@ _EXPORTS = {  # exported name -> the module that defines it
     "CohomologyReport": "cochain",
     "complex_cohomology": "cochain",
     "make_complex": "cochain",
-    "CoverDescription": "covers",
     "E2Support": "covers",
     "build_nerve": "covers",
     "validate_cover": "covers",

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from arrcoh.linalg import QQ, ZZ, InternalError, Matrix, RankOneSystem, sparse_rank
+from arrcoh.linalg import QQ, ZZ, InternalError, Matrix, RankOneSystem, json_array, sparse_rank
 from arrcoh.poset import FinitePoset, moebius_table
 
 if TYPE_CHECKING:
@@ -32,7 +32,6 @@ __all__ = [
     "intersection_lattice",
     "poincare_and_beta",
     "connected_flats",
-    "BuildingSetChoice",
     "minimal_building_set",
     "maximal_building_set",
     "nested_complex",
@@ -139,8 +138,8 @@ class Arrangement:
             n = ZZ.normalize(obj["n"])
             if n > MAX_AMBIENT_DIM:
                 raise ValueError(f"ambient dimension is capped at {MAX_AMBIENT_DIM}, got {n}")
-            hyps = obj["hyperplanes"]
-            rows = [h["normal"] for h in hyps]
+            hyps = json_array(obj["hyperplanes"], "hyperplanes")
+            rows = [json_array(h["normal"], "normal") for h in hyps]
             labels = [str(h["label"]) for h in hyps]
             return cls.from_rows(n, rows, labels)
         except (KeyError, TypeError) as exc:
@@ -360,31 +359,20 @@ def connected_flats(a: Arrangement) -> list[Flat]:
     ]
 
 
-class BuildingSetChoice:
-    """A supported building set: the connected flats (minimal) or all of
-    the positive-rank lattice (maximal), as closed-set tuples."""
-
-    __slots__ = ("kind", "members")
-
-    def __init__(self, kind: str, members: tuple[tuple[int, ...], ...]) -> None:
-        if kind not in ("minimal", "maximal"):
-            raise ValueError(f"unsupported building set kind {kind!r}")
-        self.kind, self.members = kind, members
+def minimal_building_set(a: Arrangement) -> tuple[tuple[int, ...], ...]:
+    """The connected flats, as closed sets."""
+    return tuple(f.closed_set for f in connected_flats(a))
 
 
-def minimal_building_set(a: Arrangement) -> BuildingSetChoice:
-    members = tuple(f.closed_set for f in connected_flats(a))
-    return BuildingSetChoice("minimal", members)
-
-
-def maximal_building_set(a: Arrangement) -> BuildingSetChoice:
+def maximal_building_set(a: Arrangement) -> tuple[tuple[int, ...], ...]:
+    """Every flat of positive rank, as closed sets."""
     lat = intersection_lattice(a)
-    members = tuple(cs for cs in lat.poset.elements if lat.flats[cs].rank >= 1)
-    return BuildingSetChoice("maximal", members)
+    return tuple(cs for cs in lat.poset.elements if lat.flats[cs].rank >= 1)
 
 
-def nested_complex(a: Arrangement, g: BuildingSetChoice) -> SimplicialComplex:
-    """The nested-set complex on vertex set g minus the top flat.
+def nested_complex(a: Arrangement, g: Sequence[tuple[int, ...]]) -> SimplicialComplex:
+    """The nested-set complex on the building set g, closed sets of flats,
+    minus the top flat.
 
     A subset S is nested when every antichain in S of size >= 2 has its
     join (the smallest flat containing the union) outside g.  For the
@@ -403,8 +391,8 @@ def nested_complex(a: Arrangement, g: BuildingSetChoice) -> SimplicialComplex:
     # the top flat always blocks antichain joins, member or not: in the
     # projectivized picture its divisor is the ambient space itself, so a
     # family of divisors joining to it can never meet
-    members = set(g.members) | {lat.top}
-    vertices = sorted((cs for cs in g.members if cs != lat.top), key=lambda cs: (lat.flats[cs].rank, cs))
+    members = set(g) | {lat.top}
+    vertices = sorted((cs for cs in g if cs != lat.top), key=lambda cs: (lat.flats[cs].rank, cs))
     faces: set[frozenset] = {frozenset()}
     frontier: list[frozenset] = [frozenset()]
     while frontier:
@@ -480,7 +468,7 @@ def vanishing_check(a: Arrangement, sys: RankOneSystem, *, include_top: bool = F
     return VanishingVerdict(holds, tuple(failing), a.rank - 1, abs(beta) if holds else None)
 
 
-def depth_bound(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> int:
+def depth_bound(a: Arrangement, g: Sequence[tuple[int, ...]], sys: RankOneSystem) -> int:
     """Largest cardinality of a nested set all of whose flats have trivial
     monodromy (the empty set always qualifies, so the bound is >= 0).
     A positive bound certifies nonvanishing below the top degree."""
@@ -495,7 +483,7 @@ def depth_bound(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> int
     return best
 
 
-def e2_certificate(a: Arrangement, g: BuildingSetChoice, sys: RankOneSystem) -> E2Support:
+def e2_certificate(a: Arrangement, g: Sequence[tuple[int, ...]], sys: RankOneSystem) -> E2Support:
     """Support certificate for the nested-set spectral sequence.
 
     Per nested set S the coefficient row is torus cohomology: {0} for the

@@ -24,7 +24,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from arrcoh.linalg import GF, QQ, ZZ, FieldTag, InternalError, RankOneSystem, is_prime
+from arrcoh.linalg import GF, QQ, ZZ, FieldTag, InternalError, RankOneSystem, is_prime, json_array
 
 if TYPE_CHECKING:
     from arrcoh.arrangement import Arrangement
@@ -66,8 +66,7 @@ def _grid(sup: E2Support) -> list[str]:
         qs = sorted(q for _, q in entries)
         pmin, pmax, qmin, qmax = ps[0], ps[-1], qs[0], qs[-1]
     else:
-        pmin, qmin, qmax = 0, 0, 0
-        pmax = sup.ambient_bound if sup.ambient_bound is not None else 0
+        pmin, pmax, qmin, qmax = 0, sup.ambient_bound, 0, 0
 
     def cell(p: int, q: int) -> str:
         v = entries.get((p, q))
@@ -161,7 +160,7 @@ def _run_arr_nested(args):
     g = _building(a, args.building)
     nc = nested_complex(a, g)
     labels = a.labels
-    members = [[labels[i] for i in cs] for cs in g.members]
+    members = [[labels[i] for i in cs] for cs in g]
     report = {
         "building": args.building,
         "members": members,
@@ -336,7 +335,7 @@ def _run_ell_convenient(args):
     if "character" not in obj:
         raise ValueError("input needs a character: 2n scalars, two per elliptic factor")
     field = _elliptic_field(obj)
-    verdict = convenient_check(ea, field, obj["character"])
+    verdict = convenient_check(ea, field, json_array(obj["character"], "character"))
     report = verdict.to_json()
     table = [f"convenient: {'yes' if verdict.holds else 'no'}"]
     if verdict.holds:
@@ -363,18 +362,20 @@ def _run_ell_certify(args):
 
 
 def _run_covers_validate(args):
-    from arrcoh.covers import MAX_WITNESSES, CoverDescription, build_nerve, validate_cover
+    from arrcoh.covers import MAX_WITNESSES, build_nerve, validate_cover
     from arrcoh.poset import FinitePoset
 
     obj = _load(args.cover)
     try:
         if not isinstance(obj["sets"], Mapping) or not isinstance(obj["rho"], Mapping):
             raise ValueError("bad cover JSON: sets and rho must be objects")
-        sets = {str(k): frozenset(v) for k, v in obj["sets"].items()}
-        pelems = [str(e) for e in obj["poset"]["elements"]]
-        rels = [(str(x), str(y)) for x, y in obj["poset"]["relations"]]
+        sets = {str(k): frozenset(json_array(v, "sets")) for k, v in obj["sets"].items()}
+        pelems = [str(e) for e in json_array(obj["poset"]["elements"], "elements")]
+        relations = (json_array(r, "relations") for r in json_array(obj["poset"]["relations"], "relations"))
+        rels = [(str(x), str(y)) for x, y in relations]
         rho = {str(k): int(v) for k, v in obj["rho"].items()}
-        phi_pairs = [(frozenset(str(l) for l in labs), str(img)) for labs, img in obj["phi"]]
+        phi_items = (json_array(item, "phi") for item in json_array(obj["phi"], "phi"))
+        phi_pairs = [(frozenset(str(l) for l in json_array(labs, "phi")), str(img)) for labs, img in phi_items]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad cover JSON: {exc}") from exc
     nerve, keys = build_nerve(sets)
@@ -385,7 +386,7 @@ def _run_covers_validate(args):
             raise ValueError(f"phi key {sorted(labs)} is not a nerve element")
         phi[labs] = img
     poset = FinitePoset(pelems, rels)
-    verdict = validate_cover(CoverDescription(nerve, poset, rho, phi, keys))
+    verdict = validate_cover(nerve, poset, rho, phi, keys)
     report = verdict.to_json()
     table = [f"valid: {'yes' if verdict.valid else 'no'}", f"homotopy condition: {verdict.condition2}"]
     for code, wit in report["failures"]:

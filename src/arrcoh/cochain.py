@@ -12,16 +12,14 @@ signed monomials in one symbol per vertex or hyperplane, d o d = 0 is
 checked once per structure as an identity in the symbols, and each weight
 system only specializes the monomials.  :func:`make_complex` takes
 hand-built numeric rows: it normalizes each entry once and checks
-d o d = 0 with an exact product over the nonzero entries only, in integers
-on every ring (mod p over F_p; over Q on each differential scaled to
-integers).  :func:`complex_cohomology` needs ranks alone, which it takes
-from one sparse elimination per differential
+d o d = 0 with an exact product over the nonzero normalized entries only
+(reduced mod p over F_p).  :func:`complex_cohomology` needs ranks alone,
+which it takes from one sparse elimination per differential
 (:func:`~arrcoh.linalg.sparse_rank`).
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -46,16 +44,15 @@ class CochainComplexData:
 
     @property
     def differentials(self) -> dict[int, Matrix]:
-        """Dense view of every stored differential."""
-        return {k: self.differential(k) for k in self.rows}
-
-    def differential(self, k: int) -> Matrix:
-        """The dense matrix of d^k, of shape (dims[k+1], dims[k])."""
+        """Dense view of every stored differential: d^k as a matrix of
+        shape (dims[k+1], dims[k])."""
         zero = self.ring.normalize(0)
-        ncols = self.dims.get(k, 0)
-        rows = self.rows.get(k) or [{}] * self.dims.get(k + 1, 0)
-        entries = tuple(tuple(row.get(j, zero) for j in range(ncols)) for row in rows)
-        return Matrix(self.ring, entries, len(entries), ncols)
+        out = {}
+        for k, rows in self.rows.items():
+            ncols = self.dims.get(k, 0)
+            entries = tuple(tuple(row.get(j, zero) for j in range(ncols)) for row in rows)
+            out[k] = Matrix(self.ring, entries, len(entries), ncols)
+        return out
 
 
 class Coboundaries:
@@ -118,10 +115,10 @@ class Coboundaries:
 
 
 def _composes_to_zero(outer: list[dict], inner: list[dict], p: int | None) -> bool:
-    """Is the product outer @ inner of two sparse-row integer matrices zero?
+    """Is the product outer @ inner of two sparse-row matrices zero?
 
-    Exact: each entry is summed over the integers and reduced mod p only at
-    the end when p is given.
+    Exact: each entry is summed over the integers or rationals and reduced
+    mod p only at the end when p is given.
     """
     for row in outer:
         acc: dict = {}
@@ -131,14 +128,6 @@ def _composes_to_zero(outer: list[dict], inner: list[dict], p: int | None) -> bo
         if any(x % p for x in acc.values()) if p else any(acc.values()):
             return False
     return True
-
-
-def _scaled_to_integers(rows: list[dict]) -> list[dict]:
-    """Rational sparse rows times the lcm of their entries' denominators:
-    integer rows with the same kernel, and a zero product with another
-    matrix exactly when the unscaled rows have one."""
-    scale = math.lcm(*(x.denominator for row in rows for x in row.values()))
-    return [{j: x.numerator * (scale // x.denominator) for j, x in row.items()} for row in rows]
 
 
 def make_complex(
@@ -151,10 +140,8 @@ def make_complex(
     once through ``ring.normalize``, and entries that become zero (a
     multiple of p over F_p) are dropped.
 
-    The d o d = 0 check multiplies integers only.  Over Q each
-    differential is first scaled by the lcm of its entries' denominators;
-    a nonzero scalar per matrix keeps the check exact, and the stored rows
-    keep their :class:`~fractions.Fraction` entries.
+    The d o d = 0 check multiplies the normalized entries exactly: ints
+    over Z and F_p, :class:`~fractions.Fraction` over Q.
     """
     dims = dict(dims)
     for k, dim in dims.items():
@@ -168,11 +155,9 @@ def make_complex(
         normalized = [{j: ring.normalize(x) for j, x in row.items()} for row in diff]
         rows[k] = [{j: x for j, x in row.items() if x} for row in normalized]
     p = ring.p if isinstance(ring, FieldTag) and ring.kind == "prime" else None
-    rational = isinstance(ring, FieldTag) and ring.kind == "rational"
-    integral = {k: _scaled_to_integers(diff) for k, diff in rows.items()} if rational else rows
     for k in rows:
-        nxt = integral.get(k + 1)
-        if nxt is not None and not _composes_to_zero(nxt, integral[k], p):
+        nxt = rows.get(k + 1)
+        if nxt is not None and not _composes_to_zero(nxt, rows[k], p):
             raise ValueError(f"d^{k + 1} o d^{k} != 0")
     return CochainComplexData(ring=ring, dims=dims, rows=rows)
 

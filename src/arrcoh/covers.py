@@ -4,8 +4,9 @@ A cover is described by its nerve (subsets of cover labels with nonempty
 intersection, ordered by inclusion), a target poset P, a rank map rho on P
 and an order-preserving map phi from the nerve onto P.  The homotopy
 condition on unions over up-sets is not decidable from this data alone;
-the validator certifies a set-level surrogate when intersection keys are
-available and otherwise records the condition as an assumption.
+the validator reads it from the nerve's intersection keys: certified when
+every phi fiber carries one key, failed with condition 3, and otherwise
+recorded as an assumption.
 
 The E2 engine deliberately works with *supports*, not modules: each datum
 says in which degrees a local coefficient may be nonzero, and the engine
@@ -28,7 +29,6 @@ __all__ = [
     "MAX_NERVE_ELEMENTS",
     "MAX_WITNESSES",
     "build_nerve",
-    "CoverDescription",
     "CoverVerdict",
     "validate_cover",
     "E2Support",
@@ -81,15 +81,6 @@ def build_nerve(sets: Mapping[Hashable, frozenset]) -> tuple[FinitePoset, dict]:
     return FinitePoset(elements, relations), keys
 
 
-class CoverDescription:
-    """A candidate combinatorial cover: nerve, poset, rank map, and phi."""
-
-    __slots__ = ("nerve", "poset", "rho", "phi", "keys")
-
-    def __init__(self, nerve: FinitePoset, poset: FinitePoset, rho: Mapping, phi: Mapping, keys: Mapping | None = None) -> None:
-        self.nerve, self.poset, self.rho, self.phi, self.keys = nerve, poset, rho, phi, keys
-
-
 class CoverVerdict:
     """``failures`` lists (code, witness) pairs, the first ``MAX_WITNESSES``
     found of each code; ``counts`` (a fresh empty dict by default) says how
@@ -126,8 +117,10 @@ def _witness_json(w) -> list[str] | str:
     return sorted(map(str, w)) if isinstance(w, frozenset) else str(w)
 
 
-def validate_cover(cover: CoverDescription) -> CoverVerdict:
-    """Check the decidable cover conditions; see the module docstring.
+def validate_cover(nerve: FinitePoset, P: FinitePoset, rho: Mapping, phi: Mapping, keys: Mapping) -> CoverVerdict:
+    """Check the decidable cover conditions of the nerve, with intersection
+    ``keys`` as :func:`build_nerve` gives them, over the poset P with rank
+    map ``rho`` and ``phi`` from the nerve to P; see the module docstring.
 
     Hard checks: phi total, order-preserving and surjective; rho an
     order-preserving rank with antichain fibers; equal intersection keys on
@@ -147,53 +140,48 @@ def validate_cover(cover: CoverDescription) -> CoverVerdict:
         if counts[code] <= MAX_WITNESSES:
             failures.append((code, witness))
 
-    nerve, P = cover.nerve, cover.poset
     for s in nerve.elements:
-        if s not in cover.phi:
+        if s not in phi:
             fail("phi-missing", (s,))
     if failures:
         return CoverVerdict(False, tuple(failures), counts=counts)
     for s in nerve.elements:
-        if cover.phi[s] not in P:
-            fail("phi-range", (s, cover.phi[s]))
+        if phi[s] not in P:
+            fail("phi-range", (s, phi[s]))
     if failures:
         return CoverVerdict(False, tuple(failures), counts=counts)
     # only a comparable pair can fail a check below: walk each element's up-set
     comparable = [(s, t) for s in nerve.elements for t in nerve.strictly_above(s)]
     for s, t in comparable:
-        if not P.leq(cover.phi[s], cover.phi[t]):
+        if not P.leq(phi[s], phi[t]):
             fail("phi-not-order-preserving", (s, t))
-    image = {cover.phi[s] for s in nerve.elements}
+    image = {phi[s] for s in nerve.elements}
     for x in P.elements:
         if x not in image:
             fail("phi-not-surjective", (x,))
-    rk = validate_ranked(P.elements, ((x, y) for x in P.elements for y in P.strictly_above(x)), cover.rho)
+    rk = validate_ranked(P.elements, ((x, y) for x in P.elements for y in P.strictly_above(x)), rho)
     if not rk.ok:
         fail("rho-not-ranked", rk.witness or ())
-    if cover.keys is not None:
-        for s, t in comparable:
-            if cover.keys[s] == cover.keys[t] and cover.phi[s] != cover.phi[t]:
-                fail("condition3", (s, t))
-        fibers_constant = True
-        fiber_key: dict = {}
-        for s in nerve.elements:
-            x = cover.phi[s]
-            if x in fiber_key and fiber_key[x] != cover.keys[s]:
-                fibers_constant = False
-            else:
-                fiber_key.setdefault(x, cover.keys[s])
-        if "condition3" in counts:
-            condition2 = "failed"
-            assumptions: tuple = ()
-        elif fibers_constant:
-            condition2 = "certified"
-            assumptions = ()
+    for s, t in comparable:
+        if keys[s] == keys[t] and phi[s] != phi[t]:
+            fail("condition3", (s, t))
+    fibers_constant = True
+    fiber_key: dict = {}
+    for s in nerve.elements:
+        x = phi[s]
+        if x in fiber_key and fiber_key[x] != keys[s]:
+            fibers_constant = False
         else:
-            condition2 = "assumed"
-            assumptions = ("fiber keys not constant: homotopy condition on fiber unions assumed",)
+            fiber_key.setdefault(x, keys[s])
+    if "condition3" in counts:
+        condition2 = "failed"
+        assumptions: tuple = ()
+    elif fibers_constant:
+        condition2 = "certified"
+        assumptions = ()
     else:
         condition2 = "assumed"
-        assumptions = ("homotopy condition on up-set unions assumed (no intersection keys)",)
+        assumptions = ("fiber keys not constant: homotopy condition on fiber unions assumed",)
     return CoverVerdict(not failures, tuple(failures), condition2, assumptions, counts)
 
 
@@ -214,10 +202,10 @@ class E2Support:
     def __init__(
         self,
         entries: Mapping[tuple[int, int], object],
-        ambient_bound: int | None = None,
-        concentration: int | None = None,
-        total_vanishing: bool = False,
-        notes: tuple[str, ...] = (),
+        ambient_bound: int,
+        concentration: int | None,
+        total_vanishing: bool,
+        notes: tuple[str, ...],
     ) -> None:
         self.entries, self.ambient_bound, self.concentration = entries, ambient_bound, concentration
         self.total_vanishing, self.notes = total_vanishing, notes
@@ -254,14 +242,14 @@ class E2Support:
 
 def support_certificate(
     entries: Mapping[tuple[int, int], object],
-    ambient_bound: int | None,
+    ambient_bound: int,
     notes: Iterable[str] = (),
 ) -> E2Support:
     """Apply the ambient-dimension cut and decide concentration."""
     kept = {}
     cut = 0
     for (p, q), v in entries.items():
-        if ambient_bound is not None and p + q > ambient_bound:
+        if p + q > ambient_bound:
             cut += 1
             continue
         if v == 0:
@@ -272,20 +260,14 @@ def support_certificate(
         notes.append(f"{cut} bidegrees discarded beyond total degree {ambient_bound}")
     lines = sorted({p + q for p, q in kept})
     concentration = lines[0] if len(lines) == 1 else None
-    return E2Support(
-        entries=kept,
-        ambient_bound=ambient_bound,
-        concentration=concentration,
-        total_vanishing=not kept,
-        notes=tuple(notes),
-    )
+    return E2Support(kept, ambient_bound, concentration, not kept, tuple(notes))
 
 
 def e2_support(
     rho: Mapping,
     relations: Iterable[tuple[Hashable, Hashable]],
     data: Mapping[Hashable, tuple[Iterable[int], Iterable[int]]],
-    ambient_bound: int | None = None,
+    ambient_bound: int,
     notes: Iterable[str] = (),
 ) -> E2Support:
     """Assemble possibly-nonzero bidegrees from per-element local data.

@@ -31,7 +31,7 @@ from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, RankOneSystem, SmithForm, smith_normal_form, sparse_rank
+from arrcoh.linalg import QQ, ZZ, FieldTag, Matrix, RankOneSystem, SmithForm, json_array, smith_normal_form, sparse_rank
 
 if TYPE_CHECKING:
     from arrcoh.arrangement import Arrangement
@@ -138,11 +138,11 @@ class EllipticArrangement:
             n = ZZ.normalize(obj["n"])
             if n > MAX_FACTORS:
                 raise ValueError(f"the ambient product is capped at {MAX_FACTORS} curve factors, got {n}")
-            rows = [[ZZ.normalize(x) for x in r] for r in obj["rows"]]
-            translations = [_parse_translation(t) for t in obj.get("translations", [0] * len(rows))]
+            rows = [[ZZ.normalize(x) for x in json_array(r, "row")] for r in json_array(obj["rows"], "rows")]
+            translations = [_parse_translation(t) for t in json_array(obj.get("translations", [0] * len(rows)), "translations")]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad elliptic JSON: {exc}") from exc
-        labels = [str(x) for x in obj["labels"]] if "labels" in obj else None
+        labels = [str(x) for x in json_array(obj["labels"], "labels")] if "labels" in obj else None
         return cls.from_rows(n, rows, translations, labels)
 
     def to_json(self) -> dict:
@@ -384,10 +384,7 @@ def _tangent_data(
         if _row_vanishes_at(a, h, X.point):
             groups.setdefault(_primitive(a.rows.row(h)), []).append(h)
     directions = sorted(groups)
-    if directions:
-        arr = Arrangement.from_rows(a.n, [list(d) for d in directions], [f"t{k}" for k in range(len(directions))])
-    else:
-        arr = Arrangement(a.n, Matrix.zeros(QQ, 0, a.n), ())
+    arr = Arrangement.from_rows(a.n, [list(d) for d in directions], [f"t{k}" for k in range(len(directions))])
     return arr, [groups[d] for d in directions]
 
 

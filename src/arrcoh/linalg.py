@@ -32,6 +32,7 @@ __all__ = [
     "rank_kernel",
     "sparse_rank",
     "parse_fraction",
+    "json_array",
     "SmithForm",
     "smith_normal_form",
     "is_prime",
@@ -91,6 +92,15 @@ def parse_fraction(x) -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def json_array(value, name: str):
+    """``value``, where JSON input puts the array ``name``: a string or an
+    object there is refused rather than read one character or one key at a
+    time.  Scalars may still be strings, such as ``"1/2"``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be an array, got {value!r}")
+    return value
 
 
 class FieldTag:

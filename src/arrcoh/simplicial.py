@@ -163,39 +163,44 @@ def _face_index(L: SimplicialComplex) -> tuple[list[list[int]], dict[int, frozen
     return _levels(face_of, len(L.vertices)), face_of
 
 
-def link_cohomology(L: SimplicialComplex, ring: Ring, within: Iterable) -> dict[frozenset, CohomologyReport]:
-    """Reduced cohomology of the link of every face of L inside the vertex
-    set ``within``, over ``ring``; each report equals what
-    :func:`reduced_cohomology` gives for :func:`link` of the face.
+def link_cohomology(L: SimplicialComplex, ring: Ring) -> dict[frozenset, CohomologyReport]:
+    """Reduced cohomology of the link of every face of L over ``ring``;
+    each report equals what :func:`reduced_cohomology` gives for
+    :func:`link` of the face.
 
     Keyed by face in :meth:`SimplicialComplex.faces_of_card` order, the
     empty face (whose link is L) first.  One sweep over the faces, as
     bitmasks, builds every link: a face g lies in the link of each
     submask s of g, as g - s, and every face of the link of s arises so
-    from g = s | tau.  Only the submasks of g inside ``within`` are
-    visited, so no link outside it is built.
-
-    The sweep takes the faces by cardinality, so each link lists its faces
-    by cardinality too.  A link with no face of three vertices is {emptyset},
-    a set of points or a graph: its cohomology is read off its own masks
-    (:func:`_graph_cohomology`), and one with m vertices and 2^m faces is a
-    simplex, acyclic: neither is relabeled.  Any other link is relabeled
-    onto bits 0..m-1, its m vertices in the vertex order of L, and
-    eliminated once per distinct relabeled mask set, with coboundaries from
-    the masks (:func:`_level_coboundaries`, with its d o d check).
+    from g = s | tau.  The sweep takes the faces by cardinality, so each
+    link lists its faces by cardinality too; :func:`_link_reports` reads
+    the links.
     """
     levels, face_of = _face_index(L)
-    keep = set(within)
-    mask = sum(1 << i for i, v in enumerate(L.vertices) if v in keep)
-    links: dict[int, list[int]] = {s: [] for level in levels for s in level if not s & ~mask}
+    links: dict[int, list[int]] = {s: [] for level in levels for s in level}
     for g in itertools.chain.from_iterable(levels):
-        s = g & mask
-        top = s
+        s = g
         while True:
             links[s].append(g ^ s)
             if not s:
                 break
-            s = (s - 1) & top
+            s = (s - 1) & g
+    return _link_reports(ring, links, face_of)
+
+
+def _link_reports(ring: Ring, links: dict[int, list[int]], face_of: dict[int, frozenset]) -> dict[frozenset, CohomologyReport]:
+    """Reduced cohomology over ``ring`` of each complex in ``links``, keyed
+    by the face of its key mask: a complex is its face masks, closed under
+    subsets, listed by cardinality (so the empty face first).
+
+    A complex with no face of three vertices is {emptyset}, a set of points
+    or a graph: its cohomology is read off its own masks
+    (:func:`_graph_cohomology`), and one with m vertices and 2^m faces is a
+    simplex, acyclic: neither is relabeled.  Any other complex is relabeled
+    onto bits 0..m-1, its m vertices in increasing order of their bits, and
+    eliminated once per distinct relabeled mask set, with coboundaries from
+    the masks (:func:`_level_coboundaries`, with its d o d check).
+    """
     by_shape: dict[frozenset, CohomologyReport] = {}
     table = {}
     for s, faces in links.items():
@@ -322,7 +327,7 @@ def is_cohen_macaulay(L: SimplicialComplex, ring: Ring = ZZ) -> CMVerdict:
     whose cohomology sits in degree -1 < dim L - |facet|.  The links'
     cohomology comes from one :func:`link_cohomology` table.
     """
-    return _cm_verdict(L, ring, link_cohomology(L, ring, L.vertices))
+    return _cm_verdict(L, ring, link_cohomology(L, ring))
 
 
 def _cm_verdict(L: SimplicialComplex, ring: Ring, table: dict[frozenset, CohomologyReport]) -> CMVerdict:

@@ -201,8 +201,8 @@ def test_building_sets_three_lines():
     a = three_generic_lines()
     gmin = minimal_building_set(a)
     gmax = maximal_building_set(a)
-    assert gmin.members == ((0,), (1,), (2,), (0, 1, 2))
-    assert gmax.members == gmin.members  # every flat is irreducible here
+    assert gmin == ((0,), (1,), (2,), (0, 1, 2))
+    assert gmax == gmin  # every flat is irreducible here
 
 
 def test_nested_complex_three_lines_isolated_vertices():
@@ -267,7 +267,7 @@ def oracle_nested_faces(a, g):
         return joins[key]
 
     top = tuple(range(a.m))
-    members = set(g.members) | {top}
+    members = set(g) | {top}
 
     def nested(S):
         for k in range(2, len(S) + 1):
@@ -277,7 +277,7 @@ def oracle_nested_faces(a, g):
                     return False
         return True
 
-    vertices = [cs for cs in g.members if cs != top]
+    vertices = [cs for cs in g if cs != top]
     faces = {frozenset()}
     frontier = [frozenset()]
     while frontier:
@@ -549,10 +549,10 @@ def test_certificate_bounds_salvetti_cohomology(case):
     verdict = vanishing_check(a, sys_)
     for g in (minimal_building_set(a), maximal_building_set(a)):
         cert = e2_certificate(a, g, sys_)
-        assert {k for k, b in enumerate(betti) if b} <= set(cert.lines()), (g.kind, betti, cert.lines())
+        assert {k for k, b in enumerate(betti) if b} <= set(cert.lines()), (g, betti, cert.lines())
         if cert.concentration is not None and verdict.holds:
             assert cert.concentration == verdict.predicted_degree == len(betti) - 1
-            assert betti == (0,) * cert.concentration + (verdict.predicted_dim,), g.kind
+            assert betti == (0,) * cert.concentration + (verdict.predicted_dim,), g
 
 
 def test_depth_bound():

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import functools
 import hashlib
 import io
 import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from arrcoh import cli
 from arrcoh.arrangement import MAX_AMBIENT_DIM
 from arrcoh.covers import MAX_NERVE_ELEMENTS, MAX_WITNESSES
 from arrcoh.elliptic import MAX_CANDIDATES, MAX_FACTORS
-from arrcoh.simplicial import MAX_FACES
+from arrcoh.simplicial import MAX_FACES, enumerate_complexes
 
 
 LINES3 = {
@@ -691,6 +693,33 @@ MUTATED_VERBS = (
     ("covers-validate", [COVER]),
 )
 MUTATIONS = ([], "x", 3, {}, None, True, 1.5)
+# the fields of those inputs that a verb does not read
+UNREAD = {("ell-analyze", "character"), ("ell-certify", "character")}
+
+
+def _page_contradicts(report):
+    """Does the page of ``toric-cohomology --page`` contradict the exact
+    cohomology beside it: a line whose total is not the Betti number of its
+    degree, or a concentration on another degree?"""
+    betti = {int(k): v["rank"] for k, v in report["cohomology"].items() if v["rank"]}
+    lines: dict = {}
+    for key, dim in report["page"]["entries"].items():
+        n = sum(map(int, key.split(",")))
+        lines[n] = lines.get(n, 0) + dim
+    concentration = report["page"]["concentration"]
+    return lines != betti or (concentration is not None and list(betti) != [concentration])
+
+
+def test_toric_page_never_contradicts_the_cohomology_beside_it(files, capsys, monkeypatch):
+    # every complex on at most 4 vertices, its first k vertices of weight 1
+    monkeypatch.delenv(cli.FORMAT_ENV, raising=False)
+    for L in enumerate_complexes(4):
+        for k in range(len(L.vertices) + 1):
+            q = {str(v): 1 if i < k else 3 for i, v in enumerate(L.vertices)}
+            tc = files("t.json", L.to_json())
+            w = files("w.json", {"field": {"kind": "prime", "p": 7}, "q": q})
+            code, out, _ = run(capsys, ["toric-cohomology", tc, w, "--page"])
+            assert code == 0 and not _page_contradicts(json.loads(out)), (L.facets(), q)
 
 
 def _json_paths(obj, prefix=()):
@@ -708,15 +737,21 @@ def _replaced(obj, path, value):
     return out
 
 
-def test_mutated_inputs_keep_the_exit_code_contract(tmp_path):
-    # every value of every input, replaced by each JSON kind in turn
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, monkeypatch):
+    # every value of every input, replaced by each JSON kind in turn, and
+    # every array by the string of its items or an object keyed by them,
+    # which must exit 2: read one character or key at a time, "normal": "10"
+    # would be the normal (1, 0)
+    monkeypatch.delenv(cli.FORMAT_ENV, raising=False)
     broken = []
     for verb, inputs in MUTATED_VERBS:
         for slot, base in enumerate(inputs):
             if isinstance(base, str):
                 continue
             for path in _json_paths(base):
-                for value in MUTATIONS:
+                found = functools.reduce(operator.getitem, path, base)
+                misread = ["".join(map(str, found)), dict.fromkeys(map(str, found), 0)] if isinstance(found, list) else []
+                for value in MUTATIONS + tuple(misread):
                     argv = [verb]
                     for i, x in enumerate(inputs):
                         if not isinstance(x, str):
@@ -732,4 +767,8 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path):
                         code = repr(exc)
                     if code not in (0, 1, 2) or (code == 2 and not _one_error_line(err.getvalue())):
                         broken.append((verb, slot, path, value, code))
+                    elif value in misread and code != 2 and (verb, path[0]) not in UNREAD:
+                        broken.append((verb, slot, path, value, code))
+                    elif verb == "toric-cohomology" and code == 0 and _page_contradicts(json.loads(out.getvalue())):
+                        broken.append((verb, slot, path, value, "page contradicts the cohomology"))
     assert not broken, "\n".join(map(repr, broken))

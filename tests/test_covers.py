@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from arrcoh.covers import (
     MAX_WITNESSES,
     POSSIBLE,
-    CoverDescription,
     E2Support,
     build_nerve,
     e2_support,
@@ -73,20 +72,13 @@ def _two_set_cover():
     return nerve, keys, poset, phi, rho
 
 
-def test_validate_cover_assumed_without_keys():
-    nerve, keys, poset, phi, rho = _two_set_cover()
-    v = validate_cover(CoverDescription(nerve, poset, rho, phi))
-    assert v.valid
-    assert v.condition2 == "assumed"
-    assert v.assumptions
-
-
 def test_validate_cover_assumed_with_nonconstant_fiber_keys():
     nerve, keys, poset, phi, rho = _two_set_cover()
     # phi sends both singletons to "x" but their intersection keys differ
-    v = validate_cover(CoverDescription(nerve, poset, rho, phi, keys=keys))
+    v = validate_cover(nerve, poset, rho, phi, keys)
     assert v.valid
     assert v.condition2 == "assumed"
+    assert v.assumptions
 
 
 def test_validate_cover_certified_with_constant_fiber_keys():
@@ -94,7 +86,7 @@ def test_validate_cover_certified_with_constant_fiber_keys():
     nerve, keys = build_nerve(sets)
     poset = FinitePoset(["x"], [])
     phi = {s: "x" for s in nerve.elements}
-    v = validate_cover(CoverDescription(nerve, poset, {"x": 0}, phi, keys=keys))
+    v = validate_cover(nerve, poset, {"x": 0}, phi, keys)
     assert v.valid and v.condition2 == "certified"
     assert v.assumptions == ()
 
@@ -109,7 +101,7 @@ def test_validate_cover_certified_on_the_triangle_boundary():
     vertices = [frozenset({v}) for v in (1, 2, 3)]
     poset = FinitePoset([*edges.values(), *vertices], [(e, v) for e in edges.values() for v in vertices if v <= e])
     rho = {x: -len(x) for x in poset.elements}
-    v = validate_cover(CoverDescription(nerve, poset, rho, dict(keys), keys=keys))
+    v = validate_cover(nerve, poset, rho, dict(keys), keys)
     assert v.valid and v.condition2 == "certified"
     assert v.assumptions == ()
 
@@ -124,7 +116,7 @@ def test_validate_cover_condition3_failure():
         frozenset({"U2"}): "x",
         frozenset({"U1", "U2"}): "y",
     }
-    v = validate_cover(CoverDescription(nerve, poset, {"x": 0, "y": 1}, phi, keys=keys))
+    v = validate_cover(nerve, poset, {"x": 0, "y": 1}, phi, keys)
     assert not v.valid
     assert v.condition2 == "failed"
     assert any(code == "condition3" for code, _ in v.failures)
@@ -133,7 +125,7 @@ def test_validate_cover_condition3_failure():
 def test_validate_cover_missing_phi():
     nerve, keys, poset, phi, rho = _two_set_cover()
     del phi[frozenset({"U1", "U2"})]
-    v = validate_cover(CoverDescription(nerve, poset, rho, phi))
+    v = validate_cover(nerve, poset, rho, phi, keys)
     assert not v.valid
     assert any(code == "phi-missing" for code, _ in v.failures)
 
@@ -143,7 +135,7 @@ def test_validate_cover_not_order_preserving():
     phi = dict(phi)
     phi[frozenset({"U1"})] = "y"
     phi[frozenset({"U1", "U2"})] = "x"
-    v = validate_cover(CoverDescription(nerve, poset, rho, phi))
+    v = validate_cover(nerve, poset, rho, phi, keys)
     assert not v.valid
     assert any(code == "phi-not-order-preserving" for code, _ in v.failures)
 
@@ -151,26 +143,23 @@ def test_validate_cover_not_order_preserving():
 def test_validate_cover_not_surjective():
     nerve, keys, poset, phi, rho = _two_set_cover()
     poset = FinitePoset(["x", "y", "z"], [("x", "y")])
-    v = validate_cover(CoverDescription(nerve, poset, {"x": 0, "y": 1, "z": 0}, phi))
+    v = validate_cover(nerve, poset, {"x": 0, "y": 1, "z": 0}, phi, keys)
     assert not v.valid
     assert any(code == "phi-not-surjective" for code, _ in v.failures)
 
 
 def test_validate_cover_bad_rank():
     nerve, keys, poset, phi, rho = _two_set_cover()
-    v = validate_cover(CoverDescription(nerve, poset, {"x": 1, "y": 0}, phi))
+    v = validate_cover(nerve, poset, {"x": 1, "y": 0}, phi, keys)
     assert not v.valid
     assert any(code == "rho-not-ranked" for code, _ in v.failures)
 
 
-def _all_pairs_failures(cover):
+def _all_pairs_failures(nerve, P, phi, keys):
     # oracle: the pair checks of validate_cover over all N^2 nerve pairs
-    nerve, P, phi = cover.nerve, cover.poset, cover.phi
     pairs = [(s, t) for s in nerve.elements for t in nerve.elements if s != t and nerve.leq(s, t)]
     out = [("phi-not-order-preserving", (s, t)) for s, t in pairs if not P.leq(phi[s], phi[t])]
-    if cover.keys is not None:
-        out += [("condition3", (s, t)) for s, t in pairs if cover.keys[s] == cover.keys[t] and phi[s] != phi[t]]
-    return out
+    return out + [("condition3", (s, t)) for s, t in pairs if keys[s] == keys[t] and phi[s] != phi[t]]
 
 
 @settings(max_examples=80, deadline=None)
@@ -186,10 +175,9 @@ def test_validate_cover_pair_checks_match_all_pairs(pools, k, data):
     poset = FinitePoset(elements, [(elements[i], elements[j]) for i, j in below if i < j])
     rho = {x: data.draw(st.integers(0, 3)) for x in elements}
     phi = {s: data.draw(st.sampled_from(elements)) for s in nerve.elements}
-    cover = CoverDescription(nerve, poset, rho, phi, keys if data.draw(st.booleans()) else None)
     pair_codes = ("phi-not-order-preserving", "condition3")
-    verdict = validate_cover(cover)
-    expected = _all_pairs_failures(cover)
+    verdict = validate_cover(nerve, poset, rho, phi, keys)
+    expected = _all_pairs_failures(nerve, poset, phi, keys)
     first, seen = [], Counter()
     for f in expected:
         seen[f[0]] += 1
@@ -201,7 +189,7 @@ def test_validate_cover_pair_checks_match_all_pairs(pools, k, data):
 
 def test_cover_verdict_json():
     nerve, keys, poset, phi, rho = _two_set_cover()
-    obj = validate_cover(CoverDescription(nerve, poset, rho, phi)).to_json()
+    obj = validate_cover(nerve, poset, rho, phi, keys).to_json()
     assert obj["valid"] is True
     assert obj["condition2"] == "assumed"
     assert isinstance(obj["assumptions"], list)
@@ -217,7 +205,7 @@ def _chain():
 
 def test_e2_support_basic_placement():
     rho, relations = _chain()
-    sup = e2_support(rho, relations, {"a": ([0], [0]), "b": ([-1], [1, 2])})
+    sup = e2_support(rho, relations, {"a": ([0], [0]), "b": ([-1], [1, 2])}, 3)
     # (p, q) = (base + rho, coeff)
     assert set(sup.entries) == {(0, 0), (2, -1), (3, -1)}
     assert all(v == POSSIBLE for v in sup.entries.values())
@@ -237,7 +225,7 @@ def test_e2_support_concentration_and_ambient_cut():
 
 def test_e2_support_total_vanishing():
     rho, relations = _chain()
-    sup = e2_support(rho, relations, {"a": ([], [0])})
+    sup = e2_support(rho, relations, {"a": ([], [0])}, 0)
     assert sup.total_vanishing
     assert sup.entries == {}
     assert sup.concentration is None
@@ -246,29 +234,29 @@ def test_e2_support_total_vanishing():
 def test_e2_support_unknown_element():
     rho, relations = _chain()
     with pytest.raises(ValueError, match="missing rank for 'zz'"):
-        e2_support(rho, relations, {"zz": ([0], [0])})
+        e2_support(rho, relations, {"zz": ([0], [0])}, 0)
     with pytest.raises(ValueError, match="missing rank for 'zz'"):
-        e2_support(rho, relations + [("b", "zz")], {"a": ([0], [0])})
+        e2_support(rho, relations + [("b", "zz")], {"a": ([0], [0])}, 0)
 
 
 def test_e2_support_bad_rank_map():
     rho, relations = _chain()
     with pytest.raises(ValueError, match="rank"):
-        e2_support({"a": 1, "b": 0}, relations, {"a": ([0], [0])})
+        e2_support({"a": 1, "b": 0}, relations, {"a": ([0], [0])}, 0)
     # a cycle of generators cannot increase strictly
     with pytest.raises(ValueError, match="rank"):
-        e2_support(rho, relations + [("b", "a")], {"a": ([0], [0])})
+        e2_support(rho, relations + [("b", "a")], {"a": ([0], [0])}, 0)
 
 
 def test_dim_on_line_exact_vs_possible():
-    sup = support_certificate({(0, 1): 2, (1, 0): 3, (2, 0): POSSIBLE}, ambient_bound=None)
+    sup = support_certificate({(0, 1): 2, (1, 0): 3, (2, 0): POSSIBLE}, ambient_bound=2)
     assert sup.dim_on_line(1) == 5
     assert sup.dim_on_line(2) is None  # a 'possible' entry blocks exactness
     assert sup.dim_on_line(7) == 0
 
 
 def test_support_certificate_drops_exact_zeros():
-    sup = support_certificate({(0, 0): 0, (1, 1): 4}, ambient_bound=None)
+    sup = support_certificate({(0, 0): 0, (1, 1): 4}, ambient_bound=2)
     assert set(sup.entries) == {(1, 1)}
     assert sup.concentration == 2
 

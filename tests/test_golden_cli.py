@@ -58,6 +58,10 @@ INPUTS = {  # the input examples of the README
             [["U1", "U2"], "y"], [["U1", "U3"], "y"], [["U2", "U3"], "y"], [["U1", "U2", "U3"], "y"],
         ],
     },
+    # not a README input: one circle of weight 1, whose page has two lines,
+    # so it claims no concentration
+    "point": {"vertices": ["v"], "facets": [["v"]]},
+    "pweights": {"field": {"kind": "prime", "p": 7}, "q": {"v": 1}},
     # not a README input: the 6-vertex real projective plane, whose links
     # carry Z/2 torsion, so the Z path of toric-cm prints a torsion witness
     "rp2": {
@@ -75,6 +79,7 @@ CASES = {  # golden file stem -> (argv with {input} placeholders, exit code)
     "arr-salvetti": (["arr-salvetti", "{lines}", "--weights", "{weights}"], 0),
     "arr-salvetti-untwisted": (["arr-salvetti", "{lines}"], 0),
     "toric-cohomology": (["toric-cohomology", "{torus}", "{tweights}", "--page"], 0),
+    "toric-cohomology-trivial": (["toric-cohomology", "{point}", "{pweights}", "--page"], 0),
     "toric-cm": (["toric-cm", "{torus}"], 0),
     "toric-cm-rp2": (["toric-cm", "{rp2}"], 1),
     "toric-cm-rp2-f3": (["toric-cm", "{rp2}", "--ring", "F3", "--format", "table"], 0),
@@ -90,6 +95,7 @@ CASES = {  # golden file stem -> (argv with {input} placeholders, exit code)
     "arr-vanish-table": (["arr-vanish", "--format", "table", "{lines}", "{weights}", "--certificate"], 0),
     "arr-salvetti-table": (["arr-salvetti", "--format", "table", "{lines}", "--weights", "{weights}"], 0),
     "toric-cohomology-table": (["toric-cohomology", "--format", "table", "{torus}", "{tweights}", "--page"], 0),
+    "toric-cohomology-trivial-table": (["toric-cohomology", "--format", "table", "{point}", "{pweights}", "--page"], 0),
     "toric-cm-rp2-f3-json": (["toric-cm", "{rp2}", "--ring", "F3"], 0),
     "toric-verify-table": (
         ["toric-verify", "--format", "table", "{torus}", "--prime", "101", "--trials", "25", "--seed", "7"],

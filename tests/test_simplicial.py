@@ -448,15 +448,11 @@ TETRAHEDRA = SimplicialComplex.from_facets(range(6), [(0, 1, 2, 3), (0, 1, 4, 5)
 @example(full_simplex(5))
 @example(TETRAHEDRA)
 def test_link_cohomology_matches_each_link(L):
-    inside = frozenset(L.vertices[::2])
     for ring in (ZZ, QQ, GF(2), GF(101)):
-        table = link_cohomology(L, ring, L.vertices)
+        table = link_cohomology(L, ring)
         assert list(table) == [frozenset(f) for f in L.all_faces()]
         for f, report in table.items():
             assert report == reduced_cohomology(link(L, f), ring), (L.facets(), ring, f)
-        # within a vertex set: the same reports, in order, for the faces inside it
-        within = link_cohomology(L, ring, inside)
-        assert list(within.items()) == [(f, report) for f, report in table.items() if f <= inside]
 
 
 @st.composite
@@ -479,7 +475,7 @@ def test_graph_closed_form_matches_elimination(L):
         expected = reduced_cohomology(L, ring)
         assert _graph_cohomology(ring, masks, len(L.vertices)) == expected
         # the link of the empty face is L: the table reads the closed form
-        assert link_cohomology(L, ring, ()) == {frozenset(): expected}
+        assert link_cohomology(L, ring)[frozenset()] == expected
         assert not expected.torsion
         assert list(expected.free_ranks) == list(range(-1, L.dim + 1))
 

@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrcoh.covers import support_certificate
@@ -20,13 +20,11 @@ from arrcoh.simplicial import (
     enumerate_complexes,
     is_cohen_macaulay,
     link,
-    link_cohomology,
     reduced_cohomology,
 )
 from arrcoh.toric import (
     ToricComplex,
     _support_page,
-    _trivial_vertices,
     toric_cohomology,
     toric_e2_page,
     verify_cm_theorem,
@@ -196,8 +194,10 @@ def test_page_all_nontrivial_weights_reduces_to_empty_face_row():
 def test_page_trivial_weights_spread():
     tc = tc_from_facets([1, 2], [(1, 2)])
     page = toric_e2_page(tc, weights(tc, GF(5), {1: 1, 2: 1}))
-    # every face contributes the cohomology of its (acyclic or spherical) link
-    assert page.concentration is None or page.total_vanishing is False
+    # every face contributes one line, its link restricted to no vertex being
+    # {emptyset}: the lines are the face counts, as the Betti numbers are
+    assert {n: page.dim_on_line(n) for n in page.lines()} == {0: 1, 1: 2, 2: 1}
+    assert page.concentration is None
 
 
 def test_page_total_vanishing():
@@ -225,15 +225,48 @@ def test_page_agrees_with_direct_computation_on_cm_corpus():
 @given(_complex_and_weights())
 @settings(max_examples=60, deadline=None)
 def test_page_matches_link_of_each_trivial_face(case):
-    # oracle: one link and one reduced cohomology per face of trivial weight
+    # oracle: per face of trivial weight, its link restricted to the
+    # vertices of nontrivial weight, and that link's reduced cohomology
     L, q = case
     tc = ToricComplex(L)
-    sys = weights(tc, GF(101), {v: 1 if w % 2 else w for v, w in q.items()})
-    trivial = _trivial_vertices(tc, sys)
-    table = {tau: reduced_cohomology(link(L, tau), sys.field) for tau in L.faces if tau <= trivial}
+    q = {v: 1 if w % 2 else w for v, w in q.items()}
+    trivial = frozenset(v for v, w in q.items() if w == 1)
+    table = {}
+    for tau in L.faces:
+        if tau <= trivial:
+            lk = link(L, tau)
+            restricted = SimplicialComplex([v for v in lk.vertices if v not in trivial], [f for f in lk.faces if not f & trivial])
+            table[tau] = reduced_cohomology(restricted, GF(101))
+    assert toric_e2_page(tc, weights(tc, GF(101), q)) == support_certificate(*_support_page(tc, table))
+
+
+@st.composite
+def _toric_with_weights(draw):
+    """A complex on at most 6 vertices and unit weights over GF(2), GF(7),
+    GF(101) or Q, about half of them 1."""
+    L, _ = draw(_complex_and_weights())
+    field = draw(st.sampled_from([GF(2), GF(7), GF(101), QQ]))
+    unit = NOT_ONE if field == QQ else st.integers(1, field.p - 1)
+    return ToricComplex(L), RankOneSystem(field, tuple(draw(st.just(1) | unit) for _ in L.vertices))
+
+
+@given(_toric_with_weights())
+@settings(max_examples=150, deadline=None)
+@example((tc_from_facets(["v"], [("v",)]), RankOneSystem(GF(7), (1,))))
+@example((tc_from_facets([1, 2, 3], [(1, 2), (2, 3), (1, 3)]), RankOneSystem(GF(2), (1, 1, 1))))
+@example((tc_from_facets([1, 2, 3, 4], [(1, 2, 3), (3, 4)]), RankOneSystem(QQ, (1, Fraction(1, 2), 1, -1))))
+def test_page_lines_are_the_exact_betti_numbers(case):
+    # the page against the direct cochain computation: each line's total is
+    # the Betti number of its degree, so no concentration or vanishing it
+    # claims is false; one vertex of weight 1 over GF(7) has Betti (1, 1)
+    tc, sys = case
     page = toric_e2_page(tc, sys)
-    assert page == support_certificate(*_support_page(tc, trivial, table))
-    assert page == support_certificate(*_support_page(tc, trivial, link_cohomology(L, sys.field, L.vertices)))
+    rep = toric_cohomology(tc, sys)
+    betti = {k: rep.betti(k) for k in rep.nonzero_degrees()}
+    assert {n: page.dim_on_line(n) for n in page.lines()} == betti
+    assert page.total_vanishing == (not betti)
+    if page.concentration is not None:
+        assert list(betti) == [page.concentration]
 
 
 # --- randomized theorem check ------------------------------------------------------
