@@ -92,7 +92,7 @@ class CoverVerdict:
         self,
         valid: bool,
         failures: tuple = (),
-        condition2: str = "assumed",  # "certified" when keys witness the surrogate
+        condition2: str = "unchecked",  # or "certified", "assumed", "failed"
         assumptions: tuple = (),
         counts: Mapping[str, int] | None = None,
     ) -> None:
@@ -127,7 +127,9 @@ def validate_cover(nerve: FinitePoset, P: FinitePoset, rho: Mapping, phi: Mappin
     a comparable nerve pair force equal phi values (condition 3).  The
     homotopy condition itself is undecidable from set data; it is reported
     as "certified" only when every phi fiber carries a constant intersection
-    key (so collapsing the fiber loses nothing), and "assumed" otherwise.
+    key (so collapsing the fiber loses nothing), "failed" with condition 3,
+    and "assumed" otherwise.  When phi misses a nerve element or maps one
+    outside P, no condition is examined and the verdict says "unchecked".
 
     Every failure is counted; the verdict lists the first
     ``MAX_WITNESSES`` of each code, in the order they are found.

@@ -13,8 +13,10 @@ each subset's Smith form once.  Its witness V also gives the subset's
 closure: the rows whose normals lie in the rational span of the subset's
 rows.  Closures decide every question of linear dependence here: two
 subsets span the same space exactly when their closures are equal, and
-one span lies inside another exactly when the closures do.  Components
-are deduplicated within a closure by exact coset membership tests.  On
+one span lies inside another exactly when the closures do.  The
+components of one closure are disjoint cosets of one subtorus, so each is
+named within its closure by a coset key (:func:`_coset_key`), and a
+duplicate is a set lookup.  On
 top of the strata sit the tangent arrangements (rational hyperplane
 arrangements in C^n), the convenient predicate for characters of the
 ambient product, and the spectral support certificate assembling
@@ -53,8 +55,9 @@ __all__ = [
 ]
 
 MAX_ROWS = 12
-# candidate components, prod d_i^2 summed over the row subsets, each tested
-# against the strata of its closure: 4 rows in E^3 with 397 take seconds
+# candidate components, prod d_i^2 summed over the row subsets: each is
+# enumerated and keyed, and the certificate tests every ordered pair of the
+# strata they leave, so its work grows with the square of the strata
 MAX_CANDIDATES = 256
 # curve factors read from JSON: each subset's Smith witness V is n x n; at 16,
 # 12 random rows take about 1.5 s in analyze and 2.2 s in convenient_check
@@ -316,31 +319,79 @@ class Stratum:
         return (self.component.rows, self.component.torsion_label)
 
 
+def _coset_frame(sub: Matrix, snf: SmithForm) -> list[tuple[int, ...]]:
+    """Rows 0..rank-1 of V^-1 for the Smith form D = U A V of the rows
+    ``sub``: row i of U A is d_i times row i of V^-1, so each is an exact
+    integer division.  A rational z lies in ker_Q(A) + Z^n exactly when
+    these rows take integer values on z, since V^-1 is unimodular and maps
+    ker_Q(A) onto the span of the coordinates rank.. ."""
+    cols = list(zip(*sub.entries))
+    return [
+        tuple(sum(map(mul, u, col)) // d for col in cols)
+        for u, d in zip(snf.left.entries, snf.divisors)
+        if d
+    ]
+
+
+def _coset_key(frame: Sequence[tuple[int, ...]], point: tuple) -> tuple:
+    """The coset of the doubled rational point modulo ker_Q(A) + Z^n, on
+    both coordinate copies, where ``frame`` is :func:`_coset_frame` of the
+    rows A: each frame row's value on the point, mod 1, as a reduced pair
+    (numerator, denominator).  Values are formed in integers over the
+    copy's common denominator.  ker_Q(A) depends only on A's rational row
+    span, so two points on the components of subsets with one closure get
+    equal keys under any one of those subsets' frames exactly when they
+    lie on the same component.
+
+    The row 2x in E has four components, x = 0 and x = 1/2 on each copy:
+
+    >>> a = EllipticArrangement.from_rows(1, [[2]])
+    >>> frame = _coset_frame(a.submatrix([0]), smith_normal_form(a.submatrix([0])))
+    >>> zero, half = (Fraction(0),), (Fraction(1, 2),)
+    >>> _coset_key(frame, (zero, zero)), _coset_key(frame, (half, zero))
+    ((((0, 1),), ((0, 1),)), (((1, 2),), ((0, 1),)))
+    """
+    key = []
+    for coords in point:
+        q = math.lcm(*(x.denominator for x in coords))
+        y = [x.numerator * (q // x.denominator) for x in coords]
+        values = []
+        for row in frame:
+            t = sum(map(mul, row, y)) % q
+            g = math.gcd(t, q)
+            values.append((t // g, q // g))
+        key.append(tuple(values))
+    return tuple(key)
+
+
 def enumerate_strata(a: EllipticArrangement) -> list[Stratum]:
     """Every component of every row-subset intersection, each listed once.
 
     Subsets are scanned by increasing size; a candidate component is new
     unless an already-seen stratum has the same closure (so the same
-    rational row span) and contains the candidate's representative point.
-    Past ``MAX_CANDIDATES`` candidates, counted over the whole walk before
-    any is tested, it raises a ValueError.
+    rational row span) and the same coset key, taken under the frame of
+    the closure's first subset.  Past ``MAX_CANDIDATES`` candidates,
+    counted over the whole walk before any is keyed, it raises a
+    ValueError.
     """
     if a.is_translated:
         raise ValueError("strata enumeration requires all translations zero")
     walk = list(_subsets(a))
     if sum(math.prod(d * d for d in snf.divisors if d) for _, _, snf in walk) > MAX_CANDIDATES:
         raise ValueError(f"strata enumeration stops at {MAX_CANDIDATES} candidate components; this arrangement has more")
-    by_closure: dict[frozenset[int], list[Stratum]] = {}
+    by_closure: dict[frozenset[int], tuple[list[tuple[int, ...]], set[tuple]]] = {}
     out: list[Stratum] = []
     for I, sub, snf in walk:
         closure = _closure(a, snf)
-        bucket = by_closure.setdefault(closure, [])
+        if closure not in by_closure:
+            by_closure[closure] = (_coset_frame(sub, snf), set())
+        frame, seen = by_closure[closure]
         for comp in _components(a, I, snf):
-            if any(_point_on_component(a, seen, comp.point) for seen in bucket):
+            key = _coset_key(frame, comp.point)
+            if key in seen:
                 continue
-            stratum = Stratum(comp, sub, snf, closure)
-            bucket.append(stratum)
-            out.append(stratum)
+            seen.add(key)
+            out.append(Stratum(comp, sub, snf, closure))
     return out
 
 

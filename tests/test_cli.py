@@ -493,11 +493,11 @@ def test_elliptic_candidate_limit_is_input_error(files, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert _one_error_line(err) and "stops at 24 candidate components" in err
     monkeypatch.undo()
-    # 4 rows in E^3 with 397 candidates, refused before any candidate is tested
-    def tested(*args):
-        raise AssertionError("a candidate was tested")
+    # 4 rows in E^3 with 397 candidates, refused before any candidate is keyed
+    def keyed(*args):
+        raise AssertionError("a candidate was keyed")
 
-    monkeypatch.setattr("arrcoh.elliptic._point_on_component", tested)
+    monkeypatch.setattr("arrcoh.elliptic._coset_key", keyed)
     rows = [[-2, 2, -1], [1, 2, -2], [-2, 1, -2], [-1, 2, 0]]
     code, out, err = run(capsys, ["ell-certify", files("f.json", {"n": 3, "rows": rows, "weights": weights})])
     assert code == 2 and out == ""

@@ -1,12 +1,14 @@
 """Nerves of set covers, cover validation, and sparse E2 support bookkeeping."""
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrcoh import cli
 from arrcoh.covers import (
     MAX_WITNESSES,
     POSSIBLE,
@@ -128,6 +130,31 @@ def test_validate_cover_missing_phi():
     v = validate_cover(nerve, poset, rho, phi, keys)
     assert not v.valid
     assert any(code == "phi-missing" for code, _ in v.failures)
+
+
+# the README cover with phi's ["U1", "U2"] pair dropped, or sent outside the poset
+README_COVER = {
+    "sets": {"U1": [1, 2], "U2": [2, 3]},
+    "poset": {"elements": ["x", "y"], "relations": [["x", "y"]]},
+    "rho": {"x": 0, "y": 1},
+    "phi": [[["U1"], "x"], [["U2"], "x"], [["U1", "U2"], "y"]],
+}
+
+
+@pytest.mark.parametrize("code, pair", [("phi-missing", None), ("phi-range", [["U1", "U2"], "z"])], ids=["missing", "range"])
+def test_phi_failure_leaves_the_homotopy_condition_unchecked(tmp_path, capsys, code, pair):
+    # phi is checked before any condition: the verdict must not read "assumed"
+    cover = dict(README_COVER, phi=README_COVER["phi"][:2] + ([pair] if pair else []))
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover))
+    assert cli.main(["covers-validate", "--format", "json", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c for c, _ in report["failures"]] == [code]
+    assert report["condition2"] == "unchecked" and report["assumptions"] == []
+    assert cli.main(["covers-validate", "--format", "table", str(path)]) == 1
+    table = capsys.readouterr().out.splitlines()
+    assert "homotopy condition: unchecked" in table
+    assert not any("assumption" in line for line in table)
 
 
 def test_validate_cover_not_order_preserving():

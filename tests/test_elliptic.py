@@ -26,6 +26,8 @@ from arrcoh.elliptic import (
     MAX_ROWS,
     EllipticArrangement,
     _closure,
+    _coset_frame,
+    _coset_key,
     _point_on_component,
     _stratum_contained,
     _tangent_data,
@@ -393,6 +395,33 @@ def test_strata_match_fraction_span_strata(a):
         for y, y_old in zip(new, old):
             was = span_subset(y_old.span, x_old.span) and _point_on_component(a, y_old, x_old.component.point)
             assert _stratum_contained(a, x, y) == was
+
+
+@settings(max_examples=100, deadline=None)
+@given(elliptic_arrangements())
+@example(EllipticArrangement.from_rows(2, [[1, 0], [2, 0], [0, 1]]))
+@example(EllipticArrangement.from_rows(2, [[1, 2], [2, 1], [1, 2], [-1, -1]]))
+def test_coset_keys_decide_point_on_component(a):
+    # the buckets of both examples hold subsets with different divisors;
+    # under the frame of every subset of a closure, a candidate's key equals
+    # a stratum's exactly when the Fraction point test puts it on the stratum
+    walk = []
+    for r in range(a.m + 1):
+        for I in itertools.combinations(range(a.m), r):
+            sub = a.submatrix(I)
+            snf = smith_normal_form(sub)
+            walk.append((I, sub, snf, _closure(a, snf)))
+    assume(sum(prod(d * d for d in snf.divisors if d) for _, _, snf, _ in walk) <= 64)
+    strata = enumerate_strata(a)
+    for I, _, _, closure in walk:
+        same = [X for X in strata if X.closure == closure]
+        frames = [_coset_frame(sub, snf) for _, sub, snf, c in walk if c == closure]
+        for comp in components(a, I):
+            on = [_point_on_component(a, X, comp.point) for X in same]
+            assert sum(on) == 1
+            for frame in frames:
+                key = _coset_key(frame, comp.point)
+                assert [key == _coset_key(frame, X.component.point) for X in same] == on
 
 
 # sha256 over the five certificate arrangements of the elliptic-strata
