@@ -10,7 +10,7 @@ criterion, and subgroup arrangements in powers of an elliptic curve.
 
 Submodules load on first use, and a sibling that one function needs is
 imported in that function, so a verb loads only the modules it runs: for
-``arr-lattice``, ``cli``, ``linalg``, ``fp``, ``arrangement`` and ``poset``.
+``arr-lattice``, ``cli``, ``linalg``, ``fp`` and ``arrangement``.
 """
 
 import importlib

@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from arrcoh.linalg import QQ, ZZ, InternalError, Matrix, RankOneSystem, json_array, sparse_rank
-from arrcoh.poset import FinitePoset, moebius_table
 
 if TYPE_CHECKING:
     from arrcoh.covers import E2Support
@@ -186,31 +185,41 @@ class Flat:
 
 class IntersectionLattice:
     """Flats ordered by inclusion of closed sets (= reverse inclusion of
-    subspaces), ranked by codimension.  Elements of ``poset`` are the
-    closed-set tuples; ``flats`` holds the full data per element, and
-    ``lower_covers`` the kept cover relations: the flats each flat covers.
+    subspaces), ranked by codimension.  ``elements`` lists the closed-set
+    tuples by (rank, closed set), the empty one first; ``flats`` holds the
+    full data per element, and ``lower_covers`` the kept cover relations:
+    the flats each flat covers.  The order is kept only as those covers.
     Its ``labels`` are the arrangement's: a reference back would be a cycle."""
 
-    def __init__(self, labels: tuple[str, ...], poset: FinitePoset, flats: Mapping, lower_covers: Mapping) -> None:
-        self.labels, self.poset, self.flats, self.lower_covers = labels, poset, flats, lower_covers
-
-    @property
-    def bottom(self) -> tuple[int, ...]:
-        return ()
+    def __init__(self, labels: tuple[str, ...], elements: tuple, flats: Mapping, lower_covers: Mapping) -> None:
+        self.labels, self.elements, self.flats, self.lower_covers = labels, elements, flats, lower_covers
 
     @property
     def top(self) -> tuple[int, ...]:
         return tuple(range(len(self.labels)))
 
     @cached_property
+    def below(self) -> dict:
+        """The interval [bottom, X] of every flat X: X and the intervals of
+        its lower covers, which come before it in element order."""
+        below: dict = {}
+        for cs in self.elements:
+            below[cs] = frozenset((cs,)).union(*(below[y] for y in self.lower_covers[cs]))
+        return below
+
+    @cached_property
     def moebius(self) -> dict:
-        """mu(bottom, X) for every flat X."""
-        return moebius_table(self.poset, self.bottom)
+        """mu(bottom, X) for every flat X: 1 at the bottom, else minus the
+        sum over the rest of [bottom, X]."""
+        below, mu = self.below, {(): 1}
+        for cs in self.elements[1:]:
+            mu[cs] = -sum(mu[y] for y in below[cs] if y != cs)
+        return mu
 
     def to_json(self) -> dict:
-        """The flats in the poset's element order, and the kept cover pairs
-        [lower, upper], sorted by that order of the lower, then the upper."""
-        labels, elements = self.labels, self.poset.elements
+        """The flats in element order, and the kept cover pairs [lower,
+        upper], sorted by that order of the lower, then the upper."""
+        labels, elements = self.labels, self.elements
         index = {cs: i for i, cs in enumerate(elements)}
         pairs = sorted((index[y], index[z]) for z, ys in self.lower_covers.items() for y in ys)
         return {
@@ -272,9 +281,8 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
                     nxt.add(bigger)
                 lower.setdefault(bigger, []).append(cs)
         frontier = sorted(nxt)
-    elements = sorted(seen, key=lambda cs: (seen[cs].rank, cs))
-    poset = FinitePoset(elements, ((y, z) for z, ys in lower.items() for y in ys))
-    lat = IntersectionLattice(a.labels, poset, seen, lower)
+    elements = tuple(sorted(seen, key=lambda cs: (seen[cs].rank, cs)))
+    lat = IntersectionLattice(a.labels, elements, seen, lower)
     a._lattice = lat
     return lat
 
@@ -329,7 +337,7 @@ def poincare_and_beta(a: Arrangement) -> tuple[list[int], int]:
     if a.m == 0:
         raise ValueError("empty arrangement has no Poincare polynomial")
     lat = intersection_lattice(a)
-    return _pi_beta_from_mu(lat.flats, lat.moebius, lat.poset.elements)
+    return _pi_beta_from_mu(lat.flats, lat.moebius, lat.elements)
 
 
 def _pi_beta_from_mu(flats: Mapping[tuple[int, ...], Flat], mu: Mapping, interval: Sequence) -> tuple[list[int], int]:
@@ -346,16 +354,12 @@ def _pi_beta_from_mu(flats: Mapping[tuple[int, ...], Flat], mu: Mapping, interva
 def connected_flats(a: Arrangement) -> list[Flat]:
     """Flats X of positive rank whose localized arrangement is irreducible
     (beta of the interval [bottom, X] is nonzero).  Hyperplanes always
-    qualify.  The intervals come from one inversion of the up-sets."""
+    qualify."""
     lat = intersection_lattice(a)
-    below = {cs: [cs] for cs in lat.poset.elements}
-    for cs in lat.poset.elements:
-        for y in lat.poset.strictly_above(cs):
-            below[y].append(cs)
     return [
         lat.flats[cs]
-        for cs in lat.poset.elements
-        if lat.flats[cs].rank and _pi_beta_from_mu(lat.flats, lat.moebius, below[cs])[1]
+        for cs in lat.elements
+        if lat.flats[cs].rank and _pi_beta_from_mu(lat.flats, lat.moebius, lat.below[cs])[1]
     ]
 
 
@@ -367,7 +371,7 @@ def minimal_building_set(a: Arrangement) -> tuple[tuple[int, ...], ...]:
 def maximal_building_set(a: Arrangement) -> tuple[tuple[int, ...], ...]:
     """Every flat of positive rank, as closed sets."""
     lat = intersection_lattice(a)
-    return tuple(cs for cs in lat.poset.elements if lat.flats[cs].rank >= 1)
+    return tuple(cs for cs in lat.elements if lat.flats[cs].rank >= 1)
 
 
 def nested_complex(a: Arrangement, g: Sequence[tuple[int, ...]]) -> SimplicialComplex:

@@ -40,10 +40,13 @@ _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
 def _load(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:  # the parser's depth limit, unlike a recursion failure inside arrcoh
+        raise ValueError("the input nests too deeply") from None
 
 
 def _poly(coeffs: Sequence[int]) -> str:
@@ -373,7 +376,7 @@ def _run_covers_validate(args):
         pelems = [str(e) for e in json_array(obj["poset"]["elements"], "elements")]
         relations = (json_array(r, "relations") for r in json_array(obj["poset"]["relations"], "relations"))
         rels = [(str(x), str(y)) for x, y in relations]
-        rho = {str(k): int(v) for k, v in obj["rho"].items()}
+        rho = {str(k): ZZ.normalize(v) for k, v in obj["rho"].items()}
         phi_items = (json_array(item, "phi") for item in json_array(obj["phi"], "phi"))
         phi_pairs = [(frozenset(str(l) for l in json_array(labs, "phi")), str(img)) for labs, img in phi_items]
     except (KeyError, TypeError) as exc:

@@ -114,8 +114,8 @@ class FieldTag:
             if p is not None:
                 raise ValueError("rational field takes no modulus")
         elif kind == "prime":
-            if p is None or not is_prime(p):
-                raise ValueError(f"modulus must be prime, got {p}")
+            if type(p) is not int or not is_prime(p):
+                raise ValueError(f"modulus must be prime, got {p!r}")
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         self.kind, self.p = kind, p

@@ -1,5 +1,5 @@
-"""Finite posets: closure from relations, the Moebius function and rank
-validation.
+"""Finite posets: closure from relations and rank validation, for the
+index posets and nerves of covers.
 
 Elements are arbitrary hashable labels; all iteration orders are the
 insertion order of the element list, so every derived object is
@@ -13,7 +13,6 @@ from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 __all__ = [
     "FinitePoset",
     "from_leq",
-    "moebius_table",
     "validate_ranked",
     "RankVerdict",
 ]
@@ -76,21 +75,6 @@ class FinitePoset:
 def from_leq(elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]) -> FinitePoset:
     rels = [(x, y) for x in elements for y in elements if x != y and leq(x, y)]
     return FinitePoset(elements, rels)
-
-
-def moebius_table(poset: FinitePoset, x) -> dict:
-    """mu(x, y) for every y above x, in one pass over the interval: walked
-    in a linear extension (z < y leaves fewer elements strictly above y
-    than above z), each mu(x, z) is pushed once into every element above
-    z, so mu(x, y) = -sum over [x, y) is complete when the walk reaches y."""
-    above, i = poset._above, poset._index[x]
-    table = {x: 1}
-    pending = dict.fromkeys(above[i], -1)
-    for j in sorted(above[i], key=lambda j: (-len(above[j]), j)):
-        mu = table[poset.elements[j]] = pending[j]
-        for k in above[j]:
-            pending[k] -= mu
-    return table
 
 
 class RankVerdict(NamedTuple):

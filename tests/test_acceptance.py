@@ -107,24 +107,15 @@ def boolean_b3():
 
 def oracle_poincare_beta(a):
     """Characteristic-polynomial data via the textbook Moebius recursion,
-    written independently of the packaged computation."""
+    written independently of the packaged computation: the order is
+    inclusion of closed sets, compared over all pairs."""
     lat = intersection_lattice(a)
-    poset, bottom = lat.poset, lat.bottom
-    cache = {}
-
-    def mu(y):
-        if y in cache:
-            return cache[y]
-        val = 1 if y == bottom else -sum(
-            mu(z) for z in poset.elements if poset.leq(z, y) and z != y
-        )
-        cache[y] = val
-        return val
-
-    top_rank = max(lat.flats[cs].rank for cs in poset.elements)
-    pi = [0] * (top_rank + 1)
-    for cs in poset.elements:
-        pi[lat.flats[cs].rank] += abs(mu(cs))
+    mu = {}
+    for y in sorted(lat.flats, key=len):  # a proper subset comes first
+        mu[y] = -sum(mu[z] for z in mu if set(z) < set(y)) if y else 1
+    pi = [0] * (max(flat.rank for flat in lat.flats.values()) + 1)
+    for cs, flat in lat.flats.items():
+        pi[flat.rank] += abs(mu[cs])
     # divide by (1 + t) and evaluate the quotient at -1
     quot = []
     for i, c in enumerate(pi[:-1]):

@@ -1,20 +1,21 @@
 """Central hyperplane arrangements: lattice, invariants, rank-one checks.
 
 The Poincare polynomial is cross-checked against a from-scratch Moebius
-recursion on the lattice poset, so the packaged computation and the test
-cannot share an error.
+recursion over inclusion of closed sets, so the packaged computation, which
+reads the kept cover relations, and the test cannot share an error.
 """
 
 import gc
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from arrcoh import arrangement, fp
+from arrcoh import arrangement, fp, poset
 from arrcoh.arrangement import (
     _integral,
     _pi_beta_from_mu,
@@ -32,7 +33,6 @@ from arrcoh.arrangement import (
 )
 from arrcoh.covers import POSSIBLE
 from arrcoh.linalg import GF, QQ, InternalError, Matrix, rank_kernel
-from arrcoh.poset import FinitePoset
 from arrcoh.salvetti import twisted_cohomology
 
 
@@ -59,27 +59,24 @@ def boolean_b3():
     return Arrangement.from_rows(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], ("x", "y", "z"))
 
 
+def oracle_moebius(lat):
+    """mu(bottom, Y) for every flat Y by the textbook recursion, the order
+    read from inclusion of closed sets over all pairs, not from the kept
+    covers."""
+    mu = {}
+    for y in sorted(lat.flats, key=len):  # a proper subset comes first
+        mu[y] = -sum(mu[z] for z in mu if set(z) < set(y)) if y else 1
+    return mu
+
+
 def oracle_poincare(a):
     """Poincare polynomial via the textbook Moebius recursion, written
     independently of the package implementation."""
     lat = intersection_lattice(a)
-    poset, bottom = lat.poset, lat.bottom
-
-    def mu(y, _cache={}):
-        key = (id(poset), y)
-        if key in _cache:
-            return _cache[key]
-        if y == bottom:
-            val = 1
-        else:
-            val = -sum(mu(z) for z in poset.elements if poset.leq(z, y) and z != y)
-        _cache[key] = val
-        return val
-
-    top_rank = max(lat.flats[cs].rank for cs in poset.elements)
-    pi = [0] * (top_rank + 1)
-    for cs in poset.elements:
-        pi[lat.flats[cs].rank] += abs(mu(cs))
+    mu = oracle_moebius(lat)
+    pi = [0] * (max(flat.rank for flat in lat.flats.values()) + 1)
+    for cs, flat in lat.flats.items():
+        pi[flat.rank] += abs(mu[cs])
     return pi
 
 
@@ -144,9 +141,9 @@ def test_essentialize_idempotent():
 def test_lattice_three_lines_frozen():
     a = three_generic_lines()
     lat = intersection_lattice(a)
-    flats = {cs: lat.flats[cs].rank for cs in lat.poset.elements}
+    flats = {cs: lat.flats[cs].rank for cs in lat.elements}
     assert flats == {(): 0, (0,): 1, (1,): 1, (2,): 1, (0, 1, 2): 2}
-    assert lat.bottom == () and lat.top == (0, 1, 2)
+    assert lat.elements[0] == () and lat.top == (0, 1, 2)
 
 
 def test_poincare_three_lines():
@@ -174,9 +171,9 @@ def test_poincare_boolean_b3():
 
 def test_beta_needs_poincare_divisible_by_1_plus_t():
     lat = intersection_lattice(three_generic_lines())
-    mu = {cs: 1 for cs in lat.poset.elements}  # pi = 1 + 3t + t^2, pi(-1) = -1
+    mu = {cs: 1 for cs in lat.elements}  # pi = 1 + 3t + t^2, pi(-1) = -1
     with pytest.raises(InternalError):
-        _pi_beta_from_mu(lat.flats, mu, lat.poset.elements)
+        _pi_beta_from_mu(lat.flats, mu, lat.elements)
 
 
 def test_poincare_empty_rejected():
@@ -362,17 +359,16 @@ def test_rank_and_essentialize_follow_the_rref_pivots(a):
 
 def oracle_connected_flats(a):
     """Closed sets of the flats X of positive rank with beta([bottom, X])
-    nonzero, from the Moebius recursion over all pairs of the interval."""
-    poset = intersection_lattice(a).poset
-    rank = {cs: flat.rank for cs, flat in intersection_lattice(a).flats.items()}
-    mu = {}
-    for y in poset.elements:  # ordered by rank, so a linear extension
-        mu[y] = 1 if y == () else -sum(mu[z] for z in poset.elements if z != y and poset.leq(z, y))
+    nonzero, the interval and the Moebius function read from inclusion of
+    closed sets over all pairs, in the order (rank, closed set)."""
+    lat = intersection_lattice(a)
+    rank = {cs: flat.rank for cs, flat in lat.flats.items()}
+    mu = oracle_moebius(lat)
     out = []
-    for cs in poset.elements:
+    for cs in sorted(rank, key=lambda cs: (rank[cs], cs)):
         pi = [0] * (rank[cs] + 1)
-        for z in poset.elements:
-            if poset.leq(z, cs):
+        for z in rank:
+            if set(z) <= set(cs):
                 pi[rank[z]] += abs(mu[z])
         if rank[cs] and sum(k * c * (-1) ** k for k, c in enumerate(pi)):
             out.append(cs)
@@ -385,26 +381,55 @@ def oracle_connected_flats(a):
 @example(braid_a4())
 @example(Arrangement.from_rows(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]))
 def test_connected_flats_match_all_pairs_oracle(a):
-    oracle = oracle_connected_flats(a)
-    # the Moebius table and the intervals come from the kept up-sets: no
-    # comparison of pairs
+    # the Moebius table and the intervals come from the kept covers: the
+    # lattice and its connected flats close no order into a FinitePoset
+    fresh = Arrangement(a.n, a.normals, a.labels)  # no kept lattice yet
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FinitePoset, "leq", lambda self, x, y: pytest.fail("leq called"))
-        flats = arrangement.connected_flats(a)
-    assert [f.closed_set for f in flats] == oracle
+        mp.setattr(poset.FinitePoset, "__init__", lambda *args: pytest.fail("FinitePoset constructed"))
+        flats = arrangement.connected_flats(fresh)
+    assert [f.closed_set for f in flats] == oracle_connected_flats(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrangements())
+@example(braid_a3())
+@example(braid_a4())
+@example(Arrangement.from_rows(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]))
+def test_lattice_moebius_matches_inclusion_oracle(a):
+    lat = intersection_lattice(a)
+    assert lat.moebius == oracle_moebius(lat)
+    for y in lat.elements:
+        assert lat.below[y] == {z for z in lat.flats if set(z) <= set(y)}, y
+        # sum over [bottom, Y] of mu(bottom, Z) is 0 above the bottom
+        assert sum(lat.moebius[z] for z in lat.below[y]) == (y == ())
+
+
+def test_moebius_of_the_boolean_arrangement():
+    # the coordinate hyperplanes: the lattice of subsets, mu = (-1)^|S|
+    lat = intersection_lattice(boolean_b3())
+    assert lat.moebius == {cs: (-1) ** len(cs) for r in range(4) for cs in itertools.combinations(range(3), r)}
 
 
 def test_one_lattice_and_one_moebius_table_per_arrangement(monkeypatch):
-    built, tables = [], []
+    built, intervals, tables = [], [], []
+    Lattice = arrangement.IntersectionLattice
 
-    class CountedLattice(arrangement.IntersectionLattice):
+    class CountedLattice(Lattice):
         def __init__(self, *args):
-            built.append(args)
+            built.append(self)
             super().__init__(*args)
 
-    moebius_table = arrangement.moebius_table
+        @cached_property
+        def below(self):
+            intervals.append(self)
+            return Lattice.below.func(self)
+
+        @cached_property
+        def moebius(self):
+            tables.append(self)
+            return Lattice.moebius.func(self)
+
     monkeypatch.setattr(arrangement, "IntersectionLattice", CountedLattice)
-    monkeypatch.setattr(arrangement, "moebius_table", lambda *args: tables.append(args) or moebius_table(*args))
     a = braid_a3().essentialize()
     sys_ = RankOneSystem(GF(101), (2, 2, 2, 2, 2, pow(2, -5, 101)))
     g = minimal_building_set(a)
@@ -412,7 +437,7 @@ def test_one_lattice_and_one_moebius_table_per_arrangement(monkeypatch):
     assert e2_certificate(a, g, sys_).concentration == 2
     assert depth_bound(a, g, sys_) == 0
     assert twisted_cohomology(a, sys_).projective_betti == (0, 0, 2)
-    assert len(built) == len(tables) == 1
+    assert len(built) == 1 and intervals == tables == built
 
 
 # --- rank-one systems -------------------------------------------------------

@@ -236,7 +236,36 @@ def test_unknown_verb_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_float_or_bool_where_an_integer_belongs_is_input_error(files, capsys):
+    # GF(7.0) passed the primality test, and int() read 0.9 and true as ranks
+    w7 = {"field": {"kind": "prime", "p": 7.0}, "q": {"a": 2, "b": 2, "c": 2}}
+    w7_product_3 = {"field": {"kind": "prime", "p": 7.0}, "q": {"a": 2, "b": 2, "c": 3}}
+    rho = dict(COVER, rho={"x": 0.9, "y": True})
+    for argv in (
+        ["arr-vanish", files("a.json", LINES3), files("w.json", w7)],
+        ["arr-salvetti", files("a.json", LINES3), "--weights", files("w.json", w7_product_3)],
+        ["covers-validate", files("c.json", rho)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert _one_error_line(err), argv
+
+
 # --- stdin ----------------------------------------------------------------------
+
+
+DEEP = "[" * 100000 + "]" * 100000
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, monkeypatch):
+    # the parser's RecursionError, from a file and from stdin
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    code, out, err = run(capsys, ["arr-lattice", str(deep)])
+    assert code == 2 and out == "" and _one_error_line(err) and "nests too deeply" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(DEEP))
+    code, out, err = run(capsys, ["covers-validate", "-"])
+    assert code == 2 and out == "" and _one_error_line(err) and "nests too deeply" in err
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -693,8 +722,15 @@ MUTATED_VERBS = (
     ("covers-validate", [COVER]),
 )
 MUTATIONS = ([], "x", 3, {}, None, True, 1.5)
-# the fields of those inputs that a verb does not read
-UNREAD = {("ell-analyze", "character"), ("ell-certify", "character")}
+# the fields of those inputs that a verb does not read, as path prefixes
+UNREAD = {
+    ("ell-analyze", ("character",)),
+    ("ell-analyze", ("weights",)),
+    ("ell-convenient", ("weights", "q")),
+    ("ell-certify", ("character",)),
+}
+# the fields whose integers are labels, not numbers
+LABELS = {"vertices", "facets", "sets"}
 
 
 def _page_contradicts(report):
@@ -737,11 +773,32 @@ def _replaced(obj, path, value):
     return out
 
 
+def _run_mutated(tmp_path, verb, inputs, slot, path, value):
+    """Run ``verb`` on ``inputs`` with the value at ``path`` of input
+    ``slot`` replaced: the exit code (or the exception), stdout and stderr."""
+    argv = [verb]
+    for i, x in enumerate(inputs):
+        if not isinstance(x, str):
+            f = tmp_path / f"in{i}.json"
+            f.write_text(json.dumps(_replaced(x, path, value) if i == slot else x))
+            x = str(f)
+        argv.append(x)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    except Exception as exc:
+        code = repr(exc)
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, monkeypatch):
     # every value of every input, replaced by each JSON kind in turn, and
     # every array by the string of its items or an object keyed by them,
     # which must exit 2: read one character or key at a time, "normal": "10"
-    # would be the normal (1, 0)
+    # would be the normal (1, 0).  An integer read as a number must also
+    # exit 2 as a float of the same value and as true: GF(7.0) passed the
+    # primality test, and int() read a rank of 0.9 as 0
     monkeypatch.delenv(cli.FORMAT_ENV, raising=False)
     broken = []
     for verb, inputs in MUTATED_VERBS:
@@ -750,25 +807,19 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, monkeypatch):
                 continue
             for path in _json_paths(base):
                 found = functools.reduce(operator.getitem, path, base)
+                unread = any(v == verb and path[: len(prefix)] == prefix for v, prefix in UNREAD)
                 misread = ["".join(map(str, found)), dict.fromkeys(map(str, found), 0)] if isinstance(found, list) else []
                 for value in MUTATIONS + tuple(misread):
-                    argv = [verb]
-                    for i, x in enumerate(inputs):
-                        if not isinstance(x, str):
-                            f = tmp_path / f"in{i}.json"
-                            f.write_text(json.dumps(_replaced(x, path, value) if i == slot else x))
-                            x = str(f)
-                        argv.append(x)
-                    out, err = io.StringIO(), io.StringIO()
-                    try:
-                        with redirect_stdout(out), redirect_stderr(err):
-                            code = cli.main(argv)
-                    except Exception as exc:
-                        code = repr(exc)
-                    if code not in (0, 1, 2) or (code == 2 and not _one_error_line(err.getvalue())):
+                    code, out, err = _run_mutated(tmp_path, verb, inputs, slot, path, value)
+                    if code not in (0, 1, 2) or (code == 2 and not _one_error_line(err)):
                         broken.append((verb, slot, path, value, code))
-                    elif value in misread and code != 2 and (verb, path[0]) not in UNREAD:
+                    elif value in misread and code != 2 and not unread:
                         broken.append((verb, slot, path, value, code))
-                    elif verb == "toric-cohomology" and code == 0 and _page_contradicts(json.loads(out.getvalue())):
+                    elif verb == "toric-cohomology" and code == 0 and _page_contradicts(json.loads(out)):
                         broken.append((verb, slot, path, value, "page contradicts the cohomology"))
+                if type(found) is int and path[0] not in LABELS and not unread:
+                    for value in (float(found), True):
+                        code, _, err = _run_mutated(tmp_path, verb, inputs, slot, path, value)
+                        if code != 2 or not _one_error_line(err):
+                            broken.append((verb, slot, path, value, code))
     assert not broken, "\n".join(map(repr, broken))

@@ -57,11 +57,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 ALWAYS = {"cli", "linalg", "fp"}  # the CLI and the exact arithmetic every verb parses its input with
 
 VERB_MODULES = {  # verb (also the name of its golden case) -> the other arrcoh modules it loads
-    "arr-lattice": {"arrangement", "poset"},
-    "arr-beta": {"arrangement", "poset"},
-    "arr-nested": {"arrangement", "poset", "simplicial", "cochain"},
-    "arr-vanish": {"arrangement", "poset", "simplicial", "cochain", "covers"},
-    "arr-salvetti": {"arrangement", "poset", "salvetti", "cochain"},
+    "arr-lattice": {"arrangement"},
+    "arr-beta": {"arrangement"},
+    "arr-nested": {"arrangement", "simplicial", "cochain"},
+    "arr-vanish": {"arrangement", "simplicial", "cochain", "covers", "poset"},
+    "arr-salvetti": {"arrangement", "salvetti", "cochain"},
     "toric-cohomology": {"toric", "simplicial", "cochain", "covers", "poset"},
     "toric-cm": {"toric", "simplicial", "cochain"},
     "toric-verify": {"toric", "simplicial", "cochain", "covers", "poset"},

@@ -26,7 +26,6 @@ from arrcoh.salvetti import (
     twisted_cohomology,
     twisted_complex,
 )
-from test_poset import oracle_covers
 
 
 def three_generic_lines():
@@ -192,7 +191,7 @@ def oracle_faces(a):
     covers by the all-pairs closure test."""
     lat = intersection_lattice(a)
     codim = {}
-    for cs in lat.poset.elements:
+    for cs in lat.elements:
         others = [i for i in range(a.m) if i not in cs]
         sub = Matrix.from_rows(QQ, [list(a.normals.row(i)) for i in cs]) if cs else None
         basis = rank_kernel(sub)[1].entries if cs else [[int(i == j) for j in range(a.n)] for i in range(a.n)]
@@ -247,7 +246,7 @@ def _cocircuits(a):
     lat = intersection_lattice(a)
     rows = a.integral_normals
     out = []
-    for cs in lat.poset.elements:
+    for cs in lat.elements:
         if lat.flats[cs].rank != a.rank - 1:
             continue
         for v in lat.flats[cs].kernel_basis:
@@ -307,16 +306,25 @@ def test_faces_match_unrestricted_closure(a):
     assert_faces_match_unrestricted_closure(a)
 
 
+def oracle_lattice_covers(lat):
+    """Cover pairs of the flats by definition, not from the kept covers:
+    closed sets Y < Z by inclusion with rank(Z) = rank(Y) + 1, ordered by
+    (rank, closed set) of Y, then of Z."""
+    rank = {cs: flat.rank for cs, flat in lat.flats.items()}
+    order = sorted(rank, key=lambda cs: (rank[cs], cs))
+    return [(y, z) for y in order for z in order if set(y) < set(z) and rank[z] == rank[y] + 1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_arrangements())
 @example(Arrangement.from_rows(4, BRAID_A3_ROWS))
 @example(Arrangement.from_rows(3, PENCIL_IN_C3))
 def test_kept_lower_covers_are_the_cover_pairs(a):
     lat = intersection_lattice(a)
-    assert set(lat.lower_covers) == set(lat.poset.elements)
+    assert set(lat.lower_covers) == set(lat.flats)
     pairs = [(y, z) for z, ys in lat.lower_covers.items() for y in ys]
     assert len(pairs) == len(set(pairs))
-    assert set(pairs) == set(oracle_covers(lat.poset))
+    assert set(pairs) == set(oracle_lattice_covers(lat))
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,7 +333,7 @@ def test_kept_lower_covers_are_the_cover_pairs(a):
 @example(Arrangement.from_rows(3, PENCIL_IN_C3))
 def test_lattice_json_covers_are_the_cover_pairs_in_element_order(a):
     lat = intersection_lattice(a)
-    covers = [[[a.labels[i] for i in cs] for cs in pair] for pair in oracle_covers(lat.poset)]
+    covers = [[[a.labels[i] for i in cs] for cs in pair] for pair in oracle_lattice_covers(lat)]
     assert lat.to_json()["covers"] == covers
 
 
