@@ -14,6 +14,7 @@ arrangements and toric complexes, each keyed by its ``labels``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import mul
@@ -79,6 +80,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _numeral(text: str, rational: bool) -> str:
+    """``text`` if it is ASCII digits after an optional sign or, where
+    ``rational``, also two such with a ``/`` between, the second unsigned.
+
+    ``int`` and :class:`fractions.Fraction` would also read underscores,
+    surrounding spaces, decimals, exponents and other scripts' digits.
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?" if rational else r"[+-]?[0-9]+", text):
+        raise ValueError(f"not {'an integer or p/q' if rational else 'an integer'}: {text!r}")
+    return text
+
+
 def parse_fraction(x) -> Fraction:
     """Fraction from an int, a Fraction or a string such as ``"-3/4"``.
 
@@ -89,7 +102,7 @@ def parse_fraction(x) -> Fraction:
     if isinstance(x, bool):
         raise TypeError(f"boolean input rejected: {x!r}")
     try:
-        return Fraction(x)
+        return Fraction(_numeral(x, True) if isinstance(x, str) else x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
 
@@ -139,7 +152,7 @@ class FieldTag:
         if self.kind == "rational":
             return parse_fraction(x)
         if isinstance(x, str):
-            x = int(x)
+            x = int(_numeral(x, False))
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator not invertible mod {self.p}")
@@ -284,7 +297,7 @@ class IntegerRing:
         if isinstance(x, (float, bool)):
             raise TypeError(f"{type(x).__name__} input rejected")
         if isinstance(x, str):
-            return int(x)
+            return int(_numeral(x, False))
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError(f"{x} is not an integer")

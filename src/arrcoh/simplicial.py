@@ -367,13 +367,18 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
     The test runs on masks of subset indices: C for the sequence and, per
     relabeling, A for its image.  A and C agree below their lowest differing
     index, so sorted(A) >= sorted(C) exactly when A = C or the lowest set bit
-    of A ^ C is in C.  An extension ORs one bit into C and, from a table per
-    subset, one into each A: one OR and one lowest-bit test per relabeling.
+    of A ^ C is in C.  Each relabeling but the identity keeps A in a field
+    of 2^k bits (at least 8) of one integer, with a guard bit above A.  An
+    extension ORs in its image bit in every field, from a table per subset,
+    and its bit into every field of a spread copy of C.  Per field, x = A ^ C
+    and x & ~(x - 1) is its lowest set bit: one subtraction takes 1 from
+    every field, as the guard bits, set first, stop each borrow.
     """
     out: list[SimplicialComplex] = []
     for k in range(max_vertices + 1):
         masks = [sum(1 << v for v in s) for r in range(k, 0, -1) for s in itertools.combinations(range(k), r)]
-        bit = {m: 1 << i for i, m in enumerate(masks)}
+        width = max(1 << k >> 3, 1)  # bytes a field, not a C type's size
+        code = {m: (1 << i).to_bytes(width, "little") for i, m in enumerate(masks)}
         face = [frozenset(v for v in range(k) if m >> v & 1) for m in range(1 << k)]
         perms = list(itertools.islice(itertools.permutations(range(k)), 1, None))
         # per relabeling but the identity, the image of every mask, doubled up
@@ -382,11 +387,13 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
         for img, p in zip(relabeled, perms):
             for v in range(k):
                 img += [x | 1 << p[v] for x in img]
-        image_bits = [[bit[img[m]] for img in relabeled] for m in masks]
+        packed = [int.from_bytes(b"".join([code[img[m]] for img in relabeled]), "little") for m in masks]
+        rep = int.from_bytes((1).to_bytes(width, "little") * len(perms), "little")
+        guard = rep << len(masks)
         above = [sum(1 << t for t in range(i) if m & masks[t] == m) for i, m in enumerate(masks)]
         found: list[int] = []
 
-        def grow(chosen: int, images: list[int], uncovered: int, start: int) -> None:
+        def grow(chosen: int, images: int, spread: int, uncovered: int, start: int) -> None:
             # least sequences in preorder, which is lexicographic order
             if not uncovered:
                 found.append(chosen)
@@ -394,21 +401,24 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
                 # an earlier subset is no smaller: only those above it can clash
                 if above[idx] & chosen:
                     continue
-                c = chosen | 1 << idx
-                new = [a | b for a, b in zip(images, image_bits[idx])]
-                # an image sorts below c when the lowest differing bit is its own
-                if not any((x := a ^ c) & -x & a for a in new):
-                    grow(c, new, uncovered & ~masks[idx], idx + 1)
+                new, c = images | packed[idx], spread | rep << idx
+                if not _image_below(new, c, rep, guard):
+                    grow(chosen | 1 << idx, new, c, uncovered & ~masks[idx], idx + 1)
 
-        grow(0, [0] * len(perms), (1 << k) - 1, 0)
+        grow(0, 0, 0, (1 << k) - 1, 0)
         del grow  # the closure refers to itself: a cycle only the cyclic GC frees
         # built after the search: interleaved with its short-lived objects, the
         # complexes fragment the allocator's arenas and peak memory grows per call
-        below = [[f for f in range(1 << k) if f & m == f] for m in masks]
+        within = [sum(1 << i for i, m in enumerate(masks) if f & m == f) for f in range(1 << k)]
         for chosen in found:
-            closed = {0}.union(*(below[i] for i in range(len(masks)) if chosen >> i & 1))
-            out.append(SimplicialComplex._closed(range(k), frozenset(map(face.__getitem__, closed))))
+            out.append(SimplicialComplex._closed(range(k), frozenset(face[f] for f in range(1 << k) if within[f] & chosen or not f)))
     return out
+
+
+def _image_below(images: int, spread: int, rep: int, guard: int) -> int:
+    """Nonzero when, in some field, the lowest set bit of images ^ spread is in images."""
+    x = images ^ spread
+    return x & ~((x | guard) - rep) & images
 
 
 def _canonical_key(n: int, facets: Sequence[Collection[int]]) -> tuple:

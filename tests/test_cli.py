@@ -165,6 +165,15 @@ def test_zero_denominator_normal_is_input_error(files, capsys):
     assert _one_error_line(err) and "zero denominator" in err
 
 
+@pytest.mark.parametrize("text", ["0_2", "1e3", " 1", "\uff11"])
+def test_numeral_with_underscore_space_exponent_or_wide_digit_is_input_error(files, capsys, text):
+    # int() read "0_2" as 2, and Fraction() the normal ["1_0", " 0 "] as (10, 0)
+    found = {"n": "0_2", "hyperplanes": [{"label": "a", "normal": ["1_0", " 0 "]}, {"label": "b", "normal": ["0", "1"]}]}
+    for obj in (found, dict(LINES3, n=text), dict(LINES3, hyperplanes=[{"label": "a", "normal": [text, "0"]}])):
+        code, out, err = run(capsys, ["arr-beta", files("a.json", obj)])
+        assert code == 2 and out == "" and _one_error_line(err), obj
+
+
 def test_zero_denominator_rational_weight_is_input_error(files, capsys):
     wq = {"field": {"kind": "rational"}, "q": {"a": "1/0", "b": 1, "c": 1}}
     code, out, err = run(capsys, ["arr-vanish", files("a.json", LINES3), files("w.json", wq)])

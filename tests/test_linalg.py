@@ -67,6 +67,22 @@ def test_zero_denominator_is_value_error():
         QQ.normalize("1/0")
 
 
+@pytest.mark.parametrize("text", ["0_2", "1_0", " 0 ", "1e3", " 1", "\uff11", "1.5", "1/-2", "1 / 2", "+", ""])
+def test_numeric_strings_are_plain_ascii_numerals(text):
+    # Fraction() reads the first seven of these, and int() those with no 'e' or '.'
+    for ring in (QQ, ZZ, GF(7)):
+        with pytest.raises(ValueError):
+            ring.normalize(text)
+
+
+def test_plain_numeral_strings_still_read():
+    assert (ZZ.normalize("10"), ZZ.normalize("-3"), GF(7).normalize("10"), GF(7).normalize("+3")) == (10, -3, 3, 3)
+    assert (QQ.normalize("-3/6"), QQ.normalize("1/2"), QQ.normalize("10")) == (Fraction(-1, 2), Fraction(1, 2), 10)
+    for ring in (ZZ, GF(7)):
+        with pytest.raises(ValueError):
+            ring.normalize("1/2")
+
+
 def test_zz_rejects_proper_fraction():
     assert ZZ.normalize(Fraction(4, 2)) == 2
     with pytest.raises(ValueError):

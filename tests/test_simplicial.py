@@ -20,6 +20,7 @@ from arrcoh.simplicial import (
     _canonical_key,
     _face_index,
     _graph_cohomology,
+    _image_below,
     enumerate_complexes,
     face_coboundaries,
     is_cohen_macaulay,
@@ -237,6 +238,12 @@ def test_enumeration_five_vertices():
     assert len(enumerate_complexes(5)) == 209
 
 
+def test_enumeration_six_vertices():
+    # OEIS A003182(6) - 1: antichains of subsets of 6 points up to relabeling,
+    # each the facets of one complex, less the empty one (the void complex)
+    assert len(enumerate_complexes(6)) == 16352
+
+
 def test_canonical_key_isomorphism_invariance():
     a = SimplicialComplex.from_facets([1, 2, 3], [(1, 2), (3,)])
     b = SimplicialComplex.from_facets(["x", "y", "z"], [("z", "y"), ("x",)])
@@ -251,6 +258,7 @@ def test_canonical_key_isomorphism_invariance():
 CORPUS_DIGESTS = {
     4: "ec9186cbf278600dd1099a0601bbc4fcfd075d8382325d7e685cb4576d99d5bc",
     5: "7ac464a80978dfc114fb7e7dffb2829c312abdbf215b758a2dbe8c53721725e3",
+    6: "0e876a22647e916ec2fc013be4c852b41ad2cc0f20c563833f02f70ba1506b58",
 }
 
 
@@ -316,6 +324,31 @@ def test_lowest_differing_bit_orders_equal_size_sequences(pair):
     a, c = sum(1 << i for i in A), sum(1 << i for i in C)
     x = a ^ c
     assert (not x & -x & a) == (A >= C)
+
+
+@st.composite
+def packed_images(draw):
+    k = draw(st.integers(1, 6))
+    c = draw(st.integers(0, (1 << (1 << k) - 1) - 1))
+    field = st.one_of(st.just(c), st.just(0), st.integers(0, (1 << (1 << k) - 1) - 1))
+    return k, draw(st.lists(field, max_size=8)), c
+
+
+@settings(max_examples=500, deadline=None)
+@given(packed_images())
+@example((2, [1, 2], 1))  # a borrow out of the field equal to C would make bit 1 the second field's lowest
+@example((6, [0, (1 << 63) - 1, 1 << 62], 1 << 62))  # C in the top subset bit, just under the guard
+def test_packed_test_matches_each_image(case):
+    # fields of 2^k bits, at least a byte, as enumerate_complexes packs them
+    k, images, c = case
+    width = max(1 << k >> 3, 1)
+
+    def pack(fields):
+        return int.from_bytes(b"".join(f.to_bytes(width, "little") for f in fields), "little")
+
+    rep = pack([1] * len(images))
+    got = _image_below(pack(images), pack([c] * len(images)), rep, rep << ((1 << k) - 1))
+    assert bool(got) == any((a ^ c) & -(a ^ c) & a for a in images)
 
 
 def brute_force_key(n, facets):
