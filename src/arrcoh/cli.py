@@ -13,7 +13,8 @@ output is canonical — sorted keys, rationals as lowest-term "p/q"
 strings, prime-field scalars as residues in [0, p) — so identical inputs
 produce byte-identical output.
 Table output is for humans.  The ARRCOH_FORMAT environment variable sets
-the default format ("json" or "table"); --format overrides it.
+the default format ("json" or "table", checked before the verb runs; empty
+counts as unset); --format overrides it.  Numeric flags are ASCII digits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from arrcoh.linalg import GF, QQ, ZZ, FieldTag, InternalError, RankOneSystem, is_prime, json_array
+from arrcoh.linalg import GF, QQ, ZZ, FieldTag, InternalError, RankOneSystem, _numeral, is_prime, json_array
 
 if TYPE_CHECKING:
     from arrcoh.arrangement import Arrangement
@@ -253,7 +254,7 @@ def _ring_spec(text: str):
     if text == "Q":
         return QQ
     if text.startswith("F"):
-        p = int(text[1:])
+        p = _integer(text[1:])
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return GF(p)
@@ -468,8 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("toric-verify", "randomized concentration/agreement check against the CM predicate")
     p.add_argument("complex")
-    p.add_argument("--prime", type=int, default=101)
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--prime", type=_integer, default=101)
+    p.add_argument("--trials", type=_integer, default=25)
     p.add_argument("--seed", type=_seed, default=0, help="64-bit seed (default 0)")
 
     p = add("ell-analyze", "rank, unimodularity and homotopy dimension of an elliptic arrangement")
@@ -487,8 +488,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(text: str) -> int:
+    """ASCII digits, after at most a minus sign, read through
+    :func:`~arrcoh.linalg._numeral`; each flag refuses its own negatives."""
+    if text.startswith("+"):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(_numeral(text, False))
+
+
 def _seed(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return value
@@ -496,6 +505,10 @@ def _seed(text: str) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    fmt = args.format or os.environ.get(FORMAT_ENV) or "json"
+    if fmt not in ("json", "table"):
+        print(f"error: {FORMAT_ENV} must be json or table, got {fmt!r}", file=sys.stderr)
+        return 2
     try:
         report, ok, table = _HANDLERS[args.verb](args)
     except _INPUT_ERRORS as exc:
@@ -504,7 +517,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    fmt = args.format or os.environ.get(FORMAT_ENV, "json")
     try:
         print(json.dumps(report, sort_keys=True, indent=2) if fmt == "json" else "\n".join(table))
         sys.stdout.flush()

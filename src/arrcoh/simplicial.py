@@ -2,6 +2,7 @@
 
 Complexes are nonvoid (they always contain the empty face) and carry an
 explicit vertex order so that every chain-level object is deterministic.
+Faces are bitmasks over that order, and so are the keys of every table here.
 """
 
 from __future__ import annotations
@@ -31,75 +32,73 @@ MAX_FACES = 4096
 
 
 class SimplicialComplex:
-    """A finite abstract simplicial complex with ordered vertices."""
+    """A finite abstract simplicial complex with ordered vertices, its faces
+    kept as bitmasks, bit i for vertex i: ``levels[c]`` lists those of
+    cardinality c in :func:`_levels` order.  A vertex may lie in no face.
 
-    def __init__(self, vertices: Sequence[Hashable], faces: Iterable[frozenset]):
+    >>> L = SimplicialComplex("abcd", [("a", "b"), ("c", "c")])
+    >>> L.levels, L.face(3), L.facets()
+    ([[0], [1, 2, 4], [3]], ('a', 'b'), [('c',), ('a', 'b')])
+    """
+
+    def __init__(self, vertices: Sequence[Hashable], faces: Iterable[Iterable[Hashable]]):
         self.vertices: tuple = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        if len(bit) != len(self.vertices):
             raise ValueError("duplicate vertices")
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-        faces = set(faces)
-        faces.add(frozenset())
         too_many = f"a simplicial complex stops at {MAX_FACES} faces; this one has more"
-        for f in faces:
-            for v in f:
-                if v not in self._vindex:
-                    raise ValueError(f"face {sorted(map(repr, f))} uses unknown vertex {v!r}")
+        closed = {0}
+        for f in map(set, faces):
+            if not f <= bit.keys():
+                raise ValueError(f"face {sorted(map(repr, f))} uses unknown vertices {sorted(map(repr, f - bit.keys()))}")
             if 1 << len(f) > MAX_FACES:
                 raise ValueError(too_many)
-        # downward closure, stopped as soon as it passes the limit
-        closed: set[frozenset] = set()
-        for f in faces:
-            fs = sorted(f, key=self._vindex.get)
-            for r in range(len(fs) + 1):
-                closed.update(frozenset(c) for c in itertools.combinations(fs, r))
+            # downward closure, stopped as soon as it passes the limit
+            g = s = sum(map(bit.__getitem__, f))
+            if g in closed:
+                continue
+            while s:
+                closed.add(s)
+                s = (s - 1) & g
             if len(closed) > MAX_FACES:
                 raise ValueError(too_many)
-        self.faces: frozenset = frozenset(closed)
+        self.levels: list[list[int]] = _levels(closed, len(self.vertices))
 
     @classmethod
-    def _closed(cls, order: Sequence[Hashable], faces: frozenset) -> "SimplicialComplex":
-        """The complex of a face set already closed under subsets, unchecked,
-        on the vertices its faces use, in the order of ``order``."""
+    def _from_levels(cls, vertices: Sequence[Hashable], levels: list[list[int]]) -> "SimplicialComplex":
+        """The complex with these face masks, as :func:`_levels` groups them, unchecked."""
         L = cls.__new__(cls)
-        L.vertices = tuple(v for v in order if frozenset((v,)) in faces)
-        L._vindex = {v: i for i, v in enumerate(L.vertices)}
-        L.faces = faces
+        L.vertices, L.levels = tuple(vertices), levels
         return L
 
     @classmethod
     def from_facets(cls, vertices: Sequence, facets: Iterable[Iterable]) -> "SimplicialComplex":
         """The complex generated by ``facets``; any faces may be listed."""
-        return cls(vertices, [frozenset(f) for f in facets])
+        return cls(vertices, facets)
 
     # --- structure ----------------------------------------------------------
 
+    def face(self, mask: int) -> tuple:
+        """The vertices of a face mask, in vertex order."""
+        return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+
     @property
     def dim(self) -> int:
-        return max(len(f) for f in self.faces) - 1
+        return len(self.levels) - 2
 
     def facets(self) -> list[tuple]:
-        maximal = [f for f in self.faces if not any(f < g for g in self.faces)]
-        return [self.sort_face(f) for f in sorted(maximal, key=self._face_key)]
+        covered = {g ^ 1 << i for level in self.levels[1:] for g in level for i in range(g.bit_length()) if g >> i & 1}
+        return [self.face(f) for level in self.levels for f in level if f not in covered]
 
-    def sort_face(self, face: Iterable) -> tuple:
-        return tuple(sorted(face, key=self._vindex.get))
-
-    def _face_key(self, face: frozenset) -> tuple:
-        return (len(face), tuple(sorted(self._vindex[v] for v in face)))
-
-    def faces_of_card(self, c: int) -> list[frozenset]:
-        return sorted((f for f in self.faces if len(f) == c), key=self._face_key)
+    def faces_of_card(self, c: int) -> list[tuple]:
+        return list(map(self.face, self.levels[c])) if c < len(self.levels) else []
 
     def all_faces(self) -> list[tuple]:
-        return [self.sort_face(f) for f in sorted(self.faces, key=self._face_key)]
+        return list(map(self.face, itertools.chain.from_iterable(self.levels)))
 
     def f_vector(self) -> list[int]:
         """Face counts by cardinality, starting with the empty face."""
-        out = [0] * (self.dim + 2)
-        for f in self.faces:
-            out[len(f)] += 1
-        return out
+        return list(map(len, self.levels))
 
     def canonical_key(self) -> tuple:
         """Isomorphism-invariant key: two complexes have equal keys exactly
@@ -107,8 +106,8 @@ class SimplicialComplex:
 
         See ``_canonical_key`` for the form of the key.
         """
-        facets = [frozenset(self._vindex[v] for v in f) for f in self.facets()]
-        return _canonical_key(len(self.vertices), facets)
+        n = len(self.vertices)
+        return _canonical_key(n, self._from_levels(range(n), self.levels).facets())
 
     def to_json(self) -> dict:
         return {
@@ -117,26 +116,25 @@ class SimplicialComplex:
         }
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vertices == other.vertices
-            and self.faces == other.faces
-        )
+        return isinstance(other, SimplicialComplex) and (self.vertices, self.levels) == (other.vertices, other.levels)
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.faces))
+        return hash((self.vertices, *map(tuple, self.levels)))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self.vertices)} vertices, dim {self.dim})"
 
 
 def link(L: SimplicialComplex, sigma: Iterable) -> SimplicialComplex:
-    """The link of a face: all tau disjoint from sigma with tau | sigma in L."""
-    s = frozenset(sigma)
-    if s not in L.faces:
-        raise ValueError(f"{sorted(map(repr, s))} is not a face")
-    # the link of a face of a closed complex is closed
-    return SimplicialComplex._closed(L.vertices, frozenset(f for f in L.faces if not (f & s) and (f | s) in L.faces))
+    """The link of a face: all tau disjoint from sigma with tau | sigma in L,
+    on the vertices its faces use."""
+    sigma = set(sigma)
+    s = sum(1 << i for i, v in enumerate(L.vertices) if v in sigma)
+    faces = set(itertools.chain.from_iterable(L.levels))
+    if s not in faces or s.bit_count() != len(sigma):
+        raise ValueError(f"{sorted(map(repr, sigma))} is not a face")
+    lk = [f for f in faces if not f & s and f | s in faces]
+    return SimplicialComplex(L.face(sum(f for f in lk if f.bit_count() == 1)), map(L.face, lk))
 
 
 def _levels(faces: Collection[int], n: int) -> list[list[int]]:
@@ -155,43 +153,34 @@ def _levels(faces: Collection[int], n: int) -> list[list[int]]:
         levels.append(nxt)
 
 
-def _face_index(L: SimplicialComplex) -> tuple[list[list[int]], dict[int, frozenset]]:
-    """The faces of L as bitmasks over ``L.vertices`` (bit i for vertex i):
-    the :func:`_levels` of the masks, and the face of each mask."""
-    bit = {v: 1 << i for i, v in enumerate(L.vertices)}
-    face_of = {sum(map(bit.__getitem__, f)): f for f in L.faces}
-    return _levels(face_of, len(L.vertices)), face_of
-
-
-def link_cohomology(L: SimplicialComplex, ring: Ring) -> dict[frozenset, CohomologyReport]:
+def link_cohomology(L: SimplicialComplex, ring: Ring) -> dict[int, CohomologyReport]:
     """Reduced cohomology of the link of every face of L over ``ring``;
     each report equals what :func:`reduced_cohomology` gives for
     :func:`link` of the face.
 
-    Keyed by face in :meth:`SimplicialComplex.faces_of_card` order, the
-    empty face (whose link is L) first.  One sweep over the faces, as
-    bitmasks, builds every link: a face g lies in the link of each
-    submask s of g, as g - s, and every face of the link of s arises so
-    from g = s | tau.  The sweep takes the faces by cardinality, so each
-    link lists its faces by cardinality too; :func:`_link_reports` reads
-    the links.
+    Keyed by face mask (:meth:`SimplicialComplex.face` gives its
+    vertices) in the order of ``L.levels``, the empty face 0 (whose link
+    is L) first.  One sweep over the faces builds every link: a face g
+    lies in the link of each submask s of g, as g - s, and every face of
+    the link of s arises so from g = s | tau.  The sweep takes the faces
+    by cardinality, so each link lists its faces by cardinality too;
+    :func:`_link_reports` reads the links.
     """
-    levels, face_of = _face_index(L)
-    links: dict[int, list[int]] = {s: [] for level in levels for s in level}
-    for g in itertools.chain.from_iterable(levels):
+    links: dict[int, list[int]] = {s: [] for level in L.levels for s in level}
+    for g in itertools.chain.from_iterable(L.levels):
         s = g
         while True:
             links[s].append(g ^ s)
             if not s:
                 break
             s = (s - 1) & g
-    return _link_reports(ring, links, face_of)
+    return _link_reports(ring, links)
 
 
-def _link_reports(ring: Ring, links: dict[int, list[int]], face_of: dict[int, frozenset]) -> dict[frozenset, CohomologyReport]:
-    """Reduced cohomology over ``ring`` of each complex in ``links``, keyed
-    by the face of its key mask: a complex is its face masks, closed under
-    subsets, listed by cardinality (so the empty face first).
+def _link_reports(ring: Ring, links: dict[int, list[int]]) -> dict[int, CohomologyReport]:
+    """Reduced cohomology over ``ring`` of each complex in ``links``, under
+    the same key: a complex is its face masks, closed under subsets,
+    listed by cardinality (so the empty face first).
 
     A complex with no face of three vertices is {emptyset}, a set of points
     or a graph: its cohomology is read off its own masks
@@ -199,17 +188,17 @@ def _link_reports(ring: Ring, links: dict[int, list[int]], face_of: dict[int, fr
     simplex, acyclic: neither is relabeled.  Any other complex is relabeled
     onto bits 0..m-1, its m vertices in increasing order of their bits, and
     eliminated once per distinct relabeled mask set, with coboundaries from
-    the masks (:func:`_level_coboundaries`, with its d o d check).
+    the masks (:func:`face_coboundaries`, with its d o d check).
     """
     by_shape: dict[frozenset, CohomologyReport] = {}
     table = {}
     for s, faces in links.items():
         m = bisect_right(faces, 1, key=int.bit_count) - 1
         if faces[-1].bit_count() < 3:
-            table[face_of[s]] = _graph_cohomology(ring, faces, m)
+            table[s] = _graph_cohomology(ring, faces, m)
             continue
         if len(faces) == 1 << m:  # a simplex on m >= 3 vertices: acyclic
-            table[face_of[s]] = CohomologyReport(ring, dict.fromkeys(range(-1, m), 0))
+            table[s] = CohomologyReport(ring, dict.fromkeys(range(-1, m), 0))
             continue
         # a face's new mask is that of the face without its least vertex,
         # plus that vertex's new bit
@@ -220,9 +209,10 @@ def _link_reports(ring: Ring, links: dict[int, list[int]], face_of: dict[int, fr
             new[f] = new[f ^ low] | new[low]
         shape = frozenset(new.values())
         if shape not in by_shape:
-            cx = _level_coboundaries(_levels(shape, m)).specialize(ring, [1] * m, shift=-1)
+            relabeled = SimplicialComplex._from_levels(range(m), _levels(shape, m))
+            cx = face_coboundaries(relabeled).specialize(ring, [1] * m, shift=-1)
             by_shape[shape] = complex_cohomology(cx)
-        table[face_of[s]] = by_shape[shape]
+        table[s] = by_shape[shape]
     return table
 
 
@@ -261,19 +251,12 @@ def _graph_cohomology(ring: Ring, faces: Collection[int], m: int) -> CohomologyR
 
 def face_coboundaries(L: SimplicialComplex) -> Coboundaries:
     """The coboundaries between the faces of L, with a symbol x_v per
-    vertex v, bit i of a mask for the vertex at position i of the vertex
-    order: :func:`_level_coboundaries` of L's face masks."""
-    return _level_coboundaries(_face_index(L)[0])
-
-
-def _level_coboundaries(levels: Sequence[Sequence[int]]) -> Coboundaries:
-    """The coboundaries between the face masks of each cardinality, as
-    :func:`_levels` groups them.  Module c is spanned by the faces of
-    cardinality c in their group's order; the row of a face g holds
+    vertex v, bit i of a mask for the vertex at position i.  Module c is
+    spanned by ``L.levels[c]`` in order; the row of a face g holds
     (-1)^pos * x_v at g - {v}, pos the number of vertices of g before v,
     with d o d = 0 checked by :class:`~arrcoh.cochain.Coboundaries`."""
     rows = []
-    for source, target in zip(levels, levels[1:]):
+    for source, target in zip(L.levels, L.levels[1:]):
         index = {f: j for j, f in enumerate(source)}
         block = []
         for g in target:
@@ -285,7 +268,7 @@ def _level_coboundaries(levels: Sequence[Sequence[int]]) -> Coboundaries:
                 sign, rest = -sign, rest ^ low
             block.append(row)
         rows.append(block)
-    return Coboundaries(tuple(len(level) for level in levels), tuple(rows))
+    return Coboundaries(tuple(map(len, L.levels)), tuple(rows))
 
 
 def reduced_cohomology(L: SimplicialComplex, ring: Ring = ZZ) -> CohomologyReport:
@@ -330,18 +313,18 @@ def is_cohen_macaulay(L: SimplicialComplex, ring: Ring = ZZ) -> CMVerdict:
     return _cm_verdict(L, ring, link_cohomology(L, ring))
 
 
-def _cm_verdict(L: SimplicialComplex, ring: Ring, table: dict[frozenset, CohomologyReport]) -> CMVerdict:
+def _cm_verdict(L: SimplicialComplex, ring: Ring, table: dict[int, CohomologyReport]) -> CMVerdict:
     """The Cohen-Macaulay verdict read from a :func:`link_cohomology` table."""
     d = L.dim
     failures = []
     for f, report in table.items():
-        expected = d - len(f)
+        expected = d - f.bit_count()
         # a reduced complex reports every degree from -1 to the link's dimension
         for k in report.free_ranks:
             rank_k = report.betti(k)
             tors = report.torsion_at(k)
             if (k != expected and (rank_k or tors)) or (k == expected and tors):
-                failures.append((L.sort_face(f), k, rank_k, tors))
+                failures.append((L.face(f), k, rank_k, tors))
     return CMVerdict(ok=not failures, dim=d, ring=ring, failures=tuple(failures))
 
 
@@ -379,7 +362,6 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
         masks = [sum(1 << v for v in s) for r in range(k, 0, -1) for s in itertools.combinations(range(k), r)]
         width = max(1 << k >> 3, 1)  # bytes a field, not a C type's size
         code = {m: (1 << i).to_bytes(width, "little") for i, m in enumerate(masks)}
-        face = [frozenset(v for v in range(k) if m >> v & 1) for m in range(1 << k)]
         perms = list(itertools.islice(itertools.permutations(range(k)), 1, None))
         # per relabeling but the identity, the image of every mask, doubled up
         # from the images of single vertices; then per subset, its image bits
@@ -410,8 +392,10 @@ def enumerate_complexes(max_vertices: int) -> list[SimplicialComplex]:
         # built after the search: interleaved with its short-lived objects, the
         # complexes fragment the allocator's arenas and peak memory grows per call
         within = [sum(1 << i for i, m in enumerate(masks) if f & m == f) for f in range(1 << k)]
+        full = _levels(range(1 << k), k)
         for chosen in found:
-            out.append(SimplicialComplex._closed(range(k), frozenset(face[f] for f in range(1 << k) if within[f] & chosen or not f)))
+            levels = [kept for level in full if (kept := [f for f in level if within[f] & chosen or not f])]
+            out.append(SimplicialComplex._from_levels(range(k), levels))
     return out
 
 

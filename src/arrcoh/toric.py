@@ -16,7 +16,8 @@ face links restricted to the vertices of nontrivial weight.  When the
 complex is Cohen-Macaulay over the coefficient field and every weight is a
 nontrivial unit, the page collapses onto the top antidiagonal and the two
 computations must agree; ``verify_cm_theorem`` samples random weights and
-checks exactly that.
+checks exactly that.  Both key their link tables by the face masks of
+:class:`~arrcoh.simplicial.SimplicialComplex`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from arrcoh.simplicial import (
     CMVerdict,
     SimplicialComplex,
     _cm_verdict,
-    _face_index,
     _link_reports,
     face_coboundaries,
     link_cohomology,
@@ -123,27 +123,27 @@ def toric_e2_page(tc: ToricComplex, sys: RankOneSystem) -> E2Support:
     """
     from arrcoh.covers import support_certificate
 
-    levels, face_of = _face_index(tc.base)
     trivial = sum(1 << i for i, w in enumerate(sys.weights) if w == sys.field.one)
     links: dict[int, list[int]] = {}
-    for g in itertools.chain.from_iterable(levels):
+    for g in itertools.chain.from_iterable(tc.base.levels):
         links.setdefault(g & trivial, []).append(g & ~trivial)
-    return support_certificate(*_support_page(tc, _link_reports(sys.field, links, face_of)))
+    return support_certificate(*_support_page(tc, _link_reports(sys.field, links)))
 
 
 def _support_page(tc: ToricComplex, table: Mapping) -> tuple[dict, int, tuple[str]]:
     """The support page read from link cohomology, as the arguments of
     :func:`~arrcoh.covers.support_certificate`.
 
-    ``table`` maps each face whose weights are all 1, in face order, to the
-    reduced cohomology of its link restricted to the other vertices.
+    ``table`` maps the mask of each face whose weights are all 1, in face
+    order, to the reduced cohomology of its link restricted to the other
+    vertices.
     """
     entries: dict[tuple[int, int], int] = {}
     for tau, report in table.items():
-        q = 2 * len(tau)
+        q = 2 * tau.bit_count()
         for i, h in report.free_ranks.items():
             if h:
-                p = i + 1 - len(tau)
+                p = i + 1 - tau.bit_count()
                 entries[(p, q)] = entries.get((p, q), 0) + h
     note = f"ambient bound {tc.space_dim}: the space is a union of {tc.space_dim}-tori and smaller"
     return entries, tc.space_dim, (note,)
@@ -206,7 +206,7 @@ def verify_cm_theorem(tc: ToricComplex, p: int, trials: int = 25, seed: int = 0)
     faces = face_coboundaries(L)
     top = tc.space_dim
     # no weight is 1, so every trial reads the same page: the link of the empty face
-    page = support_certificate(*_support_page(tc, {frozenset(): table[frozenset()]}))
+    page = support_certificate(*_support_page(tc, {0: table[0]}))
     rng = random.Random(seed)
     out = []
     ok = True

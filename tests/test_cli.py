@@ -311,6 +311,21 @@ def test_format_env_default_and_override(files, capsys, monkeypatch):
     assert json.loads(out)["beta"] == -1
 
 
+@pytest.mark.parametrize("value", ["xml", "JSON", " table"])
+def test_unknown_format_env_is_input_error(files, capsys, monkeypatch, value):
+    # the verb used to run and print its table, exiting 0
+    monkeypatch.setenv(cli.FORMAT_ENV, value)
+    code, out, err = run(capsys, ["toric-cm", files("t.json", TORIC_TRI)])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and cli.FORMAT_ENV in err
+
+
+def test_empty_format_env_counts_as_unset(files, capsys, monkeypatch):
+    monkeypatch.setenv(cli.FORMAT_ENV, "")
+    code, out, _ = run(capsys, ["toric-cm", files("t.json", TORIC_TRI)])
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_vanish_certificate_grid(files, capsys):
     a, w = files("a.json", LINES3), files("w.json", W3_GOOD)
     code, out, _ = run(capsys, ["arr-vanish", a, w, "--certificate", "--format", "table"])
@@ -740,6 +755,22 @@ UNREAD = {
 }
 # the fields whose integers are labels, not numbers
 LABELS = {"vertices", "facets", "sets"}
+# numeric flags on the triangle, each read as ASCII digits alone: the
+# flag's form ("{}" marks the number) and a number it accepts
+MUTATED_FLAGS = (
+    ("toric-cm", "--ring", "F{}", "101"),
+    ("toric-verify", "--seed", "{}", "101"),
+    ("toric-verify", "--prime", "{}", "101"),
+    ("toric-verify", "--trials", "{}", "10"),
+)
+OTHER_DIGITS = [str.maketrans("0123456789", "".join(map(chr, range(zero, zero + 10)))) for zero in (0x660, 0xFF10)]  # Arabic-Indic, fullwidth
+
+
+def _flag_mutations(n):
+    """The numeral ``n`` with spaces, an underscore, a sign or in other
+    scripts' digits (int() read each as a number), with a decimal point or
+    an exponent; then no digits, and values past every limit."""
+    return [f" {n}", f"{n} ", f"{n[0]}_{n[1:]}", f"+{n}", f"-{n}", f"{n}.0", f"{n}e0", *(n.translate(t) for t in OTHER_DIGITS), "", str(2**64), str(10**30)]
 
 
 def _page_contradicts(report):
@@ -796,6 +827,8 @@ def _run_mutated(tmp_path, verb, inputs, slot, path, value):
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
+    except SystemExit as exc:  # a usage error, from the argument parser
+        code = exc.code
     except Exception as exc:
         code = repr(exc)
     return code, out.getvalue(), err.getvalue()
@@ -831,4 +864,11 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, monkeypatch):
                         code, _, err = _run_mutated(tmp_path, verb, inputs, slot, path, value)
                         if code != 2 or not _one_error_line(err):
                             broken.append((verb, slot, path, value, code))
+    for verb, flag, form, n in MUTATED_FLAGS:
+        if _run_mutated(tmp_path, verb, [TORIC_TRI, f"{flag}={form.format(n)}"], None, (), None)[0] != 0:
+            broken.append((verb, flag, n, "refused"))
+        for value in _flag_mutations(n):
+            code, out, err = _run_mutated(tmp_path, verb, [TORIC_TRI, f"{flag}={form.format(value)}"], None, (), None)
+            if code != 2 or out or "error:" not in err or "Traceback" in err:
+                broken.append((verb, flag, value, code))
     assert not broken, "\n".join(map(repr, broken))

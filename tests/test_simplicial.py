@@ -18,7 +18,6 @@ from arrcoh.simplicial import (
     MAX_FACES,
     SimplicialComplex,
     _canonical_key,
-    _face_index,
     _graph_cohomology,
     _image_below,
     enumerate_complexes,
@@ -54,16 +53,53 @@ def full_simplex(n):
 
 def test_faces_closed_downward():
     L = SimplicialComplex.from_facets([1, 2, 3], [(1, 2, 3)])
-    assert frozenset((1, 2)) in L.faces
-    assert frozenset((3,)) in L.faces
-    assert frozenset() in L.faces
+    assert L.levels == [[0], [1, 2, 4], [3, 5, 6], [7]]
+    assert L.all_faces() == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    assert L.faces_of_card(2) == [(1, 2), (1, 3), (2, 3)]
     assert L.f_vector() == [1, 3, 3, 1]
     assert L.dim == 2
     assert L.facets() == [(1, 2, 3)]
 
 
+def closure_oracle(vertices, faces):
+    """Reference construction by frozensets: the downward closure of
+    ``faces`` plus the empty face, sorted by cardinality and then by the
+    vertices' positions.  Returns the levels (bit i for vertex i), the
+    facets, every face, and the f-vector."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    closed = {frozenset(c) for f in map(set, faces) for r in range(len(f) + 1) for c in itertools.combinations(f, r)}
+    ordered = sorted(closed | {frozenset()}, key=lambda f: (len(f), sorted(map(pos.get, f))))
+    levels = [[sum(1 << pos[v] for v in f) for f in ordered if len(f) == c] for c in range(len(ordered[-1]) + 1)]
+    as_tuple = [tuple(sorted(f, key=pos.get)) for f in ordered]
+    facets = [t for f, t in zip(ordered, as_tuple) if not any(f < g for g in ordered)]
+    return levels, facets, as_tuple, list(map(len, levels))
+
+
+@st.composite
+def vertices_and_faces(draw):
+    """Up to 6 vertices, named in a shuffled order, and up to 5 faces drawn
+    with repeats ([1, 1, 2] is the face {1, 2}); faces may be empty, and
+    vertices may lie in no face."""
+    vertices = draw(st.permutations(range(draw(st.integers(0, 6)))))
+    face = st.lists(st.sampled_from(vertices), max_size=5) if vertices else st.just([])
+    return vertices, draw(st.lists(face, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertices_and_faces())
+@example(([2, 1], [[1, 1, 2]]))
+@example(([], []))  # the irrelevant complex
+@example(([], [[]]))
+@example(([0, 1, 2], [[2]]))  # two vertices in no face
+def test_constructor_matches_closure_oracle(case):
+    vertices, faces = case
+    L = SimplicialComplex(vertices, faces)
+    assert (L.levels, L.facets(), L.all_faces(), L.f_vector()) == closure_oracle(vertices, faces)
+    assert L.vertices == tuple(vertices)
+
+
 def test_face_limit():
-    assert len(full_simplex(11).faces) == MAX_FACES  # the simplex on 12 vertices fits
+    assert sum(full_simplex(11).f_vector()) == MAX_FACES  # the simplex on 12 vertices fits
     with pytest.raises(ValueError, match=f"{MAX_FACES} faces"):
         full_simplex(12)
     # many small facets pass the limit only as their closure grows
@@ -114,8 +150,7 @@ def test_link_of_vertex_in_sphere():
 
 def test_link_of_empty_face_is_whole_complex():
     L = SimplicialComplex.from_facets([1, 2, 3], [(1, 2), (2, 3)])
-    lk = link(L, ())
-    assert lk.faces == L.faces
+    assert link(L, ()) == L
 
 
 def test_link_of_nonface_rejected():
@@ -300,10 +335,10 @@ def test_enumeration_matches_key_dict_oracle():
 
 
 def test_enumerated_complexes_equal_their_checked_construction():
-    # each representative is closed unchecked from its facet masks
+    # each representative's levels are filtered, unchecked, from the simplex's
     for cx in enumerate_complexes(5):
         ref = SimplicialComplex.from_facets(cx.vertices, cx.facets())
-        assert (cx.vertices, cx.faces, cx._vindex) == (ref.vertices, ref.faces, ref._vindex)
+        assert (cx.vertices, cx.levels) == (ref.vertices, ref.levels)
 
 
 @st.composite
@@ -483,9 +518,9 @@ TETRAHEDRA = SimplicialComplex.from_facets(range(6), [(0, 1, 2, 3), (0, 1, 4, 5)
 def test_link_cohomology_matches_each_link(L):
     for ring in (ZZ, QQ, GF(2), GF(101)):
         table = link_cohomology(L, ring)
-        assert list(table) == [frozenset(f) for f in L.all_faces()]
+        assert list(table) == list(itertools.chain.from_iterable(L.levels))
         for f, report in table.items():
-            assert report == reduced_cohomology(link(L, f), ring), (L.facets(), ring, f)
+            assert report == reduced_cohomology(link(L, L.face(f)), ring), (L.facets(), ring, f)
 
 
 @st.composite
@@ -503,12 +538,12 @@ def graphs(draw):
 @example(SimplicialComplex.from_facets(range(1), [(0,)]))
 @example(SimplicialComplex.from_facets(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
 def test_graph_closed_form_matches_elimination(L):
-    masks = _face_index(L)[1]
+    masks = list(itertools.chain.from_iterable(L.levels))
     for ring in (ZZ, QQ, GF(2)):
         expected = reduced_cohomology(L, ring)
         assert _graph_cohomology(ring, masks, len(L.vertices)) == expected
         # the link of the empty face is L: the table reads the closed form
-        assert link_cohomology(L, ring)[frozenset()] == expected
+        assert link_cohomology(L, ring)[0] == expected
         assert not expected.torsion
         assert list(expected.free_ranks) == list(range(-1, L.dim + 1))
 
@@ -517,12 +552,12 @@ def oracle_coboundaries(L, weight):
     """Oracle: face counts by cardinality and the weighted coboundaries
     between them, in faces_of_card order, the column of g - {v} in the row
     of g holding (-1)^pos * weight(v), pos the number of vertices of g
-    before v."""
+    before v (faces_of_card lists each face's vertices in vertex order)."""
     levels = [L.faces_of_card(c) for c in range(L.dim + 2)]
     rows = []
     for source, target in zip(levels, levels[1:]):
         index = {f: j for j, f in enumerate(source)}
-        rows.append([{index[g - {v}]: (-1) ** pos * weight(v) for pos, v in enumerate(L.sort_face(g))} for g in target])
+        rows.append([{index[g[:pos] + g[pos + 1 :]]: (-1) ** pos * weight(v) for pos, v in enumerate(g)} for g in target])
     return [len(level) for level in levels], rows
 
 
