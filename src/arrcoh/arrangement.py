@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from arrcoh.linalg import QQ, ZZ, InternalError, Matrix, RankOneSystem, json_array, sparse_rank
@@ -251,6 +252,18 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
     kernel basis is cut from X's by r in integers (:func:`_restrict`), so
     no flat is eliminated from scratch and no fraction is formed.  Every
     cover pair is found this way, once, and kept in ``lower_covers``.
+
+    A flat X one rank below the top has the top as its one cover: a
+    hyperplane outside X cuts X in rank rank(A), so in the center.  Only
+    the first such flat is restricted; the others join the top's lower
+    covers as they are met.  Braid A3's seven rank-2 flats, four triple
+    points and three double ones, all lie under its top:
+
+    >>> rows = [[1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 0, -1], [0, 0, 1, -1]]
+    >>> lat = intersection_lattice(Arrangement.from_rows(4, rows))
+    >>> below_top = lat.lower_covers[lat.top]
+    >>> len(below_top), sorted(below_top) == [cs for cs in lat.elements if lat.flats[cs].rank == 2]
+    (7, True)
     """
     lat = getattr(a, "_lattice", None)
     if lat is not None:
@@ -260,17 +273,20 @@ def intersection_lattice(a: Arrangement, max_flats: int | None = None) -> Inters
     identity = tuple(tuple(int(i == j) for j in range(a.n)) for i in range(a.n))
     seen: dict[tuple[int, ...], Flat] = {(): Flat((), 0, identity)}
     lower: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): []}
-    frontier = [()]
+    top, frontier = tuple(range(a.m)), [()]
     while frontier:
         nxt: set[tuple[int, ...]] = set()
         for cs in frontier:
             flat = seen[cs]
+            if flat.rank == a.rank - 1 and top in seen:
+                lower[top].append(cs)  # the top is its one cover
+                continue
             classes: dict[tuple[int, ...], list[int]] = {}
             have = set(cs)
             for h in range(a.m):
                 if h not in have:
                     row = a.integral_normals[h]
-                    r = [sum(x * y for x, y in zip(row, b)) for b in flat.kernel_basis]
+                    r = [sum(map(mul, row, b)) for b in flat.kernel_basis]
                     classes.setdefault(_primitive(r), []).append(h)
             for r, group in classes.items():
                 bigger = tuple(sorted(cs + tuple(group)))

@@ -40,7 +40,7 @@ on small inputs; it does not race dedicated solvers.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Mapping, NamedTuple
 
 from arrcoh.arrangement import Arrangement, intersection_lattice, poincare_and_beta
@@ -122,7 +122,7 @@ def _decone_side(a: Arrangement) -> tuple[dict, dict]:
             step = steps[z] = []
             for y in lat.lower_covers[z]:
                 for v in lat.flats[y].kernel_basis:  # some vector of Y lies outside Z
-                    s = [(d > 0) - (d < 0) for d in (sum(x * t for x, t in zip(rows[i], v)) for i in z)]
+                    s = [(d > 0) - (d < 0) for d in (sum(map(mul, rows[i], v)) for i in z)]
                     if any(s):
                         break
                 step.append((s, lat.flats[y].rank))

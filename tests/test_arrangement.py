@@ -6,8 +6,11 @@ reads the kept cover relations, and the test cannot share an error.
 """
 
 import gc
+import hashlib
 import itertools
+import json
 import math
+import random
 from fractions import Fraction
 from functools import cached_property
 
@@ -342,6 +345,69 @@ def test_flats_match_fraction_elimination(a):
         k = a.n - flat.rank
         assert len(basis) == len(oracle.kernel_basis) == _rational_rank(basis) == k, cs
         assert _rational_rank(basis + list(oracle.kernel_basis)) == k, cs
+
+
+def oracle_lattice(a):
+    """Every closed set with its rank, and the cover pairs, from the ranks
+    of all subsets of the normals by Fraction elimination: S is closed when
+    each hyperplane outside it raises the rank, and Y covers X when X is a
+    proper subset of Y one rank below."""
+    rows = [list(a.normals.row(h)) for h in range(a.m)]
+    rank = {mask: _rational_rank([rows[h] for h in range(a.m) if mask >> h & 1]) for mask in range(1 << a.m)}
+    closed = {
+        tuple(h for h in range(a.m) if mask >> h & 1): r
+        for mask, r in rank.items()
+        if all(mask >> h & 1 or rank[mask | 1 << h] > r for h in range(a.m))
+    }
+    covers = sorted((x, y) for x in closed for y in closed if set(x) < set(y) and closed[y] == closed[x] + 1)
+    return closed, covers
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrangements())
+@example(Arrangement.from_rows(3, [[1, t, t * t] for t in range(-4, 4)]))
+@example(braid_a3())
+@example(Arrangement.from_rows(3, [[1, 2, 0]]))
+def test_lattice_covers_match_all_subsets_oracle(a):
+    # the shortcut one rank below the top adds covers without restricting:
+    # check the order itself, pair by pair, against every subset
+    lat = intersection_lattice(a)
+    closed, covers = oracle_lattice(a)
+    assert {cs: flat.rank for cs, flat in lat.flats.items()} == closed
+    assert sorted((x, y) for y, xs in lat.lower_covers.items() for x in xs) == covers
+
+
+def seeded_arrangements(seed, count):
+    """``count`` arrangements of 1 to 9 distinct hyperplanes in C^n, 1 <= n
+    <= 5, entries in [-3, 3], drawn by ``random.Random(seed)``."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rnd.randint(1, 5)
+        rows = []
+        for _ in range(rnd.randint(1, 9)):
+            r = [rnd.randint(-3, 3) for _ in range(n)]
+            if any(r) and all(_rational_rank([r, q]) == 2 for q in rows):
+                rows.append(r)
+        if rows:
+            out.append(Arrangement.from_rows(n, rows))
+    return out
+
+
+# sha256 over 60 arrangements from seeded_arrangements(37, 60) and braid A4 of
+# json.dumps of, in turn, the lattice's to_json() and [rank, kernel_basis] of
+# every flat in element order; taken from the version that restricted every
+# flat one rank below the top.
+LATTICE_DIGEST = "1237af0c39a21154d0b5df3b627def9b289f88fd6457d404b7f473280b448d42"
+
+
+def test_lattice_digest_pinned():
+    h = hashlib.sha256()
+    for a in seeded_arrangements(37, 60) + [braid_a4()]:
+        lat = intersection_lattice(a)
+        h.update(json.dumps(lat.to_json()).encode())
+        h.update(json.dumps([[lat.flats[cs].rank, lat.flats[cs].kernel_basis] for cs in lat.elements]).encode())
+    assert h.hexdigest() == LATTICE_DIGEST
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,6 +11,12 @@ complex, that product is the cone over the (n-2)-skeleton of the simplex on
 hyperplanes 2..m: the apex is the C^* factor, with weight prod q, and vertex
 i carries q_i.  So the Salvetti cohomology of A and the toric cohomology of
 the cone agree in every degree, for every rank-one system.
+
+Products (Kunneth).  Block-diagonal normals give the product arrangement,
+whose complement is M(A1) x M(A2); the toric complex of a join L1 * L2 is
+T(L1) x T(L2).  In both, the rank-one system is the product of the factors'
+systems, so over a field the Betti numbers of the product are the
+convolution of the factors' Betti numbers.
 """
 
 import itertools
@@ -65,10 +71,11 @@ def generic_normals(draw):
 
 
 @st.composite
-def weight_systems(draw, m):
-    """A rank-one system of m weights, 1 among the choices, projective
-    (prod q = 1) three times in four, as both sides are 0 otherwise."""
-    field = draw(st.sampled_from(RINGS))
+def weight_systems(draw, m, field=None):
+    """A rank-one system of m weights over ``field``, or a drawn one, 1
+    among the choices, projective (prod q = 1) three times in four, as
+    the Salvetti side is 0 otherwise."""
+    field = draw(st.sampled_from(RINGS)) if field is None else field
     if field == QQ:
         unit = st.just(1) | st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4))
     else:
@@ -78,6 +85,15 @@ def weight_systems(draw, m):
         rest = RankOneSystem(field, q[:-1]).product()
         q[-1] = 1 / rest if field == QQ else pow(rest, -1, field.p)
     return RankOneSystem(field, tuple(q))
+
+
+def convolve(a, b):
+    """The Betti numbers of a product from those of its factors."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def cone_over_skeleton(n, m):
@@ -97,3 +113,98 @@ def test_generic_arrangement_matches_cone_over_skeleton(case):
     salvetti = twisted_cohomology(Arrangement.from_rows(n, rows), sys)
     toric = toric_cohomology(cone_over_skeleton(n, m), RankOneSystem(sys.field, (sys.product(), *sys.weights[1:])))
     assert salvetti.full_betti == tuple(toric.betti(k) for k in range(n + 1)), (rows, sys.weights)
+
+
+def proportional(r, q):
+    """Every 2 x 2 minor of the rows r and q vanishes."""
+    return all(x * t == y * s for (x, y), (s, t) in itertools.combinations(zip(r, q), 2))
+
+
+@st.composite
+def small_normals(draw):
+    """1 to 3 distinct hyperplanes in C^n, 1 <= n <= 3, entries in [-2, 2]."""
+    n = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=3))
+    rows = []
+    for r in raw:
+        if any(r) and not any(proportional(r, q) for q in rows):
+            rows.append(r)
+    assume(rows)
+    return n, rows
+
+
+def block_diagonal(n1, rows1, n2, rows2):
+    return Arrangement.from_rows(n1 + n2, [r + [0] * n2 for r in rows1] + [[0] * n1 + r for r in rows2])
+
+
+@st.composite
+def arrangement_products(draw):
+    """Two blocks of normals and a rank-one system on each, over one field."""
+    field = draw(st.sampled_from(RINGS))
+    (n1, rows1), (n2, rows2) = draw(small_normals()), draw(small_normals())
+    return (n1, rows1, draw(weight_systems(len(rows1), field))), (n2, rows2, draw(weight_systems(len(rows2), field)))
+
+
+def boolean(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(arrangement_products())
+@example(((1, [[1]], RankOneSystem(QQ, (1,))), (2, boolean(2), RankOneSystem(QQ, (1, 1)))))
+@example(((2, [[1, 0], [0, 1], [1, 1]], RankOneSystem(GF(7), (2, 2, 2))), (1, [[1]], RankOneSystem(GF(7), (1,)))))
+@example(((2, [[1, 0], [0, 1], [1, 1]], RankOneSystem(GF(101), (1, 1, 1))), (2, [[1, 0], [0, 1], [1, -1]], RankOneSystem(GF(101), (3, 1, 34)))))
+def test_block_diagonal_arrangement_is_kunneth_product(case):
+    (n1, rows1, sys1), (n2, rows2, sys2) = case
+    product = block_diagonal(n1, rows1, n2, rows2)
+    sys_ = RankOneSystem(sys1.field, sys1.weights + sys2.weights)
+    left = twisted_cohomology(Arrangement.from_rows(n1, rows1), sys1).full_betti
+    right = twisted_cohomology(Arrangement.from_rows(n2, rows2), sys2).full_betti
+    assert twisted_cohomology(product, sys_).full_betti == convolve(left, right), (rows1, rows2, sys_.weights)
+
+
+@st.composite
+def small_complexes(draw, tag):
+    """A complex on 1 to 3 vertices named (tag, i), generated by at most
+    three drawn faces; a vertex may lie in no face."""
+    k = draw(st.integers(1, 3))
+    faces = draw(st.lists(st.sets(st.integers(0, k - 1)), max_size=3))
+    return SimplicialComplex.from_facets([(tag, i) for i in range(k)], [[(tag, i) for i in f] for f in faces])
+
+
+def join(L1, L2):
+    """The complex of the unions of a face of L1 and a face of L2."""
+    return SimplicialComplex.from_facets(L1.vertices + L2.vertices, [f + g for f in L1.facets() for g in L2.facets()])
+
+
+@st.composite
+def complex_products(draw):
+    """Two complexes on disjoint vertices and weights on both, over one field."""
+    field = draw(st.sampled_from(RINGS))
+    L1, L2 = draw(small_complexes("a")), draw(small_complexes("b"))
+    sys_ = draw(weight_systems(len(L1.vertices) + len(L2.vertices), field))
+    return L1, L2, sys_
+
+
+def toric_betti(L, sys_):
+    tc = ToricComplex(L)
+    rep = toric_cohomology(tc, sys_)
+    return tuple(rep.betti(k) for k in range(tc.space_dim + 1))
+
+
+def simplex(tag, k):
+    vertices = [(tag, i) for i in range(k)]
+    return SimplicialComplex.from_facets(vertices, [vertices])
+
+
+@settings(max_examples=120, deadline=None)
+@given(complex_products())
+@example((simplex("a", 1), simplex("b", 2), RankOneSystem(QQ, (1, 1, 1))))
+@example((simplex("a", 2), SimplicialComplex.from_facets([("b", 0), ("b", 1)], [[("b", 0)], [("b", 1)]]), RankOneSystem(GF(2), (1, 1, 1, 1))))
+@example((simplex("a", 3), simplex("b", 1), RankOneSystem(GF(7), (2, 4, 1, 3))))
+def test_join_is_kunneth_product_of_toric_complexes(case):
+    L1, L2, sys_ = case
+    k = len(L1.vertices)
+    left = toric_betti(L1, RankOneSystem(sys_.field, sys_.weights[:k]))
+    right = toric_betti(L2, RankOneSystem(sys_.field, sys_.weights[k:]))
+    assert toric_betti(join(L1, L2), sys_) == convolve(left, right), (L1.facets(), L2.facets(), sys_.weights)

@@ -377,6 +377,15 @@ def test_closures_decide_spans_as_fraction_keys(a):
             assert (closure[I] <= closure[J]) == span_subset(span[I], span[J])
 
 
+def candidate_count(a):
+    """The candidate components of all row subsets, prod d_i^2 summed."""
+    count = 0
+    for r in range(a.m + 1):
+        for I in itertools.combinations(range(a.m), r):
+            count += prod(d * d for d in smith_normal_form(a.submatrix(I)).divisors if d)
+    return count
+
+
 @settings(max_examples=100, deadline=None)
 @given(elliptic_arrangements())
 @example(EllipticArrangement.from_rows(2, [[1, 2], [2, 1], [1, 2], [-1, -1]]))
@@ -384,17 +393,27 @@ def test_strata_match_fraction_span_strata(a):
     # each candidate component is tested against the strata of its span:
     # keep the candidates (prod d_i^2 summed over the subsets) few, or one
     # example takes seconds
-    candidates = 0
-    for r in range(a.m + 1):
-        for I in itertools.combinations(range(a.m), r):
-            candidates += prod(d * d for d in smith_normal_form(a.submatrix(I)).divisors if d)
-    assume(candidates <= 64)
+    assume(candidate_count(a) <= 64)
     new, old = enumerate_strata(a), span_strata(a)
     assert [s.key for s in new] == [(s.component.rows, s.component.torsion_label) for s in old]
     for x, x_old in zip(new, old):
         for y, y_old in zip(new, old):
             was = span_subset(y_old.span, x_old.span) and _point_on_component(a, y_old, x_old.component.point)
             assert _stratum_contained(a, x, y) == was
+
+
+@settings(max_examples=100, deadline=None)
+@given(elliptic_arrangements())
+@example(EllipticArrangement.from_rows(1, [[2]]))
+@example(EllipticArrangement.from_rows(2, [[1, 2], [2, 1], [1, 2], [-1, -1]]))
+def test_strata_with_equal_closures_are_never_contained(a):
+    # the components of one closure are disjoint translates of one subtorus,
+    # so neither of two distinct ones holds the other: containment needs a
+    # strictly larger closure (the candidates are kept few, as above)
+    assume(candidate_count(a) <= 64)
+    for x, y in itertools.permutations(enumerate_strata(a), 2):
+        if x.closure == y.closure:
+            assert not _stratum_contained(a, x, y), (x.key, y.key)
 
 
 @settings(max_examples=100, deadline=None)
